@@ -30,9 +30,11 @@ race:
 
 # Allocation-budget gates for the zero-copy data plane (DESIGN.md §9).
 # They must run without -race: the detector makes sync.Pool drop Puts at
-# random, so alloc counts are only meaningful in a plain build.
+# random, so alloc counts are only meaningful in a plain build. Two CPU
+# counts give two client stripe widths (min(4, GOMAXPROCS) conns), so a
+# stripe-width-dependent defect cannot pass on a 1-CPU host.
 allocs:
-	go test -run 'TestAllocs' -count=1 ./internal/rpc
+	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc
 
 # Deterministic simulation smoke campaign (DESIGN.md §11): fixed seeds,
 # race detector on. A failure prints the seed and a shrunk op trace;

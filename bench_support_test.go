@@ -2,12 +2,15 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"net/http"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/codegen"
+	"repro/internal/rpc"
 )
 
 // findRegistration looks up a component registration by full name.
@@ -52,5 +55,31 @@ func postJSON(client *http.Client, url string, payload []byte) error {
 	}
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, resp.Body)
+	return nil
+}
+
+// registerEcho installs a handler on srv that answers with its args from
+// a pooled encoder, the shape of a generated component handler.
+func registerEcho(srv *rpc.Server, name string) {
+	srv.RegisterFramed(name, func(ctx context.Context, args []byte) ([]byte, rpc.BufOwner, error) {
+		enc := codec.GetEncoder()
+		enc.Reserve(rpc.ResponseHeadroom)
+		enc.Raw(args)
+		return enc.Framed(), enc, nil
+	})
+}
+
+// callEcho sends payload from a pooled encoder with transport headroom,
+// the path generated stubs take, and releases the response.
+func callEcho(ctx context.Context, client *rpc.Client, method rpc.MethodID, payload []byte, opts rpc.CallOptions) error {
+	enc := codec.GetEncoder()
+	enc.Reserve(rpc.PayloadHeadroom)
+	enc.Raw(payload)
+	resp, err := client.CallFramed(ctx, method, enc.Framed(), opts)
+	codec.PutEncoder(enc)
+	if err != nil {
+		return err
+	}
+	resp.Release()
 	return nil
 }

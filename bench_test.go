@@ -294,12 +294,7 @@ func BenchmarkTransport(b *testing.B) {
 		// a pooled encoder, and the zero-copy CallFramed client API that
 		// generated stubs use via core.DataPlaneConn.
 		srv := rpc.NewServer()
-		srv.RegisterFramed("bench.Echo", func(ctx context.Context, args []byte) ([]byte, rpc.BufOwner, error) {
-			enc := codec.GetEncoder()
-			enc.Reserve(rpc.ResponseHeadroom)
-			enc.Raw(args)
-			return enc.Framed(), enc, nil
-		})
+		registerEcho(srv, "bench.Echo")
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -313,15 +308,9 @@ func BenchmarkTransport(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			enc := codec.GetEncoder()
-			enc.Reserve(rpc.PayloadHeadroom)
-			enc.Raw(payload)
-			resp, err := client.CallFramed(ctx, method, enc.Framed(), rpc.CallOptions{})
-			if err != nil {
+			if err := callEcho(ctx, client, method, payload, rpc.CallOptions{}); err != nil {
 				b.Fatal(err)
 			}
-			resp.Release()
-			codec.PutEncoder(enc)
 		}
 		b.ReportMetric(float64(len(payload)), "payload_bytes")
 	})
@@ -330,11 +319,7 @@ func BenchmarkTransport(b *testing.B) {
 		// §5.1's optional wire compression, on a large compressible
 		// payload (a product-catalog-sized response).
 		srv := rpc.NewServer()
-		srv.Register("bench.EchoC", func(ctx context.Context, args []byte) ([]byte, error) {
-			out := make([]byte, len(args))
-			copy(out, args)
-			return out, nil
-		})
+		registerEcho(srv, "bench.EchoC")
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -356,7 +341,7 @@ func BenchmarkTransport(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.Call(ctx, rpc.MethodKey("bench.EchoC"), payload, rpc.CallOptions{}); err != nil {
+			if err := callEcho(ctx, client, rpc.MethodKey("bench.EchoC"), payload, rpc.CallOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -396,12 +381,7 @@ func BenchmarkTransport(b *testing.B) {
 // goroutines multiplexed over the weaver client's striped connections.
 func BenchmarkTransportParallel(b *testing.B) {
 	srv := rpc.NewServer()
-	srv.RegisterFramed("bench.EchoP", func(ctx context.Context, args []byte) ([]byte, rpc.BufOwner, error) {
-		enc := codec.GetEncoder()
-		enc.Reserve(rpc.ResponseHeadroom)
-		enc.Raw(args)
-		return enc.Framed(), enc, nil
-	})
+	registerEcho(srv, "bench.EchoP")
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -416,15 +396,9 @@ func BenchmarkTransportParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			enc := codec.GetEncoder()
-			enc.Reserve(rpc.PayloadHeadroom)
-			enc.Raw(payload)
-			resp, err := client.CallFramed(ctx, method, enc.Framed(), rpc.CallOptions{})
-			if err != nil {
+			if err := callEcho(ctx, client, method, payload, rpc.CallOptions{}); err != nil {
 				b.Fatal(err)
 			}
-			resp.Release()
-			codec.PutEncoder(enc)
 		}
 	})
 }
@@ -439,12 +413,7 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	for _, callers := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("Callers%d", callers), func(b *testing.B) {
 			srv := rpc.NewServer()
-			srv.RegisterFramed("bench.EchoT", func(ctx context.Context, args []byte) ([]byte, rpc.BufOwner, error) {
-				enc := codec.GetEncoder()
-				enc.Reserve(rpc.ResponseHeadroom)
-				enc.Raw(args)
-				return enc.Framed(), enc, nil
-			})
+			registerEcho(srv, "bench.EchoT")
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
@@ -458,15 +427,9 @@ func BenchmarkTransportThroughput(b *testing.B) {
 
 			// Warm every stripe before the clock starts.
 			for i := 0; i < 8; i++ {
-				enc := codec.GetEncoder()
-				enc.Reserve(rpc.PayloadHeadroom)
-				enc.Raw(payload)
-				resp, err := client.CallFramed(ctx, method, enc.Framed(), rpc.CallOptions{})
-				if err != nil {
+				if err := callEcho(ctx, client, method, payload, rpc.CallOptions{}); err != nil {
 					b.Fatal(err)
 				}
-				resp.Release()
-				codec.PutEncoder(enc)
 			}
 
 			var calls atomic.Int64
@@ -480,16 +443,10 @@ func BenchmarkTransportThroughput(b *testing.B) {
 				go func(w int) {
 					defer wg.Done()
 					for calls.Add(1) <= int64(b.N) {
-						enc := codec.GetEncoder()
-						enc.Reserve(rpc.PayloadHeadroom)
-						enc.Raw(payload)
-						resp, err := client.CallFramed(ctx, method, enc.Framed(), rpc.CallOptions{Shard: uint64(w) + 1})
-						if err != nil {
+						if err := callEcho(ctx, client, method, payload, rpc.CallOptions{Shard: uint64(w) + 1}); err != nil {
 							failed.Store(err)
 							return
 						}
-						resp.Release()
-						codec.PutEncoder(enc)
 					}
 				}(w)
 			}
@@ -649,9 +606,7 @@ func BenchmarkAdmissionControl(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			srv := rpc.NewServerWithOptions(mode.opts)
-			srv.Register("bench.Adm", func(ctx context.Context, args []byte) ([]byte, error) {
-				return args, nil
-			})
+			registerEcho(srv, "bench.Adm")
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
@@ -664,7 +619,7 @@ func BenchmarkAdmissionControl(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := client.Call(ctx, rpc.MethodKey("bench.Adm"), payload, rpc.CallOptions{}); err != nil {
+				if err := callEcho(ctx, client, rpc.MethodKey("bench.Adm"), payload, rpc.CallOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -687,9 +642,7 @@ func BenchmarkHedgedTailLatency(b *testing.B) {
 			const component = "bench/Hedge"
 			mkServer := func() (*rpc.Server, string) {
 				srv := rpc.NewServer()
-				srv.Register(component+".M", func(ctx context.Context, args []byte) ([]byte, error) {
-					return nil, nil
-				})
+				registerEcho(srv, component+".M")
 				addr, err := srv.Listen("127.0.0.1:0")
 				if err != nil {
 					b.Fatal(err)

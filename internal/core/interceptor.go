@@ -1,9 +1,9 @@
 // Client-side interceptor chain: the call path the paper assigns to the
 // runtime (§5) — routing, health filtering, retries, hedging, transport —
-// decomposed into ordered, individually replaceable stages instead of one
-// monolithic Invoke. Each stage reads and advances a per-call *CallMeta;
-// the chain is composed once per DataPlaneConn, so a call costs plain
-// function indirection, not per-call closure construction.
+// decomposed into ordered stages instead of one monolithic Invoke. Each
+// stage reads and advances a per-call *CallMeta; the chain is composed
+// once per DataPlaneConn, so a call costs plain function indirection, not
+// per-call closure construction.
 package core
 
 import (
@@ -74,10 +74,7 @@ type CallMeta struct {
 type ClientNext func(ctx context.Context, m *CallMeta) (*rpc.Response, error)
 
 // A ClientInterceptor is one composable stage of the client call path.
-// Built-in stages run in the order route → breaker → (custom stages) →
-// retry → hedge → transport; custom stages from ConnOptions.Interceptors
-// therefore see every call once, before any retrying or hedging fans it
-// out into attempts.
+// Stages run in the order route → breaker → retry → hedge → transport.
 type ClientInterceptor func(ctx context.Context, m *CallMeta, next ClientNext) (*rpc.Response, error)
 
 // chainClient composes stages around a terminal transport, outermost
@@ -114,17 +111,23 @@ func (c *DataPlaneConn) breakerStage(ctx context.Context, m *CallMeta, next Clie
 // replies never executed, so they draw on a budget separate from
 // executing attempts — which at-most-once methods get exactly one of.
 func (c *DataPlaneConn) retryStage(ctx context.Context, m *CallMeta, next ClientNext) (*rpc.Response, error) {
-	execBudget := c.opts.TransportRetries
+	execBudget := transportAttempts
 	if m.Method.NoRetry {
 		// Non-idempotent method (weaver:noretry): at-most-once delivery.
 		execBudget = 1
 	}
-	shedBudget := c.opts.TransportRetries
 
 	var lastErr error
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		// ctx.Err lags the deadline until the context's timer fires, and
+		// a server's "request expired" reply often arrives first as a
+		// transport error. Retrying then would send an attempt with no
+		// time left and charge its expiry to a blameless replica.
+		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+			return nil, context.DeadlineExceeded
 		}
 		addr, err := c.pickWithGrace(ctx, m.balancer, m.Shard, m.HasShard)
 		if err != nil {
@@ -151,7 +154,7 @@ func (c *DataPlaneConn) retryStage(ctx context.Context, m *CallMeta, next Client
 		lastErr = err
 		if errors.Is(err, rpc.ErrOverloaded) || errors.Is(err, rpc.ErrUnavailable) {
 			m.Sheds++
-			if m.Sheds >= shedBudget {
+			if m.Sheds >= transportAttempts {
 				break
 			}
 		} else {

@@ -37,10 +37,7 @@ func TestTransportRetryPolicy(t *testing.T) {
 		NewRes:  func() any { return &struct{}{} },
 		Do:      func(context.Context, any, any, any) {},
 	}
-	srv.Register("retry_test/C.M", func(ctx context.Context, args []byte) ([]byte, error) {
-		calls.Add(1)
-		return nil, nil
-	})
+	registerEmpty(srv, "retry_test/C.M", func() { calls.Add(1) })
 	live, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +46,7 @@ func TestTransportRetryPolicy(t *testing.T) {
 	dead := "127.0.0.1:1" // nothing listens here
 
 	t.Run("RetriableMethodFailsOver", func(t *testing.T) {
-		conn := NewDataPlaneConn("retry_test/C", &scriptedBalancer{seq: []string{dead, live}}, rpc.ClientOptions{})
+		conn := NewDataPlaneConnWith("retry_test/C", &scriptedBalancer{seq: []string{dead, live}}, ConnOptions{})
 		defer conn.Close()
 		var args, res struct{}
 		if err := conn.Invoke(context.Background(), "retry_test/C", spec, &args, &res, 0, false); err != nil {
@@ -69,7 +66,7 @@ func TestTransportRetryPolicy(t *testing.T) {
 			Do:      spec.Do,
 			NoRetry: true,
 		}
-		conn := NewDataPlaneConn("retry_test/C", &scriptedBalancer{seq: []string{dead, live}}, rpc.ClientOptions{})
+		conn := NewDataPlaneConnWith("retry_test/C", &scriptedBalancer{seq: []string{dead, live}}, ConnOptions{})
 		defer conn.Close()
 		var args, res struct{}
 		err := conn.Invoke(context.Background(), "retry_test/C", noRetrySpec, &args, &res, 0, false)

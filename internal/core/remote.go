@@ -25,7 +25,7 @@ import (
 //
 // The conn owns the resilience mechanics the paper assigns to the runtime
 // (§5): transport failures are retried (against a different replica when
-// the balancer offers one) up to a small fixed budget; a per-replica
+// the balancer offers one) up to transportAttempts times; a per-replica
 // circuit breaker remembers recent outcomes and routes traffic around
 // replicas that keep failing, probing them with Ping until they recover;
 // requests shed by server admission control (rpc.ErrOverloaded) are
@@ -36,10 +36,10 @@ import (
 // here — they are decoded from the results payload by the generated stub.
 //
 // These mechanics are organized as an interceptor chain (see
-// interceptor.go): route → breaker → custom stages → retry → hedge →
-// transport, composed once at construction and threaded by a per-call
-// *CallMeta whose wire-visible fields (priority, attempt, hedge, sampled
-// trace) ride the request header.
+// interceptor.go): route → breaker → retry → hedge → transport, composed
+// once at construction and threaded by a per-call *CallMeta whose
+// wire-visible fields (priority, attempt, hedge, sampled trace) ride the
+// request header.
 type DataPlaneConn struct {
 	component string
 	balancer  routing.Balancer
@@ -79,11 +79,6 @@ type ConnOptions struct {
 	// DisableHedging turns hedging off entirely.
 	DisableHedging bool
 
-	// TransportRetries is the attempt budget for transport-level failures
-	// (default 3). At-most-once methods always get exactly one executing
-	// attempt regardless.
-	TransportRetries int
-
 	// NoReplicaGrace is how long a call waits for the component's replica
 	// set to become non-empty before failing (default 3s). Tests inject a
 	// short grace so they need not wait out the production default.
@@ -96,16 +91,15 @@ type ConnOptions struct {
 	// Tracer, when set, records spans for hedge-race legs that lose after
 	// the call is decided (so traces show the canceled duplicate).
 	Tracer *tracing.Recorder
-
-	// Interceptors are custom client stages, spliced into the chain after
-	// the built-in route and breaker stages and before retry/hedge fan-out.
-	Interceptors []ClientInterceptor
 }
 
+// transportAttempts is the attempt budget for transport-level failures,
+// and separately for attempts the server refused without executing.
+// At-most-once methods always get exactly one executing attempt
+// regardless.
+const transportAttempts = 3
+
 func (o *ConnOptions) fill() {
-	if o.TransportRetries <= 0 {
-		o.TransportRetries = 3
-	}
 	if o.NoReplicaGrace <= 0 {
 		o.NoReplicaGrace = 3 * time.Second
 	}
@@ -125,14 +119,9 @@ const hedgeMinDelay = 500 * time.Microsecond
 // before hedging activates.
 const hedgeMinSamples = 64
 
-// NewDataPlaneConn returns a data-plane connection for the named component,
-// picking replicas with balancer, with default resilience options.
-func NewDataPlaneConn(component string, balancer routing.Balancer, opts rpc.ClientOptions) *DataPlaneConn {
-	return NewDataPlaneConnWith(component, balancer, ConnOptions{Client: opts})
-}
-
-// NewDataPlaneConnWith returns a data-plane connection with full control
-// over retry, breaker, and hedging behavior.
+// NewDataPlaneConnWith returns a data-plane connection for the named
+// component, picking replicas with balancer, with the breaker, hedging and
+// transport behavior set by opts.
 func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts ConnOptions) *DataPlaneConn {
 	opts.fill()
 	c := &DataPlaneConn{
@@ -159,7 +148,6 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 	if !opts.DisableBreaker {
 		stages = append(stages, c.breakerStage)
 	}
-	stages = append(stages, opts.Interceptors...)
 	stages = append(stages, c.retryStage, c.hedgeStage)
 	c.chain = chainClient(stages, c.transport)
 	return c

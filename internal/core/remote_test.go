@@ -26,16 +26,22 @@ func emptySpec(noRetry bool) *codegen.MethodSpec {
 	}
 }
 
+// registerEmpty installs a handler for name that runs do and answers with
+// an empty result.
+func registerEmpty(srv *rpc.Server, name string, do func()) {
+	srv.RegisterFramed(name, func(context.Context, []byte) ([]byte, rpc.BufOwner, error) {
+		do()
+		return make([]byte, rpc.ResponseHeadroom), nil, nil
+	})
+}
+
 // startCounting starts a server for component hosting method M that counts
 // invocations, with the given admission options.
 func startCounting(t *testing.T, component string, opts rpc.ServerOptions) (*rpc.Server, string, *atomic.Int64) {
 	t.Helper()
 	srv := rpc.NewServerWithOptions(opts)
 	var calls atomic.Int64
-	srv.Register(component+".M", func(ctx context.Context, args []byte) ([]byte, error) {
-		calls.Add(1)
-		return nil, nil
-	})
+	registerEmpty(srv, component+".M", func() { calls.Add(1) })
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -55,16 +61,18 @@ func TestOverloadShedRetriesElsewhereForNoRetry(t *testing.T) {
 	// Occupy A's only slot so it sheds everything else.
 	block := make(chan struct{})
 	started := make(chan struct{})
-	srvA.Register(component+".Block", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerEmpty(srvA, component+".Block", func() {
 		close(started)
 		<-block
-		return nil, nil
 	})
 	defer close(block)
 	blocker := rpc.NewClient(addrA, rpc.ClientOptions{})
 	defer blocker.Close()
 	go func() {
-		_, _ = blocker.Call(context.Background(), rpc.MethodKey(component+".Block"), nil, rpc.CallOptions{})
+		resp, err := blocker.CallFramed(context.Background(), rpc.MethodKey(component+".Block"), make([]byte, rpc.PayloadHeadroom), rpc.CallOptions{})
+		if err == nil {
+			resp.Release()
+		}
 	}()
 	<-started
 
@@ -146,6 +154,38 @@ func TestNoReplicaGraceRespectsCancellation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("cancellation took %v to unblock the grace wait", elapsed)
+	}
+}
+
+// lateCtx has a deadline that has already passed while its Err is still
+// nil, as a context.WithDeadline reports until its timer fires.
+type lateCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func TestNoAttemptStartsPastDeadline(t *testing.T) {
+	// An attempt sent with no time left can only expire, and its expiry
+	// must not be charged to the replica it happened to pick.
+	const component = "late_test/C"
+	_, addr, calls := startCounting(t, component, rpc.ServerOptions{})
+	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(addr),
+		ConnOptions{DisableHedging: true, Breaker: rpc.BreakerOptions{MinSamples: 1}})
+	defer conn.Close()
+
+	ctx := lateCtx{Context: context.Background(), deadline: time.Now().Add(-time.Millisecond)}
+	var args, res struct{}
+	err := conn.Invoke(ctx, component, emptySpec(false), &args, &res, 0, false)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call past its deadline = %v, want context.DeadlineExceeded", err)
+	}
+	if got := calls.Load(); got != 0 {
+		t.Errorf("replica executed %d calls past the deadline", got)
+	}
+	if got := conn.BreakerState(addr); got != rpc.BreakerClosed {
+		t.Errorf("breaker = %v after a call that never reached the replica, want closed", got)
 	}
 }
 

@@ -20,8 +20,12 @@ type rpcTarget struct {
 func (t *rpcTarget) Do(ctx context.Context, op Op, user, currency, product string) error {
 	cctx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
 	defer cancel()
-	_, err := t.client.Call(cctx, t.method, nil, rpc.CallOptions{})
-	return err
+	resp, err := t.client.CallFramed(cctx, t.method, make([]byte, rpc.PayloadHeadroom), rpc.CallOptions{})
+	if err != nil {
+		return err
+	}
+	resp.Release()
+	return nil
 }
 
 func TestOverloadShedsFastAndBoundsAcceptedLatency(t *testing.T) {
@@ -33,14 +37,14 @@ func TestOverloadShedsFastAndBoundsAcceptedLatency(t *testing.T) {
 	// Capacity: 2 slots x (1/5ms) = ~400 req/s plus a 2-deep queue. The
 	// generator offers ~3x that.
 	srv := rpc.NewServerWithOptions(rpc.ServerOptions{MaxInflight: 2, MaxQueue: 2})
-	srv.Register("ovl.Work", func(ctx context.Context, args []byte) ([]byte, error) {
+	srv.RegisterFramed("ovl.Work", func(ctx context.Context, args []byte) ([]byte, rpc.BufOwner, error) {
 		timer := time.NewTimer(5 * time.Millisecond)
 		defer timer.Stop()
 		select {
 		case <-timer.C:
-			return []byte("done"), nil
+			return append(make([]byte, rpc.ResponseHeadroom), "done"...), nil, nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	})
 	addr, err := srv.Listen("127.0.0.1:0")

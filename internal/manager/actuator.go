@@ -189,7 +189,7 @@ func (m *Manager) launchReplica(ctx context.Context, group string) error {
 
 // stampGroupRouting draws one fresh epoch and builds the RoutingInfo
 // messages for a group's components from the current ready replica set,
-// stamping LastPush for each. This (with its callers below) is the single
+// stamping LastPush for each. This (with its caller below) is the single
 // site that issues routing epochs.
 func (m *Manager) stampGroupRouting(group string) []pipe.RoutingInfo {
 	var out []pipe.RoutingInfo
@@ -256,18 +256,6 @@ func (m *Manager) broadcastGroupRouting(group string) {
 				m.noteApplied(e.Group, e.ID, ri.Component, ri.Version)
 			})
 		}
-	}
-}
-
-// pushGroupRoutingTo stamps and sends a group's routing info to a single
-// envelope (the StartComponent fast path: the requester learns about
-// already-running replicas immediately).
-func (m *Manager) pushGroupRoutingTo(group string, e *envelope.Envelope) {
-	for _, ri := range m.stampGroupRouting(group) {
-		ri := ri
-		_ = e.PushRoutingInfo(ri, func() {
-			m.noteApplied(e.Group, e.ID, ri.Component, ri.Version)
-		})
 	}
 }
 

@@ -528,11 +528,12 @@ func (m *Manager) StartComponent(e *envelope.Envelope, component string, routed 
 	if !found {
 		return fmt.Errorf("manager: unknown component %q", component)
 	}
-	_ = m.actuate(m.ctx, acts, actuateOpts{})
-
 	// Push current routing info (possibly empty) so the requester learns
-	// about already-running replicas immediately.
-	m.pushGroupRoutingTo(gname, e)
+	// about already-running replicas immediately. The push is a broadcast
+	// (e was adopted above): every epoch goes to every envelope, so no
+	// proclet is left behind the newest stamped push.
+	acts.Push = []string{gname}
+	_ = m.actuate(m.ctx, acts, actuateOpts{})
 	return nil
 }
 

@@ -19,7 +19,7 @@ func startLimited(t *testing.T, opts ServerOptions) (s *Server, addr string, sta
 	s = NewServerWithOptions(opts)
 	block := make(chan struct{})
 	started = make(chan struct{}, 64)
-	s.Register("adm.Block", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "adm.Block", func(ctx context.Context, args []byte) ([]byte, error) {
 		started <- struct{}{}
 		select {
 		case <-block:
@@ -27,7 +27,7 @@ func startLimited(t *testing.T, opts ServerOptions) (s *Server, addr string, sta
 		}
 		return nil, nil
 	})
-	s.Register("adm.Fast", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "adm.Fast", func(ctx context.Context, args []byte) ([]byte, error) {
 		return []byte("ok"), nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
@@ -57,12 +57,12 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 
 	blockDone := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), MethodKey("adm.Block"), nil, CallOptions{})
+		_, err := callBytes(context.Background(), c, MethodKey("adm.Block"), nil, CallOptions{})
 		blockDone <- err
 	}()
 	<-started // the single slot is now occupied
 
-	_, err := c.Call(context.Background(), MethodKey("adm.Fast"), nil, CallOptions{})
+	_, err := callBytes(context.Background(), c, MethodKey("adm.Fast"), nil, CallOptions{})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("call at capacity: err = %v, want ErrOverloaded", err)
 	}
@@ -75,7 +75,7 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 		t.Fatalf("blocked call failed: %v", err)
 	}
 	// With the slot free again, calls must flow.
-	if _, err := c.Call(context.Background(), MethodKey("adm.Fast"), nil, CallOptions{}); err != nil {
+	if _, err := callBytes(context.Background(), c, MethodKey("adm.Fast"), nil, CallOptions{}); err != nil {
 		t.Fatalf("call after release: %v", err)
 	}
 }
@@ -87,7 +87,7 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 
 	blockDone := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), MethodKey("adm.Block"), nil, CallOptions{})
+		_, err := callBytes(context.Background(), c, MethodKey("adm.Block"), nil, CallOptions{})
 		blockDone <- err
 	}()
 	<-started
@@ -95,7 +95,7 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 	// This call queues behind the blocked one rather than being shed.
 	fastDone := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), MethodKey("adm.Fast"), nil, CallOptions{})
+		_, err := callBytes(context.Background(), c, MethodKey("adm.Fast"), nil, CallOptions{})
 		fastDone <- err
 	}()
 	// Wait until the server has actually queued it (admission has no
@@ -129,14 +129,14 @@ func TestAdmissionQueueOverflowSheds(t *testing.T) {
 	defer c.Close()
 
 	go func() {
-		_, _ = c.Call(context.Background(), MethodKey("adm.Block"), nil, CallOptions{})
+		_, _ = callBytes(context.Background(), c, MethodKey("adm.Block"), nil, CallOptions{})
 	}()
 	<-started
 
 	// Fill the one queue slot with a second blocked call.
 	queued := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), MethodKey("adm.Block"), nil, CallOptions{})
+		_, err := callBytes(context.Background(), c, MethodKey("adm.Block"), nil, CallOptions{})
 		queued <- err
 	}()
 	// Wait until the server has actually queued it.
@@ -144,7 +144,7 @@ func TestAdmissionQueueOverflowSheds(t *testing.T) {
 
 	// The queue is full: the next request must be shed immediately.
 	start := time.Now()
-	_, err := c.Call(context.Background(), MethodKey("adm.Fast"), nil, CallOptions{})
+	_, err := callBytes(context.Background(), c, MethodKey("adm.Fast"), nil, CallOptions{})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("call with full queue: err = %v, want ErrOverloaded", err)
 	}
@@ -172,14 +172,14 @@ func TestPriorityAdmissionShedsLowFirst(t *testing.T) {
 	admittedHighBefore := metrics.Default.Counter("rpc.server.admitted.high").Value()
 
 	go func() {
-		_, _ = c.Call(context.Background(), MethodKey("adm.Block"), nil, CallOptions{})
+		_, _ = callBytes(context.Background(), c, MethodKey("adm.Block"), nil, CallOptions{})
 	}()
 	<-started // the single slot is now occupied
 
 	lowDone := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := c.Call(context.Background(), MethodKey("adm.Fast"), nil,
+			_, err := callBytes(context.Background(), c, MethodKey("adm.Fast"), nil,
 				CallOptions{Meta: CallMeta{Priority: PriorityLow}})
 			lowDone <- err
 		}()
@@ -190,7 +190,7 @@ func TestPriorityAdmissionShedsLowFirst(t *testing.T) {
 	// displace one low call immediately and take its place.
 	highDone := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), MethodKey("adm.Fast"), nil,
+		_, err := callBytes(context.Background(), c, MethodKey("adm.Fast"), nil,
 			CallOptions{Meta: CallMeta{Priority: PriorityHigh}})
 		highDone <- err
 	}()
@@ -237,27 +237,27 @@ func TestPriorityEvictionPrefersQueuedHedge(t *testing.T) {
 	droppedBefore := metrics.Default.Counter("rpc.server.hedge_dropped").Value()
 
 	go func() {
-		_, _ = c.Call(context.Background(), MethodKey("adm.Block"), nil, CallOptions{})
+		_, _ = callBytes(context.Background(), c, MethodKey("adm.Block"), nil, CallOptions{})
 	}()
 	<-started
 
 	plainDone := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), MethodKey("adm.Fast"), nil,
+		_, err := callBytes(context.Background(), c, MethodKey("adm.Fast"), nil,
 			CallOptions{Meta: CallMeta{Priority: PriorityLow}})
 		plainDone <- err
 	}()
 	waitFor(t, func() bool { return s.queued.Load() == 1 })
 	hedgeDone := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), MethodKey("adm.Fast"), nil,
+		_, err := callBytes(context.Background(), c, MethodKey("adm.Fast"), nil,
 			CallOptions{Meta: CallMeta{Priority: PriorityLow, Hedge: true}})
 		hedgeDone <- err
 	}()
 	waitFor(t, func() bool { return s.queued.Load() == 2 })
 
 	go func() {
-		_, _ = c.Call(context.Background(), MethodKey("adm.Fast"), nil,
+		_, _ = callBytes(context.Background(), c, MethodKey("adm.Fast"), nil,
 			CallOptions{Meta: CallMeta{Priority: PriorityHigh}})
 	}()
 
@@ -288,14 +288,14 @@ func TestPriorityQueuedHedgeDroppedOnCancel(t *testing.T) {
 	droppedBefore := metrics.Default.Counter("rpc.server.hedge_dropped").Value()
 
 	go func() {
-		_, _ = c.Call(context.Background(), MethodKey("adm.Block"), nil, CallOptions{})
+		_, _ = callBytes(context.Background(), c, MethodKey("adm.Block"), nil, CallOptions{})
 	}()
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
 	hedgeDone := make(chan error, 1)
 	go func() {
-		_, err := c.Call(ctx, MethodKey("adm.Fast"), nil,
+		_, err := callBytes(ctx, c, MethodKey("adm.Fast"), nil,
 			CallOptions{Meta: CallMeta{Hedge: true}})
 		hedgeDone <- err
 	}()
@@ -318,7 +318,7 @@ func TestPriorityQueuedHedgeDroppedOnCancel(t *testing.T) {
 // while the low class absorbs the shedding.
 func BenchmarkPriorityShedding(b *testing.B) {
 	s := NewServerWithOptions(ServerOptions{MaxInflight: 2, MaxQueue: 4})
-	s.Register("bench.Work", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "bench.Work", func(ctx context.Context, args []byte) ([]byte, error) {
 		time.Sleep(50 * time.Microsecond)
 		return nil, nil
 	})
@@ -345,7 +345,7 @@ func BenchmarkPriorityShedding(b *testing.B) {
 			opts.Meta = CallMeta{Priority: PriorityLow}
 		}
 		for pb.Next() {
-			_, err := c.Call(context.Background(), method, nil, opts)
+			_, err := callBytes(context.Background(), c, method, nil, opts)
 			switch {
 			case err == nil && high:
 				highOK.Add(1)
@@ -378,7 +378,7 @@ func TestAdmissionShedsExpiredDeadlineWhileQueued(t *testing.T) {
 	defer c.Close()
 
 	go func() {
-		_, _ = c.Call(context.Background(), MethodKey("adm.Block"), nil, CallOptions{})
+		_, _ = callBytes(context.Background(), c, MethodKey("adm.Block"), nil, CallOptions{})
 	}()
 	<-started
 
@@ -400,12 +400,12 @@ func TestAdmissionShedsExpiredDeadlineWhileQueued(t *testing.T) {
 	var buf [1 + headerSize]byte
 	buf[0] = frameRequest
 	hdr.encode(buf[1:])
-	if err := writeFrame(conn, buf[:]); err != nil {
+	if _, err := conn.Write(mkFrame(buf[:])); err != nil {
 		t.Fatal(err)
 	}
 
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	frame, err := readFrame(conn)
+	frame, err := readFrameInto(conn, new([]byte))
 	if err != nil {
 		t.Fatalf("no response for queued-then-expired request: %v", err)
 	}

@@ -199,13 +199,15 @@ func TestAllocsBatchedClientCalls(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under the race detector (sync.Pool drops Puts)")
 	}
-	cliSide, srvSide := net.Pipe()
-	defer cliSide.Close()
-	defer srvSide.Close()
-	go zeroAllocEchoPeer(srvSide)
-
 	c := NewClient("pipe", ClientOptions{
-		Dialer: func(ctx context.Context, addr string) (net.Conn, error) { return cliSide, nil },
+		// Every stripe dials its own pipe and echo peer: stripes sharing
+		// one pipe would race their readLoops for each other's responses.
+		// Client.Close closes the client ends, which stops the peers.
+		Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
+			cliSide, srvSide := net.Pipe()
+			go zeroAllocEchoPeer(srvSide)
+			return cliSide, nil
+		},
 	})
 	defer c.Close()
 
@@ -222,7 +224,10 @@ func TestAllocsBatchedClientCalls(t *testing.T) {
 		resp.Release()
 		codec.PutEncoder(enc)
 	}
-	const width = 8
+	// Eight concurrent callers per stripe: a flush batch only forms when
+	// frames queue behind an in-progress write, which two callers sharing
+	// a stripe can never do.
+	width := 8 * c.numConns
 	var wg sync.WaitGroup
 	batch := func() {
 		wg.Add(width)
@@ -238,7 +243,7 @@ func TestAllocsBatchedClientCalls(t *testing.T) {
 
 	const runs = 50
 	flushesBefore := c.flushHist.Count()
-	allocs := testing.AllocsPerRun(runs, batch) / width
+	allocs := testing.AllocsPerRun(runs, batch) / float64(width)
 	if allocs > 3 {
 		t.Errorf("batched client call path allocates %.1f allocs/op, budget is 3", allocs)
 	}
@@ -262,39 +267,49 @@ func TestAllocsCompressedCall(t *testing.T) {
 		t.Skip("alloc counts are nondeterministic under the race detector (sync.Pool drops Puts)")
 	}
 	s := NewServer()
-	s.Register("alloc.Compressed", func(ctx context.Context, args []byte) ([]byte, error) {
-		return args, nil
+	s.RegisterFramed("alloc.Compressed", func(ctx context.Context, args []byte) ([]byte, BufOwner, error) {
+		enc := codec.GetEncoder()
+		enc.Reserve(ResponseHeadroom)
+		enc.Raw(args)
+		return enc.Framed(), enc, nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c := NewClient(addr, ClientOptions{Compress: true, CompressThreshold: 1024})
+	c := NewClient(addr, ClientOptions{Compress: true})
 	defer c.Close()
 
 	method := MethodKey("alloc.Compressed")
 	ctx := context.Background()
-	payload := bytes.Repeat([]byte("compressible boutique payload "), 300) // ~9 KB
+	// ~9 KB: above DefaultCompressThreshold in both directions.
+	payload := bytes.Repeat([]byte("compressible boutique payload "), 300)
 	call := func() {
-		got, err := c.Call(ctx, method, payload, CallOptions{})
+		enc := codec.GetEncoder()
+		enc.Reserve(PayloadHeadroom)
+		enc.Raw(payload)
+		resp, err := c.CallFramed(ctx, method, enc.Framed(), CallOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(payload) {
-			t.Fatalf("echo returned %d bytes, want %d", len(got), len(payload))
+		if len(resp.Data()) != len(payload) {
+			t.Fatalf("echo returned %d bytes, want %d", len(resp.Data()), len(payload))
 		}
+		resp.Release()
+		codec.PutEncoder(enc)
 	}
 	for i := 0; i < c.numConns+1; i++ {
 		call()
 	}
 
 	allocs := testing.AllocsPerRun(100, call)
-	// Per op: the client's legacy-Call result copy, the server handler's
-	// echo slice, one exact-size inflate output per direction, and the
-	// uncompressed end-to-end bookkeeping (goroutine, context, channel).
-	if allocs > 12 {
-		t.Errorf("compressed round trip allocates %.1f allocs/op, budget is 12", allocs)
+	// Measures 8 per op: one exact-size inflate output per direction, the
+	// request header scratch of the (not in-place) compressed write, and
+	// the uncompressed end-to-end bookkeeping (request context, CallInfo
+	// context value), plus a slack of 3.
+	if allocs > 11 {
+		t.Errorf("compressed round trip allocates %.1f allocs/op, budget is 11", allocs)
 	}
 }
 

@@ -90,20 +90,19 @@ type ClientOptions struct {
 	// Dialer overrides the default TCP dialer (used by tests and the
 	// simulated network).
 	Dialer func(ctx context.Context, addr string) (net.Conn, error)
-	// Compress enables transparent flate compression of payloads larger
-	// than CompressThreshold (paper §5.1: the runtime is free to compress
-	// messages on the wire for network-bottlenecked applications). The
-	// server mirrors the choice for responses.
+	// Compress enables transparent flate compression of payloads of at
+	// least DefaultCompressThreshold bytes (paper §5.1: the runtime is free
+	// to compress messages on the wire for network-bottlenecked
+	// applications). The server mirrors the choice for responses.
 	Compress bool
-	// CompressThreshold overrides DefaultCompressThreshold.
-	CompressThreshold int
-	// PingTimeout bounds how long Ping waits for a pong (default 5s).
-	PingTimeout time.Duration
 	// Clock supplies the ping timeout timer (and any injected read
 	// stalls). Nil means the wall clock; deterministic tests inject a
 	// fake so breaker probe paths run without wall-clock sleeps.
 	Clock clock.Clock
 }
+
+// pingTimeout bounds how long Ping waits for a pong.
+const pingTimeout = 5 * time.Second
 
 // defaultNumConns picks the stripe width when ClientOptions.NumConns is
 // unset: one conn per available CPU up to 4, past which the readLoop and
@@ -131,12 +130,6 @@ func NewClient(addr string, opts ClientOptions) *Client {
 			return d.DialContext(ctx, "tcp", addr)
 		}
 	}
-	if opts.CompressThreshold <= 0 {
-		opts.CompressThreshold = DefaultCompressThreshold
-	}
-	if opts.PingTimeout <= 0 {
-		opts.PingTimeout = 5 * time.Second
-	}
 	opts.Clock = clock.Or(opts.Clock)
 	return &Client{
 		addr:     addr,
@@ -156,32 +149,16 @@ func NewClient(addr string, opts ClientOptions) *Client {
 // Addr returns the server address this client targets.
 func (c *Client) Addr() string { return c.addr }
 
-// Call invokes the remote method identified by id with the encoded args and
-// returns the raw result payload. Errors of type *TransportError indicate
-// delivery failure; the result payload may itself encode an application
-// error, which generated stubs decode.
+// CallFramed invokes the remote method identified by id and returns its
+// raw result payload. Errors of type *TransportError indicate delivery
+// failure; the result payload may itself encode an application error,
+// which generated stubs decode.
 //
-// The returned payload is a private copy: callers may retain it freely.
-// The zero-allocation path is CallFramed.
-func (c *Client) Call(ctx context.Context, id MethodID, args []byte, opts CallOptions) ([]byte, error) {
-	resp, err := c.call(ctx, id, args, false, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Copy-on-retain boundary: resp.Data aliases a pooled read buffer that
-	// is recycled on Release, and this API hands the payload to callers
-	// with no release obligation.
-	out := make([]byte, len(resp.Data()))
-	copy(out, resp.Data())
-	resp.Release()
-	return out, nil
-}
-
-// CallFramed is the zero-copy variant of Call. framed must hold
-// PayloadHeadroom bytes of scratch followed by the encoded args (see
-// codec.Encoder.Reserve); the transport fills the framing into the scratch
-// in place and writes the buffer with a single Write. The headroom bytes
-// are owned by CallFramed until it returns; the args bytes are only read.
+// framed must hold PayloadHeadroom bytes of scratch followed by the
+// encoded args (see codec.Encoder.Reserve); the transport fills the
+// framing into the scratch in place and writes the buffer with a single
+// Write. The headroom bytes are owned by CallFramed until it returns; the
+// args bytes are only read.
 //
 // On success the caller owns the returned Response and must call Release
 // after decoding; the payload from Response.Data is invalid afterwards.
@@ -189,16 +166,12 @@ func (c *Client) CallFramed(ctx context.Context, id MethodID, framed []byte, opt
 	if len(framed) < PayloadHeadroom {
 		return nil, &TransportError{Addr: c.addr, Err: fmt.Errorf("rpc: framed buffer of %d bytes lacks %d bytes of headroom", len(framed), PayloadHeadroom)}
 	}
-	return c.call(ctx, id, framed, true, opts)
-}
-
-func (c *Client) call(ctx context.Context, id MethodID, framed []byte, owned bool, opts CallOptions) (*Response, error) {
 	c.calls.Inc()
 	cc, err := c.conn(ctx, opts.Shard)
 	if err != nil {
 		return nil, &TransportError{Addr: c.addr, Err: err}
 	}
-	resp, err := cc.roundTrip(ctx, id, framed, owned, opts)
+	resp, err := cc.roundTrip(ctx, id, framed, opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -549,8 +522,8 @@ func (cc *clientConn) readLoop() {
 // write assembles one frame from chunks into pooled scratch and hands it
 // to the flusher, blocking until the bytes are on the wire. Frames above
 // vectoredThreshold keep their (final-chunk) payload out of scratch and
-// ride the writev as a separate buffer, preserving the zero-copy behavior
-// for large legacy payloads.
+// ride the writev as a separate buffer, so a large compressed payload is
+// never copied.
 func (cc *clientConn) write(chunks ...[]byte) error {
 	var n int
 	for _, c := range chunks {
@@ -578,10 +551,10 @@ func (cc *clientConn) write(chunks ...[]byte) error {
 	return nil
 }
 
-// writeFramed enqueues a preassembled frame whose leading 4 bytes are
+// writeInPlace enqueues a preassembled frame whose leading 4 bytes are
 // length scratch — the zero-copy request path. The buffer stays owned by
 // the flusher until write returns.
-func (cc *clientConn) writeFramed(framed []byte) error {
+func (cc *clientConn) writeInPlace(framed []byte) error {
 	n := len(framed) - 4
 	if n < 0 {
 		return fmt.Errorf("rpc: framed buffer of %d bytes lacks prefix scratch", len(framed))
@@ -597,16 +570,13 @@ func (cc *clientConn) writeFramed(framed []byte) error {
 	return nil
 }
 
-// roundTrip sends one request and waits for its response. When owned is
-// true, framed carries PayloadHeadroom bytes of scratch ahead of the args
-// and the frame is written in place from the caller's buffer; otherwise
-// framed is just the args payload (legacy Call path).
-func (cc *clientConn) roundTrip(ctx context.Context, method MethodID, framed []byte, owned bool, opts CallOptions) (*Response, error) {
+// roundTrip sends one request and waits for its response. framed carries
+// PayloadHeadroom bytes of scratch ahead of the args, and the frame is
+// written in place from the caller's buffer unless the args are
+// compressed.
+func (cc *clientConn) roundTrip(ctx context.Context, method MethodID, framed []byte, opts CallOptions) (*Response, error) {
 	id := cc.client.nextID.Add(1)
-	args := framed
-	if owned {
-		args = framed[PayloadHeadroom:]
-	}
+	args := framed[PayloadHeadroom:]
 
 	hdr := header{
 		id:     id,
@@ -626,13 +596,13 @@ func (cc *clientConn) roundTrip(ctx context.Context, method MethodID, framed []b
 	if dl, ok := ctx.Deadline(); ok {
 		hdr.deadline = dl.UnixNano()
 	}
-	inPlace := owned
+	inPlace := true
 	var comp *compressor
-	if co := cc.client.opts; co.Compress {
+	if cc.client.opts.Compress {
 		// Advertise response compression; compress the request itself when
 		// it is big enough to be worth the CPU.
 		hdr.flags |= flagAcceptCompressed
-		if len(args) >= co.CompressThreshold {
+		if len(args) >= DefaultCompressThreshold {
 			if small, c, ok := compress(args); ok {
 				args = small
 				comp = c
@@ -662,7 +632,7 @@ func (cc *clientConn) roundTrip(ctx context.Context, method MethodID, framed []b
 		start := metaExtMax - ext
 		framed[start+4] = frameRequest
 		hdr.encode(framed[start+5 : start+5+headerSize])
-		werr = cc.writeFramed(framed[start:])
+		werr = cc.writeInPlace(framed[start:])
 	} else {
 		var buf [1 + headerSize + metaExtMax]byte
 		buf[0] = frameRequest
@@ -754,7 +724,7 @@ func (cc *clientConn) ping(ctx context.Context) error {
 		return err
 	}
 
-	timer := cc.client.opts.Clock.NewTimer(cc.client.opts.PingTimeout)
+	timer := cc.client.opts.Clock.NewTimer(pingTimeout)
 	defer timer.Stop()
 	select {
 	case <-ch:

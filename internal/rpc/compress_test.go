@@ -91,7 +91,7 @@ func TestQuickCompressRoundTrip(t *testing.T) {
 
 func TestCompressedCallEndToEnd(t *testing.T) {
 	s := NewServer()
-	s.Register("test.Big", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Big", func(ctx context.Context, args []byte) ([]byte, error) {
 		// Echo the (decompressed) args back, doubled, so the response also
 		// exceeds the compression threshold.
 		out := make([]byte, 0, 2*len(args))
@@ -105,11 +105,11 @@ func TestCompressedCallEndToEnd(t *testing.T) {
 	}
 	defer s.Close()
 
-	c := NewClient(addr, ClientOptions{Compress: true, CompressThreshold: 1024})
+	c := NewClient(addr, ClientOptions{Compress: true})
 	defer c.Close()
 
 	payload := []byte(strings.Repeat("compressible boutique payload ", 500)) // ~15 KB
-	got, err := c.Call(context.Background(), MethodKey("test.Big"), payload, CallOptions{})
+	got, err := callBytes(context.Background(), c, MethodKey("test.Big"), payload, CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestCompressedCallEndToEnd(t *testing.T) {
 	plain := NewClient(addr, ClientOptions{})
 	defer plain.Close()
 	before := c.txBytes.Value()
-	if _, err := plain.Call(context.Background(), MethodKey("test.Big"), payload, CallOptions{}); err != nil {
+	if _, err := callBytes(context.Background(), plain, MethodKey("test.Big"), payload, CallOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	afterPlain := c.txBytes.Value()
-	if _, err := c.Call(context.Background(), MethodKey("test.Big"), payload, CallOptions{}); err != nil {
+	if _, err := callBytes(context.Background(), c, MethodKey("test.Big"), payload, CallOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	afterCompressed := c.txBytes.Value()
@@ -142,7 +142,7 @@ func TestCompressedCallEndToEnd(t *testing.T) {
 
 func TestSmallPayloadsNotCompressed(t *testing.T) {
 	s := NewServer()
-	s.Register("test.Echo2", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Echo2", func(ctx context.Context, args []byte) ([]byte, error) {
 		return args, nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
@@ -152,7 +152,7 @@ func TestSmallPayloadsNotCompressed(t *testing.T) {
 	defer s.Close()
 	c := NewClient(addr, ClientOptions{Compress: true})
 	defer c.Close()
-	got, err := c.Call(context.Background(), MethodKey("test.Echo2"), []byte("tiny"), CallOptions{})
+	got, err := callBytes(context.Background(), c, MethodKey("test.Echo2"), []byte("tiny"), CallOptions{})
 	if err != nil || string(got) != "tiny" {
 		t.Fatalf("small call = %q, %v", got, err)
 	}

@@ -20,7 +20,7 @@ func TestUnregisterDrainsInflight(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var finished atomic.Bool
-	s.Register("test.Slow", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Slow", func(ctx context.Context, args []byte) ([]byte, error) {
 		close(started)
 		<-release
 		finished.Store(true)
@@ -38,7 +38,7 @@ func TestUnregisterDrainsInflight(t *testing.T) {
 	var callErr error
 	go func() {
 		defer wg.Done()
-		_, callErr = c.Call(context.Background(), MethodKey("test.Slow"), nil, CallOptions{})
+		_, callErr = callBytes(context.Background(), c, MethodKey("test.Slow"), nil, CallOptions{})
 	}()
 	<-started
 
@@ -74,16 +74,16 @@ func TestUnregisterDrainsInflight(t *testing.T) {
 	}
 
 	// The method is now tombstoned: callers get a retryable unavailable.
-	_, err = c.Call(context.Background(), MethodKey("test.Slow"), nil, CallOptions{})
+	_, err = callBytes(context.Background(), c, MethodKey("test.Slow"), nil, CallOptions{})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("call after Unregister = %v, want ErrUnavailable", err)
 	}
 
 	// Re-registering the same name (the component moved back) must work.
-	s.Register("test.Slow", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Slow", func(ctx context.Context, args []byte) ([]byte, error) {
 		return []byte("back"), nil
 	})
-	out, err := c.Call(context.Background(), MethodKey("test.Slow"), nil, CallOptions{})
+	out, err := callBytes(context.Background(), c, MethodKey("test.Slow"), nil, CallOptions{})
 	if err != nil || string(out) != "back" {
 		t.Fatalf("call after re-register = %q, %v", out, err)
 	}
@@ -94,7 +94,7 @@ func TestUnregisterDrainsInflight(t *testing.T) {
 func TestUnregisterUnknownIsNoop(t *testing.T) {
 	c, s, _ := startEcho(t)
 	s.Unregister("test.Nonexistent")
-	_, err := c.Call(context.Background(), MethodKey("test.Nonexistent"), nil, CallOptions{})
+	_, err := callBytes(context.Background(), c, MethodKey("test.Nonexistent"), nil, CallOptions{})
 	if err == nil || errors.Is(err, ErrUnavailable) {
 		t.Fatalf("unknown method = %v, want hard dispatch error", err)
 	}
@@ -110,7 +110,7 @@ func TestDrainFinishesInflight(t *testing.T) {
 	s := NewServerWithOptions(ServerOptions{Clock: fake})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.Register("test.Slow", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Slow", func(ctx context.Context, args []byte) ([]byte, error) {
 		close(started)
 		<-release
 		return []byte("done"), nil
@@ -128,7 +128,7 @@ func TestDrainFinishesInflight(t *testing.T) {
 	var slowErr error
 	go func() {
 		defer wg.Done()
-		slowOut, slowErr = c.Call(context.Background(), MethodKey("test.Slow"), nil, CallOptions{})
+		slowOut, slowErr = callBytes(context.Background(), c, MethodKey("test.Slow"), nil, CallOptions{})
 	}()
 	<-started
 
@@ -145,7 +145,7 @@ func TestDrainFinishesInflight(t *testing.T) {
 	waitFor(t, func() bool { return fake.Waiting() > 0 })
 
 	// New calls must now get a retryable unavailable, never execute.
-	_, err = c.Call(context.Background(), MethodKey("test.Slow"), nil, CallOptions{})
+	_, err = callBytes(context.Background(), c, MethodKey("test.Slow"), nil, CallOptions{})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("call while draining = %v, want ErrUnavailable", err)
 	}
@@ -180,7 +180,7 @@ func TestDrainTimesOut(t *testing.T) {
 	s := NewServerWithOptions(ServerOptions{Clock: fake})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.Register("test.Stuck", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Stuck", func(ctx context.Context, args []byte) ([]byte, error) {
 		close(started)
 		<-release
 		return nil, nil
@@ -193,7 +193,7 @@ func TestDrainTimesOut(t *testing.T) {
 	t.Cleanup(func() { close(release); c.Close(); s.Close() })
 
 	go func() {
-		_, _ = c.Call(context.Background(), MethodKey("test.Stuck"), nil, CallOptions{})
+		_, _ = callBytes(context.Background(), c, MethodKey("test.Stuck"), nil, CallOptions{})
 	}()
 	<-started
 

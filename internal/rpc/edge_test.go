@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // rawRequest writes a request frame for method with the given id and args
@@ -18,7 +20,7 @@ func rawRequest(t *testing.T, conn net.Conn, id uint64, method MethodID, flags u
 	var buf [1 + headerSize]byte
 	buf[0] = frameRequest
 	hdr.encode(buf[1:])
-	if err := writeFrame(conn, buf[:], args); err != nil {
+	if _, err := conn.Write(mkFrame(buf[:], args)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -29,7 +31,7 @@ func rawReadResponse(t *testing.T, conn net.Conn) (id uint64, status byte, data 
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
-		frame, err := readFrame(conn)
+		frame, err := readFrameInto(conn, new([]byte))
 		if err != nil {
 			t.Fatalf("reading response: %v", err)
 		}
@@ -58,12 +60,12 @@ func TestCancelAfterResponseIgnored(t *testing.T) {
 	var cbuf [9]byte
 	cbuf[0] = frameCancel
 	putUint64(cbuf[1:], 7)
-	if err := writeFrame(conn, cbuf[:]); err != nil {
+	if _, err := conn.Write(mkFrame(cbuf[:])); err != nil {
 		t.Fatal(err)
 	}
 	// A cancel for an id never seen must also be harmless.
 	putUint64(cbuf[1:], 9999)
-	if err := writeFrame(conn, cbuf[:]); err != nil {
+	if _, err := conn.Write(mkFrame(cbuf[:])); err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,7 +81,7 @@ func TestConcurrentCancelResponseRace(t *testing.T) {
 	// goroutines and timings; under -race this exercises the server's
 	// inflight map and the client's pending map for unsynchronized access.
 	s := NewServer()
-	s.Register("race.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "race.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
 		return args, nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
@@ -101,7 +103,7 @@ func TestConcurrentCancelResponseRace(t *testing.T) {
 					time.Sleep(after)
 					cancel()
 				}(time.Duration((i%7)*20) * time.Microsecond)
-				_, _ = c.Call(ctx, MethodKey("race.Echo"), []byte("x"), CallOptions{})
+				_, _ = callBytes(ctx, c, MethodKey("race.Echo"), []byte("x"), CallOptions{})
 				cancel()
 			}
 		}(g)
@@ -109,7 +111,7 @@ func TestConcurrentCancelResponseRace(t *testing.T) {
 	wg.Wait()
 
 	// The connection must still be fully functional.
-	got, err := c.Call(context.Background(), MethodKey("race.Echo"), []byte("alive"), CallOptions{})
+	got, err := callBytes(context.Background(), c, MethodKey("race.Echo"), []byte("alive"), CallOptions{})
 	if err != nil || string(got) != "alive" {
 		t.Fatalf("call after cancel storm = %q, %v", got, err)
 	}
@@ -133,7 +135,7 @@ func fakeRawServer(t *testing.T, respond func(conn net.Conn, reqFrame []byte)) s
 			go func(conn net.Conn) {
 				defer conn.Close()
 				for {
-					frame, err := readFrame(conn)
+					frame, err := readFrameInto(conn, new([]byte))
 					if err != nil {
 						return
 					}
@@ -154,14 +156,14 @@ func TestCorruptCompressedResponse(t *testing.T) {
 		}
 		id := reqFrame[1:9]
 		garbage := []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02}
-		_ = writeFrame(conn, []byte{frameResponse}, id, []byte{statusOKCompressed}, garbage)
+		_, _ = conn.Write(mkFrame([]byte{frameResponse}, id, []byte{statusOKCompressed}, garbage))
 	})
 
 	c := NewClient(addr, ClientOptions{})
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := c.Call(ctx, MethodKey("test.Echo"), []byte("hi"), CallOptions{})
+	_, err := callBytes(ctx, c, MethodKey("test.Echo"), []byte("hi"), CallOptions{})
 	if err == nil {
 		t.Fatal("corrupt compressed response decoded successfully")
 	}
@@ -192,21 +194,39 @@ func TestCorruptCompressedRequestDropped(t *testing.T) {
 }
 
 func TestPingTimeout(t *testing.T) {
-	// A server that accepts but never answers: Ping must give up after
-	// PingTimeout rather than hanging forever.
+	// A server that accepts but never answers: Ping must give up after the
+	// 5 s ping timeout rather than hanging forever. The timer runs on the
+	// client's injected fake clock, so the test never waits out the 5 s.
 	addr := fakeRawServer(t, func(net.Conn, []byte) {})
 
-	c := NewClient(addr, ClientOptions{PingTimeout: 50 * time.Millisecond})
+	clk := clock.NewFake()
+	c := NewClient(addr, ClientOptions{Clock: clk})
 	defer c.Close()
-	start := time.Now()
-	err := c.Ping(context.Background())
-	if err == nil {
-		t.Fatal("ping to mute server succeeded")
+	done := make(chan error, 1)
+	go func() { done <- c.Ping(context.Background()) }()
+
+	// The ping arms its timeout once the ping frame is written.
+	armBy := time.Now().Add(5 * time.Second)
+	for clk.Waiting() == 0 {
+		if time.Now().After(armBy) {
+			t.Fatal("ping never armed its timeout")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if !strings.Contains(err.Error(), "ping timeout") {
-		t.Errorf("err = %v, want ping timeout", err)
+	clk.Advance(5*time.Second - time.Nanosecond)
+	if clk.Waiting() != 1 {
+		t.Fatal("ping timed out before 5s")
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("ping took %v to time out (PingTimeout 50ms)", elapsed)
+	clk.Advance(time.Nanosecond)
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("ping to mute server succeeded")
+		}
+		if !strings.Contains(err.Error(), "ping timeout") {
+			t.Errorf("err = %v, want ping timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ping still waiting after 5s of fake time")
 	}
 }

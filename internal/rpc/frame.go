@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net"
 	"sync"
 )
 
@@ -227,96 +226,8 @@ func putFrame(fb *frameBuf) {
 	framePool.Put(fb)
 }
 
-// vectoredThreshold is the frame size above which writeFrame switches from
-// assembling chunks in pooled scratch to a vectored net.Buffers write
-// (writev on TCP), which avoids touching the payload bytes at all.
+// vectoredThreshold is the frame size above which a frame's payload skips
+// the pooled assembly scratch and rides the flusher's vectored write
+// (writev on TCP) as a separate buffer, so the payload bytes are never
+// copied.
 const vectoredThreshold = 64 << 10
-
-// writeFrame writes one length-prefixed frame built from the given chunks.
-// The caller must serialize concurrent writers. Small frames are assembled
-// in pooled scratch (one Write, no per-frame allocation); large frames are
-// written vectored so the payload is never copied.
-func writeFrame(w io.Writer, chunks ...[]byte) error {
-	var n int
-	for _, c := range chunks {
-		n += len(c)
-	}
-	if n > maxFrameSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	if n > vectoredThreshold {
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(n))
-		bufs := make(net.Buffers, 0, len(chunks)+1)
-		bufs = append(bufs, lenBuf[:])
-		for _, c := range chunks {
-			if len(c) > 0 {
-				bufs = append(bufs, c)
-			}
-		}
-		_, err := bufs.WriteTo(w)
-		return err
-	}
-	fb := getFrame()
-	buf := append(fb.b[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(buf, uint32(n))
-	for _, c := range chunks {
-		buf = append(buf, c...)
-	}
-	_, err := w.Write(buf)
-	fb.b = buf
-	putFrame(fb)
-	return err
-}
-
-// writeFramed writes a frame whose payload is already contiguous with 4
-// bytes of leading length-prefix scratch — the zero-copy path for pooled
-// encoder buffers. writeFramed fills the prefix in place; the first 4
-// bytes of framed are scratch owned by this call.
-func writeFramed(w io.Writer, framed []byte) error {
-	n := len(framed) - 4
-	if n < 0 {
-		return fmt.Errorf("rpc: framed buffer of %d bytes lacks prefix scratch", len(framed))
-	}
-	if n > maxFrameSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	binary.LittleEndian.PutUint32(framed[:4], uint32(n))
-	_, err := w.Write(framed)
-	return err
-}
-
-// readFrameInto reads one length-prefixed frame payload into *buf, growing
-// it as needed, and returns the filled prefix of *buf. The result aliases
-// *buf: anything retained beyond the next readFrameInto on the same buffer
-// must be copied out first.
-func readFrameInto(r io.Reader, buf *[]byte) ([]byte, error) {
-	// The length prefix is read into the target buffer itself (and then
-	// overwritten by the payload): a local [4]byte would escape through the
-	// io.Reader interface and cost a heap allocation per frame.
-	if cap(*buf) < 4 {
-		*buf = make([]byte, 0, 512)
-	}
-	lenBuf := (*buf)[:4]
-	if _, err := io.ReadFull(r, lenBuf); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(lenBuf)
-	if n > maxFrameSize {
-		return nil, fmt.Errorf("rpc: frame length %d exceeds limit", n)
-	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
-	}
-	b := (*buf)[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// readFrame reads one length-prefixed frame payload into a fresh buffer.
-func readFrame(r io.Reader) ([]byte, error) {
-	var buf []byte
-	return readFrameInto(r, &buf)
-}

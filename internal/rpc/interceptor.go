@@ -8,8 +8,9 @@ import (
 
 // A ServerCall carries one admitted request through the server's
 // interceptor chain. Interceptors may read the call's metadata, replace
-// the context, or short-circuit by returning without calling next. The
-// struct is pooled: it is only valid for the duration of the chain.
+// the context, or short-circuit by returning an error without calling
+// next. The struct is pooled: it is only valid for the duration of the
+// chain.
 type ServerCall struct {
 	// Info describes the call (method, span context, shard, meta); the
 	// same value is available to handlers via InfoFromContext.
@@ -21,7 +22,6 @@ type ServerCall struct {
 	handler *registeredHandler
 	// Handler results, filled by the innermost stage.
 	result []byte
-	framed bool
 	owner  BufOwner
 }
 
@@ -83,13 +83,8 @@ func (s *Server) faultStage(ctx context.Context, call *ServerCall, next ServerNe
 // invokeHandler is the innermost stage: it runs the registered handler
 // and records its result on the call.
 func invokeHandler(ctx context.Context, call *ServerCall) error {
-	if h := call.handler; h.ffn != nil {
-		result, owner, err := h.ffn(ctx, call.Args)
-		call.result, call.framed, call.owner = result, err == nil, owner
-		return err
-	}
-	result, err := call.handler.fn(ctx, call.Args)
-	call.result = result
+	var err error
+	call.result, call.owner, err = call.handler.ffn(ctx, call.Args)
 	return err
 }
 

@@ -91,7 +91,7 @@ func TestMetaExtTruncatedRejected(t *testing.T) {
 func TestMetaVisibleToHandler(t *testing.T) {
 	s := NewServer()
 	infos := make(chan CallInfo, 1)
-	s.Register("meta.Probe", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "meta.Probe", func(ctx context.Context, args []byte) ([]byte, error) {
 		info, _ := InfoFromContext(ctx)
 		infos <- info
 		return nil, nil
@@ -107,7 +107,7 @@ func TestMetaVisibleToHandler(t *testing.T) {
 	sc := tracing.NewTrace()
 	sc.Sampled = true
 	meta := CallMeta{Priority: PriorityHigh, Attempt: 2, Hedge: true}
-	if _, err := c.Call(context.Background(), MethodKey("meta.Probe"), nil,
+	if _, err := callBytes(context.Background(), c, MethodKey("meta.Probe"), nil,
 		CallOptions{Trace: sc, Meta: meta}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // These tests pin the data plane's buffer-ownership rules (DESIGN.md §9):
-// Call hands back a private copy, CallFramed hands back a pooled Response
-// whose payload dies at Release, and releasing twice is a loud bug.
+// CallFramed hands back a pooled Response whose payload dies at Release,
+// a payload copied out before Release is the caller's to keep, and
+// releasing twice is a loud bug.
 
 // startFramedEcho starts a server whose handler echoes through the pooled
 // zero-copy path.
@@ -35,22 +36,22 @@ func startFramedEcho(t *testing.T) *Client {
 	return c
 }
 
-// TestCallResultIsPrivateCopy verifies the copy-on-retain boundary of the
-// legacy Call API: the returned payload must survive arbitrarily many later
+// TestCallResultIsPrivateCopy verifies the copy-on-retain boundary: a
+// payload copied out before Release must survive arbitrarily many later
 // calls that recycle the pooled read buffers underneath.
 func TestCallResultIsPrivateCopy(t *testing.T) {
 	c := startFramedEcho(t)
 	ctx := context.Background()
 	method := MethodKey("own.Echo")
 
-	first, err := c.Call(ctx, method, bytes.Repeat([]byte("A"), 64), CallOptions{})
+	first, err := callBytes(ctx, c, method, bytes.Repeat([]byte("A"), 64), CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Hammer the same connection with different payloads of the same size,
 	// which reuse (and overwrite) the pooled read buffers.
 	for i := 0; i < 50; i++ {
-		if _, err := c.Call(ctx, method, bytes.Repeat([]byte("B"), 64), CallOptions{}); err != nil {
+		if _, err := callBytes(ctx, c, method, bytes.Repeat([]byte("B"), 64), CallOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +81,7 @@ func TestCallFramedResponseLifecycle(t *testing.T) {
 	// the same client must not touch it (each in-flight response has its own
 	// pooled buffer).
 	for i := 0; i < 10; i++ {
-		if _, err := c.Call(ctx, method, bytes.Repeat([]byte("B"), 64), CallOptions{}); err != nil {
+		if _, err := callBytes(ctx, c, method, bytes.Repeat([]byte("B"), 64), CallOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,8 +99,7 @@ func TestCallFramedResponseLifecycle(t *testing.T) {
 }
 
 // BenchmarkCallFramed measures the zero-copy client path against a framed
-// echo server over real TCP; BenchmarkCallLegacy is the same round trip
-// through the copying Call API, for the A9 before/after comparison.
+// echo server over real TCP.
 func BenchmarkCallFramed(b *testing.B) {
 	c := benchClient(b)
 	method := MethodKey("own.Echo")
@@ -117,20 +117,6 @@ func BenchmarkCallFramed(b *testing.B) {
 		}
 		resp.Release()
 		codec.PutEncoder(enc)
-	}
-}
-
-func BenchmarkCallLegacy(b *testing.B) {
-	c := benchClient(b)
-	method := MethodKey("own.Echo")
-	ctx := context.Background()
-	payload := bytes.Repeat([]byte("x"), 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Call(ctx, method, payload, CallOptions{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

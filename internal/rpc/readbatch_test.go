@@ -18,11 +18,13 @@ import (
 	"repro/internal/metrics"
 )
 
-// mkFrame length-prefixes a payload the way writeFrame does.
-func mkFrame(payload []byte) []byte {
-	f := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(f, uint32(len(payload)))
-	copy(f[4:], payload)
+// mkFrame length-prefixes the concatenated chunks into one wire frame.
+func mkFrame(chunks ...[]byte) []byte {
+	f := make([]byte, 4)
+	for _, c := range chunks {
+		f = append(f, c...)
+	}
+	binary.LittleEndian.PutUint32(f, uint32(len(f)-4))
 	return f
 }
 
@@ -235,7 +237,7 @@ func TestFrameReaderPayloadsOutliveReader(t *testing.T) {
 // unsynchronized access.
 func TestHedgeLoserRecycledWaiterSlot(t *testing.T) {
 	s := NewServer()
-	s.Register("hedge.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "hedge.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
 		return args, nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
@@ -261,7 +263,7 @@ func TestHedgeLoserRecycledWaiterSlot(t *testing.T) {
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
-					got, err := c.Call(lctx, method, []byte(loserPayload), CallOptions{
+					got, err := callBytes(lctx, c, method, []byte(loserPayload), CallOptions{
 						Meta: CallMeta{Hedge: true},
 					})
 					if err == nil && string(got) != loserPayload {
@@ -274,7 +276,7 @@ func TestHedgeLoserRecycledWaiterSlot(t *testing.T) {
 				// The winner: issued immediately, likely landing in the
 				// loser's just-recycled waiter slot.
 				winnerPayload := fmt.Sprintf("winner-%d-%d", g, i)
-				got, err := c.Call(context.Background(), method, []byte(winnerPayload), CallOptions{})
+				got, err := callBytes(context.Background(), c, method, []byte(winnerPayload), CallOptions{})
 				if err != nil {
 					t.Errorf("hedge winner: %v", err)
 				} else if string(got) != winnerPayload {
@@ -294,7 +296,7 @@ func TestHedgeLoserRecycledWaiterSlot(t *testing.T) {
 	if n := cc.pendingCount(); n != 0 {
 		t.Errorf("%d calls still registered after the storm", n)
 	}
-	if got, err := c.Call(context.Background(), method, []byte("alive"), CallOptions{}); err != nil || string(got) != "alive" {
+	if got, err := callBytes(context.Background(), c, method, []byte("alive"), CallOptions{}); err != nil || string(got) != "alive" {
 		t.Fatalf("call after storm = %q, %v", got, err)
 	}
 }
@@ -328,7 +330,7 @@ func TestConnDeathRacesHalfParsedBatch(t *testing.T) {
 				// arrives.
 				var batch []byte
 				for i := 0; i < calls; i++ {
-					frame, err := readFrame(conn)
+					frame, err := readFrameInto(conn, new([]byte))
 					if err != nil {
 						return
 					}
@@ -388,7 +390,7 @@ func TestConnDeathRacesHalfParsedBatch(t *testing.T) {
 	// server accepts only once).
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, err := c.Call(ctx, method, []byte("late"), CallOptions{}); err == nil {
+	if _, err := callBytes(ctx, c, method, []byte("late"), CallOptions{}); err == nil {
 		t.Error("call after conn death succeeded")
 	}
 
@@ -414,7 +416,7 @@ func TestDrainRacesWorkerPool(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		s := NewServer()
 		var started atomic.Int32
-		s.Register("drain.Slow", func(ctx context.Context, args []byte) ([]byte, error) {
+		registerBytes(s, "drain.Slow", func(ctx context.Context, args []byte) ([]byte, error) {
 			started.Add(1)
 			select {
 			case <-time.After(2 * time.Millisecond):
@@ -436,7 +438,7 @@ func TestDrainRacesWorkerPool(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 				defer cancel()
 				// Errors are expected once shutdown wins the race.
-				_, _ = c.Call(ctx, MethodKey("drain.Slow"), []byte("w"), CallOptions{})
+				_, _ = callBytes(ctx, c, MethodKey("drain.Slow"), []byte("w"), CallOptions{})
 			}(i)
 		}
 		// Let some handlers get onto pool workers, then drain and close
@@ -479,7 +481,7 @@ func BenchmarkReadBatch(b *testing.B) {
 			payload := bytes.Repeat([]byte("x"), 128)
 
 			// Warm the conns so dialing stays out of the measurement.
-			if _, err := c.Call(context.Background(), method, payload, CallOptions{}); err != nil {
+			if _, err := callBytes(context.Background(), c, method, payload, CallOptions{}); err != nil {
 				b.Fatal(err)
 			}
 

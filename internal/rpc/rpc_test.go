@@ -20,7 +20,7 @@ import (
 func startEcho(t *testing.T) (*Client, *Server, string) {
 	t.Helper()
 	s := NewServer()
-	s.Register("test.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
 		out := make([]byte, len(args))
 		copy(out, args)
 		return out, nil
@@ -39,7 +39,7 @@ func startEcho(t *testing.T) (*Client, *Server, string) {
 
 func TestEchoRoundTrip(t *testing.T) {
 	c, _, _ := startEcho(t)
-	got, err := c.Call(context.Background(), MethodKey("test.Echo"), []byte("payload"), CallOptions{})
+	got, err := callBytes(context.Background(), c, MethodKey("test.Echo"), []byte("payload"), CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestEchoRoundTrip(t *testing.T) {
 
 func TestEmptyPayload(t *testing.T) {
 	c, _, _ := startEcho(t)
-	got, err := c.Call(context.Background(), MethodKey("test.Echo"), nil, CallOptions{})
+	got, err := callBytes(context.Background(), c, MethodKey("test.Echo"), nil, CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestLargePayload(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	got, err := c.Call(context.Background(), MethodKey("test.Echo"), big, CallOptions{})
+	got, err := callBytes(context.Background(), c, MethodKey("test.Echo"), big, CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestLargePayload(t *testing.T) {
 
 func TestUnknownMethod(t *testing.T) {
 	c, _, _ := startEcho(t)
-	_, err := c.Call(context.Background(), MethodKey("test.NoSuch"), nil, CallOptions{})
+	_, err := callBytes(context.Background(), c, MethodKey("test.NoSuch"), nil, CallOptions{})
 	var te *TransportError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *TransportError", err)
@@ -88,7 +88,7 @@ func TestUnknownMethod(t *testing.T) {
 
 func TestConcurrentCallsMultiplexed(t *testing.T) {
 	s := NewServer()
-	s.Register("test.Slow", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Slow", func(ctx context.Context, args []byte) ([]byte, error) {
 		time.Sleep(20 * time.Millisecond)
 		return args, nil
 	})
@@ -109,7 +109,7 @@ func TestConcurrentCallsMultiplexed(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			payload := []byte(fmt.Sprintf("req-%d", i))
-			got, err := c.Call(context.Background(), MethodKey("test.Slow"), payload, CallOptions{})
+			got, err := callBytes(context.Background(), c, MethodKey("test.Slow"), payload, CallOptions{})
 			if err == nil && string(got) != string(payload) {
 				err = fmt.Errorf("response mismatch: %q", got)
 			}
@@ -133,7 +133,7 @@ func TestConcurrentCallsMultiplexed(t *testing.T) {
 func TestDeadlinePropagatedToServer(t *testing.T) {
 	sawDeadline := make(chan bool, 1)
 	s := NewServer()
-	s.Register("test.Check", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Check", func(ctx context.Context, args []byte) ([]byte, error) {
 		_, ok := ctx.Deadline()
 		sawDeadline <- ok
 		return nil, nil
@@ -148,7 +148,7 @@ func TestDeadlinePropagatedToServer(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if _, err := c.Call(ctx, MethodKey("test.Check"), nil, CallOptions{}); err != nil {
+	if _, err := callBytes(ctx, c, MethodKey("test.Check"), nil, CallOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !<-sawDeadline {
@@ -160,7 +160,7 @@ func TestCancellationPropagates(t *testing.T) {
 	started := make(chan struct{})
 	canceled := make(chan struct{})
 	s := NewServer()
-	s.Register("test.Hang", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Hang", func(ctx context.Context, args []byte) ([]byte, error) {
 		close(started)
 		<-ctx.Done()
 		close(canceled)
@@ -177,7 +177,7 @@ func TestCancellationPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call(ctx, MethodKey("test.Hang"), nil, CallOptions{})
+		_, err := callBytes(ctx, c, MethodKey("test.Hang"), nil, CallOptions{})
 		done <- err
 	}()
 	<-started
@@ -195,10 +195,10 @@ func TestCancellationPropagates(t *testing.T) {
 
 func TestHandlerPanicReturnsError(t *testing.T) {
 	s := NewServer()
-	s.Register("test.Panic", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Panic", func(ctx context.Context, args []byte) ([]byte, error) {
 		panic("deliberate")
 	})
-	s.Register("test.OK", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.OK", func(ctx context.Context, args []byte) ([]byte, error) {
 		return []byte("fine"), nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
@@ -209,12 +209,12 @@ func TestHandlerPanicReturnsError(t *testing.T) {
 	c := NewClient(addr, ClientOptions{})
 	defer c.Close()
 
-	_, err = c.Call(context.Background(), MethodKey("test.Panic"), nil, CallOptions{})
+	_, err = callBytes(context.Background(), c, MethodKey("test.Panic"), nil, CallOptions{})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Errorf("panic call err = %v", err)
 	}
 	// The connection must survive a handler panic.
-	got, err := c.Call(context.Background(), MethodKey("test.OK"), nil, CallOptions{})
+	got, err := callBytes(context.Background(), c, MethodKey("test.OK"), nil, CallOptions{})
 	if err != nil || string(got) != "fine" {
 		t.Errorf("follow-up call = %q, %v", got, err)
 	}
@@ -222,7 +222,7 @@ func TestHandlerPanicReturnsError(t *testing.T) {
 
 func TestReconnectAfterServerRestart(t *testing.T) {
 	s := NewServer()
-	s.Register("test.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
 		return args, nil
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -234,14 +234,14 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 
 	c := NewClient(addr, ClientOptions{})
 	defer c.Close()
-	if _, err := c.Call(context.Background(), MethodKey("test.Echo"), []byte("a"), CallOptions{}); err != nil {
+	if _, err := callBytes(context.Background(), c, MethodKey("test.Echo"), []byte("a"), CallOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart the server on the same port.
 	s.Close()
 	s2 := NewServer()
-	s2.Register("test.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s2, "test.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
 		return args, nil
 	})
 	var lis2 net.Listener
@@ -262,7 +262,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	// retry until the client reconnects.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got, err := c.Call(context.Background(), MethodKey("test.Echo"), []byte("b"), CallOptions{})
+		got, err := callBytes(context.Background(), c, MethodKey("test.Echo"), []byte("b"), CallOptions{})
 		if err == nil {
 			if string(got) != "b" {
 				t.Fatalf("echo after restart = %q", got)
@@ -279,7 +279,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 func TestTraceContextPropagates(t *testing.T) {
 	var got tracing.SpanContext
 	s := NewServer()
-	s.Register("test.Trace", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Trace", func(ctx context.Context, args []byte) ([]byte, error) {
 		if info, ok := InfoFromContext(ctx); ok {
 			got = info.Trace
 		}
@@ -294,7 +294,7 @@ func TestTraceContextPropagates(t *testing.T) {
 	defer c.Close()
 
 	want := tracing.SpanContext{Trace: 111, Span: 222, Parent: 333}
-	if _, err := c.Call(context.Background(), MethodKey("test.Trace"), nil, CallOptions{Trace: want}); err != nil {
+	if _, err := callBytes(context.Background(), c, MethodKey("test.Trace"), nil, CallOptions{Trace: want}); err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
@@ -305,7 +305,7 @@ func TestTraceContextPropagates(t *testing.T) {
 func TestShardPropagates(t *testing.T) {
 	var got uint64
 	s := NewServer()
-	s.Register("test.Shard", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Shard", func(ctx context.Context, args []byte) ([]byte, error) {
 		if info, ok := InfoFromContext(ctx); ok {
 			got = info.Shard
 		}
@@ -318,7 +318,7 @@ func TestShardPropagates(t *testing.T) {
 	defer s.Close()
 	c := NewClient(addr, ClientOptions{})
 	defer c.Close()
-	if _, err := c.Call(context.Background(), MethodKey("test.Shard"), nil, CallOptions{Shard: 777}); err != nil {
+	if _, err := callBytes(context.Background(), c, MethodKey("test.Shard"), nil, CallOptions{Shard: 777}); err != nil {
 		t.Fatal(err)
 	}
 	if got != 777 {
@@ -354,7 +354,7 @@ func TestPingFailsAfterServerClose(t *testing.T) {
 func TestClientCloseFailsPendingCalls(t *testing.T) {
 	s := NewServer()
 	block := make(chan struct{})
-	s.Register("test.Block", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Block", func(ctx context.Context, args []byte) ([]byte, error) {
 		<-block
 		return nil, nil
 	})
@@ -368,7 +368,7 @@ func TestClientCloseFailsPendingCalls(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), MethodKey("test.Block"), nil, CallOptions{})
+		_, err := callBytes(context.Background(), c, MethodKey("test.Block"), nil, CallOptions{})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -386,7 +386,7 @@ func TestClientCloseFailsPendingCalls(t *testing.T) {
 func TestCallAfterCloseFails(t *testing.T) {
 	c, _, _ := startEcho(t)
 	c.Close()
-	_, err := c.Call(context.Background(), MethodKey("test.Echo"), nil, CallOptions{})
+	_, err := callBytes(context.Background(), c, MethodKey("test.Echo"), nil, CallOptions{})
 	if err == nil {
 		t.Error("call after Close succeeded")
 	}
@@ -394,13 +394,13 @@ func TestCallAfterCloseFails(t *testing.T) {
 
 func TestRegisterCollisionPanics(t *testing.T) {
 	s := NewServer()
-	s.Register("a.B.C", func(ctx context.Context, args []byte) ([]byte, error) { return nil, nil })
+	registerBytes(s, "a.B.C", func(ctx context.Context, args []byte) ([]byte, error) { return nil, nil })
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	s.Register("a.B.C", func(ctx context.Context, args []byte) ([]byte, error) { return nil, nil })
+	registerBytes(s, "a.B.C", func(ctx context.Context, args []byte) ([]byte, error) { return nil, nil })
 }
 
 func TestMethodKeyDeterministic(t *testing.T) {
@@ -420,7 +420,7 @@ func TestCodecPayloadOverRPC(t *testing.T) {
 		Count int
 	}
 	s := NewServer()
-	s.Register("test.Greet", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Greet", func(ctx context.Context, args []byte) ([]byte, error) {
 		var r req
 		if err := codec.Unmarshal(args, &r); err != nil {
 			return nil, err
@@ -435,7 +435,7 @@ func TestCodecPayloadOverRPC(t *testing.T) {
 	c := NewClient(addr, ClientOptions{})
 	defer c.Close()
 
-	out, err := c.Call(context.Background(), MethodKey("test.Greet"), codec.Marshal(req{Who: "world", Count: 3}), CallOptions{})
+	out, err := callBytes(context.Background(), c, MethodKey("test.Greet"), codec.Marshal(req{Who: "world", Count: 3}), CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestServerConnCleanupCancelsOnDisconnect(t *testing.T) {
 	var sawCancel atomic.Bool
 	started := make(chan struct{})
 	s := NewServer()
-	s.Register("test.Hang", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "test.Hang", func(ctx context.Context, args []byte) ([]byte, error) {
 		close(started)
 		<-ctx.Done()
 		sawCancel.Store(true)
@@ -466,7 +466,7 @@ func TestServerConnCleanupCancelsOnDisconnect(t *testing.T) {
 	c := NewClient(addr, ClientOptions{})
 
 	go func() {
-		_, _ = c.Call(context.Background(), MethodKey("test.Hang"), nil, CallOptions{})
+		_, _ = callBytes(context.Background(), c, MethodKey("test.Hang"), nil, CallOptions{})
 	}()
 	<-started
 	c.Close() // drop the TCP connection entirely

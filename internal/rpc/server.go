@@ -17,14 +17,6 @@ import (
 	"repro/internal/tracing"
 )
 
-// A Handler executes one component method. args is the request payload
-// (already stripped of the RPC header); the returned bytes are the result
-// payload. Application-level errors are encoded inside the result payload
-// by generated code; a non-nil error return here signals a dispatch
-// failure (bad payload, handler panic) and is reported to the caller as a
-// transport error.
-type Handler func(ctx context.Context, args []byte) ([]byte, error)
-
 // A BufOwner owns a pooled buffer handed to the transport. The transport
 // calls Release exactly once, after the buffer's bytes are on the wire (or
 // abandoned); the buffer is invalid afterwards. codec.Encoder implements
@@ -32,12 +24,18 @@ type Handler func(ctx context.Context, args []byte) ([]byte, error)
 // server.
 type BufOwner interface{ Release() }
 
-// A FramedHandler is the zero-copy variant of Handler. The returned buffer
-// must hold ResponseHeadroom bytes of scratch followed by the result
-// payload (see codec.Encoder.Reserve); the server fills the response
-// framing into the scratch in place and writes the buffer with a single
-// Write. A non-nil owner is released by the server once the response has
-// been written; on a non-nil error both framed and owner must be nil.
+// A FramedHandler executes one component method. args is the request
+// payload (already stripped of the RPC header). The returned buffer must
+// hold ResponseHeadroom bytes of scratch followed by the result payload
+// (see codec.Encoder.Reserve); the server fills the response framing into
+// the scratch in place and writes the buffer with a single Write. A
+// non-nil owner is released by the server once the response has been
+// written; on a non-nil error both framed and owner must be nil.
+//
+// Application-level errors are encoded inside the result payload by
+// generated code; a non-nil error return signals a dispatch failure (bad
+// payload, handler panic) and is reported to the caller as a transport
+// error.
 //
 // args aliases a pooled read buffer that is recycled when the handler's
 // response has been written: a handler may alias args in its result but
@@ -148,8 +146,7 @@ type Server struct {
 
 type registeredHandler struct {
 	name string
-	fn   Handler       // exactly one of fn
-	ffn  FramedHandler // and ffn is set
+	ffn  FramedHandler
 
 	// tombstone marks a method whose handler was unregistered (the
 	// component moved away). Requests for it are answered with
@@ -251,27 +248,17 @@ func (s *Server) release() {
 	}
 }
 
-// Register installs a handler for the fully-qualified method name. It
-// panics if the name (or its 32-bit hash) is already taken: hash collisions
-// must be caught at startup, not mid-request.
-func (s *Server) Register(fullName string, h Handler) {
-	s.register(&registeredHandler{name: fullName, fn: h})
-}
-
-// RegisterFramed installs a zero-copy handler for the fully-qualified
-// method name, with the same collision rules as Register.
+// RegisterFramed installs a handler for the fully-qualified method name.
+// It panics if the name (or its 32-bit hash) is already taken: hash
+// collisions must be caught at startup, not mid-request.
 func (s *Server) RegisterFramed(fullName string, h FramedHandler) {
-	s.register(&registeredHandler{name: fullName, ffn: h})
-}
-
-func (s *Server) register(h *registeredHandler) {
-	id := MethodKey(h.name)
+	id := MethodKey(fullName)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.handlers[id]; ok && !(prev.tombstone && prev.name == h.name) {
-		panic(fmt.Sprintf("rpc: method registration conflict: %q and %q share id %#x", prev.name, h.name, id))
+	if prev, ok := s.handlers[id]; ok && !(prev.tombstone && prev.name == fullName) {
+		panic(fmt.Sprintf("rpc: method registration conflict: %q and %q share id %#x", prev.name, fullName, id))
 	}
-	s.handlers[id] = h
+	s.handlers[id] = &registeredHandler{name: fullName, ffn: h}
 }
 
 // Unregister removes the handler for fullName and blocks until its
@@ -495,7 +482,7 @@ func (s *Server) handleRequest(ctx context.Context, cw *connWriter, hdr header, 
 		return
 	}
 	s.admittedByClass[rank].Inc()
-	result, framed, owner, herr := s.dispatch(ctx, hdr, args)
+	result, owner, herr := s.dispatch(ctx, hdr, args)
 	s.release()
 
 	if herr != nil {
@@ -511,10 +498,7 @@ func (s *Server) handleRequest(ctx context.Context, cw *connWriter, hdr header, 
 		_ = cw.respond(hdr.id, statusError, []byte(herr.Error()))
 		return
 	}
-	payload := result
-	if framed {
-		payload = result[ResponseHeadroom:]
-	}
+	payload := result[ResponseHeadroom:]
 	if hdr.flags&flagAcceptCompressed != 0 && len(payload) >= DefaultCompressThreshold {
 		if small, comp, ok := compress(payload); ok {
 			if owner != nil {
@@ -525,14 +509,10 @@ func (s *Server) handleRequest(ctx context.Context, cw *connWriter, hdr header, 
 			return
 		}
 	}
-	if framed {
-		_ = cw.respondFramed(hdr.id, statusOK, result)
-		if owner != nil {
-			owner.Release()
-		}
-		return
+	_ = cw.respondFramed(hdr.id, statusOK, result)
+	if owner != nil {
+		owner.Release()
 	}
-	_ = cw.respond(hdr.id, statusOK, result)
 }
 
 // connWriter coalesces response writes on one server connection through a
@@ -608,11 +588,10 @@ func (cw *connWriter) respondFramed(id uint64, status byte, framed []byte) error
 
 // dispatch runs the interceptor chain (ending in the handler) for
 // hdr.method, converting panics into errors so one bad request cannot
-// take down the proclet. For framed handlers it reports framed=true:
-// result then carries ResponseHeadroom scratch ahead of the payload, and
-// owner (when non-nil) must be released once the result bytes are no
-// longer referenced.
-func (s *Server) dispatch(ctx context.Context, hdr header, args []byte) (result []byte, framed bool, owner BufOwner, err error) {
+// take down the proclet. On success result carries ResponseHeadroom
+// scratch ahead of the payload, and owner (when non-nil) must be released
+// once the result bytes are no longer referenced.
+func (s *Server) dispatch(ctx context.Context, hdr header, args []byte) (result []byte, owner BufOwner, err error) {
 	s.mu.Lock()
 	h, ok := s.handlers[hdr.method]
 	chain := s.chain
@@ -621,15 +600,15 @@ func (s *Server) dispatch(ctx context.Context, hdr header, args []byte) (result 
 	}
 	s.mu.Unlock()
 	if !ok {
-		return nil, false, nil, fmt.Errorf("rpc: unknown method %#x", hdr.method)
+		return nil, nil, fmt.Errorf("rpc: unknown method %#x", hdr.method)
 	}
 	if h.tombstone {
-		return nil, false, nil, errUnavailable
+		return nil, nil, errUnavailable
 	}
 	defer h.inflight.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			result, framed, owner = nil, false, nil
+			result, owner = nil, nil
 			err = fmt.Errorf("rpc: handler %s panicked: %v\n%s", h.name, r, debug.Stack())
 		}
 	}()
@@ -650,16 +629,16 @@ func (s *Server) dispatch(ctx context.Context, hdr header, args []byte) (result 
 		ctx = tracing.ContextWith(ctx, info.Trace)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, nil, err
+		return nil, nil, err
 	}
 	// Run the chain on a pooled call carrier; on panic the carrier is
 	// abandoned rather than pooled (its fields may be mid-mutation).
 	sc := getServerCall()
 	sc.Info, sc.Args, sc.handler = info, args, h
 	err = chain(ctx, sc)
-	result, framed, owner = sc.result, sc.framed, sc.owner
+	result, owner = sc.result, sc.owner
 	putServerCall(sc)
-	return result, framed, owner, err
+	return result, owner, err
 }
 
 // ErrShutdown is returned for calls attempted on a closed client.

@@ -20,7 +20,7 @@ import (
 // another caller's payload.
 func TestStripedCloseRace(t *testing.T) {
 	s := NewServer()
-	s.Register("stripe.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "stripe.Echo", func(ctx context.Context, args []byte) ([]byte, error) {
 		return args, nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
@@ -59,9 +59,10 @@ func TestStripedCloseRace(t *testing.T) {
 						}
 						codec.PutEncoder(enc)
 					} else {
-						// Legacy copying path, round-robin across stripes.
+						// Unsharded call with a copied-out result, round-robin
+						// across stripes.
 						var out []byte
-						out, err = c.Call(ctx, method, []byte(want), CallOptions{})
+						out, err = callBytes(ctx, c, method, []byte(want), CallOptions{})
 						got = string(out)
 					}
 					if err != nil {
@@ -100,7 +101,7 @@ func TestStripedCloseRace(t *testing.T) {
 func TestStripedConnDeathFailsPending(t *testing.T) {
 	s := NewServer()
 	block := make(chan struct{})
-	s.Register("stripe.Block", func(ctx context.Context, args []byte) ([]byte, error) {
+	registerBytes(s, "stripe.Block", func(ctx context.Context, args []byte) ([]byte, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():
@@ -122,7 +123,7 @@ func TestStripedConnDeathFailsPending(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = c.Call(context.Background(), method, []byte("pending"), CallOptions{Shard: uint64(i + 1)})
+			_, errs[i] = callBytes(context.Background(), c, method, []byte("pending"), CallOptions{Shard: uint64(i + 1)})
 		}(i)
 	}
 	// Wait until every call is registered in some stripe's pending map.

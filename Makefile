@@ -1,7 +1,7 @@
-.PHONY: check build vet lint test race allocs bench bench-json sim sim-soak
+.PHONY: check build vet lint test race allocs perfbench bench bench-json sim sim-soak
 
 # Tier-1 verification: everything a PR must keep green.
-check: vet lint build race allocs sim
+check: vet lint build race allocs perfbench sim
 
 # Lint gate: gofmt cleanliness, plus the control plane's single-routing-site
 # invariant (DESIGN.md §14): routing-mutation envelope calls inside
@@ -35,6 +35,12 @@ race:
 # stripe-width-dependent defect cannot pass on a 1-CPU host.
 allocs:
 	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc
+
+# The end-to-end benchmark is its own module (perfbench/go.mod), so the
+# root vet and build never compile it; vet and test it here so a change to
+# an API it uses fails the gate, not the benchmark run.
+perfbench:
+	cd perfbench && go vet ./... && go test -count=1 ./...
 
 # Deterministic simulation smoke campaign (DESIGN.md §11): fixed seeds,
 # race detector on. A failure prints the seed and a shrunk op trace;

@@ -656,7 +656,7 @@ func BenchmarkHedgedTailLatency(b *testing.B) {
 			slow.SetDelay(3 * time.Millisecond)
 
 			conn := core.NewDataPlaneConnWith(component, routing.NewRoundRobin(slowAddr, fastAddr),
-				core.ConnOptions{HedgeAfter: time.Millisecond, DisableHedging: mode.disable, DisableBreaker: true})
+				core.ConnOptions{HedgeAfter: time.Millisecond, DisableHedging: mode.disable})
 			defer conn.Close()
 			spec := &codegen.MethodSpec{
 				Name:    "M",

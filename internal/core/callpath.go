@@ -1,9 +1,9 @@
-// Client-side interceptor chain: the call path the paper assigns to the
-// runtime (§5) — routing, health filtering, retries, hedging, transport —
-// decomposed into ordered stages instead of one monolithic Invoke. Each
-// stage reads and advances a per-call *CallMeta; the chain is composed
-// once per DataPlaneConn, so a call costs plain function indirection, not
-// per-call closure construction.
+// Client call path: the mechanics the paper assigns to the runtime (§5)
+// as a fixed sequence of method calls. Invoke calls retry, which runs the
+// attempt loop and calls hedge per attempt, which races one or two
+// transport legs. Replicas are always picked through the breaker group's
+// health-filtered view. A per-call *callMeta carries the state the steps
+// share; its wire-visible fields ride the request header.
 package core
 
 import (
@@ -13,17 +13,16 @@ import (
 	"time"
 
 	"repro/internal/codegen"
-	"repro/internal/routing"
 	"repro/internal/rpc"
 	"repro/internal/tracing"
 )
 
-// CallMeta is the per-call state threaded through the client interceptor
-// chain. The wire-visible subset — priority class, attempt ordinal, hedge
+// callMeta is the per-call state shared by retry, hedge and transport.
+// The wire-visible subset — priority class, attempt ordinal, hedge
 // marker, span context with its sampled bit — is encoded into the request
-// header by the transport stage; the rest is routing and buffer state the
-// stages coordinate through.
-type CallMeta struct {
+// header by transport; the rest is routing and buffer state the steps
+// coordinate through.
+type callMeta struct {
 	// Component and Method identify the call; MethodID is its wire hash.
 	Component string
 	Method    *codegen.MethodSpec
@@ -54,11 +53,8 @@ type CallMeta struct {
 	// Addr is the replica chosen for the current attempt.
 	Addr string
 
-	// balancer picks replicas; the route stage installs the component's
-	// balancer and the breaker stage swaps in its health-filtered view.
-	balancer routing.Balancer
 	// tried records replicas already attempted, so retries prefer fresh
-	// ones. Only the stage goroutine mutates it.
+	// ones. Only the calling goroutine mutates it.
 	tried map[string]bool
 
 	// framed is the pooled request buffer (args behind PayloadHeadroom).
@@ -69,48 +65,12 @@ type CallMeta struct {
 	cloned   bool
 }
 
-// ClientNext invokes the remainder of the client's interceptor chain for
-// one attempt description.
-type ClientNext func(ctx context.Context, m *CallMeta) (*rpc.Response, error)
-
-// A ClientInterceptor is one composable stage of the client call path.
-// Stages run in the order route → breaker → retry → hedge → transport.
-type ClientInterceptor func(ctx context.Context, m *CallMeta, next ClientNext) (*rpc.Response, error)
-
-// chainClient composes stages around a terminal transport, outermost
-// first.
-func chainClient(stages []ClientInterceptor, terminal ClientNext) ClientNext {
-	next := terminal
-	for i := len(stages) - 1; i >= 0; i-- {
-		ic, inner := stages[i], next
-		next = func(ctx context.Context, m *CallMeta) (*rpc.Response, error) {
-			return ic(ctx, m, inner)
-		}
-	}
-	return next
-}
-
-// routeStage installs the component's balancer as the call's replica
-// picker.
-func (c *DataPlaneConn) routeStage(ctx context.Context, m *CallMeta, next ClientNext) (*rpc.Response, error) {
-	m.balancer = c.balancer
-	return next(ctx, m)
-}
-
-// breakerStage swaps the picker for the breaker group's health-filtered
-// view, so attempts route around replicas whose breaker is open (the
-// group probes them with Ping until they recover).
-func (c *DataPlaneConn) breakerStage(ctx context.Context, m *CallMeta, next ClientNext) (*rpc.Response, error) {
-	m.balancer = c.pick
-	return next(ctx, m)
-}
-
-// retryStage owns the attempt loop: per attempt it picks a replica
+// retry owns the attempt loop: per attempt it picks a replica
 // (waiting out NoReplicaGrace when the set is empty, preferring replicas
 // not yet tried) and classifies failures. Server sheds and unavailable
 // replies never executed, so they draw on a budget separate from
 // executing attempts — which at-most-once methods get exactly one of.
-func (c *DataPlaneConn) retryStage(ctx context.Context, m *CallMeta, next ClientNext) (*rpc.Response, error) {
+func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, error) {
 	execBudget := transportAttempts
 	if m.Method.NoRetry {
 		// Non-idempotent method (weaver:noretry): at-most-once delivery.
@@ -129,7 +89,7 @@ func (c *DataPlaneConn) retryStage(ctx context.Context, m *CallMeta, next Client
 		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
 			return nil, context.DeadlineExceeded
 		}
-		addr, err := c.pickWithGrace(ctx, m.balancer, m.Shard, m.HasShard)
+		addr, err := c.pickWithGrace(ctx, m.Shard, m.HasShard)
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +97,7 @@ func (c *DataPlaneConn) retryStage(ctx context.Context, m *CallMeta, next Client
 		// balancer has only one choice.
 		if (m.Attempt > 0 || m.Sheds > 0) && m.tried[addr] {
 			for i := 0; i < 4 && m.tried[addr]; i++ {
-				if a2, err2 := m.balancer.Pick(m.Shard, m.HasShard); err2 == nil {
+				if a2, err2 := c.pick.Pick(m.Shard, m.HasShard); err2 == nil {
 					addr = a2
 				} else {
 					break
@@ -147,7 +107,7 @@ func (c *DataPlaneConn) retryStage(ctx context.Context, m *CallMeta, next Client
 		m.tried[addr] = true
 		m.Addr = addr
 
-		resp, err := next(ctx, m)
+		resp, err := c.hedge(ctx, m)
 		if err == nil {
 			return resp, nil
 		}
@@ -181,7 +141,7 @@ func (c *DataPlaneConn) retryStage(ctx context.Context, m *CallMeta, next Client
 		ShortName(m.Component), m.Method.Name, m.Attempt+m.Sheds, lastErr)
 }
 
-// hedgeStage races a second attempt against a different replica when the
+// hedge races a second attempt against a different replica when the
 // first has not answered within the hedge delay (adaptive p99 unless
 // configured). First response wins; the loser's context is canceled,
 // which propagates an explicit cancel frame — and servers may drop a
@@ -192,30 +152,30 @@ func (c *DataPlaneConn) retryStage(ctx context.Context, m *CallMeta, next Client
 // gets a private copy of the request buffer, because both legs fill the
 // framing headroom in place. When the call is decided while the primary
 // leg is still writing, the shared buffer is marked non-reusable.
-func (c *DataPlaneConn) hedgeStage(ctx context.Context, m *CallMeta, next ClientNext) (*rpc.Response, error) {
+func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, error) {
 	if m.Method.NoRetry || m.Attempt > 0 || m.Sheds > 0 {
-		return next(ctx, m)
+		return c.transport(ctx, m)
 	}
 	delay := c.hedgeDelay()
 	if delay <= 0 {
-		return next(ctx, m)
+		return c.transport(ctx, m)
 	}
 
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // the loser is abandoned and its server told to stop
 
 	type attempt struct {
-		meta  *CallMeta
+		meta  *callMeta
 		start int64
 		out   *rpc.Response
 		err   error
 		leg   int // 0 = primary
 	}
 	results := make(chan attempt, 2) // buffered: losers must not leak
-	launch := func(meta *CallMeta, leg int) {
+	launch := func(meta *callMeta, leg int) {
 		start := time.Now().UnixNano()
 		go func() {
-			out, err := next(hctx, meta)
+			out, err := c.transport(hctx, meta)
 			results <- attempt{meta: meta, start: start, out: out, err: err, leg: leg}
 		}()
 	}
@@ -276,7 +236,7 @@ func (c *DataPlaneConn) hedgeStage(ctx context.Context, m *CallMeta, next Client
 				continue
 			}
 			hedged = true
-			addr, err := m.balancer.Pick(m.Shard, m.HasShard)
+			addr, err := c.pick.Pick(m.Shard, m.HasShard)
 			if err != nil || addr == m.Addr {
 				continue // no distinct replica to hedge to
 			}
@@ -299,7 +259,7 @@ func (c *DataPlaneConn) hedgeStage(ctx context.Context, m *CallMeta, next Client
 
 // recordHedgeLoser records the canceled span of a hedge-race leg that
 // lost after the call was decided, as a child of the call's span.
-func (c *DataPlaneConn) recordHedgeLoser(m *CallMeta, startNanos int64) {
+func (c *DataPlaneConn) recordHedgeLoser(m *callMeta, startNanos int64) {
 	tr := c.opts.Tracer
 	if tr == nil || !m.Trace.Valid() {
 		return
@@ -318,11 +278,13 @@ func (c *DataPlaneConn) recordHedgeLoser(m *CallMeta, startNanos int64) {
 	}, m.Trace.Sampled)
 }
 
-// transport is the terminal stage: one attempt against one replica, with
-// the call's wire metadata (span context, priority, attempt, hedge flag)
-// mapped onto the rpc layer. Outcomes feed the replica's breaker inside
-// callOnce.
-func (c *DataPlaneConn) transport(ctx context.Context, m *CallMeta) (*rpc.Response, error) {
+// transport performs one attempt against one replica, mapping the call's
+// wire metadata (span context, priority, attempt, hedge flag) onto the rpc
+// layer, and feeds the outcome back to the replica's breaker. Cancellation
+// of ctx (a hedge loser, or the caller giving up) is not held against the
+// replica; a deadline that expired mid-call is, because slowness is
+// exactly what the breaker needs to see.
+func (c *DataPlaneConn) transport(ctx context.Context, m *callMeta) (*rpc.Response, error) {
 	var callOpts rpc.CallOptions
 	if m.HasShard {
 		callOpts.Shard = m.Shard
@@ -333,5 +295,32 @@ func (c *DataPlaneConn) transport(ctx context.Context, m *CallMeta) (*rpc.Respon
 		attempt = 255
 	}
 	callOpts.Meta = rpc.CallMeta{Priority: m.Priority, Attempt: uint8(attempt), Hedge: m.Hedge}
-	return c.callOnce(ctx, m.Addr, m.MethodID, m.framed, callOpts)
+	start := time.Now()
+	out, err := c.clientFor(m.Addr).CallFramed(ctx, m.MethodID, m.framed, callOpts)
+	if err == nil {
+		c.lat.add(time.Since(start))
+		c.breakers.Report(m.Addr, false)
+		return out, nil
+	}
+	if errors.Is(err, rpc.ErrOverloaded) {
+		c.mOverload.Inc()
+		c.breakers.Report(m.Addr, true)
+		return nil, err
+	}
+	if errors.Is(err, rpc.ErrUnavailable) {
+		// The replica is draining or no longer hosts the component (live
+		// re-placement). The request never executed; steer the breaker away
+		// and let the caller retry on a replica from the new epoch.
+		c.mUnavail.Inc()
+		c.breakers.Report(m.Addr, true)
+		return nil, err
+	}
+	if errors.Is(err, context.Canceled) {
+		return nil, err
+	}
+	var te *rpc.TransportError
+	if errors.As(err, &te) || errors.Is(err, context.DeadlineExceeded) {
+		c.breakers.Report(m.Addr, true)
+	}
+	return nil, err
 }

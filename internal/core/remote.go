@@ -35,9 +35,8 @@ import (
 // response wins, loser canceled. Application errors are never retried
 // here — they are decoded from the results payload by the generated stub.
 //
-// These mechanics are organized as an interceptor chain (see
-// interceptor.go): route → breaker → retry → hedge → transport, composed
-// once at construction and threaded by a per-call *CallMeta whose
+// These mechanics are a fixed sequence of calls (see callpath.go):
+// retry → hedge → transport, sharing a per-call *callMeta whose
 // wire-visible fields (priority, attempt, hedge, sampled trace) ride the
 // request header.
 type DataPlaneConn struct {
@@ -47,7 +46,6 @@ type DataPlaneConn struct {
 	opts      ConnOptions
 	breakers  *rpc.BreakerGroup
 	lat       *latencyTracker
-	chain     ClientNext
 
 	mu      sync.Mutex
 	clients map[string]*rpc.Client
@@ -69,8 +67,6 @@ type ConnOptions struct {
 
 	// Breaker tunes the per-replica circuit breakers.
 	Breaker rpc.BreakerOptions
-	// DisableBreaker turns off health-aware routing.
-	DisableBreaker bool
 
 	// HedgeAfter is the fixed delay before an idempotent call is hedged to
 	// a second replica. Zero selects an adaptive delay: the rolling p99 of
@@ -127,7 +123,6 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 	c := &DataPlaneConn{
 		component:  component,
 		balancer:   balancer,
-		pick:       balancer,
 		opts:       opts,
 		lat:        newLatencyTracker(),
 		clients:    map[string]*rpc.Client{},
@@ -136,20 +131,11 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 		mOverload:  metrics.Default.Counter("core.dataplane.overloaded"),
 		mUnavail:   metrics.Default.Counter("core.dataplane.unavailable"),
 	}
-	if !opts.DisableBreaker {
-		c.breakers = rpc.NewBreakerGroup(opts.Breaker)
-		c.breakers.SetProbe(func(ctx context.Context, addr string) error {
-			return c.clientFor(addr).Ping(ctx)
-		})
-		c.pick = routing.NewHealthAware(balancer, c.breakers.Healthy)
-	}
-	// Compose the call path once; per-call cost is plain indirection.
-	stages := []ClientInterceptor{c.routeStage}
-	if !opts.DisableBreaker {
-		stages = append(stages, c.breakerStage)
-	}
-	stages = append(stages, c.retryStage, c.hedgeStage)
-	c.chain = chainClient(stages, c.transport)
+	c.breakers = rpc.NewBreakerGroup(opts.Breaker)
+	c.breakers.SetProbe(func(ctx context.Context, addr string) error {
+		return c.clientFor(addr).Ping(ctx)
+	})
+	c.pick = routing.NewHealthAware(balancer, c.breakers.Healthy)
 	return c
 }
 
@@ -158,11 +144,8 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 func (c *DataPlaneConn) Balancer() routing.Balancer { return c.balancer }
 
 // BreakerState returns the breaker state for a replica address (closed
-// when breakers are disabled or the address is unknown).
+// when the address is unknown).
 func (c *DataPlaneConn) BreakerState(addr string) rpc.BreakerState {
-	if c.breakers == nil {
-		return rpc.BreakerClosed
-	}
 	return c.breakers.State(addr)
 }
 
@@ -193,12 +176,12 @@ func (c *DataPlaneConn) clientFor(addr string) *rpc.Client {
 	return cl
 }
 
-// pickWithGrace chooses a replica from b, waiting out NoReplicaGrace when
+// pickWithGrace chooses a healthy replica, waiting out NoReplicaGrace when
 // the replica set is empty — typically mid-restart after a crash (paper
 // §3.1: replicas "may fail and get restarted") — rather than failing the
 // caller immediately. The wait respects context cancellation.
-func (c *DataPlaneConn) pickWithGrace(ctx context.Context, b routing.Balancer, shard uint64, hasShard bool) (string, error) {
-	addr, err := b.Pick(shard, hasShard)
+func (c *DataPlaneConn) pickWithGrace(ctx context.Context, shard uint64, hasShard bool) (string, error) {
+	addr, err := c.pick.Pick(shard, hasShard)
 	if !errors.Is(err, routing.ErrNoReplicas) {
 		return addr, err
 	}
@@ -214,53 +197,9 @@ func (c *DataPlaneConn) pickWithGrace(ctx context.Context, b routing.Balancer, s
 			return "", ctx.Err()
 		case <-clk.After(poll):
 		}
-		addr, err = b.Pick(shard, hasShard)
+		addr, err = c.pick.Pick(shard, hasShard)
 	}
 	return addr, err
-}
-
-// callOnce performs one attempt against one replica and feeds the outcome
-// back to the replica's breaker. Cancellation of ctx (a hedge loser, or
-// the caller giving up) is not held against the replica; a deadline that
-// expired mid-call is, because slowness is exactly what the breaker needs
-// to see.
-func (c *DataPlaneConn) callOnce(ctx context.Context, addr string, method rpc.MethodID, framed []byte, callOpts rpc.CallOptions) (*rpc.Response, error) {
-	start := time.Now()
-	out, err := c.clientFor(addr).CallFramed(ctx, method, framed, callOpts)
-	if err == nil {
-		c.lat.add(time.Since(start))
-		if c.breakers != nil {
-			c.breakers.Report(addr, false)
-		}
-		return out, nil
-	}
-	if errors.Is(err, rpc.ErrOverloaded) {
-		c.mOverload.Inc()
-		if c.breakers != nil {
-			c.breakers.Report(addr, true)
-		}
-		return nil, err
-	}
-	if errors.Is(err, rpc.ErrUnavailable) {
-		// The replica is draining or no longer hosts the component (live
-		// re-placement). The request never executed; steer the breaker away
-		// and let the caller retry on a replica from the new epoch.
-		c.mUnavail.Inc()
-		if c.breakers != nil {
-			c.breakers.Report(addr, true)
-		}
-		return nil, err
-	}
-	if errors.Is(err, context.Canceled) {
-		return nil, err
-	}
-	var te *rpc.TransportError
-	if errors.As(err, &te) || errors.Is(err, context.DeadlineExceeded) {
-		if c.breakers != nil {
-			c.breakers.Report(addr, true)
-		}
-	}
-	return nil, err
 }
 
 // hedgeDelay returns the delay after which an idempotent call is hedged,
@@ -283,13 +222,12 @@ func (c *DataPlaneConn) hedgeDelay() time.Duration {
 // encoder with transport headroom, so the request travels from codec to
 // wire without copies; the response payload is decoded straight out of the
 // transport's pooled read buffer and released afterwards. The call itself
-// runs through the conn's interceptor chain, driven by a stack-allocated
-// CallMeta.
+// runs retry → hedge → transport, driven by a stack-allocated callMeta.
 func (c *DataPlaneConn) Invoke(ctx context.Context, component string, m *codegen.MethodSpec, args, res any, shard uint64, hasShard bool) error {
 	enc := codec.GetEncoder()
 	enc.Reserve(rpc.PayloadHeadroom)
 	codec.EncodePtr(enc, args)
-	meta := CallMeta{
+	meta := callMeta{
 		Component: c.component,
 		Method:    m,
 		MethodID:  rpc.MethodKey(c.component + "." + m.Name),
@@ -312,7 +250,7 @@ func (c *DataPlaneConn) Invoke(ctx context.Context, component string, m *codegen
 		}
 	}()
 
-	resp, err := c.chain(ctx, &meta)
+	resp, err := c.retry(ctx, &meta)
 	if err != nil {
 		return err
 	}

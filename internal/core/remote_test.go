@@ -77,7 +77,7 @@ func TestOverloadShedRetriesElsewhereForNoRetry(t *testing.T) {
 	<-started
 
 	conn := NewDataPlaneConnWith(component, &scriptedBalancer{seq: []string{addrA, addrB}},
-		ConnOptions{DisableBreaker: true, DisableHedging: true})
+		ConnOptions{DisableHedging: true})
 	defer conn.Close()
 
 	var args, res struct{}
@@ -101,7 +101,7 @@ func TestRetriesPreferUntriedReplicas(t *testing.T) {
 	// must re-pick past the already-tried address and reach the live one.
 	bal := &scriptedBalancer{seq: []string{dead, dead, live}}
 	conn := NewDataPlaneConnWith(component, bal,
-		ConnOptions{DisableBreaker: true, DisableHedging: true})
+		ConnOptions{DisableHedging: true})
 	defer conn.Close()
 
 	var args, res struct{}
@@ -118,7 +118,7 @@ func TestRetriesPreferUntriedReplicas(t *testing.T) {
 
 func TestNoReplicaGraceInjectable(t *testing.T) {
 	conn := NewDataPlaneConnWith("grace_test/C", routing.NewRoundRobin(),
-		ConnOptions{NoReplicaGrace: 80 * time.Millisecond, DisableBreaker: true, DisableHedging: true})
+		ConnOptions{NoReplicaGrace: 80 * time.Millisecond, DisableHedging: true})
 	defer conn.Close()
 
 	var args, res struct{}
@@ -138,7 +138,7 @@ func TestNoReplicaGraceInjectable(t *testing.T) {
 
 func TestNoReplicaGraceRespectsCancellation(t *testing.T) {
 	conn := NewDataPlaneConnWith("grace_cancel/C", routing.NewRoundRobin(),
-		ConnOptions{NoReplicaGrace: 5 * time.Second, DisableBreaker: true, DisableHedging: true})
+		ConnOptions{NoReplicaGrace: 5 * time.Second, DisableHedging: true})
 	defer conn.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -263,7 +263,7 @@ func TestHedgingReducesTailLatency(t *testing.T) {
 	slowSrv.SetDelay(200 * time.Millisecond)
 
 	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(slowAddr, fastAddr),
-		ConnOptions{HedgeAfter: 10 * time.Millisecond, DisableBreaker: true})
+		ConnOptions{HedgeAfter: 10 * time.Millisecond})
 	defer conn.Close()
 
 	spec := emptySpec(false)
@@ -306,9 +306,8 @@ func TestHedgedCallsSurviveReplicaDeathOnStripedConns(t *testing.T) {
 
 	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(doomedAddr, safeAddr),
 		ConnOptions{
-			HedgeAfter:     time.Millisecond,
-			DisableBreaker: true,
-			Client:         rpc.ClientOptions{NumConns: 4},
+			HedgeAfter: time.Millisecond,
+			Client:     rpc.ClientOptions{NumConns: 4},
 		})
 	defer conn.Close()
 
@@ -353,7 +352,7 @@ func TestHedgingDisabledForNoRetry(t *testing.T) {
 	slowSrv.SetDelay(60 * time.Millisecond)
 
 	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(slowAddr, fastAddr),
-		ConnOptions{HedgeAfter: 5 * time.Millisecond, DisableBreaker: true})
+		ConnOptions{HedgeAfter: 5 * time.Millisecond})
 	defer conn.Close()
 
 	spec := emptySpec(true)
@@ -384,7 +383,7 @@ func TestHedgeLoserSpanRecorded(t *testing.T) {
 	// bit — the root's decision — forces it through RecordSampled.
 	rec := tracing.NewRecorder(0, 0)
 	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(slowAddr, fastAddr),
-		ConnOptions{HedgeAfter: 5 * time.Millisecond, DisableBreaker: true, Tracer: rec})
+		ConnOptions{HedgeAfter: 5 * time.Millisecond, Tracer: rec})
 	defer conn.Close()
 
 	sc := tracing.NewTrace()

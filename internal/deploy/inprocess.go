@@ -91,9 +91,6 @@ type InProcess struct {
 type Options struct {
 	Config manager.Config
 	Fill   FillFunc
-	// ReportInterval overrides the proclets' load-report cadence
-	// (default 100ms, faster than production for snappy tests).
-	ReportInterval time.Duration
 	// TraceFraction is each proclet's trace sampling rate.
 	TraceFraction float64
 	// BypassAssignmentDispatch restores the historical (buggy) colocated
@@ -102,14 +99,15 @@ type Options struct {
 	BypassAssignmentDispatch bool
 }
 
+// reportInterval is the proclets' load-report cadence: faster than the
+// proclet default (500ms), so in-process deployments react quickly.
+const reportInterval = 100 * time.Millisecond
+
 // StartInProcess boots a deployment: a manager, a main driver proclet, and
 // on-demand goroutine proclets for every other group.
 func StartInProcess(ctx context.Context, opts Options) (*InProcess, error) {
 	if opts.Fill == nil {
 		return nil, fmt.Errorf("deploy: missing Fill")
-	}
-	if opts.ReportInterval <= 0 {
-		opts.ReportInterval = 100 * time.Millisecond
 	}
 	if len(opts.Config.Components) == 0 {
 		opts.Config.Components = Inventory()
@@ -134,7 +132,7 @@ func StartInProcess(ctx context.Context, opts Options) (*InProcess, error) {
 			Group:          group,
 			Version:        opts.Config.Version,
 			Fill:           opts.Fill,
-			ReportInterval: opts.ReportInterval,
+			ReportInterval: reportInterval,
 			TraceFraction:  opts.TraceFraction,
 			MaxInflight:    opts.Config.MaxInflightPerReplica,
 			MaxQueue:       opts.Config.MaxOverloadQueue,

@@ -204,7 +204,7 @@ func (m *Manager) stampGroupRouting(group string) []pipe.RoutingInfo {
 		for _, c := range g.Components {
 			ri := pipe.RoutingInfo{Component: c, Replicas: addrs, Version: v}
 			if g.Routed[c] && len(addrs) > 0 {
-				a := routing.EqualSlices(v, addrs, m.cfg.SlicesPerReplica)
+				a := routing.EqualSlices(v, addrs, slicesPerReplica)
 				ri.Assignment = &a
 			}
 			s.LastPush[c] = cplane.Push{Version: v, Addrs: addrs}

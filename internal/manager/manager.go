@@ -34,7 +34,6 @@ import (
 	"repro/internal/logging"
 	"repro/internal/metrics"
 	"repro/internal/pipe"
-	"repro/internal/placement"
 	"repro/internal/tracing"
 )
 
@@ -68,15 +67,8 @@ type Config struct {
 	DefaultAutoscale autoscale.Config
 	Autoscale        map[string]autoscale.Config
 
-	// SlicesPerReplica controls affinity-assignment granularity.
-	SlicesPerReplica int
-
 	// ScaleInterval is the autoscaler evaluation period (default 500ms).
 	ScaleInterval time.Duration
-
-	// ReplicaStaleAfter marks a replica unhealthy when it has not reported
-	// load for this long (default 5s).
-	ReplicaStaleAfter time.Duration
 
 	// MaxRestarts bounds automatic restarts of crashed replicas per group
 	// (default 8).
@@ -94,17 +86,12 @@ type Config struct {
 	// PlacementInterval enables the live re-placement control loop: every
 	// interval the manager re-plans colocation from the merged call graph
 	// and, when the plan's locality score beats the running grouping by at
-	// least PlacementMinGain, moves components between groups at runtime.
+	// least placementMinGain, moves components between groups at runtime.
 	// Zero disables the loop; MoveComponent remains available either way.
 	PlacementInterval time.Duration
-	// PlacementMinGain is the minimum locality-score improvement (absolute,
-	// in [0,1]) worth moving components for (default 0.05).
-	PlacementMinGain float64
 	// PlacementMinCalls is how many calls the merged graph must have seen
 	// before the loop trusts it enough to plan (default 100).
 	PlacementMinCalls uint64
-	// Placement bounds the plans the loop computes.
-	Placement placement.Config
 
 	// Clock injects time for the crash-restart backoff; nil means the real
 	// clock. Tests drive restarts with a fake clock.
@@ -119,6 +106,18 @@ type Starter func(ctx context.Context, group, replicaID string, mgr envelope.Man
 
 // restartBackoff is how long a crashed replica waits before relaunching.
 const restartBackoff = 100 * time.Millisecond
+
+// replicaStaleAfter marks a replica unhealthy when it has not reported
+// load for this long.
+const replicaStaleAfter = 5 * time.Second
+
+// slicesPerReplica is the affinity-assignment granularity.
+const slicesPerReplica = 4
+
+// placementMinGain is the minimum locality-score improvement (absolute,
+// in [0,1]) worth moving components for. The loop plans with placement's
+// defaults (the zero placement.Config).
+const placementMinGain = 0.05
 
 // Manager is the global manager.
 type Manager struct {
@@ -185,17 +184,8 @@ func New(cfg Config, starter Starter) (*Manager, error) {
 	if cfg.ScaleInterval <= 0 {
 		cfg.ScaleInterval = 500 * time.Millisecond
 	}
-	if cfg.ReplicaStaleAfter <= 0 {
-		cfg.ReplicaStaleAfter = 5 * time.Second
-	}
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = 8
-	}
-	if cfg.SlicesPerReplica <= 0 {
-		cfg.SlicesPerReplica = 4
-	}
-	if cfg.PlacementMinGain <= 0 {
-		cfg.PlacementMinGain = 0.05
 	}
 	if cfg.PlacementMinCalls == 0 {
 		cfg.PlacementMinCalls = 100
@@ -653,7 +643,7 @@ func (m *Manager) scaleOnce(now time.Time) {
 	}
 	var acts cplane.Actions
 	m.store.Update(func(s *cplane.State) {
-		des := cplane.ReconcileScale(s, oracle, now, m.cfg.ReplicaStaleAfter)
+		des := cplane.ReconcileScale(s, oracle, now, replicaStaleAfter)
 		acts = cplane.Diff(s, des)
 		cplane.Commit(s, des)
 	})

@@ -64,7 +64,7 @@ func (m *Manager) PlacementStatus() PlacementStatus {
 		}
 	}
 	current := m.grouping()
-	ev := placement.Evaluate(g, m.cfg.Placement)
+	ev := placement.Evaluate(g, placement.Config{})
 	return PlacementStatus{
 		Current:          current,
 		CurrentScore:     placement.Score(g, current),
@@ -103,7 +103,7 @@ func (m *Manager) placementLoop() {
 // moves it returns (if any) are applied one by one.
 func (m *Manager) placementOnce(ctx context.Context) error {
 	moves := cplane.ReconcilePlacement(m.store.Snapshot(), m.graph.Analyze(),
-		m.cfg.Placement, m.cfg.PlacementMinGain, m.cfg.PlacementMinCalls)
+		placement.Config{}, placementMinGain, m.cfg.PlacementMinCalls)
 	for _, mv := range moves {
 		if err := m.MoveComponent(ctx, mv.Component, mv.To); err != nil {
 			return fmt.Errorf("moving %s from %s to %s: %w", mv.Component, mv.From, mv.To, err)
@@ -216,7 +216,7 @@ func (m *Manager) MoveComponent(ctx context.Context, component, dest string) err
 		addrs := s.ReadyAddrs(dest)
 		ri = pipe.RoutingInfo{Component: component, Replicas: addrs, Version: vFlip}
 		if routed && len(addrs) > 0 {
-			a := routing.EqualSlices(vFlip, addrs, m.cfg.SlicesPerReplica)
+			a := routing.EqualSlices(vFlip, addrs, slicesPerReplica)
 			ri.Assignment = &a
 		}
 		s.LastPush[component] = cplane.Push{Version: vFlip, Addrs: addrs}

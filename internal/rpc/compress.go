@@ -21,6 +21,11 @@ const DefaultCompressThreshold = 4 << 10
 // output in one exact-size slice instead of growing through io.ReadAll.
 const compressPrefix = 4
 
+// maxInflateRatio is deflate's largest possible expansion: a 258-byte
+// match coded in 2 bits. A declared length beyond it times the stream size
+// is a lie, rejected before it is allocated.
+const maxInflateRatio = 1032
+
 // A compressor pairs a pooled flate writer with its reusable output
 // buffer. compress hands the caller the compressor whose buffer backs the
 // returned payload; the caller releases it once the bytes are on the wire.
@@ -102,6 +107,9 @@ func decompress(p []byte) ([]byte, error) {
 	n := binary.LittleEndian.Uint32(p)
 	if n > maxFrameSize {
 		return nil, fmt.Errorf("rpc: decompressed payload exceeds frame limit")
+	}
+	if stream := uint64(len(p) - compressPrefix); uint64(n) > maxInflateRatio*stream {
+		return nil, fmt.Errorf("rpc: declared length %d exceeds deflate's expansion of %d bytes", n, stream)
 	}
 	inf := inflaters.Get().(*inflater)
 	defer inflaters.Put(inf)

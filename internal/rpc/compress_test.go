@@ -3,6 +3,8 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -156,4 +158,63 @@ func TestSmallPayloadsNotCompressed(t *testing.T) {
 	if err != nil || string(got) != "tiny" {
 		t.Fatalf("small call = %q, %v", got, err)
 	}
+}
+
+// FuzzDecompress feeds arbitrary bytes to decompress as a hostile peer
+// would, and round-trips them through compress. Whatever the input,
+// decompress must not panic and must allocate no more than deflate's
+// maximum expansion of it (plus a fixed slack for a fresh inflater's
+// tables); output produced by compress must come back unchanged.
+func FuzzDecompress(f *testing.F) {
+	// Lying length prefix: 496 MiB declared over a 4-byte stream.
+	f.Add([]byte{0, 0, 0, 0x1f, 0xff, 0xfe, 0xfd, 0xfc})
+	// TestDecompressGarbage's inputs.
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
+	f.Add([]byte{0x01})
+	f.Add([]byte{16, 0, 0, 0, 0xff, 0xfe, 0xfd, 0xfc})
+	// 16 MiB of zeros, raw (round trip) and compressed (the densest
+	// valid stream the encoder produces).
+	zeros := make([]byte, 16<<20)
+	f.Add(zeros)
+	small, comp, ok := compress(zeros)
+	if !ok {
+		f.Fatal("zeros not compressed")
+	}
+	f.Add(append([]byte(nil), small...))
+	comp.release()
+
+	const slack = 256 << 10
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var out []byte
+		var err error
+		got := bytesAllocated(func() { out, err = decompress(data) })
+		if limit := maxInflateRatio*uint64(len(data)) + slack; got > limit {
+			t.Fatalf("decompress of %d bytes allocated %d bytes, limit %d", len(data), got, limit)
+		}
+		if err == nil && len(data) >= compressPrefix && uint32(len(out)) != binary.LittleEndian.Uint32(data) {
+			t.Fatalf("decompress returned %d bytes, declared %d", len(out), binary.LittleEndian.Uint32(data))
+		}
+
+		small, comp, ok := compress(data)
+		if !ok {
+			return
+		}
+		back, err := decompress(small)
+		comp.release()
+		if err != nil {
+			t.Fatalf("round trip of %d bytes: %v", len(data), err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("round trip of %d bytes mismatched", len(data))
+		}
+	})
+}
+
+// bytesAllocated reports the heap bytes allocated while fn runs.
+func bytesAllocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

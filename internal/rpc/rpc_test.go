@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/tracing"
 )
@@ -479,4 +480,58 @@ func TestServerConnCleanupCancelsOnDisconnect(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Error("handler not canceled after client disconnect")
+}
+
+// TestSetDelayFault drives the degrade-replica fault on a fake server
+// clock. With an hour of delay pending, a cancelled call returns promptly
+// and the server abandons the wait without running the handler; with the
+// delay cleared, the same call succeeds.
+func TestSetDelayFault(t *testing.T) {
+	fake := clock.NewFake()
+	s := NewServerWithOptions(ServerOptions{Clock: fake})
+	var ran atomic.Int64
+	registerBytes(s, "test.Faulty", func(ctx context.Context, args []byte) ([]byte, error) {
+		ran.Add(1)
+		return []byte("ok"), nil
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(addr, ClientOptions{})
+	t.Cleanup(func() { c.Close(); s.Close() })
+
+	s.SetDelay(time.Hour)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := callBytes(ctx, c, MethodKey("test.Faulty"), nil, CallOptions{})
+		done <- err
+	}()
+	// The fault wait registering its timer is the signal that the request
+	// reached dispatch and is parked there.
+	waitFor(t, func() bool { return fake.Waiting() > 0 })
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled call = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled call did not return")
+	}
+	// The server stops its fault timer once the cancel frame lands.
+	waitFor(t, func() bool { return fake.Waiting() == 0 })
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("handler ran %d times under a cancelled delay", n)
+	}
+
+	s.SetDelay(0)
+	out, err := callBytes(context.Background(), c, MethodKey("test.Faulty"), nil, CallOptions{})
+	if err != nil || string(out) != "ok" {
+		t.Fatalf("call without delay = %q, %v; want ok, nil", out, err)
+	}
+	if n := ran.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want 1", n)
+	}
 }

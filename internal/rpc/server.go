@@ -98,11 +98,6 @@ type Server struct {
 	adm    *admitter
 	queued atomic.Int64
 
-	// Dispatch interceptor chain (see ServerInterceptor). chain is
-	// rebuilt under mu by Use and read under mu by dispatch.
-	interceptors []ServerInterceptor
-	chain        ServerNext
-
 	// Drain state: once draining is set, new requests are answered with
 	// statusUnavailable (never executed, so callers retry elsewhere) while
 	// inflightReqs counts requests already past that gate.
@@ -206,7 +201,6 @@ func NewServerWithOptions(opts ServerOptions) *Server {
 		}
 	}
 	s.pool = newWorkerPool(workers)
-	s.rebuildChainLocked()
 	return s
 }
 
@@ -586,15 +580,14 @@ func (cw *connWriter) respondFramed(id uint64, status byte, framed []byte) error
 	return cw.fl.write(framed, nil, nil)
 }
 
-// dispatch runs the interceptor chain (ending in the handler) for
-// hdr.method, converting panics into errors so one bad request cannot
-// take down the proclet. On success result carries ResponseHeadroom
-// scratch ahead of the payload, and owner (when non-nil) must be released
-// once the result bytes are no longer referenced.
+// dispatch runs the handler for hdr.method after the injected fault
+// delay (SetDelay), converting panics into errors so one bad request
+// cannot take down the proclet. On success result carries
+// ResponseHeadroom scratch ahead of the payload, and owner (when non-nil)
+// must be released once the result bytes are no longer referenced.
 func (s *Server) dispatch(ctx context.Context, hdr header, args []byte) (result []byte, owner BufOwner, err error) {
 	s.mu.Lock()
 	h, ok := s.handlers[hdr.method]
-	chain := s.chain
 	if ok && !h.tombstone {
 		h.inflight.Add(1)
 	}
@@ -631,14 +624,20 @@ func (s *Server) dispatch(ctx context.Context, hdr header, args []byte) (result 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Run the chain on a pooled call carrier; on panic the carrier is
-	// abandoned rather than pooled (its fields may be mid-mutation).
-	sc := getServerCall()
-	sc.Info, sc.Args, sc.handler = info, args, h
-	err = chain(ctx, sc)
-	result, owner = sc.result, sc.owner
-	putServerCall(sc)
-	return result, owner, err
+	// The degrade-replica fault (SetDelay) stalls dispatch until the delay
+	// passes or the caller gives up. Its sibling, the response-flusher
+	// stall (SetFlushStall), lives in the flusher: it must squeeze the
+	// batched write, after the handler completes.
+	if d := time.Duration(s.delayNanos.Load()); d > 0 {
+		timer := s.opts.Clock.NewTimer(d)
+		select {
+		case <-timer.C():
+		case <-ctx.Done():
+			timer.Stop()
+			return nil, nil, ctx.Err()
+		}
+	}
+	return h.ffn(ctx, args)
 }
 
 // ErrShutdown is returned for calls attempted on a closed client.

@@ -23,12 +23,11 @@ import (
 // matches that offline score within 5 points.
 func TestLivePlacementConvergence(t *testing.T) {
 	ctx := context.Background()
-	const minGain = 0.05
+	const minGain = 0.05 // the manager's fixed re-placement threshold
 	cfg := manager.Config{
 		App:               "converge",
 		DefaultAutoscale:  autoscale.Config{MinReplicas: 1, MaxReplicas: 1},
 		PlacementInterval: 200 * time.Millisecond,
-		PlacementMinGain:  minGain,
 		PlacementMinCalls: 200,
 		Logger:            logging.New(logging.Options{Component: "manager", Min: logging.LevelError}),
 	}

@@ -28,13 +28,14 @@ test:
 race:
 	go test -race ./...
 
-# Allocation-budget gates for the zero-copy data plane (DESIGN.md §9).
+# Allocation-budget gates for the zero-copy data plane (DESIGN.md §9) and
+# for hedging's standing cost on the client call path (DESIGN.md §8).
 # They must run without -race: the detector makes sync.Pool drop Puts at
 # random, so alloc counts are only meaningful in a plain build. Two CPU
 # counts give two client stripe widths (min(4, GOMAXPROCS) conns), so a
 # stripe-width-dependent defect cannot pass on a 1-CPU host.
 allocs:
-	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc
+	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc ./internal/core
 
 # The end-to-end benchmark is its own module (perfbench/go.mod), so the
 # root vet and build never compile it; vet and test it here so a change to

@@ -1,7 +1,7 @@
 // Package clock abstracts time for the runtime's scheduling decisions so
 // tests can inject a controlled clock instead of sleeping. The data plane
 // (rpc server delay injection), the resilience layer (replica-wait polling,
-// hedge timers), and the chaos/sim harnesses all draw their timers from a
+// the hedge-alarm wheel), and the chaos/sim harnesses all draw their timers from a
 // Clock; production code uses Real, deterministic tests use Fake.
 //
 // Only *scheduling* time goes through a Clock. Measurements that feed

@@ -10,18 +10,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/codegen"
 	"repro/internal/rpc"
 	"repro/internal/tracing"
 )
 
 // callMeta is the per-call state shared by retry, hedge and transport.
-// The wire-visible subset — priority class, attempt ordinal, hedge
-// marker, span context with its sampled bit — is encoded into the request
-// header by transport; the rest is routing and buffer state the steps
-// coordinate through.
+// The wire-visible subset — priority class, attempt ordinal, span
+// context with its sampled bit, plus each leg's hedge marker — reaches the
+// request header through callOptions; the rest is routing and buffer state
+// the steps coordinate through.
 type callMeta struct {
 	// Component and Method identify the call; MethodID is its wire hash.
 	Component string
@@ -47,22 +49,58 @@ type callMeta struct {
 	Attempt int
 	Sheds   int
 
-	// Hedge marks this leg as a hedged duplicate.
-	Hedge bool
-
 	// Addr is the replica chosen for the current attempt.
 	Addr string
 
 	// tried records replicas already attempted, so retries prefer fresh
-	// ones. Only the calling goroutine mutates it.
-	tried map[string]bool
+	// ones; nTried counts its filled prefix. Only the calling goroutine
+	// touches it. Each pass of the retry loop adds one address and a hedge
+	// one more, so maxTried holds every address a call can try; an
+	// overflow would only weaken a preference, never break a call.
+	tried  [maxTried]string
+	nTried int
 
 	// framed is the pooled request buffer (args behind PayloadHeadroom).
-	// reusable reports it quiescent — false while an abandoned hedge leg
-	// may still be writing from it; cloned marks a private retry copy.
-	framed   []byte
-	reusable bool
-	cloned   bool
+	// rpc.Client.Start returns only once a frame is on the wire, so every
+	// attempt and both hedge legs fill the same headroom in turn.
+	framed []byte
+}
+
+// maxTried bounds the addresses a call records as tried: the attempt and
+// shed budgets allow at most 2*transportAttempts-1 passes of the retry
+// loop, and the first pass may add one hedge replica.
+const maxTried = 2 * transportAttempts
+
+func (m *callMeta) wasTried(addr string) bool {
+	for _, a := range m.tried[:m.nTried] {
+		if a == addr {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *callMeta) markTried(addr string) {
+	if m.nTried < len(m.tried) {
+		m.tried[m.nTried] = addr
+		m.nTried++
+	}
+}
+
+// callOptions maps the call's wire metadata (span context, priority,
+// attempt, hedge flag) onto the rpc layer for one leg.
+func (m *callMeta) callOptions(hedge bool) rpc.CallOptions {
+	var opts rpc.CallOptions
+	if m.HasShard {
+		opts.Shard = m.Shard
+	}
+	opts.Trace = m.Trace
+	attempt := m.Attempt
+	if attempt > 255 {
+		attempt = 255
+	}
+	opts.Meta = rpc.CallMeta{Priority: m.Priority, Attempt: uint8(attempt), Hedge: hedge}
+	return opts
 }
 
 // retry owns the attempt loop: per attempt it picks a replica
@@ -95,8 +133,8 @@ func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, 
 		}
 		// Prefer an untried replica on retries, but accept a repeat if the
 		// balancer has only one choice.
-		if (m.Attempt > 0 || m.Sheds > 0) && m.tried[addr] {
-			for i := 0; i < 4 && m.tried[addr]; i++ {
+		if (m.Attempt > 0 || m.Sheds > 0) && m.wasTried(addr) {
+			for i := 0; i < 4 && m.wasTried(addr); i++ {
 				if a2, err2 := c.pick.Pick(m.Shard, m.HasShard); err2 == nil {
 					addr = a2
 				} else {
@@ -104,7 +142,7 @@ func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, 
 				}
 			}
 		}
-		m.tried[addr] = true
+		m.markTried(addr)
 		m.Addr = addr
 
 		resp, err := c.hedge(ctx, m)
@@ -127,15 +165,6 @@ func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, 
 				break
 			}
 		}
-		if !m.reusable && !m.cloned {
-			// An abandoned hedge leg may still be writing from the shared
-			// buffer; retry from a private copy of the args region (the
-			// headroom is per-attempt scratch).
-			dup := make([]byte, len(m.framed))
-			copy(dup[rpc.PayloadHeadroom:], m.framed[rpc.PayloadHeadroom:])
-			m.framed = dup
-			m.cloned = true
-		}
 	}
 	return nil, fmt.Errorf("core: %s.%s failed after %d attempts: %w",
 		ShortName(m.Component), m.Method.Name, m.Attempt+m.Sheds, lastErr)
@@ -143,15 +172,17 @@ func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, 
 
 // hedge races a second attempt against a different replica when the
 // first has not answered within the hedge delay (adaptive p99 unless
-// configured). First response wins; the loser's context is canceled,
-// which propagates an explicit cancel frame — and servers may drop a
-// queued hedge whose caller has thus gone away. Only the first attempt of
-// an idempotent method is hedged.
+// configured). First response wins; the loser is abandoned with an
+// explicit cancel frame — and servers may drop a queued hedge whose caller
+// has thus gone away. Only the first attempt of an idempotent method is
+// hedged.
 //
-// Each racing leg runs on a private copy of the meta: the hedge leg also
-// gets a private copy of the request buffer, because both legs fill the
-// framing headroom in place. When the call is decided while the primary
-// leg is still writing, the shared buffer is marked non-reusable.
+// The race runs on the calling goroutine: each leg is an rpc.Pending, and
+// one select waits on both legs' verdicts, the hedge alarm and ctx. Start
+// returns once a leg's frame is on the wire, so the hedge leg reuses the
+// primary's request buffer, and the delay counts from when the primary's
+// frame was written. The alarm is an entry on the conn's timing wheel, so
+// a hedge fires within one wheel tick after it is due.
 func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, error) {
 	if m.Method.NoRetry || m.Attempt > 0 || m.Sheds > 0 {
 		return c.transport(ctx, m)
@@ -161,105 +192,122 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 		return c.transport(ctx, m)
 	}
 
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // the loser is abandoned and its server told to stop
-
-	type attempt struct {
-		meta  *callMeta
-		start int64
-		out   *rpc.Response
-		err   error
-		leg   int // 0 = primary
+	var (
+		legs     [2]raceLeg // 0 = primary, 1 = hedge
+		done     [2]<-chan *rpc.Response
+		firstErr error
+	)
+	legs[0] = raceLeg{addr: m.Addr, start: time.Now()}
+	p, err := c.clientFor(m.Addr).Start(ctx, m.MethodID, m.framed, m.callOptions(false))
+	if err != nil {
+		return c.outcome(m.Addr, legs[0].start, nil, err)
 	}
-	results := make(chan attempt, 2) // buffered: losers must not leak
-	launch := func(meta *callMeta, leg int) {
-		start := time.Now().UnixNano()
-		go func() {
-			out, err := c.transport(hctx, meta)
-			results <- attempt{meta: meta, start: start, out: out, err: err, leg: leg}
-		}()
-	}
-	pm := *m
-	launch(&pm, 0)
-	outstanding := 1
-	primaryDone := false
-	hedged := false
+	legs[0].p, done[0] = p, p.Done()
 
-	timer := c.opts.Clock.NewTimer(delay)
-	defer timer.Stop()
+	al := alarmPool.Get().(*hedgeAlarm)
+	defer c.releaseAlarm(al)
+	c.wheel.Schedule(&al.entry, c.opts.Clock.Now().Add(delay), al)
+	alarm := (<-chan struct{})(al.c)
 
-	// drain releases responses from legs that lose after we have decided
-	// the call (so their pooled buffers are not stranded) and records
-	// their canceled loser spans.
-	drain := func(n int) {
-		if n > 0 {
-			go func() {
-				for i := 0; i < n; i++ {
-					a := <-results
-					if a.out != nil {
-						a.out.Release()
-					}
-					c.recordHedgeLoser(a.meta, a.start)
-				}
-			}()
-		}
-	}
-
-	var firstErr error
 	for {
+		var i int
+		var resp *rpc.Response
 		select {
-		case r := <-results:
-			outstanding--
-			if r.leg == 0 {
-				primaryDone = true
-			}
-			if r.err == nil {
-				if hedged && r.leg != 0 {
-					c.hedgeWins.Add(1)
-					c.mHedgeWins.Inc()
-				}
-				if !primaryDone {
-					m.reusable = false
-				}
-				drain(outstanding)
-				return r.out, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if outstanding == 0 {
-				return nil, firstErr
-			}
-			// The other leg is still running; let it decide the call.
-		case <-timer.C():
-			if hedged {
-				continue
-			}
-			hedged = true
+		case resp = <-done[0]:
+			i = 0
+		case resp = <-done[1]:
+			i = 1
+		case <-alarm:
+			alarm, al.fired = nil, true
 			addr, err := c.pick.Pick(m.Shard, m.HasShard)
 			if err != nil || addr == m.Addr {
 				continue // no distinct replica to hedge to
 			}
-			m.tried[addr] = true
+			m.markTried(addr)
 			c.hedges.Add(1)
 			c.mHedges.Inc()
-			// Copy only the args region: the primary leg mutates the
-			// headroom concurrently, and the hedge leg fills its own.
-			dup := make([]byte, len(m.framed))
-			copy(dup[rpc.PayloadHeadroom:], m.framed[rpc.PayloadHeadroom:])
-			hm := *m
-			hm.Hedge = true
-			hm.Addr = addr
-			hm.framed = dup
-			launch(&hm, 1)
-			outstanding++
+			legs[1] = raceLeg{addr: addr, start: time.Now()}
+			p, err := c.clientFor(addr).Start(ctx, m.MethodID, m.framed, m.callOptions(true))
+			if err != nil {
+				// The primary is still outstanding; let it decide the call.
+				_, firstErr = c.outcome(addr, legs[1].start, nil, err)
+				continue
+			}
+			legs[1].p, done[1] = p, p.Done()
+			continue
+		case <-ctx.Done():
+			for j := range legs {
+				if done[j] != nil {
+					legs[j].p.Abandon()
+					c.outcome(legs[j].addr, legs[j].start, nil, ctx.Err())
+				}
+			}
+			return nil, ctx.Err()
 		}
+		done[i] = nil
+		out, err := legs[i].p.Result(resp)
+		out, err = c.outcome(legs[i].addr, legs[i].start, out, err)
+		if err == nil {
+			if i == 1 {
+				c.hedgeWins.Add(1)
+				c.mHedgeWins.Inc()
+			}
+			for j := range legs {
+				if done[j] != nil {
+					legs[j].p.Abandon()
+					c.recordHedgeLoser(m, legs[j].start)
+				}
+			}
+			return out, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+		if done[0] == nil && done[1] == nil {
+			return nil, firstErr
+		}
+		// The other leg is still running; let it decide the call.
 	}
 }
 
+// A raceLeg is one outstanding leg of a hedge race.
+type raceLeg struct {
+	p     rpc.Pending
+	addr  string
+	start time.Time
+}
+
+// A hedgeAlarm is a pooled hedge timer: a wheel entry whose expiry posts
+// to a 1-buffered channel the racing caller selects on.
+type hedgeAlarm struct {
+	entry clock.WheelEntry
+	c     chan struct{}
+	fired bool // the caller consumed the expiry signal
+}
+
+var alarmPool = sync.Pool{New: func() any {
+	return &hedgeAlarm{c: make(chan struct{}, 1)}
+}}
+
+// Expire implements clock.Expirer. It never blocks: an entry fires at most
+// once per Schedule, and releaseAlarm drains the signal before reuse.
+func (a *hedgeAlarm) Expire() { a.c <- struct{}{} }
+
+// releaseAlarm disarms a and returns it to the pool. When Stop is too late
+// the wheel has fired (or is firing) the entry, so its signal is taken
+// first unless the race already consumed it; the channel is empty whenever
+// an alarm is pooled.
+func (c *DataPlaneConn) releaseAlarm(a *hedgeAlarm) {
+	if !c.wheel.Stop(&a.entry) && !a.fired {
+		<-a.c
+	}
+	a.fired = false
+	alarmPool.Put(a)
+}
+
 // recordHedgeLoser records the canceled span of a hedge-race leg that
-// lost after the call was decided, as a child of the call's span.
-func (c *DataPlaneConn) recordHedgeLoser(m *callMeta, startNanos int64) {
+// lost when the call was decided, as a child of the call's span.
+func (c *DataPlaneConn) recordHedgeLoser(m *callMeta, start time.Time) {
 	tr := c.opts.Tracer
 	if tr == nil || !m.Trace.Valid() {
 		return
@@ -271,56 +319,46 @@ func (c *DataPlaneConn) recordHedgeLoser(m *callMeta, startNanos int64) {
 		Parent:     uint64(leg.Parent),
 		Component:  ShortName(m.Component),
 		Method:     m.Method.Name,
-		StartNanos: startNanos,
+		StartNanos: start.UnixNano(),
 		EndNanos:   time.Now().UnixNano(),
 		Err:        "canceled (hedge loser)",
 		Remote:     true,
 	}, m.Trace.Sampled)
 }
 
-// transport performs one attempt against one replica, mapping the call's
-// wire metadata (span context, priority, attempt, hedge flag) onto the rpc
-// layer, and feeds the outcome back to the replica's breaker. Cancellation
-// of ctx (a hedge loser, or the caller giving up) is not held against the
-// replica; a deadline that expired mid-call is, because slowness is
-// exactly what the breaker needs to see.
+// transport performs one unhedged attempt against the chosen replica.
 func (c *DataPlaneConn) transport(ctx context.Context, m *callMeta) (*rpc.Response, error) {
-	var callOpts rpc.CallOptions
-	if m.HasShard {
-		callOpts.Shard = m.Shard
-	}
-	callOpts.Trace = m.Trace
-	attempt := m.Attempt
-	if attempt > 255 {
-		attempt = 255
-	}
-	callOpts.Meta = rpc.CallMeta{Priority: m.Priority, Attempt: uint8(attempt), Hedge: m.Hedge}
 	start := time.Now()
-	out, err := c.clientFor(m.Addr).CallFramed(ctx, m.MethodID, m.framed, callOpts)
+	out, err := c.clientFor(m.Addr).CallFramed(ctx, m.MethodID, m.framed, m.callOptions(false))
+	return c.outcome(m.Addr, start, out, err)
+}
+
+// outcome feeds one completed leg back to its replica's breaker and, on
+// success, its latency to the adaptive hedge delay; it returns the leg's
+// result unchanged. Every leg, hedged or not, ends here. Cancellation (a
+// hedge loser, or the caller giving up) is not held against the replica;
+// a deadline that expired mid-call is, because slowness is exactly what
+// the breaker needs to see.
+func (c *DataPlaneConn) outcome(addr string, start time.Time, out *rpc.Response, err error) (*rpc.Response, error) {
 	if err == nil {
 		c.lat.add(time.Since(start))
-		c.breakers.Report(m.Addr, false)
+		c.breakers.Report(addr, false)
 		return out, nil
 	}
-	if errors.Is(err, rpc.ErrOverloaded) {
+	var te *rpc.TransportError
+	switch {
+	case errors.Is(err, rpc.ErrOverloaded):
 		c.mOverload.Inc()
-		c.breakers.Report(m.Addr, true)
-		return nil, err
-	}
-	if errors.Is(err, rpc.ErrUnavailable) {
+		c.breakers.Report(addr, true)
+	case errors.Is(err, rpc.ErrUnavailable):
 		// The replica is draining or no longer hosts the component (live
 		// re-placement). The request never executed; steer the breaker away
 		// and let the caller retry on a replica from the new epoch.
 		c.mUnavail.Inc()
-		c.breakers.Report(m.Addr, true)
-		return nil, err
-	}
-	if errors.Is(err, context.Canceled) {
-		return nil, err
-	}
-	var te *rpc.TransportError
-	if errors.As(err, &te) || errors.Is(err, context.DeadlineExceeded) {
-		c.breakers.Report(m.Addr, true)
+		c.breakers.Report(addr, true)
+	case errors.Is(err, context.Canceled):
+	case errors.As(err, &te) || errors.Is(err, context.DeadlineExceeded):
+		c.breakers.Report(addr, true)
 	}
 	return nil, err
 }

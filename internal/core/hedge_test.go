@@ -1,0 +1,204 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/rpc"
+)
+
+// hedgePair starts two replicas of component whose M handlers run serve,
+// and a conn that hedges every call from the first replica to the second
+// after 5ms. Each client keeps one stripe, so the goroutine count after a
+// warm-up call to each replica is the steady baseline.
+func hedgePair(t *testing.T, component string, serve func(ctx context.Context, replica int) error) (*DataPlaneConn, [2]string) {
+	t.Helper()
+	var addrs [2]string
+	for i := range addrs {
+		srv := rpc.NewServer()
+		srv.RegisterFramed(component+".M", func(ctx context.Context, _ []byte) ([]byte, rpc.BufOwner, error) {
+			if err := serve(ctx, i); err != nil {
+				return nil, nil, err
+			}
+			return make([]byte, rpc.ResponseHeadroom), nil, nil
+		})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = addr
+	}
+	// Warm-up picks: one per replica. Then every call's primary goes to
+	// replica 0 and its hedge to replica 1.
+	bal := &scriptedBalancer{seq: []string{addrs[0], addrs[1], addrs[0], addrs[1]}}
+	conn := NewDataPlaneConnWith(component, bal, ConnOptions{
+		HedgeAfter: 5 * time.Millisecond,
+		Client:     rpc.ClientOptions{NumConns: 1},
+	})
+	t.Cleanup(conn.Close)
+	return conn, addrs
+}
+
+// quietGoroutines returns the goroutine count once helpers that outlive a
+// call by a tick (the hedge wheel's runner) have exited.
+func quietGoroutines() int {
+	time.Sleep(20 * time.Millisecond)
+	return runtime.NumGoroutine()
+}
+
+// settledGoroutines waits for the goroutine count to drop to at most
+// want, returning the last count seen.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// waitCounter waits up to 5s for c to reach want.
+func waitCounter(c *metrics.Counter, want uint64) {
+	for deadline := time.Now().Add(5 * time.Second); c.Value() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHedgeCancelAbandonsBothLegs cancels the caller while both legs of a
+// hedge race are outstanding. The race runs on the caller's goroutine, so
+// cancellation must abandon both legs itself: each server's handler sees
+// its context canceled by a cancel frame, no waiter stays registered on
+// either client, and no goroutine outlives the call.
+func TestHedgeCancelAbandonsBothLegs(t *testing.T) {
+	const component = "hedge_cancel/C"
+	var warm atomic.Bool
+	warm.Store(true)
+	started := make(chan int, 2)
+	canceled := make(chan int, 2)
+	conn, addrs := hedgePair(t, component, func(ctx context.Context, replica int) error {
+		if warm.Load() {
+			return nil
+		}
+		started <- replica
+		<-ctx.Done()
+		canceled <- replica
+		return ctx.Err()
+	})
+	spec := emptySpec(false)
+	var args, res struct{}
+	for range addrs {
+		// Warm-up: no hedge fires, since answers are immediate.
+		if err := conn.Invoke(context.Background(), component, spec, &args, &res, 0, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseline := quietGoroutines()
+	warm.Store(false)
+	late := metrics.Default.Counter("rpc.client.late_responses")
+	before := late.Value()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- conn.Invoke(ctx, component, spec, &args, &res, 0, false) }()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of 2 legs reached a server", i)
+		}
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Invoke = %v, want context.Canceled", err)
+	}
+	seen := map[int]bool{}
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-canceled:
+			seen[r] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("handler contexts canceled on replicas %v; want both", seen)
+		}
+	}
+	if launched, _ := conn.HedgeStats(); launched != 1 {
+		t.Errorf("hedges launched = %d, want 1", launched)
+	}
+	for _, addr := range addrs {
+		if n := conn.clientFor(addr).PendingCalls(); n != 0 {
+			t.Errorf("client for %s has %d pending calls after cancellation", addr, n)
+		}
+	}
+	// Both canceled handlers still reply; the read loops release the
+	// replies nobody waits for.
+	waitCounter(late, before+2)
+	if got := late.Value() - before; got != 2 {
+		t.Errorf("%d late replies released, want the 2 abandoned legs'", got)
+	}
+	if n := settledGoroutines(baseline); n > baseline {
+		t.Errorf("%d goroutines after the canceled race, baseline %d", n, baseline)
+	}
+}
+
+// TestHedgeLoserLateResponseReleased lets a hedge win, then lets the
+// abandoned primary answer. Its response must reach the client's read
+// loop and be released there — no waiter left registered, and the next
+// call on the same connection gets its own answer.
+func TestHedgeLoserLateResponseReleased(t *testing.T) {
+	const component = "hedge_late/C"
+	var warm atomic.Bool
+	warm.Store(true)
+	release := make(chan struct{})
+	conn, addrs := hedgePair(t, component, func(ctx context.Context, replica int) error {
+		if !warm.Load() && replica == 0 {
+			<-release // ignores the cancel frame: answers late regardless
+		}
+		return nil
+	})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce) // runs before the servers close
+	spec := emptySpec(false)
+	var args, res struct{}
+	for range addrs {
+		if err := conn.Invoke(context.Background(), component, spec, &args, &res, 0, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseline := quietGoroutines()
+	warm.Store(false)
+
+	late := metrics.Default.Counter("rpc.client.late_responses")
+	before := late.Value()
+	if err := conn.Invoke(context.Background(), component, spec, &args, &res, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, won := conn.HedgeStats(); won != 1 {
+		t.Fatalf("hedge wins = %d, want 1", won)
+	}
+	releaseOnce()
+	waitCounter(late, before+1)
+	if late.Value() != before+1 {
+		t.Fatal("the abandoned primary's late response never reached the read loop")
+	}
+	primary := conn.clientFor(addrs[0])
+	if n := primary.PendingCalls(); n != 0 {
+		t.Errorf("primary client has %d pending calls after its late answer", n)
+	}
+	// The balancer now repeats replica 1, so reach replica 0 directly: the
+	// connection that carried the late answer must serve a fresh call.
+	framed := make([]byte, rpc.PayloadHeadroom)
+	resp, err := primary.CallFramed(context.Background(), rpc.MethodKey(component+".M"), framed, rpc.CallOptions{})
+	if err != nil {
+		t.Fatalf("call on the primary's connection after the late answer: %v", err)
+	}
+	resp.Release()
+	if n := settledGoroutines(baseline); n > baseline {
+		t.Errorf("%d goroutines after the race, baseline %d", n, baseline)
+	}
+}

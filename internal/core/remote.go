@@ -46,6 +46,9 @@ type DataPlaneConn struct {
 	opts      ConnOptions
 	breakers  *rpc.BreakerGroup
 	lat       *latencyTracker
+	// wheel arms hedge alarms at the server's 1 ms deadline resolution;
+	// its runner goroutine exists only while a hedged call is in flight.
+	wheel *clock.Wheel
 
 	mu      sync.Mutex
 	clients map[string]*rpc.Client
@@ -80,8 +83,8 @@ type ConnOptions struct {
 	// short grace so they need not wait out the production default.
 	NoReplicaGrace time.Duration
 
-	// Clock supplies the scheduling timers (replica-wait polling, hedge
-	// delays). Nil means the wall clock.
+	// Clock supplies the scheduling timers (replica-wait polling, the
+	// hedge-alarm wheel). Nil means the wall clock.
 	Clock clock.Clock
 
 	// Tracer, when set, records spans for hedge-race legs that lose after
@@ -125,6 +128,7 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 		balancer:   balancer,
 		opts:       opts,
 		lat:        newLatencyTracker(),
+		wheel:      clock.NewWheel(opts.Clock, time.Millisecond, 64),
 		clients:    map[string]*rpc.Client{},
 		mHedges:    metrics.Default.Counter("core.dataplane.hedges"),
 		mHedgeWins: metrics.Default.Counter("core.dataplane.hedge_wins"),
@@ -235,22 +239,14 @@ func (c *DataPlaneConn) Invoke(ctx context.Context, component string, m *codegen
 		HasShard:  hasShard,
 		Priority:  rpc.Priority(m.Priority),
 		framed:    enc.Framed(),
-		reusable:  true,
-		tried:     map[string]bool{},
 	}
 	if sc, ok := tracing.FromContext(ctx); ok {
 		meta.Trace = sc
 	}
-	defer func() {
-		// meta.reusable tracks whether enc's buffer is quiescent: a lost
-		// hedge leg may still be blocked writing from it, in which case the
-		// buffer can be neither pooled nor reused.
-		if meta.reusable {
-			codec.PutEncoder(enc)
-		}
-	}()
-
+	// Every leg's frame is on the wire by the time retry returns, so the
+	// request buffer is quiescent.
 	resp, err := c.retry(ctx, &meta)
+	codec.PutEncoder(enc)
 	if err != nil {
 		return err
 	}

@@ -75,6 +75,7 @@ type Client struct {
 	txBytes   *metrics.Counter
 	rxBytes   *metrics.Counter
 	calls     *metrics.Counter
+	late      *metrics.Counter // responses nobody waited for any more
 	flushHist *metrics.Histogram
 	readHist  *metrics.Histogram
 }
@@ -140,6 +141,7 @@ func NewClient(addr string, opts ClientOptions) *Client {
 		txBytes:  metrics.Default.Counter("rpc.client.tx_bytes"),
 		rxBytes:  metrics.Default.Counter("rpc.client.rx_bytes"),
 		calls:    metrics.Default.Counter("rpc.client.calls"),
+		late:     metrics.Default.Counter("rpc.client.late_responses"),
 
 		flushHist: metrics.Default.Histogram("rpc.client.flush_batch_frames", flushBatchBuckets),
 		readHist:  metrics.Default.Histogram("rpc.client.read_batch_frames", flushBatchBuckets),
@@ -157,28 +159,61 @@ func (c *Client) Addr() string { return c.addr }
 // framed must hold PayloadHeadroom bytes of scratch followed by the
 // encoded args (see codec.Encoder.Reserve); the transport fills the
 // framing into the scratch in place and writes the buffer with a single
-// Write. The headroom bytes are owned by CallFramed until it returns; the
-// args bytes are only read.
+// Write. The headroom bytes are owned by CallFramed until the frame is on
+// the wire; the args bytes are only read.
 //
 // On success the caller owns the returned Response and must call Release
 // after decoding; the payload from Response.Data is invalid afterwards.
+//
+// CallFramed is Start followed by a wait for the verdict or for ctx.
 func (c *Client) CallFramed(ctx context.Context, id MethodID, framed []byte, opts CallOptions) (*Response, error) {
+	p, err := c.Start(ctx, id, framed, opts)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case resp := <-p.Done():
+		return p.Result(resp)
+	case <-ctx.Done():
+		p.Abandon()
+		return nil, ctx.Err()
+	}
+}
+
+// Start sends one request and returns once its frame is on the wire,
+// leaving the response to be awaited through the returned Pending. The
+// buffer contract is CallFramed's, except that the headroom is free again
+// as soon as Start returns: a caller racing two requests over one buffer
+// (a hedge) may Start the second right after the first. ctx supplies the
+// request deadline and classifies late failures; Start does not watch it,
+// so the caller must select on ctx.Done itself and Abandon on cancellation.
+//
+// Exactly one of Result (with the value received from Done) or Abandon
+// must be called on every Pending returned with a nil error.
+func (c *Client) Start(ctx context.Context, id MethodID, framed []byte, opts CallOptions) (Pending, error) {
 	if len(framed) < PayloadHeadroom {
-		return nil, &TransportError{Addr: c.addr, Err: fmt.Errorf("rpc: framed buffer of %d bytes lacks %d bytes of headroom", len(framed), PayloadHeadroom)}
+		return Pending{}, &TransportError{Addr: c.addr, Err: fmt.Errorf("rpc: framed buffer of %d bytes lacks %d bytes of headroom", len(framed), PayloadHeadroom)}
 	}
 	c.calls.Inc()
 	cc, err := c.conn(ctx, opts.Shard)
 	if err != nil {
-		return nil, &TransportError{Addr: c.addr, Err: err}
+		return Pending{}, &TransportError{Addr: c.addr, Err: err}
 	}
-	resp, err := cc.roundTrip(ctx, id, framed, opts)
+	p, err := cc.send(ctx, id, framed, opts)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, &TransportError{Addr: c.addr, Err: err}
+		return Pending{}, c.callError(ctx, err)
 	}
-	return resp, nil
+	return p, nil
+}
+
+// callError maps a failed call to what the caller sees: the context's own
+// error once ctx is done (the failure is then most likely its consequence,
+// such as a server's "request expired" reply), else a *TransportError.
+func (c *Client) callError(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return &TransportError{Addr: c.addr, Err: err}
 }
 
 // Ping verifies liveness of the server with a ping/pong round trip. The
@@ -193,6 +228,20 @@ func (c *Client) Ping(ctx context.Context) error {
 		return &TransportError{Addr: c.addr, Err: err}
 	}
 	return nil
+}
+
+// PendingCalls reports calls registered on the client's connections whose
+// verdict has not been delivered, for tests and introspection.
+func (c *Client) PendingCalls() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, cc := range c.conns {
+		if cc != nil {
+			n += cc.pendingCount()
+		}
+	}
+	return n
 }
 
 // Close tears down all connections. In-flight calls fail.
@@ -499,7 +548,10 @@ func (cc *clientConn) readLoop() {
 			resp.data = payload[9:]
 			resp.rb = rb
 			if !cc.complete(id, resp) {
+				// The caller abandoned the call (a hedge loser, or
+				// cancellation) before its answer arrived.
 				resp.Release()
+				cc.client.late.Inc()
 			}
 		case framePong:
 			if len(payload) >= 8 {
@@ -570,11 +622,11 @@ func (cc *clientConn) writeInPlace(framed []byte) error {
 	return nil
 }
 
-// roundTrip sends one request and waits for its response. framed carries
-// PayloadHeadroom bytes of scratch ahead of the args, and the frame is
-// written in place from the caller's buffer unless the args are
-// compressed.
-func (cc *clientConn) roundTrip(ctx context.Context, method MethodID, framed []byte, opts CallOptions) (*Response, error) {
+// send registers a waiter for one request and writes its frame, returning
+// once the frame is on the wire. framed carries PayloadHeadroom bytes of
+// scratch ahead of the args, and the frame is written in place from the
+// caller's buffer unless the args are compressed.
+func (cc *clientConn) send(ctx context.Context, method MethodID, framed []byte, opts CallOptions) (Pending, error) {
 	id := cc.client.nextID.Add(1)
 	args := framed[PayloadHeadroom:]
 
@@ -614,7 +666,7 @@ func (cc *clientConn) roundTrip(ctx context.Context, method MethodID, framed []b
 
 	w, err := cc.register(id)
 	if err != nil {
-		return nil, err
+		return Pending{}, err
 	}
 
 	var werr error
@@ -646,63 +698,88 @@ func (cc *clientConn) roundTrip(ctx context.Context, method MethodID, framed []b
 	}
 	if werr != nil {
 		cc.forget(id, w)
-		return nil, werr
+		return Pending{}, werr
 	}
+	return Pending{cc: cc, w: w, id: id, ctx: ctx}, nil
+}
 
-	select {
-	case resp := <-w.ch:
-		// The channel is empty again: the slot can serve the next call.
-		waiterPool.Put(w)
-		if resp == nil {
-			// Conn-death verdict from the close sweep.
-			cc.mu.Lock()
-			err := cc.err
-			cc.mu.Unlock()
-			if err == nil {
-				err = fmt.Errorf("connection closed")
-			}
-			return nil, err
+// A Pending is one request whose frame is on the wire and whose verdict
+// has not been consumed. It is a small value: a caller may race several
+// (a hedge) in one select on its own goroutine, with no goroutine,
+// channel or context per request. A Pending is dead after Result or
+// Abandon, and must meet exactly one of them.
+type Pending struct {
+	cc  *clientConn
+	w   *waiter
+	id  uint64
+	ctx context.Context
+}
+
+// Done returns the channel that delivers the request's verdict: a
+// *Response, or nil if the connection died. Pass the received value to
+// Result.
+func (p Pending) Done() <-chan *Response { return p.w.ch }
+
+// Result interprets a verdict received from Done and retires the Pending.
+// On success the caller owns the Response and must Release it. Errors are
+// *TransportErrors (ErrOverloaded and ErrUnavailable among them), or the
+// context's error when the request's ctx is already done.
+func (p Pending) Result(resp *Response) (*Response, error) {
+	cc := p.cc
+	// The channel is empty again: the slot can serve the next call.
+	waiterPool.Put(p.w)
+	var err error
+	if resp == nil {
+		// Conn-death verdict from the close sweep.
+		cc.mu.Lock()
+		err = cc.err
+		cc.mu.Unlock()
+		if err == nil {
+			err = fmt.Errorf("connection closed")
 		}
-		switch resp.status {
-		case statusError:
-			err := fmt.Errorf("%s", resp.data)
-			resp.Release()
-			return nil, err
-		case statusOverloaded:
-			resp.Release()
-			return nil, ErrOverloaded
-		case statusUnavailable:
-			resp.Release()
-			return nil, ErrUnavailable
-		case statusOKCompressed:
-			data, err := decompress(resp.data)
-			if err != nil {
-				resp.Release()
-				return nil, err
-			}
-			// The payload moved to a fresh heap slice: drop the shared
-			// read-buffer reference now instead of pinning a batch buffer
-			// for as long as the caller holds the Response.
-			resp.data = data
-			if resp.rb != nil {
-				resp.rb.release()
-				resp.rb = nil
-			}
-			return resp, nil
-		}
-		return resp, nil
-	case <-ctx.Done():
-		// Tell the server to stop working on this request, then abandon
-		// it. forget reclaims a concurrently-delivered response so the
-		// read buffer is not stranded and the waiter slot is clean before
-		// it is reused (hedge losers land here routinely).
-		cc.forget(id, w)
-		var cbuf [9]byte
-		cbuf[0] = frameCancel
-		putUint64(cbuf[1:], id)
-		_ = cc.write(cbuf[:])
-		return nil, ctx.Err()
+		return nil, cc.client.callError(p.ctx, err)
 	}
+	switch resp.status {
+	case statusError:
+		err = fmt.Errorf("%s", resp.data)
+	case statusOverloaded:
+		err = ErrOverloaded
+	case statusUnavailable:
+		err = ErrUnavailable
+	case statusOKCompressed:
+		data, derr := decompress(resp.data)
+		if derr != nil {
+			err = derr
+			break
+		}
+		// The payload moved to a fresh heap slice: drop the shared
+		// read-buffer reference now instead of pinning a batch buffer
+		// for as long as the caller holds the Response.
+		resp.data = data
+		if resp.rb != nil {
+			resp.rb.release()
+			resp.rb = nil
+		}
+	}
+	if err != nil {
+		resp.Release()
+		return nil, cc.client.callError(p.ctx, err)
+	}
+	return resp, nil
+}
+
+// Abandon gives up on the request and retires the Pending: it tells the
+// server to stop working on it with a cancel frame, and reclaims a
+// concurrently delivered response so the read buffer is not stranded and
+// the waiter slot is clean before it is reused (hedge losers land here
+// routinely).
+func (p Pending) Abandon() {
+	cc := p.cc
+	cc.forget(p.id, p.w)
+	var cbuf [9]byte
+	cbuf[0] = frameCancel
+	putUint64(cbuf[1:], p.id)
+	_ = cc.write(cbuf[:])
 }
 
 func (cc *clientConn) ping(ctx context.Context) error {

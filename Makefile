@@ -28,14 +28,15 @@ test:
 race:
 	go test -race ./...
 
-# Allocation-budget gates for the zero-copy data plane (DESIGN.md §9) and
-# for hedging's standing cost on the client call path (DESIGN.md §8).
+# Allocation-budget gates for the zero-copy data plane (DESIGN.md §9), for
+# hedging's standing cost on the client call path (DESIGN.md §8), and for the
+# generated codecs (DESIGN.md §6).
 # They must run without -race: the detector makes sync.Pool drop Puts at
 # random, so alloc counts are only meaningful in a plain build. Two CPU
 # counts give two client stripe widths (min(4, GOMAXPROCS) conns), so a
 # stripe-width-dependent defect cannot pass on a 1-CPU host.
 allocs:
-	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc ./internal/core
+	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc ./internal/core ./internal/boutique
 
 # The end-to-end benchmark is its own module (perfbench/go.mod), so the
 # root vet and build never compile it; vet and test it here so a change to
@@ -62,8 +63,11 @@ bench:
 	go test -run xxx -bench . -benchtime 1x .
 
 # bench-json runs the data-plane microbenchmarks and records them as
-# machine-readable JSON in BENCH_rpc.json (EXPERIMENTS.md A9), and the
-# placement planner benchmark in BENCH_placement.json (EXPERIMENTS.md A6/A10).
+# machine-readable JSON in BENCH_rpc.json (EXPERIMENTS.md A9), the placement
+# planner benchmark in BENCH_placement.json (EXPERIMENTS.md A6/A10), and the
+# generated vs reflective codec round trip in BENCH_codec.json
+# (EXPERIMENTS.md A1).
 bench-json:
 	go test -run xxx -bench 'BenchmarkTransport|BenchmarkCall|BenchmarkPriority|BenchmarkReadBatch' -benchmem ./internal/rpc . | go run ./cmd/benchjson -out BENCH_rpc.json
 	go test -run xxx -bench 'BenchmarkPlacement' -benchmem . | go run ./cmd/benchjson -out BENCH_placement.json
+	go test -run xxx -bench 'BenchmarkOrderCodec' -benchmem -count 5 ./internal/boutique | go run ./cmd/benchjson -out BENCH_codec.json

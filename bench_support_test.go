@@ -83,3 +83,10 @@ func callEcho(ctx context.Context, client *rpc.Client, method rpc.MethodID, payl
 	resp.Release()
 	return nil
 }
+
+// emptyMsg is the args and results struct of a method with no parameters
+// and no results: it encodes to no bytes.
+type emptyMsg struct{}
+
+func (*emptyMsg) WeaverMarshal(*codec.Encoder)   {}
+func (*emptyMsg) WeaverUnmarshal(*codec.Decoder) {}

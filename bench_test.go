@@ -660,15 +660,15 @@ func BenchmarkHedgedTailLatency(b *testing.B) {
 			defer conn.Close()
 			spec := &codegen.MethodSpec{
 				Name:    "M",
-				NewArgs: func() any { return &struct{}{} },
-				NewRes:  func() any { return &struct{}{} },
+				NewArgs: func() codegen.Message { return &emptyMsg{} },
+				NewRes:  func() codegen.Message { return &emptyMsg{} },
 				Do:      func(context.Context, any, any, any) {},
 			}
 			ctx := context.Background()
 			lats := make([]time.Duration, 0, b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var args, res struct{}
+				var args, res emptyMsg
 				t0 := time.Now()
 				if err := conn.Invoke(ctx, component, spec, &args, &res, 0, false); err != nil {
 					b.Fatal(err)

@@ -1,33 +1,40 @@
 package boutique
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/codec"
+	"repro/internal/codegen"
 )
 
-// These tests pin the contract between weavergen's generated marshalers and
-// the reflection codec: every generated args/results struct must round-trip
-// byte-exactly through EncodePtr/Unmarshal, including compound fields that
-// take the reflection fallback path.
+// These tests pin the contract between weavergen's generated codecs and the
+// reflective engine: every generated args/results struct encodes to the
+// engine's bytes and round-trips through its generated methods.
 
 func TestGeneratedArgsImplementMarshaler(t *testing.T) {
-	// Compile-time-ish check that generated structs actually wire into the
-	// codec's fast path.
-	var _ codec.Marshaler = frontend_Checkout_Args{}
-	var _ codec.Unmarshaler = (*frontend_Checkout_Args)(nil)
-	var _ codec.Marshaler = checkout_PlaceOrder_Res{}
+	// Compile-time check that generated structs are codegen.Messages, as
+	// codegen.Conn requires.
+	var _ codegen.Message = (*frontend_Checkout_Args)(nil)
+	var _ codegen.Message = (*checkout_PlaceOrder_Res)(nil)
 }
 
-func roundTrip[T any](t *testing.T, in T) T {
+func roundTrip[T any, P interface {
+	*T
+	codegen.Message
+}](t *testing.T, in T) T {
 	t.Helper()
-	var e codec.Encoder
-	codec.EncodePtr(&e, &in)
+	var gen, eng codec.Encoder
+	P(&in).WeaverMarshal(&gen)
+	codec.EncodePtr(&eng, &in)
+	if !bytes.Equal(gen.Data(), eng.Data()) {
+		t.Fatalf("%T: generated encoding %x, engine %x", in, gen.Data(), eng.Data())
+	}
 	var out T
-	if err := codec.Unmarshal(e.Data(), &out); err != nil {
-		t.Fatalf("unmarshal %T: %v", in, err)
+	if err := codec.Parse(gen.Data(), P(&out)); err != nil {
+		t.Fatalf("parse %T: %v", in, err)
 	}
 	return out
 }

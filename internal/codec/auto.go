@@ -10,7 +10,9 @@ import (
 
 // Marshaler is implemented by types that provide a hand-written or generated
 // fast path for the weaver wire format. Auto-encoding prefers Marshaler over
-// reflection.
+// reflection when a type's value (not only its pointer) implements it. A
+// Marshaler must write at least one byte: slice and map counts are bounded
+// by the remaining input on that assumption.
 type Marshaler interface {
 	WeaverMarshal(*Encoder)
 }
@@ -68,8 +70,9 @@ func Decode(d *Decoder, v any) {
 // EncodePtr encodes the value that ptr points to, without the presence
 // byte a pointer field would carry. It is the encoding counterpart of
 // Decode/Unmarshal, which always write through a pointer: bytes produced by
-// EncodePtr(&v) decode with Unmarshal(data, &v). The RPC hot path uses it
-// to serialize args/results structs without copying them.
+// EncodePtr(&v) decode with Unmarshal(data, &v). Tests use it to encode a
+// generated args/results struct by reflection, as the oracle for its
+// generated WeaverMarshal method.
 func EncodePtr(e *Encoder, ptr any) {
 	rv := reflect.ValueOf(ptr)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
@@ -241,20 +244,29 @@ func compile(t reflect.Type) engine {
 			}
 		}
 		elem := engineOfLocked(t.Elem())
+		empty := wireEmpty(t.Elem())
 		return engine{
 			enc: func(e *Encoder, v reflect.Value) {
 				n := v.Len()
 				e.Len64(n)
+				if empty {
+					return
+				}
 				for i := 0; i < n; i++ {
 					elem.enc(e, v.Index(i))
 				}
 			},
 			dec: func(d *Decoder, v reflect.Value) {
-				n := int(d.Varint())
-				s := reflect.MakeSlice(t, 0, min(n, 1024))
-				zero := reflect.Zero(t.Elem())
+				if empty {
+					// Elements carry no bytes, so there is nothing to
+					// decode and no input to bound the count by.
+					n := d.Count()
+					v.Set(reflect.MakeSlice(t, n, n))
+					return
+				}
+				n := d.Len64("slice")
+				s := reflect.MakeSlice(t, n, n)
 				for i := 0; i < n; i++ {
-					s = reflect.Append(s, zero)
 					elem.dec(d, s.Index(i))
 				}
 				v.Set(s)
@@ -340,6 +352,7 @@ func compileMap(t reflect.Type) engine {
 	key := engineOfLocked(t.Key())
 	elem := engineOfLocked(t.Elem())
 	keyLess := lessFunc(t.Key())
+	empty := wireEmpty(t.Key()) && wireEmpty(t.Elem())
 	return engine{
 		enc: func(e *Encoder, v reflect.Value) {
 			n := v.Len()
@@ -354,7 +367,12 @@ func compileMap(t reflect.Type) engine {
 			}
 		},
 		dec: func(d *Decoder, v reflect.Value) {
-			n := int(d.Varint())
+			var n int
+			if empty {
+				n = d.Count()
+			} else {
+				n = d.Len64("map")
+			}
 			m := reflect.MakeMapWithSize(t, min(n, 1024))
 			kp := reflect.New(t.Key()).Elem()
 			vp := reflect.New(t.Elem()).Elem()
@@ -368,6 +386,33 @@ func compileMap(t reflect.Type) engine {
 			v.Set(m)
 		},
 	}
+}
+
+// wireEmpty reports whether every value of type t encodes to zero bytes: a
+// struct with nothing to encode, or an array of such values or of length
+// zero. A count of such elements cannot be bounded by the remaining input,
+// unlike every other count, which Decoder.Len64 bounds before allocating.
+// A Marshaler is assumed to write at least one byte.
+func wireEmpty(t reflect.Type) bool {
+	if t.Implements(marshalerType) && reflect.PointerTo(t).Implements(unmarshalerType) {
+		return false
+	}
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() == 0 || wireEmpty(t.Elem())
+	case reflect.Struct:
+		if t == timeType {
+			return false
+		}
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if f.IsExported() && f.Tag.Get("weaver") != "-" && !wireEmpty(f.Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // lessFunc returns an ordering for map keys of type t, or nil when keys of

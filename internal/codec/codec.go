@@ -334,6 +334,18 @@ func (d *Decoder) Len64(what string) int {
 	return int(v)
 }
 
+// Count decodes the element count of a slice or map whose elements occupy
+// no bytes on the wire, so the remaining input cannot bound it; the count
+// must only fit in an int. Callers allocate from it only when the elements
+// also occupy no memory (e.g. []struct{}).
+func (d *Decoder) Count() int {
+	v := d.Varint()
+	if v > math.MaxInt {
+		d.fail("count")
+	}
+	return int(v)
+}
+
 // String decodes a string.
 func (d *Decoder) String() string {
 	n := d.Len64("string")

@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -160,4 +162,30 @@ func TestEncodePtrNilPanics(t *testing.T) {
 	var e Encoder
 	var p *int
 	EncodePtr(&e, p)
+}
+
+// TestCountsBoundedBeforeAllocating pins how the engine reads slice and
+// map counts from hostile input: a count the remaining input cannot hold
+// fails with a *DecodeError before anything is allocated, and a count of
+// elements that occupy no bytes decodes without a per-element loop.
+func TestCountsBoundedBeforeAllocating(t *testing.T) {
+	var e Encoder
+	e.Varint(1 << 63) // negative as an int
+	for _, target := range []any{new([]int32), new(map[string]int), new([]string)} {
+		err := Unmarshal(e.Data(), target)
+		var de *DecodeError
+		if !errors.As(err, &de) {
+			t.Errorf("%T: count 1<<63 gave %v, want a *DecodeError", target, err)
+		}
+	}
+
+	e.Reset()
+	e.Varint(1 << 40)
+	var marks []struct{}
+	if err := Unmarshal(e.Data(), &marks); err != nil || len(marks) != 1<<40 {
+		t.Errorf("[]struct{} with count 1<<40: len %d, err %v", len(marks), err)
+	}
+	if got := Marshal(marks); !bytes.Equal(got, e.Data()) {
+		t.Errorf("re-encoded as %x, want %x", got, e.Data())
+	}
 }

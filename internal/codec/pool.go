@@ -2,11 +2,11 @@ package codec
 
 import "sync"
 
-// Encoder pooling. The data plane encodes one payload per RPC; allocating
-// a fresh Encoder (and growing its buffer from nil) on every call makes
-// serialization a per-call GC treadmill. GetEncoder/PutEncoder recycle
+// Encoder and decoder pooling. The data plane encodes one payload per RPC;
+// allocating a fresh Encoder (and growing its buffer from nil) on every call
+// makes serialization a per-call GC treadmill. GetEncoder/PutEncoder recycle
 // encoders and their buffers so a steady-state call encodes with zero heap
-// allocations.
+// allocations; Parse does the same for decoders.
 //
 // Ownership rule: a pooled encoder's buffer (everything returned by Data
 // and Framed) belongs to the holder until PutEncoder/Release, at which
@@ -43,3 +43,24 @@ func PutEncoder(e *Encoder) {
 // can travel as an opaque buffer owner (e.g. rpc.BufOwner) through layers
 // that know nothing about the codec.
 func (e *Encoder) Release() { PutEncoder(e) }
+
+var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
+
+// Parse decodes data, a complete message, into u with u's own
+// WeaverUnmarshal method, returning an error for malformed input or
+// trailing bytes. It is the entry point for generated codecs: the decoder
+// comes from a pool, so a call allocates only what u's fields need.
+func Parse(data []byte, u Unmarshaler) (err error) {
+	d := decoderPool.Get().(*Decoder)
+	d.Reset(data)
+	defer func() {
+		d.Reset(nil)
+		decoderPool.Put(d)
+	}()
+	defer Catch(&err)
+	u.WeaverUnmarshal(d)
+	if !d.Done() {
+		return &DecodeError{Offset: d.Offset(), What: "trailing bytes"}
+	}
+	return nil
+}

@@ -13,18 +13,21 @@ import "sync"
 // field values, and anything the struct pointed at is released to the GC.
 // Callers must not retain the struct, or interior pointers (slices,
 // strings, maps) read out of it, past Put.
-type Pool[T any] struct{ p sync.Pool }
+type Pool[T any, P interface {
+	*T
+	Message
+}] struct{ p sync.Pool }
 
 // Get returns a zeroed *T, recycled when possible.
-func (p *Pool[T]) Get() *T {
+func (p *Pool[T, P]) Get() P {
 	if v := p.p.Get(); v != nil {
-		return v.(*T)
+		return v.(P)
 	}
 	return new(T)
 }
 
 // Put zeroes x and returns it to the pool.
-func (p *Pool[T]) Put(x *T) {
+func (p *Pool[T, P]) Put(x P) {
 	if x == nil {
 		return
 	}
@@ -34,10 +37,10 @@ func (p *Pool[T]) Put(x *T) {
 }
 
 // GetAny and PutAny implement AnyPool.
-func (p *Pool[T]) GetAny() any { return p.Get() }
+func (p *Pool[T, P]) GetAny() Message { return p.Get() }
 
-func (p *Pool[T]) PutAny(v any) {
-	if x, ok := v.(*T); ok {
+func (p *Pool[T, P]) PutAny(v Message) {
+	if x, ok := v.(P); ok {
 		p.Put(x)
 	}
 }
@@ -45,6 +48,6 @@ func (p *Pool[T]) PutAny(v any) {
 // AnyPool is the untyped view of a Pool, used where the concrete struct
 // type is only known to generated code (e.g. MethodSpec).
 type AnyPool interface {
-	GetAny() any
-	PutAny(any)
+	GetAny() Message
+	PutAny(Message)
 }

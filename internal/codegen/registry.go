@@ -6,8 +6,9 @@
 // The method table is designed so that no transport performs reflection on
 // the hot path: for every component method the generator emits
 //
-//   - an args struct and a results struct (so both the unversioned data
-//     plane codec and the JSON baseline can serialize them),
+//   - an args struct and a results struct, each a Message whose generated
+//     WeaverMarshal/WeaverUnmarshal methods are the data plane's codec
+//     (the JSON baseline serializes the same structs),
 //   - a Do closure that type-asserts the implementation and argument
 //     struct to their concrete types and performs a direct method call.
 package codegen
@@ -18,6 +19,8 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+
+	"repro/internal/codec"
 )
 
 // A MethodSpec describes one method of a component interface.
@@ -26,10 +29,10 @@ type MethodSpec struct {
 	Name string
 
 	// NewArgs returns a pointer to a fresh args struct for this method.
-	NewArgs func() any
+	NewArgs func() Message
 
 	// NewRes returns a pointer to a fresh results struct.
-	NewRes func() any
+	NewRes func() Message
 
 	// Do invokes the method on impl with the given args struct, filling
 	// the caller-provided results struct. Application errors are recorded
@@ -61,6 +64,13 @@ type MethodSpec struct {
 	ResPool  AnyPool
 }
 
+// A Message is a method's generated args or results struct, which encodes
+// and decodes itself with the straight-line code weavergen emitted for it.
+type Message interface {
+	codec.Marshaler
+	codec.Unmarshaler
+}
+
 // A Conn delivers method invocations to a (possibly remote) component
 // implementation. The weaver data plane, the HTTP/JSON baseline, and the
 // in-process local path all implement Conn.
@@ -69,7 +79,7 @@ type Conn interface {
 	// the method's args struct; res is a pointer to its results struct,
 	// filled in on success. hasShard reports whether shard carries a
 	// routing affinity key.
-	Invoke(ctx context.Context, component string, m *MethodSpec, args, res any, shard uint64, hasShard bool) error
+	Invoke(ctx context.Context, component string, m *MethodSpec, args codec.Marshaler, res codec.Unmarshaler, shard uint64, hasShard bool) error
 }
 
 // A Registration records everything the runtime needs to know about one

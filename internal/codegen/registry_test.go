@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 type TestIface interface {
@@ -16,6 +18,11 @@ type testImpl struct{}
 
 func (*testImpl) M(context.Context) error { return nil }
 
+type emptyMsg struct{}
+
+func (*emptyMsg) WeaverMarshal(*codec.Encoder)   {}
+func (*emptyMsg) WeaverUnmarshal(*codec.Decoder) {}
+
 func validReg(name string) Registration {
 	return Registration{
 		Name:  name,
@@ -23,8 +30,8 @@ func validReg(name string) Registration {
 		Impl:  reflect.TypeOf(testImpl{}),
 		Methods: []*MethodSpec{{
 			Name:    "M",
-			NewArgs: func() any { return &struct{}{} },
-			NewRes:  func() any { return &struct{}{} },
+			NewArgs: func() Message { return &emptyMsg{} },
+			NewRes:  func() Message { return &emptyMsg{} },
 			Do:      func(context.Context, any, any, any) {},
 		}},
 		ClientStub: func(conn Conn) any { return nil },

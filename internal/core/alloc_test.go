@@ -28,7 +28,7 @@ func TestAllocsHedgedInvoke(t *testing.T) {
 		defer conn.Close()
 		ctx := context.Background()
 		call := func() {
-			var args, res struct{}
+			var args, res emptyMsg
 			if err := conn.Invoke(ctx, component, spec, &args, &res, 0, false); err != nil {
 				t.Fatal(err)
 			}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/callgraph"
+	"repro/internal/codec"
 	"repro/internal/codegen"
 	"repro/internal/logging"
 	"repro/internal/metrics"
@@ -440,7 +441,7 @@ type measuredConn struct {
 }
 
 // Invoke implements codegen.Conn.
-func (mc *measuredConn) Invoke(ctx context.Context, component string, m *codegen.MethodSpec, args, res any, shard uint64, hasShard bool) error {
+func (mc *measuredConn) Invoke(ctx context.Context, component string, m *codegen.MethodSpec, args codec.Marshaler, res codec.Unmarshaler, shard uint64, hasShard bool) error {
 	r := mc.runtime
 
 	// Load the route once: the whole call — dispatch and accounting —

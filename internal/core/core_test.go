@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/callgraph"
+	"repro/internal/codec"
 	"repro/internal/codegen"
 	"repro/internal/tracing"
 )
@@ -67,6 +68,21 @@ type pingRes struct {
 	HasErr bool
 }
 
+func (*pingArgs) WeaverMarshal(*codec.Encoder)   {}
+func (*pingArgs) WeaverUnmarshal(*codec.Decoder) {}
+
+func (x *pingRes) WeaverMarshal(e *codec.Encoder) {
+	e.String(x.R0)
+	e.String(x.Err)
+	e.Bool(x.HasErr)
+}
+
+func (x *pingRes) WeaverUnmarshal(d *codec.Decoder) {
+	x.R0 = d.String()
+	x.Err = d.String()
+	x.HasErr = d.Bool()
+}
+
 func (s pingStub) Ping(ctx context.Context) (string, error) {
 	var res pingRes
 	if err := s.conn.Invoke(ctx, "core_test/Ping", s.m, &pingArgs{}, &res, 0, false); err != nil {
@@ -91,8 +107,8 @@ func (s pongStub) Pong(ctx context.Context) (string, error) {
 func init() {
 	pingSpec := &codegen.MethodSpec{
 		Name:    "Ping",
-		NewArgs: func() any { return &pingArgs{} },
-		NewRes:  func() any { return &pingRes{} },
+		NewArgs: func() codegen.Message { return &pingArgs{} },
+		NewRes:  func() codegen.Message { return &pingRes{} },
 		Do: func(ctx context.Context, impl, args, res any) {
 			r := res.(*pingRes)
 			var err error
@@ -112,8 +128,8 @@ func init() {
 
 	pongSpec := &codegen.MethodSpec{
 		Name:    "Pong",
-		NewArgs: func() any { return &pingArgs{} },
-		NewRes:  func() any { return &pingRes{} },
+		NewArgs: func() codegen.Message { return &pingArgs{} },
+		NewRes:  func() codegen.Message { return &pingRes{} },
 		Do: func(ctx context.Context, impl, args, res any) {
 			r := res.(*pingRes)
 			var err error

@@ -92,7 +92,7 @@ func TestHedgeCancelAbandonsBothLegs(t *testing.T) {
 		return ctx.Err()
 	})
 	spec := emptySpec(false)
-	var args, res struct{}
+	var args, res emptyMsg
 	for range addrs {
 		// Warm-up: no hedge fires, since answers are immediate.
 		if err := conn.Invoke(context.Background(), component, spec, &args, &res, 0, false); err != nil {
@@ -164,7 +164,7 @@ func TestHedgeLoserLateResponseReleased(t *testing.T) {
 	releaseOnce := sync.OnceFunc(func() { close(release) })
 	t.Cleanup(releaseOnce) // runs before the servers close
 	spec := emptySpec(false)
-	var args, res struct{}
+	var args, res emptyMsg
 	for range addrs {
 		if err := conn.Invoke(context.Background(), component, spec, &args, &res, 0, false); err != nil {
 			t.Fatal(err)

@@ -33,8 +33,8 @@ func TestTransportRetryPolicy(t *testing.T) {
 	var calls atomic.Int64
 	spec := &codegen.MethodSpec{
 		Name:    "M",
-		NewArgs: func() any { return &struct{}{} },
-		NewRes:  func() any { return &struct{}{} },
+		NewArgs: func() codegen.Message { return &emptyMsg{} },
+		NewRes:  func() codegen.Message { return &emptyMsg{} },
 		Do:      func(context.Context, any, any, any) {},
 	}
 	registerEmpty(srv, "retry_test/C.M", func() { calls.Add(1) })
@@ -48,7 +48,7 @@ func TestTransportRetryPolicy(t *testing.T) {
 	t.Run("RetriableMethodFailsOver", func(t *testing.T) {
 		conn := NewDataPlaneConnWith("retry_test/C", &scriptedBalancer{seq: []string{dead, live}}, ConnOptions{})
 		defer conn.Close()
-		var args, res struct{}
+		var args, res emptyMsg
 		if err := conn.Invoke(context.Background(), "retry_test/C", spec, &args, &res, 0, false); err != nil {
 			t.Fatalf("retriable method failed despite a live replica: %v", err)
 		}
@@ -68,7 +68,7 @@ func TestTransportRetryPolicy(t *testing.T) {
 		}
 		conn := NewDataPlaneConnWith("retry_test/C", &scriptedBalancer{seq: []string{dead, live}}, ConnOptions{})
 		defer conn.Close()
-		var args, res struct{}
+		var args, res emptyMsg
 		err := conn.Invoke(context.Background(), "retry_test/C", noRetrySpec, &args, &res, 0, false)
 		if err == nil {
 			t.Fatal("noretry method was retried to success; at-most-once violated")

@@ -222,19 +222,21 @@ func (c *DataPlaneConn) hedgeDelay() time.Duration {
 	return d
 }
 
-// Invoke implements codegen.Conn. Arguments are encoded once into a pooled
-// encoder with transport headroom, so the request travels from codec to
-// wire without copies; the response payload is decoded straight out of the
-// transport's pooled read buffer and released afterwards. The call itself
-// runs retry → hedge → transport, driven by a stack-allocated callMeta.
-func (c *DataPlaneConn) Invoke(ctx context.Context, component string, m *codegen.MethodSpec, args, res any, shard uint64, hasShard bool) error {
+// Invoke implements codegen.Conn. Arguments are encoded once, by their
+// generated WeaverMarshal, into a pooled encoder with transport headroom, so
+// the request travels from codec to wire without copies; the response
+// payload is decoded by the results' generated WeaverUnmarshal straight out
+// of the transport's pooled read buffer and released afterwards. The call
+// itself runs retry → hedge → transport, driven by a stack-allocated
+// callMeta.
+func (c *DataPlaneConn) Invoke(ctx context.Context, component string, m *codegen.MethodSpec, args codec.Marshaler, res codec.Unmarshaler, shard uint64, hasShard bool) error {
 	enc := codec.GetEncoder()
 	enc.Reserve(rpc.PayloadHeadroom)
-	codec.EncodePtr(enc, args)
+	args.WeaverMarshal(enc)
 	meta := callMeta{
 		Component: c.component,
 		Method:    m,
-		MethodID:  rpc.MethodKey(c.component + "." + m.Name),
+		MethodID:  rpc.ComponentMethodKey(c.component, m.Name),
 		Shard:     shard,
 		HasShard:  hasShard,
 		Priority:  rpc.Priority(m.Priority),
@@ -250,7 +252,7 @@ func (c *DataPlaneConn) Invoke(ctx context.Context, component string, m *codegen
 	if err != nil {
 		return err
 	}
-	uerr := codec.Unmarshal(resp.Data(), res)
+	uerr := codec.Parse(resp.Data(), res)
 	resp.Release()
 	return uerr
 }
@@ -310,8 +312,8 @@ func (t *latencyTracker) p99() time.Duration {
 }
 
 // HostComponents exposes the implementations of the runtime's hosted
-// components on srv, using the unversioned codec for payloads. It
-// initializes each hosted component.
+// components on srv, decoding arguments and encoding results with the
+// methods' generated codecs. It initializes each hosted component.
 func HostComponents(ctx context.Context, r *Runtime, srv *rpc.Server, components []string) error {
 	for _, name := range components {
 		reg, ok := codegen.Find(name)
@@ -330,19 +332,19 @@ func HostComponents(ctx context.Context, r *Runtime, srv *rpc.Server, components
 				served.Inc()
 				start := time.Now()
 				defer func() { latency.Put(float64(time.Since(start).Microseconds())) }()
-				var args any
+				var args codegen.Message
 				if m.ArgsPool != nil {
 					args = m.ArgsPool.GetAny()
 				} else {
 					args = m.NewArgs()
 				}
-				if err := codec.Unmarshal(argBytes, args); err != nil {
+				if err := codec.Parse(argBytes, args); err != nil {
 					if m.ArgsPool != nil {
 						m.ArgsPool.PutAny(args)
 					}
 					return nil, nil, fmt.Errorf("bad arguments for %s.%s: %w", ShortName(reg.Name), m.Name, err)
 				}
-				var res any
+				var res codegen.Message
 				if m.ResPool != nil {
 					res = m.ResPool.GetAny()
 				} else {
@@ -354,7 +356,7 @@ func HostComponents(ctx context.Context, r *Runtime, srv *rpc.Server, components
 				// and releases the encoder (its Release is the BufOwner).
 				enc := codec.GetEncoder()
 				enc.Reserve(rpc.ResponseHeadroom)
-				codec.EncodePtr(enc, res)
+				res.WeaverMarshal(enc)
 				if m.ArgsPool != nil {
 					m.ArgsPool.PutAny(args)
 				}

@@ -8,19 +8,27 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/codegen"
 	"repro/internal/routing"
 	"repro/internal/rpc"
 	"repro/internal/tracing"
 )
 
+// emptyMsg is the args and results struct of a method with no parameters
+// and no results: it encodes to no bytes.
+type emptyMsg struct{}
+
+func (*emptyMsg) WeaverMarshal(*codec.Encoder)   {}
+func (*emptyMsg) WeaverUnmarshal(*codec.Decoder) {}
+
 // emptySpec returns a MethodSpec with empty args/results, the shape every
 // remote-conn test here needs.
 func emptySpec(noRetry bool) *codegen.MethodSpec {
 	return &codegen.MethodSpec{
 		Name:    "M",
-		NewArgs: func() any { return &struct{}{} },
-		NewRes:  func() any { return &struct{}{} },
+		NewArgs: func() codegen.Message { return &emptyMsg{} },
+		NewRes:  func() codegen.Message { return &emptyMsg{} },
 		Do:      func(context.Context, any, any, any) {},
 		NoRetry: noRetry,
 	}
@@ -80,7 +88,7 @@ func TestOverloadShedRetriesElsewhereForNoRetry(t *testing.T) {
 		ConnOptions{DisableHedging: true})
 	defer conn.Close()
 
-	var args, res struct{}
+	var args, res emptyMsg
 	if err := conn.Invoke(context.Background(), component, emptySpec(true), &args, &res, 0, false); err != nil {
 		t.Fatalf("noretry call failed despite healthy second replica: %v", err)
 	}
@@ -104,7 +112,7 @@ func TestRetriesPreferUntriedReplicas(t *testing.T) {
 		ConnOptions{DisableHedging: true})
 	defer conn.Close()
 
-	var args, res struct{}
+	var args, res emptyMsg
 	if err := conn.Invoke(context.Background(), component, emptySpec(false), &args, &res, 0, false); err != nil {
 		t.Fatalf("call failed despite a live replica: %v", err)
 	}
@@ -121,7 +129,7 @@ func TestNoReplicaGraceInjectable(t *testing.T) {
 		ConnOptions{NoReplicaGrace: 80 * time.Millisecond, DisableHedging: true})
 	defer conn.Close()
 
-	var args, res struct{}
+	var args, res emptyMsg
 	start := time.Now()
 	err := conn.Invoke(context.Background(), "grace_test/C", emptySpec(false), &args, &res, 0, false)
 	elapsed := time.Since(start)
@@ -146,7 +154,7 @@ func TestNoReplicaGraceRespectsCancellation(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	var args, res struct{}
+	var args, res emptyMsg
 	start := time.Now()
 	err := conn.Invoke(ctx, "grace_cancel/C", emptySpec(false), &args, &res, 0, false)
 	if !errors.Is(err, context.Canceled) {
@@ -176,7 +184,7 @@ func TestNoAttemptStartsPastDeadline(t *testing.T) {
 	defer conn.Close()
 
 	ctx := lateCtx{Context: context.Background(), deadline: time.Now().Add(-time.Millisecond)}
-	var args, res struct{}
+	var args, res emptyMsg
 	err := conn.Invoke(ctx, component, emptySpec(false), &args, &res, 0, false)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("call past its deadline = %v, want context.DeadlineExceeded", err)
@@ -210,7 +218,7 @@ func TestBreakerRoutesAroundSlowReplica(t *testing.T) {
 	invoke := func(timeout time.Duration) error {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
-		var args, res struct{}
+		var args, res emptyMsg
 		return conn.Invoke(ctx, component, spec, &args, &res, 0, false)
 	}
 
@@ -269,7 +277,7 @@ func TestHedgingReducesTailLatency(t *testing.T) {
 	spec := emptySpec(false)
 	var worst time.Duration
 	for i := 0; i < 16; i++ {
-		var args, res struct{}
+		var args, res emptyMsg
 		start := time.Now()
 		if err := conn.Invoke(context.Background(), component, spec, &args, &res, 0, false); err != nil {
 			t.Fatalf("call %d: %v", i, err)
@@ -324,7 +332,7 @@ func TestHedgedCallsSurviveReplicaDeathOnStripedConns(t *testing.T) {
 					close(killAt)
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				var args, res struct{}
+				var args, res emptyMsg
 				err := conn.Invoke(ctx, component, spec, &args, &res, 0, false)
 				cancel()
 				if err != nil {
@@ -357,7 +365,7 @@ func TestHedgingDisabledForNoRetry(t *testing.T) {
 
 	spec := emptySpec(true)
 	for i := 0; i < 8; i++ {
-		var args, res struct{}
+		var args, res emptyMsg
 		if err := conn.Invoke(context.Background(), component, spec, &args, &res, 0, false); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -392,7 +400,7 @@ func TestHedgeLoserSpanRecorded(t *testing.T) {
 	spec := emptySpec(false)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		var args, res struct{}
+		var args, res emptyMsg
 		if err := conn.Invoke(ctx, component, spec, &args, &res, 0, false); err != nil {
 			t.Fatal(err)
 		}

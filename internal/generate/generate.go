@@ -4,9 +4,13 @@
 // embed weaver.Implements[T]. For every discovered component it emits, into
 // weaver_gen.go in the same package:
 //
-//   - an args struct and a results struct per method, so that both the
-//     unversioned data-plane codec and the JSON baseline can serialize
-//     method invocations;
+//   - an args struct and a results struct per method, whose
+//     WeaverMarshal/WeaverUnmarshal methods are the data plane's codec (the
+//     JSON baseline serializes the same structs);
+//   - one straight-line encode and one decode function for every type
+//     reachable from a method's parameters and results (codecs.go), found
+//     by type-checking the package with go/types. No reflection runs on a
+//     call; a type the wire format cannot carry is a generation-time error;
 //   - a client stub type implementing the component interface, whose
 //     methods pack arguments and delegate to a codegen.Conn;
 //   - a server-side dispatch closure per method that calls the real
@@ -27,6 +31,7 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -67,8 +72,9 @@ type method struct {
 }
 
 type param struct {
-	name string // synthesized names a0, a1, ...
-	typ  string // printed type expression
+	name string     // synthesized names a0, a1, ...
+	typ  string     // printed type expression
+	t    types.Type // type-checked type
 }
 
 // Generate scans the package in opts.Dir and returns the contents of its
@@ -116,6 +122,15 @@ func Generate(opts Options) ([]byte, error) {
 	}
 	if len(g.components) == 0 {
 		return nil, nil
+	}
+	g.loadTypes(opts.Dir)
+	g.codecs = newCodecGen(g)
+	for _, c := range g.components {
+		for _, m := range c.methods {
+			if err := g.codecs.fieldTypes(c.ifaceName, m); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return g.emit()
 }
@@ -189,6 +204,10 @@ type generator struct {
 	// fileImports maps each parsed file to its import table
 	// (local name -> path).
 	fileImportsCache map[*ast.File]map[string]string
+
+	tpkg    *types.Package // the type-checked package
+	typeErr error          // first type-checking error, if any
+	codecs  *codecGen
 }
 
 // scan walks the package, discovering components.
@@ -637,6 +656,11 @@ func (g *generator) emit() ([]byte, error) {
 	for _, c := range g.components {
 		g.emitComponent(&body, c)
 	}
+	g.addImport("repro/internal/codec", "codec")
+	if len(g.codecs.order) > 0 {
+		fmt.Fprintf(&body, "// Encoders and decoders for the types reachable from component methods.\n\n")
+		g.codecs.emitFuncs(&body)
+	}
 
 	paths := make([]string, 0, len(g.imports))
 	for p := range g.imports {
@@ -673,14 +697,15 @@ func (g *generator) emitComponent(b *bytes.Buffer, c *component) {
 
 	// Args/result structs, with generated marshal/unmarshal code (§4.2:
 	// the generator "generates code to marshal and unmarshal arguments to
-	// component methods"). The codec prefers these over reflection.
+	// component methods"). Callers reach them through codec.Marshaler and
+	// codec.Unmarshaler, with no reflection.
 	for _, m := range c.methods {
 		fmt.Fprintf(b, "type %s struct {\n", argsType(c, m))
 		for i, p := range m.params {
 			fmt.Fprintf(b, "\tP%d %s\n", i, p.typ)
 		}
 		fmt.Fprintf(b, "}\n\n")
-		g.emitMarshal(b, argsType(c, m), fieldsOf("P", m.params))
+		g.codecs.emitMethods(b, argsType(c, m), fieldsOf("P", m.params))
 
 		fmt.Fprintf(b, "type %s struct {\n", resType(c, m))
 		for i, r := range m.results {
@@ -688,15 +713,15 @@ func (g *generator) emitComponent(b *bytes.Buffer, c *component) {
 		}
 		fmt.Fprintf(b, "\tErr string\n\tHasErr bool\n}\n\n")
 		resFields := append(fieldsOf("R", m.results),
-			field{name: "Err", typ: "string"},
-			field{name: "HasErr", typ: "bool"})
-		g.emitMarshal(b, resType(c, m), resFields)
+			field{name: "Err", t: types.Typ[types.String]},
+			field{name: "HasErr", t: types.Typ[types.Bool]})
+		g.codecs.emitMethods(b, resType(c, m), resFields)
 
 		// Pools recycle the args/results structs across calls: the stub
 		// draws from them on the caller side, and the hosting path (via
 		// MethodSpec.ArgsPool/ResPool) on the server side.
-		fmt.Fprintf(b, "var %s_pool codegen.Pool[%s]\n", argsType(c, m), argsType(c, m))
-		fmt.Fprintf(b, "var %s_pool codegen.Pool[%s]\n\n", resType(c, m), resType(c, m))
+		fmt.Fprintf(b, "var %s_pool codegen.Pool[%s, *%s]\n", argsType(c, m), argsType(c, m), argsType(c, m))
+		fmt.Fprintf(b, "var %s_pool codegen.Pool[%s, *%s]\n\n", resType(c, m), resType(c, m), resType(c, m))
 	}
 
 	// Client stub.
@@ -761,8 +786,8 @@ func (g *generator) emitComponent(b *bytes.Buffer, c *component) {
 	for _, m := range c.methods {
 		fmt.Fprintf(b, "\tm%s%s := &codegen.MethodSpec{\n", c.ifaceName, m.name)
 		fmt.Fprintf(b, "\t\tName: %q,\n", m.name)
-		fmt.Fprintf(b, "\t\tNewArgs: func() any { return new(%s) },\n", argsType(c, m))
-		fmt.Fprintf(b, "\t\tNewRes: func() any { return new(%s) },\n", resType(c, m))
+		fmt.Fprintf(b, "\t\tNewArgs: func() codegen.Message { return new(%s) },\n", argsType(c, m))
+		fmt.Fprintf(b, "\t\tNewRes: func() codegen.Message { return new(%s) },\n", resType(c, m))
 		fmt.Fprintf(b, "\t\tDo: func(ctx context.Context, impl, args, res any) {\n")
 		fmt.Fprintf(b, "\t\t\ta := args.(*%s)\n", argsType(c, m))
 		fmt.Fprintf(b, "\t\t\tr := res.(*%s)\n", resType(c, m))
@@ -836,76 +861,15 @@ func (g *generator) emitComponent(b *bytes.Buffer, c *component) {
 // field names one struct field for marshal-code generation.
 type field struct {
 	name string
-	typ  string
+	t    types.Type
 }
 
 func fieldsOf(prefix string, params []param) []field {
 	out := make([]field, len(params))
 	for i, p := range params {
-		out[i] = field{name: fmt.Sprintf("%s%d", prefix, i), typ: p.typ}
+		out[i] = field{name: fmt.Sprintf("%s%d", prefix, i), t: p.t}
 	}
 	return out
-}
-
-// scalarCodec maps syntactic type names to Encoder/Decoder method names.
-// Fields of any other type fall back to the reflection-based codec, which
-// produces identical wire bytes on both ends of the connection (same
-// binary), so mixing fast and slow paths is safe.
-var scalarCodec = map[string]string{
-	"bool":       "Bool",
-	"string":     "String",
-	"int":        "Int",
-	"int8":       "Int8",
-	"int16":      "Int16",
-	"int32":      "Int32",
-	"int64":      "Int64",
-	"uint":       "Uint",
-	"uint8":      "Uint8",
-	"uint16":     "Uint16",
-	"uint32":     "Uint32",
-	"uint64":     "Uint64",
-	"float32":    "Float32",
-	"float64":    "Float64",
-	"complex64":  "Complex64",
-	"complex128": "Complex128",
-	"[]byte":     "Bytes",
-	"byte":       "Uint8",
-	"rune":       "Int32",
-}
-
-// emitMarshal writes WeaverMarshal/WeaverUnmarshal methods for a generated
-// struct. Scalar fields get direct Encoder/Decoder calls; compound fields
-// use the reflection codec.
-func (g *generator) emitMarshal(b *bytes.Buffer, typeName string, fields []field) {
-	g.addImport("repro/internal/codec", "codec")
-
-	fmt.Fprintf(b, "// WeaverMarshal implements codec.Marshaler.\n")
-	fmt.Fprintf(b, "func (x %s) WeaverMarshal(e *codec.Encoder) {\n", typeName)
-	for _, f := range fields {
-		if m, ok := scalarCodec[f.typ]; ok {
-			fmt.Fprintf(b, "\te.%s(x.%s)\n", m, f.name)
-		} else {
-			fmt.Fprintf(b, "\tcodec.Encode(e, x.%s)\n", f.name)
-		}
-	}
-	if len(fields) == 0 {
-		fmt.Fprintf(b, "\t_ = e\n")
-	}
-	fmt.Fprintf(b, "}\n\n")
-
-	fmt.Fprintf(b, "// WeaverUnmarshal implements codec.Unmarshaler.\n")
-	fmt.Fprintf(b, "func (x *%s) WeaverUnmarshal(d *codec.Decoder) {\n", typeName)
-	for _, f := range fields {
-		if m, ok := scalarCodec[f.typ]; ok {
-			fmt.Fprintf(b, "\tx.%s = d.%s()\n", f.name, m)
-		} else {
-			fmt.Fprintf(b, "\tcodec.Decode(d, &x.%s)\n", f.name)
-		}
-	}
-	if len(fields) == 0 {
-		fmt.Fprintf(b, "\t_ = d\n")
-	}
-	fmt.Fprintf(b, "}\n\n")
 }
 
 func argsType(c *component, m *method) string {

@@ -1,6 +1,7 @@
 package generate
 
 import (
+	"bytes"
 	"go/parser"
 	"go/token"
 	"os"
@@ -53,18 +54,32 @@ func TestGeneratedSymbols(t *testing.T) {
 		"a0 ...string",
 		// Imported type from another package survives.
 		"time.Duration",
-		// Map parameters go through the codec fallback.
-		"type store_BulkPut_Args struct",
-		"codec.Encode(e, x.P0)",
-		// Generated marshal/unmarshal fast paths (§4.2).
-		"func (x cache_Get_Args) WeaverMarshal(e *codec.Encoder)",
+		// Generated marshal/unmarshal methods (§4.2).
+		"func (x *cache_Get_Args) WeaverMarshal(e *codec.Encoder)",
 		"func (x *cache_Get_Args) WeaverUnmarshal(d *codec.Decoder)",
-		// Scalar fields use direct calls; compound fields fall back.
 		"e.String(x.P0)",
-		"codec.Encode(e, x.P1)", // time.Duration in Touch
+		// The map parameter gets its own generated code, keys sorted.
+		"type store_BulkPut_Args struct",
+		"weaverEnc_map_string_slice_byte(e, &x.P0)",
+		"func weaverEnc_map_string_slice_byte(e *codec.Encoder, x *map[string][]byte)",
+		"func weaverDec_map_string_slice_byte(d *codec.Decoder, x *map[string][]byte)",
+		"slices.Sort(keys)",
+		"e.Bytes(v)",
+		// time.Duration in Touch, by its underlying int64; time.Time as
+		// Unix nanoseconds.
+		"e.Int64(int64(x.P1))",
+		"x.P1 = time.Duration(d.Int64())",
+		"e.Int64(x.R0.UnixNano())",
+		"x.R0 = time.Unix(0, d.Int64()).UTC()",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated code missing %q", want)
+		}
+	}
+	// No reflective fallback remains.
+	for _, banned := range []string{"codec.Encode(", "codec.Decode(", "codec.EncodePtr(", "codec.Unmarshal("} {
+		if strings.Contains(src, banned) {
+			t.Errorf("generated code calls %s", banned)
 		}
 	}
 	if strings.Count(src, "Shard: func") != 3 {
@@ -269,5 +284,68 @@ func TestPackagePathFromGoMod(t *testing.T) {
 	}
 	if got != "repro/internal/generate/testdata/cachepkg" {
 		t.Errorf("packagePath = %q", got)
+	}
+}
+
+func TestRejectsUnserializableTypes(t *testing.T) {
+	for _, tc := range []struct{ typ, want string }{
+		{"chan int", "chan int cannot be serialized"},
+		{"func()", "cannot be serialized"},
+		{"error", "error cannot be serialized"},
+		{"map[string]any", "cannot be serialized"},
+		{"[]struct{ x int }", "cannot bound their count"},
+		{"wrapper", "field In: type chan string cannot be serialized"},
+	} {
+		dir := t.TempDir()
+		src := `package bad
+
+import (
+	"context"
+
+	"repro/weaver"
+)
+
+type wrapper struct{ In chan string }
+
+type B interface {
+	M(ctx context.Context, v ` + tc.typ + `) error
+}
+
+type bImpl struct {
+	weaver.Implements[B]
+}
+`
+		if err := os.WriteFile(filepath.Join(dir, "b.go"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Generate(Options{Dir: dir, PkgPath: "example/bad"})
+		if err == nil || !strings.Contains(err.Error(), "B.M: parameter 1") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a generation-time error containing %q", tc.typ, err, tc.want)
+		}
+	}
+}
+
+// TestCommittedCodeIsFresh regenerates every committed weaver_gen.go and
+// fails on any difference, so a generator change cannot ship without the
+// code it would produce.
+func TestCommittedCodeIsFresh(t *testing.T) {
+	for _, dir := range []string{
+		"../boutique",
+		"../testpkg",
+		"../../examples/cache",
+		"../../examples/quickstart",
+	} {
+		want, err := os.ReadFile(filepath.Join(dir, "weaver_gen.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Generate(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		if !bytes.Equal(got, want) {
+			pkg := filepath.ToSlash(filepath.Join("internal/generate", dir))
+			t.Errorf("%s/weaver_gen.go is stale; regenerate it with `go run ./cmd/weavergen ./%s` from the repository root", pkg, pkg)
+		}
 	}
 }

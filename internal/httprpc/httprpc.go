@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/codegen"
 	"repro/internal/metrics"
 	"repro/internal/routing"
@@ -149,7 +150,7 @@ func (c *Conn) Close() {
 }
 
 // Invoke implements codegen.Conn.
-func (c *Conn) Invoke(ctx context.Context, component string, m *codegen.MethodSpec, args, res any, shard uint64, hasShard bool) error {
+func (c *Conn) Invoke(ctx context.Context, component string, m *codegen.MethodSpec, args codec.Marshaler, res codec.Unmarshaler, shard uint64, hasShard bool) error {
 	addr, err := c.balancer.Pick(shard, hasShard)
 	if err != nil {
 		return err

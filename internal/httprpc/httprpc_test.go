@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/codegen"
 	"repro/internal/routing"
 )
@@ -37,10 +38,17 @@ type addRes struct {
 	HasErr bool
 }
 
+// The JSON transport never calls these; they make the structs
+// codegen.Messages.
+func (*addArgs) WeaverMarshal(*codec.Encoder)   {}
+func (*addArgs) WeaverUnmarshal(*codec.Decoder) {}
+func (*addRes) WeaverMarshal(*codec.Encoder)    {}
+func (*addRes) WeaverUnmarshal(*codec.Decoder)  {}
+
 var addSpec = &codegen.MethodSpec{
 	Name:    "Add",
-	NewArgs: func() any { return &addArgs{} },
-	NewRes:  func() any { return &addRes{} },
+	NewArgs: func() codegen.Message { return &addArgs{} },
+	NewRes:  func() codegen.Message { return &addRes{} },
 	Do: func(ctx context.Context, impl, args, res any) {
 		a := args.(*addArgs)
 		r := res.(*addRes)

@@ -42,8 +42,6 @@ package rpc
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sync"
 )
 
@@ -92,9 +90,29 @@ type MethodID uint32
 // both compute identical IDs without any negotiation; the handler registry
 // rejects colliding names at registration time.
 func MethodKey(fullName string) MethodID {
-	h := fnv.New32a()
-	_, _ = io.WriteString(h, fullName)
-	return MethodID(h.Sum32())
+	return MethodID(fnv1a(fnvOffset32, fullName))
+}
+
+// ComponentMethodKey returns MethodKey(component + "." + method) without
+// building the string: the data plane computes it on every call.
+func ComponentMethodKey(component, method string) MethodID {
+	h := fnv1a(fnvOffset32, component)
+	h = (h ^ '.') * fnvPrime32
+	return MethodID(fnv1a(h, method))
+}
+
+// 32-bit FNV-1a, as hash/fnv computes it, inlined so hashing a method
+// name neither allocates nor converts the string.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * fnvPrime32
+	}
+	return h
 }
 
 // header is the fixed-size portion of a request frame, following the type

@@ -10,6 +10,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/weaver"
 )
@@ -20,7 +21,45 @@ type Echo interface {
 	Echo(ctx context.Context, msg string) (string, error)
 	// WhoAmI returns the serving process id.
 	WhoAmI(ctx context.Context) (int, error)
+	// Mirror returns its argument, so the codecs generated for Kinds
+	// cross the wire in both directions.
+	Mirror(ctx context.Context, v Kinds) (Kinds, error)
 }
+
+// Kinds has a field of every kind the code generator serializes beyond
+// the ones the boutique uses. FuzzGeneratedCodec checks the codecs
+// generated for it against the reflective engine in internal/codec.
+type Kinds struct {
+	Names   map[string]int32
+	ByID    map[int64]string
+	Flags   map[bool]uint16
+	Leaf    *Leaf
+	Depth   **int8
+	Arr     [3]int16
+	Blob    []byte
+	At      time.Time
+	TTL     time.Duration
+	Grid    [][]string
+	Marks   []struct{} // elements that occupy no bytes
+	Pair    [2]struct{}
+	Label   Label
+	Labels  []Label
+	U       uint
+	I       int
+	Next    *Kinds
+	Skipped string `weaver:"-"`
+	hidden  int
+}
+
+// Leaf is a struct reached through a pointer.
+type Leaf struct {
+	A uint64
+	B bool
+	C []uint32
+}
+
+// Label is a named string.
+type Label string
 
 type echoImpl struct {
 	weaver.Implements[Echo]
@@ -28,6 +67,10 @@ type echoImpl struct {
 
 func (e *echoImpl) Echo(_ context.Context, msg string) (string, error) {
 	return msg, nil
+}
+
+func (e *echoImpl) Mirror(_ context.Context, v Kinds) (Kinds, error) {
+	return v, nil
 }
 
 func (e *echoImpl) WhoAmI(_ context.Context) (int, error) {

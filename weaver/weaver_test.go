@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/codegen"
 	"repro/internal/routing"
 )
@@ -69,6 +70,28 @@ type adderAddRes struct {
 	HasErr bool
 }
 
+func (x *adderAddArgs) WeaverMarshal(e *codec.Encoder) {
+	e.Int(x.P0)
+	e.Int(x.P1)
+}
+
+func (x *adderAddArgs) WeaverUnmarshal(d *codec.Decoder) {
+	x.P0 = d.Int()
+	x.P1 = d.Int()
+}
+
+func (x *adderAddRes) WeaverMarshal(e *codec.Encoder) {
+	e.Int(x.R0)
+	e.String(x.Err)
+	e.Bool(x.HasErr)
+}
+
+func (x *adderAddRes) WeaverUnmarshal(d *codec.Decoder) {
+	x.R0 = d.Int()
+	x.Err = d.String()
+	x.HasErr = d.Bool()
+}
+
 type adderClientStub struct {
 	conn codegen.Conn
 	add  *codegen.MethodSpec
@@ -93,6 +116,22 @@ type greeterGreetRes struct {
 	HasErr bool
 }
 
+func (x *greeterGreetArgs) WeaverMarshal(e *codec.Encoder) { e.String(x.P0) }
+
+func (x *greeterGreetArgs) WeaverUnmarshal(d *codec.Decoder) { x.P0 = d.String() }
+
+func (x *greeterGreetRes) WeaverMarshal(e *codec.Encoder) {
+	e.String(x.R0)
+	e.String(x.Err)
+	e.Bool(x.HasErr)
+}
+
+func (x *greeterGreetRes) WeaverUnmarshal(d *codec.Decoder) {
+	x.R0 = d.String()
+	x.Err = d.String()
+	x.HasErr = d.Bool()
+}
+
 type greeterClientStub struct {
 	conn  codegen.Conn
 	greet *codegen.MethodSpec
@@ -110,8 +149,8 @@ func (s greeterClientStub) Greet(ctx context.Context, name string) (string, erro
 func init() {
 	adderMethods := []*codegen.MethodSpec{{
 		Name:    "Add",
-		NewArgs: func() any { return &adderAddArgs{} },
-		NewRes:  func() any { return &adderAddRes{} },
+		NewArgs: func() codegen.Message { return &adderAddArgs{} },
+		NewRes:  func() codegen.Message { return &adderAddRes{} },
 		Do: func(ctx context.Context, impl, args, res any) {
 			a := args.(*adderAddArgs)
 			r := res.(*adderAddRes)
@@ -132,8 +171,8 @@ func init() {
 
 	greeterMethods := []*codegen.MethodSpec{{
 		Name:    "Greet",
-		NewArgs: func() any { return &greeterGreetArgs{} },
-		NewRes:  func() any { return &greeterGreetRes{} },
+		NewArgs: func() codegen.Message { return &greeterGreetArgs{} },
+		NewRes:  func() codegen.Message { return &greeterGreetRes{} },
 		Do: func(ctx context.Context, impl, args, res any) {
 			a := args.(*greeterGreetArgs)
 			r := res.(*greeterGreetRes)

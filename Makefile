@@ -3,9 +3,11 @@
 # Tier-1 verification: everything a PR must keep green.
 check: vet lint build race allocs perfbench sim
 
-# Lint gate: gofmt cleanliness, plus the control plane's single-routing-site
+# Lint gate: gofmt cleanliness, the control plane's single-routing-site
 # invariant (DESIGN.md §14): routing-mutation envelope calls inside
-# internal/manager may appear only in the actuator.
+# internal/manager may appear only in the actuator, and the call path's
+# single metric-binding site (DESIGN.md §13): inside internal/core, metrics
+# are looked up by name only in handles.go, where call-site handles bind.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
@@ -14,6 +16,12 @@ lint:
 		| grep -v '^internal/manager/actuator\.go:' || true); \
 	if [ -n "$$out" ]; then \
 		echo "routing mutation outside internal/manager/actuator.go:"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -rn -E '\.Metrics\.(Counter|Histogram|Gauge)\(' \
+		--include='*.go' internal/core \
+		| grep -v '^internal/core/handles\.go:' || true); \
+	if [ -n "$$out" ]; then \
+		echo "metric lookup by name outside internal/core/handles.go:"; \
 		echo "$$out"; exit 1; fi
 
 build:
@@ -29,8 +37,9 @@ race:
 	go test -race ./...
 
 # Allocation-budget gates for the zero-copy data plane (DESIGN.md §9), for
-# hedging's standing cost on the client call path (DESIGN.md §8), and for the
-# generated codecs (DESIGN.md §6).
+# hedging's standing cost on the client call path (DESIGN.md §8), for a
+# co-located call's bookkeeping (DESIGN.md §13), and for the generated
+# codecs (DESIGN.md §6).
 # They must run without -race: the detector makes sync.Pool drop Puts at
 # random, so alloc counts are only meaningful in a plain build. Two CPU
 # counts give two client stripe widths (min(4, GOMAXPROCS) conns), so a
@@ -62,12 +71,14 @@ sim-soak:
 bench:
 	go test -run xxx -bench . -benchtime 1x .
 
-# bench-json runs the data-plane microbenchmarks and records them as
-# machine-readable JSON in BENCH_rpc.json (EXPERIMENTS.md A9), the placement
+# bench-json runs the data-plane microbenchmarks and the local-call
+# benchmark (at one and two CPUs) and records them as machine-readable JSON
+# in BENCH_rpc.json (EXPERIMENTS.md A9, A16), the placement
 # planner benchmark in BENCH_placement.json (EXPERIMENTS.md A6/A10), and the
 # generated vs reflective codec round trip in BENCH_codec.json
 # (EXPERIMENTS.md A1).
 bench-json:
-	go test -run xxx -bench 'BenchmarkTransport|BenchmarkCall|BenchmarkPriority|BenchmarkReadBatch' -benchmem ./internal/rpc . | go run ./cmd/benchjson -out BENCH_rpc.json
+	{ go test -run xxx -bench 'BenchmarkTransport|BenchmarkCall|BenchmarkPriority|BenchmarkReadBatch' -benchmem ./internal/rpc . && \
+	  go test -run xxx -bench 'BenchmarkLocalCall' -benchmem -cpu 1,2 ./internal/core; } | go run ./cmd/benchjson -out BENCH_rpc.json
 	go test -run xxx -bench 'BenchmarkPlacement' -benchmem . | go run ./cmd/benchjson -out BENCH_placement.json
 	go test -run xxx -bench 'BenchmarkOrderCodec' -benchmem -count 5 ./internal/boutique | go run ./cmd/benchjson -out BENCH_codec.json

@@ -17,9 +17,13 @@ import (
 // A Result is one benchmark line, e.g.
 //
 //	BenchmarkTransport/WeaverTCP-8  92558  12607 ns/op  1832 B/op  18 allocs/op
+//
+// Name drops the -N GOMAXPROCS suffix; Procs keeps it (1 when absent), so
+// runs of one benchmark at several -cpu values stay distinguishable.
 type Result struct {
 	Pkg        string             `json:"pkg,omitempty"`
 	Name       string             `json:"name"`
+	Procs      int                `json:"procs"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -49,9 +53,11 @@ func main() {
 		if err != nil {
 			continue
 		}
+		procs := maxProcsSuffix(fields[0])
 		r := Result{
 			Pkg:        pkg,
-			Name:       strings.TrimSuffix(fields[0], fmt.Sprintf("-%d", maxProcsSuffix(fields[0]))),
+			Name:       strings.TrimSuffix(fields[0], fmt.Sprintf("-%d", procs)),
+			Procs:      max(procs, 1),
 			Iterations: iters,
 			Metrics:    map[string]float64{},
 		}

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/tracing"
@@ -42,81 +43,122 @@ type edgeKey struct {
 	caller, callee, method string
 }
 
+// An EdgeHandle accumulates one edge's statistics with atomic adds. A stub
+// binds the handle for its (caller, callee, method) once and records every
+// call through it, so recording takes no lock and makes no map lookup.
+type EdgeHandle struct {
+	// Every call adds to calls and nanos; they lead so they share a cache
+	// line.
+	calls  atomic.Uint64
+	nanos  atomic.Uint64 // two's complement of TotalNanos
+	errors atomic.Uint64
+	bytes  atomic.Uint64
+	remote atomic.Uint64
+	key    edgeKey
+}
+
+// Record adds one call observation to the edge.
+func (h *EdgeHandle) Record(d time.Duration, bytes int, remote, errored bool) {
+	h.calls.Add(1)
+	h.nanos.Add(uint64(d.Nanoseconds()))
+	if bytes != 0 {
+		h.bytes.Add(uint64(bytes))
+	}
+	if remote {
+		h.remote.Add(1)
+	}
+	if errored {
+		h.errors.Add(1)
+	}
+}
+
+// load returns the edge's current statistics; with reset it also zeroes
+// them. Fields are read one by one, so a call recorded concurrently with a
+// reset may split its fields across two drains; every observation is still
+// counted exactly once in the sum of drains.
+func (h *EdgeHandle) load(reset bool) Edge {
+	get := func(v *atomic.Uint64) uint64 {
+		if reset {
+			return v.Swap(0)
+		}
+		return v.Load()
+	}
+	return Edge{Caller: h.key.caller, Callee: h.key.callee, Method: h.key.method,
+		Calls: get(&h.calls), Errors: get(&h.errors), Bytes: get(&h.bytes),
+		TotalNanos: int64(get(&h.nanos)), Remote: get(&h.remote)}
+}
+
+func (e *Edge) empty() bool {
+	return e.Calls == 0 && e.Errors == 0 && e.Bytes == 0 && e.TotalNanos == 0 && e.Remote == 0
+}
+
 // A Collector accumulates edges. It is safe for concurrent use and cheap
-// enough to run always-on.
+// enough to run always-on: the mutex guards only the set of edges, and
+// counts live in each edge's atomic EdgeHandle. An edge appears in Edges
+// and Drain only once it has something to report, so a bound but unused
+// handle is invisible.
 type Collector struct {
 	mu    sync.Mutex
-	edges map[edgeKey]*Edge
+	edges map[edgeKey]*EdgeHandle
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{edges: map[edgeKey]*Edge{}}
+	return &Collector{edges: map[edgeKey]*EdgeHandle{}}
 }
 
-// Record adds one call observation.
+// Edge returns the handle for calls from caller to callee's method,
+// creating it on first use. The handle stays valid across Drain and Reset.
+func (c *Collector) Edge(caller, callee, method string) *EdgeHandle {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.edgeLocked(edgeKey{caller, callee, method})
+}
+
+func (c *Collector) edgeLocked(k edgeKey) *EdgeHandle {
+	h := c.edges[k]
+	if h == nil {
+		h = &EdgeHandle{key: k}
+		c.edges[k] = h
+	}
+	return h
+}
+
+// Record adds one call observation. Call sites that record repeatedly
+// should bind an EdgeHandle with Edge instead.
 func (c *Collector) Record(caller, callee, method string, d time.Duration, bytes int, remote, errored bool) {
 	if c == nil {
 		return
 	}
-	k := edgeKey{caller, callee, method}
-	c.mu.Lock()
-	e := c.edges[k]
-	if e == nil {
-		e = &Edge{Caller: caller, Callee: callee, Method: method}
-		c.edges[k] = e
-	}
-	e.Calls++
-	e.TotalNanos += d.Nanoseconds()
-	e.Bytes += uint64(bytes)
-	if remote {
-		e.Remote++
-	}
-	if errored {
-		e.Errors++
-	}
-	c.mu.Unlock()
+	c.Edge(caller, callee, method).Record(d, bytes, remote, errored)
 }
 
 // Edges returns a copy of all edges, sorted by (caller, callee, method).
 func (c *Collector) Edges() []Edge {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Edge, 0, len(c.edges))
-	for _, e := range c.edges {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Caller != b.Caller {
-			return a.Caller < b.Caller
-		}
-		if a.Callee != b.Callee {
-			return a.Callee < b.Callee
-		}
-		return a.Method < b.Method
-	})
-	return out
+	return c.collect(false)
 }
 
 // Reset discards all recorded edges.
 func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.edges = map[edgeKey]*Edge{}
-	c.mu.Unlock()
+	c.collect(true)
 }
 
-// Drain atomically returns all recorded edges and resets the collector.
-// Proclets use it to ship deltas to the manager.
+// Drain returns all recorded edges and resets the collector. Proclets use
+// it to ship deltas to the manager.
 func (c *Collector) Drain() []Edge {
+	return c.collect(true)
+}
+
+// collect snapshots every non-empty edge, sorted, zeroing them with reset.
+func (c *Collector) collect(reset bool) []Edge {
 	c.mu.Lock()
-	edges := c.edges
-	c.edges = map[edgeKey]*Edge{}
-	c.mu.Unlock()
-	out := make([]Edge, 0, len(edges))
-	for _, e := range edges {
-		out = append(out, *e)
+	out := make([]Edge, 0, len(c.edges))
+	for _, h := range c.edges {
+		if e := h.load(reset); !e.empty() {
+			out = append(out, e)
+		}
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Caller != b.Caller {
@@ -135,18 +177,12 @@ func (c *Collector) Merge(batch []Edge) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, in := range batch {
-		k := edgeKey{in.Caller, in.Callee, in.Method}
-		e := c.edges[k]
-		if e == nil {
-			cp := in
-			c.edges[k] = &cp
-			continue
-		}
-		e.Calls += in.Calls
-		e.Errors += in.Errors
-		e.Bytes += in.Bytes
-		e.TotalNanos += in.TotalNanos
-		e.Remote += in.Remote
+		h := c.edgeLocked(edgeKey{in.Caller, in.Callee, in.Method})
+		h.calls.Add(in.Calls)
+		h.errors.Add(in.Errors)
+		h.bytes.Add(in.Bytes)
+		h.nanos.Add(uint64(in.TotalNanos))
+		h.remote.Add(in.Remote)
 	}
 }
 

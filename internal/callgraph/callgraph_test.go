@@ -145,3 +145,69 @@ func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
 	c.Record("A", "B", "M", time.Microsecond, 1, true, false) // must not panic
 }
+
+func TestEdgeHandleSurvivesDrain(t *testing.T) {
+	c := NewCollector()
+	h := c.Edge("A", "B", "M")
+	if n := len(c.Edges()); n != 0 {
+		t.Fatalf("bound but unused handle shows %d edges, want 0", n)
+	}
+	h.Record(time.Microsecond, 0, true, true)
+	if d := c.Drain(); len(d) != 1 || d[0].Calls != 1 || d[0].Errors != 1 || d[0].Remote != 1 {
+		t.Fatalf("first drain = %+v", d)
+	}
+	if n := len(c.Drain()); n != 0 {
+		t.Fatalf("second drain with no calls = %d edges, want 0", n)
+	}
+	h.Record(2*time.Microsecond, 0, false, false)
+	if c.Edge("A", "B", "M") != h {
+		t.Error("Edge returned a different handle for the same edge")
+	}
+	d := c.Drain()
+	if len(d) != 1 || d[0].Calls != 1 || d[0].Errors != 0 || d[0].Remote != 0 || d[0].TotalNanos != 2000 {
+		t.Errorf("drain after re-use = %+v", d)
+	}
+}
+
+// TestDrainConcurrentWithRecord checks that no observation is lost or
+// double-counted when drains race with recording: the drained deltas sum
+// to exactly what was recorded.
+func TestDrainConcurrentWithRecord(t *testing.T) {
+	c := NewCollector()
+	h := c.Edge("A", "B", "M")
+	const writers, perWriter = 4, 5000
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perWriter; j++ {
+				h.Record(time.Nanosecond, 1, true, false)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var sum Edge
+	go func() {
+		defer close(done)
+		add := func(batch []Edge) {
+			for _, e := range batch {
+				sum.Calls += e.Calls
+				sum.Bytes += e.Bytes
+				sum.Remote += e.Remote
+				sum.TotalNanos += e.TotalNanos
+			}
+		}
+		for sum.Calls < writers*perWriter {
+			add(c.Drain())
+		}
+		wg.Wait()
+		add(c.Drain())
+	}()
+	wg.Wait()
+	<-done
+	const n = writers * perWriter
+	if sum.Calls != n || sum.Bytes != n || sum.Remote != n || sum.TotalNanos != n {
+		t.Errorf("drained sum = %+v, want %d of each", sum, n)
+	}
+}

@@ -153,7 +153,9 @@ func (w *Wheel) tickOf(t time.Time) uint64 {
 // Schedule restarts it.
 func (w *Wheel) run() {
 	for {
-		<-w.clk.After(w.tick)
+		// Sleep, not After: After would allocate a timer and a channel on
+		// every tick of a busy wheel.
+		w.clk.Sleep(w.tick)
 		now := w.clk.Now()
 		var due []Expirer
 		w.mu.Lock()

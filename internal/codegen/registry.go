@@ -28,6 +28,11 @@ type MethodSpec struct {
 	// Name is the bare method name, e.g. "Greet".
 	Name string
 
+	// Index is the method's position in its Registration's Methods, set
+	// by Register. The runtime keys its per-method call-site state (metric
+	// handles, cached wire ids) by it, so a call looks nothing up by name.
+	Index int
+
 	// NewArgs returns a pointer to a fresh args struct for this method.
 	NewArgs func() Message
 
@@ -178,6 +183,9 @@ func Register(r Registration) {
 	}
 	cp := r
 	sort.Slice(cp.Methods, func(i, j int) bool { return cp.Methods[i].Name < cp.Methods[j].Name })
+	for i, m := range cp.Methods {
+		m.Index = i
+	}
 	registry[r.Name] = &cp
 	byIface[r.Iface] = &cp
 }

@@ -115,3 +115,24 @@ func TestErrorWireHelpers(t *testing.T) {
 		t.Errorf("WireToError = %v", err)
 	}
 }
+
+func TestRegisterAssignsMethodIndex(t *testing.T) {
+	defer ClearForTesting()
+	r := validReg("a/Indexed")
+	spec := func(name string) *MethodSpec {
+		m := *r.Methods[0]
+		m.Name = name
+		return &m
+	}
+	r.Methods = []*MethodSpec{spec("Zeta"), spec("Alpha"), spec("Mu")}
+	Register(r)
+	got, _ := Find("a/Indexed")
+	for i, m := range got.Methods {
+		if m.Index != i {
+			t.Errorf("%s.Index = %d, want its position %d", m.Name, m.Index, i)
+		}
+	}
+	if got.Methods[0].Name != "Alpha" {
+		t.Errorf("methods not sorted: first is %s", got.Methods[0].Name)
+	}
+}

@@ -247,6 +247,7 @@ func (r *Runtime) getClient(ctx context.Context, name, caller string) (any, erro
 			caller:  caller,
 			callee:  c.reg.Name,
 			comp:    c,
+			handles: make([]atomic.Pointer[methodHandle], len(c.reg.Methods)),
 		})
 	}
 
@@ -432,12 +433,14 @@ func (r *Runtime) buildImpl(ctx context.Context, c *comp) error {
 // measuredConn is the conn behind every stub: it resolves the component's
 // current route on each call (so a callee that moves between groups flips
 // between direct dispatch and the data plane without re-resolving the
-// stub) and records metrics, call-graph edges, and trace spans.
+// stub) and records metrics, call-graph edges, and trace spans through
+// per-method handles bound on first use (handles.go).
 type measuredConn struct {
 	runtime *Runtime
 	caller  string
 	callee  string
 	comp    *comp
+	handles []atomic.Pointer[methodHandle] // by MethodSpec.Index
 }
 
 // Invoke implements codegen.Conn.
@@ -474,16 +477,20 @@ func (mc *measuredConn) Invoke(ctx context.Context, component string, m *codegen
 
 	// Establish the span for this call. A fresh trace is started at entry
 	// points (no inbound context); the root makes the sampling decision
-	// here, and the bit rides every downstream hop's span context.
+	// here, and the bit rides every downstream hop's span context. Only
+	// a sampled trace records spans, so only its hops need span ids of
+	// their own: an unsampled call passes its parent's ctx through
+	// unchanged, and its downstream hops inherit the same unsampled span
+	// context without a context allocation.
 	var sc tracing.SpanContext
-	parent, hasParent := tracing.FromContext(ctx)
-	if hasParent {
-		sc = parent.Child()
+	if parent, ok := tracing.FromContext(ctx); ok {
+		if parent.Sampled {
+			sc = parent.Child()
+			ctx = tracing.ContextWith(ctx, sc)
+		}
 	} else if r.opts.Tracer != nil {
 		sc = tracing.NewTrace()
 		sc.Sampled = r.opts.Tracer.Sampled(sc.Trace)
-	}
-	if sc.Valid() {
 		ctx = tracing.ContextWith(ctx, sc)
 	}
 
@@ -495,23 +502,9 @@ func (mc *measuredConn) Invoke(ctx context.Context, component string, m *codegen
 		m.Do(ctx, st.impl, args, res)
 	}
 	elapsed := time.Since(start)
+	mc.handle(m).record(elapsed, remote, err != nil)
 
-	if r.opts.Graph != nil {
-		r.opts.Graph.Record(mc.caller, mc.callee, m.Name, elapsed, 0, remote, err != nil)
-	}
-	short := ShortName(mc.callee)
-	r.opts.Metrics.Counter("component.calls." + short + "." + m.Name).Inc()
-	if !remote {
-		// Local calls are served by this process; count them toward its
-		// load so the autoscaler sees colocated traffic too.
-		r.opts.Metrics.Counter("component.served." + short).Inc()
-	}
-	if err != nil {
-		r.opts.Metrics.Counter("component.errors." + short + "." + m.Name).Inc()
-	}
-	r.opts.Metrics.Histogram("component.latency_us."+short, nil).Put(float64(elapsed.Microseconds()))
-
-	if r.opts.Tracer != nil && sc.Valid() {
+	if r.opts.Tracer != nil && sc.Sampled {
 		span := tracing.Span{
 			Trace:      uint64(sc.Trace),
 			ID:         uint64(sc.Span),
@@ -526,7 +519,7 @@ func (mc *measuredConn) Invoke(ctx context.Context, component string, m *codegen
 		if err != nil {
 			span.Err = err.Error()
 		}
-		r.opts.Tracer.RecordSampled(span, sc.Sampled)
+		r.opts.Tracer.RecordSampled(span, true)
 	}
 	return err
 }

@@ -41,6 +41,11 @@ import (
 // request header.
 type DataPlaneConn struct {
 	component string
+	// methods and methodIDs hold the registered component's methods and
+	// their wire ids, by MethodSpec.Index, so a call does not rehash its
+	// method name. Both are nil for an unregistered component name.
+	methods   []*codegen.MethodSpec
+	methodIDs []rpc.MethodID
 	balancer  routing.Balancer
 	pick      routing.Balancer // balancer filtered through breaker health
 	opts      ConnOptions
@@ -134,6 +139,13 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 		mHedgeWins: metrics.Default.Counter("core.dataplane.hedge_wins"),
 		mOverload:  metrics.Default.Counter("core.dataplane.overloaded"),
 		mUnavail:   metrics.Default.Counter("core.dataplane.unavailable"),
+	}
+	if reg, ok := codegen.Find(component); ok {
+		c.methods = reg.Methods
+		c.methodIDs = make([]rpc.MethodID, len(reg.Methods))
+		for i, m := range reg.Methods {
+			c.methodIDs[i] = rpc.ComponentMethodKey(component, m.Name)
+		}
 	}
 	c.breakers = rpc.NewBreakerGroup(opts.Breaker)
 	c.breakers.SetProbe(func(ctx context.Context, addr string) error {
@@ -236,7 +248,7 @@ func (c *DataPlaneConn) Invoke(ctx context.Context, component string, m *codegen
 	meta := callMeta{
 		Component: c.component,
 		Method:    m,
-		MethodID:  rpc.ComponentMethodKey(c.component, m.Name),
+		MethodID:  c.methodID(m),
 		Shard:     shard,
 		HasShard:  hasShard,
 		Priority:  rpc.Priority(m.Priority),
@@ -255,6 +267,15 @@ func (c *DataPlaneConn) Invoke(ctx context.Context, component string, m *codegen
 	uerr := codec.Parse(resp.Data(), res)
 	resp.Release()
 	return uerr
+}
+
+// methodID returns m's wire id: the cached one when m is a method of the
+// registered component, otherwise a fresh hash.
+func (c *DataPlaneConn) methodID(m *codegen.MethodSpec) rpc.MethodID {
+	if m.Index < len(c.methods) && c.methods[m.Index] == m {
+		return c.methodIDs[m.Index]
+	}
+	return rpc.ComponentMethodKey(c.component, m.Name)
 }
 
 // latencyTracker keeps a small ring of recent successful call latencies
@@ -324,8 +345,7 @@ func HostComponents(ctx context.Context, r *Runtime, srv *rpc.Server, components
 		if err != nil {
 			return err
 		}
-		served := r.opts.Metrics.Counter("component.served." + ShortName(name))
-		latency := r.opts.Metrics.Histogram("component.served_latency_us."+ShortName(name), nil)
+		served, latency := r.servedHandles(name)
 		for _, m := range reg.Methods {
 			m := m
 			srv.RegisterFramed(reg.FullMethod(m.Name), func(ctx context.Context, argBytes []byte) ([]byte, rpc.BufOwner, error) {

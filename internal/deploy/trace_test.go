@@ -82,6 +82,16 @@ func TestMultiHopTraceAssembled(t *testing.T) {
 		t.Fatalf("no complete ViewCart trace assembled; collected %d traces", len(all))
 	}
 
+	// Every hop records a span of its own: no two spans of the trace
+	// share an id.
+	ids := map[uint64]tracing.Span{}
+	for _, s := range got {
+		if prev, dup := ids[s.ID]; dup {
+			t.Errorf("span id %d shared by %s.%s and %s.%s", s.ID, prev.Component, prev.Method, s.Component, s.Method)
+		}
+		ids[s.ID] = s
+	}
+
 	// Every hop of the request must hang off the frontend call's span.
 	root, _ := findSpan(got, "Frontend", "ViewCart")
 	for _, hop := range []struct{ component, method string }{

@@ -65,11 +65,13 @@ var DefaultBuckets = func() []float64 {
 }()
 
 // A Histogram records a distribution of observations in fixed buckets.
+// Its count is the sum of its buckets, not a field of its own: a Put then
+// writes no field on the cache line that holds bounds and buckets, which
+// every Put reads, unless the observation is positive and adds to sum.
 type Histogram struct {
 	name    string
 	bounds  []float64 // upper bounds, ascending; implicit +Inf bucket at end
 	buckets []atomic.Uint64
-	count   atomic.Uint64
 	sum     atomic.Uint64 // sum in micro-units
 }
 
@@ -80,14 +82,19 @@ func (h *Histogram) Name() string { return h.name }
 func (h *Histogram) Put(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	if v > 0 {
 		h.sum.Add(uint64(v * 1e6))
 	}
 }
 
 // Count returns the number of recorded observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of recorded observations (only positive observations
 // contribute). Count and Sum together give the distribution's mean — e.g.
@@ -257,11 +264,11 @@ func (r *Registry) Snapshot() []Snapshot {
 			Kind:    KindHistogram,
 			Bounds:  append([]float64(nil), h.bounds...),
 			Buckets: make([]uint64, len(h.buckets)),
-			Count:   h.count.Load(),
 			Sum:     float64(h.sum.Load()) / 1e6,
 		}
 		for i := range h.buckets {
 			s.Buckets[i] = h.buckets[i].Load()
+			s.Count += s.Buckets[i]
 		}
 		out = append(out, s)
 	}

@@ -119,3 +119,80 @@ func TestMetaVisibleToHandler(t *testing.T) {
 		t.Errorf("handler saw trace %+v, want trace id %d with sampled bit", info.Trace, sc.Trace)
 	}
 }
+
+// TestCallInfoSurvivesWrappedContext pins the reqCtx field contract: the
+// handler's own ctx answers InfoFromContext and tracing.FromContext from
+// fields, and a ctx the handler derives from it with context.WithCancel or
+// context.WithValue still resolves both through Value. An untraced call
+// has CallInfo but no span context.
+func TestCallInfoSurvivesWrappedContext(t *testing.T) {
+	type seen struct {
+		info      CallInfo
+		infoOK    bool
+		trace     tracing.SpanContext
+		traceOK   bool
+		wrapperOf string
+	}
+	type otherKey struct{}
+	s := NewServer()
+	got := make(chan []seen, 1)
+	registerBytes(s, "wrap.Probe", func(ctx context.Context, args []byte) ([]byte, error) {
+		if _, ok := ctx.(tracing.Carrier); !ok {
+			t.Errorf("handler ctx %T is not a tracing.Carrier", ctx)
+		}
+		cancelCtx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		ctxs := []struct {
+			name string
+			ctx  context.Context
+		}{
+			{"handler ctx", ctx},
+			{"WithCancel", cancelCtx},
+			{"WithValue", context.WithValue(ctx, otherKey{}, 1)},
+			{"WithValue over WithCancel", context.WithValue(cancelCtx, otherKey{}, 1)},
+		}
+		var out []seen
+		for _, c := range ctxs {
+			var v seen
+			v.wrapperOf = c.name
+			v.info, v.infoOK = InfoFromContext(c.ctx)
+			v.trace, v.traceOK = tracing.FromContext(c.ctx)
+			out = append(out, v)
+		}
+		got <- out
+		return nil, nil
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := NewClient(addr, ClientOptions{})
+	defer c.Close()
+
+	method := MethodKey("wrap.Probe")
+	sc := tracing.SpanContext{Trace: 111, Span: 222, Parent: 333, Sampled: true}
+	if _, err := callBytes(context.Background(), c, method, nil, CallOptions{Trace: sc, Shard: 9}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range <-got {
+		if !v.infoOK || v.info.Method != "wrap.Probe" || v.info.Shard != 9 || v.info.Trace != sc {
+			t.Errorf("%s: InfoFromContext = %+v, %v", v.wrapperOf, v.info, v.infoOK)
+		}
+		if !v.traceOK || v.trace != sc {
+			t.Errorf("%s: tracing.FromContext = %+v, %v; want %+v", v.wrapperOf, v.trace, v.traceOK, sc)
+		}
+	}
+
+	if _, err := callBytes(context.Background(), c, method, nil, CallOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range <-got {
+		if !v.infoOK || v.info.Method != "wrap.Probe" {
+			t.Errorf("untraced %s: InfoFromContext = %+v, %v", v.wrapperOf, v.info, v.infoOK)
+		}
+		if v.traceOK {
+			t.Errorf("untraced %s: tracing.FromContext = %+v, want none", v.wrapperOf, v.trace)
+		}
+	}
+}

@@ -59,6 +59,9 @@ type callInfoKey struct{}
 
 // InfoFromContext returns the CallInfo for an in-flight handler invocation.
 func InfoFromContext(ctx context.Context) (CallInfo, bool) {
+	if rc, ok := ctx.(*reqCtx); ok {
+		return rc.info, rc.hasInfo
+	}
 	ci, ok := ctx.Value(callInfoKey{}).(CallInfo)
 	return ci, ok
 }
@@ -448,7 +451,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // handleRequest runs one request to completion: admission, dispatch, and
 // response write. It runs on a per-request goroutine; args aliases the
 // pooled request frame, which the caller returns to the pool afterwards.
-func (s *Server) handleRequest(ctx context.Context, cw *connWriter, hdr header, args []byte) {
+func (s *Server) handleRequest(rc *reqCtx, cw *connWriter, hdr header, args []byte) {
 	// Count in-flight before checking the drain gate: Drain stores the flag
 	// and then polls the counter, so a request that saw draining==false is
 	// guaranteed visible to the poll.
@@ -469,14 +472,14 @@ func (s *Server) handleRequest(ctx context.Context, cw *connWriter, hdr header, 
 	}
 
 	rank := hdr.meta.Priority.shedRank()
-	if !s.admit(ctx, hdr.meta) {
+	if !s.admit(rc, hdr.meta) {
 		s.shed.Inc()
 		s.shedByClass[rank].Inc()
 		_ = cw.respond(hdr.id, statusOverloaded, nil)
 		return
 	}
 	s.admittedByClass[rank].Inc()
-	result, owner, herr := s.dispatch(ctx, hdr, args)
+	result, owner, herr := s.dispatch(rc, hdr, args)
 	s.release()
 
 	if herr != nil {
@@ -585,7 +588,7 @@ func (cw *connWriter) respondFramed(id uint64, status byte, framed []byte) error
 // cannot take down the proclet. On success result carries
 // ResponseHeadroom scratch ahead of the payload, and owner (when non-nil)
 // must be released once the result bytes are no longer referenced.
-func (s *Server) dispatch(ctx context.Context, hdr header, args []byte) (result []byte, owner BufOwner, err error) {
+func (s *Server) dispatch(rc *reqCtx, hdr header, args []byte) (result []byte, owner BufOwner, err error) {
 	s.mu.Lock()
 	h, ok := s.handlers[hdr.method]
 	if ok && !h.tombstone {
@@ -606,7 +609,7 @@ func (s *Server) dispatch(ctx context.Context, hdr header, args []byte) (result 
 		}
 	}()
 
-	info := CallInfo{
+	rc.info = CallInfo{
 		Method: h.name,
 		Trace: tracing.SpanContext{
 			Trace:   tracing.TraceID(hdr.trace),
@@ -617,11 +620,8 @@ func (s *Server) dispatch(ctx context.Context, hdr header, args []byte) (result 
 		Shard: hdr.shard,
 		Meta:  hdr.meta,
 	}
-	ctx = context.WithValue(ctx, callInfoKey{}, info)
-	if info.Trace.Valid() {
-		ctx = tracing.ContextWith(ctx, info.Trace)
-	}
-	if err := ctx.Err(); err != nil {
+	rc.hasInfo = true
+	if err := rc.Err(); err != nil {
 		return nil, nil, err
 	}
 	// The degrade-replica fault (SetDelay) stalls dispatch until the delay
@@ -632,12 +632,12 @@ func (s *Server) dispatch(ctx context.Context, hdr header, args []byte) (result 
 		timer := s.opts.Clock.NewTimer(d)
 		select {
 		case <-timer.C():
-		case <-ctx.Done():
+		case <-rc.Done():
 			timer.Stop()
-			return nil, nil, ctx.Err()
+			return nil, nil, rc.Err()
 		}
 	}
-	return h.ffn(ctx, args)
+	return h.ffn(rc, args)
 }
 
 // ErrShutdown is returned for calls attempted on a closed client.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/tracing"
 )
 
 // A reqCtx is the context.Context of one in-flight server request. It
@@ -15,6 +16,14 @@ import (
 // cancel frame, conn death, or expiry — flips one mutex-guarded error.
 // The done channel is created only if someone asks for it, so requests
 // whose handlers never select on ctx.Done() pay no channel allocation.
+//
+// The reqCtx also carries the call's CallInfo, span context included, as
+// fields rather than as context values: dispatch fills info once, before
+// the handler runs, and nothing writes it afterwards. InfoFromContext and
+// tracing.FromContext read the fields directly (reqCtx is a
+// tracing.Carrier), and Value answers both keys, so a context a handler
+// derives from this one still resolves them. Serving a request therefore
+// allocates one context, this struct, instead of one per layer.
 //
 // reqCtxs are deliberately not pooled: a recycled context reachable from a
 // stale wheel entry or a straggling handler would be a use-after-free; one
@@ -26,12 +35,15 @@ type reqCtx struct {
 	deadline time.Time // zero when the request carries none
 	entry    clock.WheelEntry
 
+	info    CallInfo // set by dispatch before the handler runs
+	hasInfo bool
+
 	mu   sync.Mutex
 	done chan struct{} // lazily created
 	err  error
 }
 
-var _ context.Context = (*reqCtx)(nil)
+var _ tracing.Carrier = (*reqCtx)(nil)
 var _ clock.Expirer = (*reqCtx)(nil)
 
 func (rc *reqCtx) Deadline() (time.Time, bool) { return rc.deadline, !rc.deadline.IsZero() }
@@ -66,7 +78,26 @@ func (rc *reqCtx) Err() error {
 	return err
 }
 
-func (rc *reqCtx) Value(any) any { return nil }
+// Value answers the CallInfo and span-context keys from rc's fields. It
+// boxes its answer, so it serves only contexts derived from rc; callers
+// holding rc itself take the field fast paths.
+func (rc *reqCtx) Value(key any) any {
+	if !rc.hasInfo {
+		return nil
+	}
+	if _, ok := key.(callInfoKey); ok {
+		return rc.info
+	}
+	if tracing.IsKey(key) && rc.info.Trace.Valid() {
+		return rc.info.Trace
+	}
+	return nil
+}
+
+// SpanContext implements tracing.Carrier.
+func (rc *reqCtx) SpanContext() (tracing.SpanContext, bool) {
+	return rc.info.Trace, rc.info.Trace.Valid()
+}
 
 func (rc *reqCtx) cancel(err error) {
 	rc.mu.Lock()

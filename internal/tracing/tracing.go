@@ -80,8 +80,29 @@ func ContextWith(ctx context.Context, sc SpanContext) context.Context {
 	return context.WithValue(ctx, ctxKey{}, sc)
 }
 
-// FromContext extracts the span context from ctx, if any.
+// A Carrier is a context that holds its span context in a field instead of
+// a context value, so reading it neither walks a value chain nor boxes.
+// The rpc server's per-request context is one. A Carrier's Value method
+// must also answer the tracing key (see IsKey), so that a context derived
+// from it, e.g. by context.WithCancel, still resolves the span context.
+type Carrier interface {
+	context.Context
+	SpanContext() (SpanContext, bool)
+}
+
+// IsKey reports whether key is the context key under which ContextWith
+// stores a span context. Carriers use it to implement Value.
+func IsKey(key any) bool {
+	_, ok := key.(ctxKey)
+	return ok
+}
+
+// FromContext extracts the span context from ctx, if any: directly from a
+// Carrier, otherwise from the context's values.
 func FromContext(ctx context.Context) (SpanContext, bool) {
+	if c, ok := ctx.(Carrier); ok {
+		return c.SpanContext()
+	}
 	sc, ok := ctx.Value(ctxKey{}).(SpanContext)
 	return sc, ok
 }

@@ -5,9 +5,13 @@ check: vet lint build race allocs perfbench sim
 
 # Lint gate: gofmt cleanliness, the control plane's single-routing-site
 # invariant (DESIGN.md §14): routing-mutation envelope calls inside
-# internal/manager may appear only in the actuator, and the call path's
+# internal/manager may appear only in the actuator, the call path's
 # single metric-binding site (DESIGN.md §13): inside internal/core, metrics
-# are looked up by name only in handles.go, where call-site handles bind.
+# are looked up by name only in handles.go, where call-site handles bind,
+# and the data plane's single frame writer (DESIGN.md §9): frame scratch
+# (getFrame) and the frame-size limit appear only in frame.go, flusher.go
+# and readbatch.go, plus compress.go, whose decompress bounds an inflated
+# payload by the same limit.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
@@ -22,6 +26,11 @@ lint:
 		| grep -v '^internal/core/handles\.go:' || true); \
 	if [ -n "$$out" ]; then \
 		echo "metric lookup by name outside internal/core/handles.go:"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -n -E 'getFrame\(\)|maxFrameSize' internal/rpc/*.go \
+		| grep -v -E '^internal/rpc/([a-z_]+_test|frame|flusher|readbatch|compress)\.go:' || true); \
+	if [ -n "$$out" ]; then \
+		echo "frame assembly outside internal/rpc/{frame,flusher,readbatch}.go:"; \
 		echo "$$out"; exit 1; fi
 
 build:

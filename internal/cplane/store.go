@@ -8,10 +8,8 @@ import "sync"
 // Snapshots handed out are immutable — readers never see a torn state and
 // never block writers.
 type Store struct {
-	mu       sync.Mutex
-	cur      *State
-	watchers map[int]chan *State
-	nextW    int
+	mu  sync.Mutex
+	cur *State
 }
 
 // NewStore builds a store seeded with init (which the store takes
@@ -21,7 +19,7 @@ func NewStore(init *State) *Store {
 		init = NewState()
 	}
 	init.Version = 1
-	return &Store{cur: init, watchers: map[int]chan *State{}}
+	return &Store{cur: init}
 }
 
 // Snapshot returns the current state. The caller must not mutate it.
@@ -42,39 +40,5 @@ func (st *Store) Update(fn func(s *State)) *State {
 	fn(work)
 	work.Version = st.cur.Version + 1
 	st.cur = work
-	for _, ch := range st.watchers {
-		// Latest-wins: drop the stale buffered version, never block.
-		select {
-		case ch <- work:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- work:
-			default:
-			}
-		}
-	}
 	return work
-}
-
-// Watch returns a channel that receives new state versions as they are
-// published (latest-wins: intermediate versions may be skipped under a
-// slow consumer) and a cancel function that releases the watch.
-func (st *Store) Watch() (<-chan *State, func()) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	id := st.nextW
-	st.nextW++
-	ch := make(chan *State, 1)
-	ch <- st.cur
-	st.watchers[id] = ch
-	cancel := func() {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		delete(st.watchers, id)
-	}
-	return ch, cancel
 }

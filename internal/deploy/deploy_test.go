@@ -12,6 +12,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/logging"
 	"repro/internal/manager"
+	"repro/internal/metrics"
 	"repro/internal/testpkg"
 	"repro/weaver"
 )
@@ -306,6 +307,42 @@ func TestManagerAggregatesTelemetry(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no Echo call counters in merged metrics: %v", keys(merged))
+	}
+}
+
+// TestMergedMetricsCountProcessRegistryOnce pins the merge of the
+// process-global registry: every proclet of this in-process deployment
+// reports the same metrics.Default, and the merged view must count it
+// once, so after traffic settles the merged rpc.server.requests equals the
+// process's own counter rather than a multiple of it.
+func TestMergedMetricsCountProcessRegistryOnce(t *testing.T) {
+	d := startDeployment(t, manager.Config{App: "test"})
+	ctx := context.Background()
+	chain, err := Get[testpkg.Chain](ctx, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := chain.Relay(ctx, "m", 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := d.Manager.ReplicaCount("Chain") + d.Manager.ReplicaCount("Echo"); n < 2 {
+		t.Fatalf("want at least 2 serving proclets in this process, have %d", n)
+	}
+
+	requests := metrics.Default.Counter("rpc.server.requests")
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		want := float64(requests.Value())
+		got := d.Manager.MergedMetrics()["rpc.server.requests"].Value
+		if want > 0 && got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("merged rpc.server.requests = %v, process counter = %v", got, want)
+		}
+		time.Sleep(25 * time.Millisecond)
 	}
 }
 

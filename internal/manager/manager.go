@@ -168,6 +168,8 @@ type Manager struct {
 	logs    *logging.Aggregator
 	graph   *callgraph.Collector
 	metrics map[string][]metrics.Snapshot // replica id -> latest snapshot
+	pids    map[string]int64              // replica id -> registered pid
+	process map[int64][]metrics.Snapshot  // pid -> latest process-global snapshot
 
 	traceMu sync.Mutex
 	spans   []tracing.Span
@@ -204,6 +206,8 @@ func New(cfg Config, starter Starter) (*Manager, error) {
 		logs:      logging.NewAggregator(200000),
 		graph:     callgraph.NewCollector(),
 		metrics:   map[string][]metrics.Snapshot{},
+		pids:      map[string]int64{},
+		process:   map[int64][]metrics.Snapshot{},
 	}
 
 	m.known = map[string]bool{}
@@ -321,11 +325,16 @@ func (m *Manager) Spans() []tracing.Span {
 	return append([]tracing.Span(nil), m.spans...)
 }
 
-// MergedMetrics aggregates the latest metric snapshot across all replicas.
+// MergedMetrics aggregates the latest metric snapshot across all replicas,
+// counting each process's process-global registry once however many
+// replicas that process hosts.
 func (m *Manager) MergedMetrics() map[string]metrics.Snapshot {
 	m.mu.Lock()
-	batches := make([][]metrics.Snapshot, 0, len(m.metrics))
+	batches := make([][]metrics.Snapshot, 0, len(m.metrics)+len(m.process))
 	for _, b := range m.metrics {
+		batches = append(batches, b)
+	}
+	for _, b := range m.process {
 		batches = append(batches, b)
 	}
 	m.mu.Unlock()
@@ -409,6 +418,7 @@ func (m *Manager) RegisterReplica(e *envelope.Envelope, r pipe.RegisterReplica) 
 	m.mu.Lock()
 	m.envelopes[e] = true
 	m.envs[e.ID] = e
+	m.pids[e.ID] = r.Pid
 	recovering := m.recovering > 0
 	m.mu.Unlock()
 
@@ -544,7 +554,27 @@ func (m *Manager) LoadReport(e *envelope.Envelope, lr pipe.LoadReport) {
 	})
 	m.mu.Lock()
 	m.metrics[e.ID] = lr.Metrics
+	if pid, ok := m.pids[e.ID]; ok {
+		m.process[pid] = lr.Process
+	}
 	m.mu.Unlock()
+}
+
+// dropPidLocked forgets a departed replica's pid, and its process's
+// snapshot once no registered replica lives in that process. Caller holds
+// m.mu.
+func (m *Manager) dropPidLocked(id string) {
+	pid, ok := m.pids[id]
+	if !ok {
+		return
+	}
+	delete(m.pids, id)
+	for _, p := range m.pids {
+		if p == pid {
+			return
+		}
+	}
+	delete(m.process, pid)
 }
 
 // Logs implements envelope.Manager.
@@ -572,6 +602,7 @@ func (m *Manager) ReplicaExited(e *envelope.Envelope, exitErr error) {
 	delete(m.envelopes, e)
 	delete(m.envs, e.ID)
 	delete(m.metrics, e.ID)
+	m.dropPidLocked(e.ID)
 	stopped := m.stopped
 	m.mu.Unlock()
 

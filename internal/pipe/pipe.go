@@ -135,13 +135,18 @@ type RoutingInfo struct {
 	Version    uint64              `tag:"4"`
 }
 
-// LoadReport carries a proclet's health and load, plus a metrics snapshot,
+// LoadReport carries a proclet's health and load, plus metrics snapshots,
 // to the manager (Figure 3: collect health and load information; aggregate
 // metrics).
 type LoadReport struct {
-	Healthy     bool               `tag:"1"`
-	CallsPerSec float64            `tag:"2"` // served component calls per second
-	Metrics     []metrics.Snapshot `tag:"3"`
+	Healthy     bool    `tag:"1"`
+	CallsPerSec float64 `tag:"2"` // served component calls per second
+	// Metrics is the proclet's own registry (component.*).
+	Metrics []metrics.Snapshot `tag:"3"`
+	// Process is the process-global registry (metrics.Default: rpc.*),
+	// which every proclet of one OS process shares; the manager merges it
+	// once per process, keyed by the Pid the proclet registered with.
+	Process []metrics.Snapshot `tag:"4"`
 }
 
 // LogBatch ships component log entries to the manager.

@@ -671,11 +671,6 @@ func (p *Proclet) reportLoop(ctx context.Context) {
 
 func (p *Proclet) reportOnce() {
 	snap := p.metrics.Snapshot()
-	// Include the process-global registry so transport-level metrics
-	// (rpc.server.shed, rpc.breaker.*, rpc.client.*) reach the manager's
-	// merged view and the dashboard; the two registries' name spaces are
-	// disjoint (component.* vs rpc.*).
-	snap = append(snap, metrics.Default.Snapshot()...)
 
 	// Load = delta of calls served by this replica per second.
 	var totalCalls float64
@@ -699,6 +694,12 @@ func (p *Proclet) reportOnce() {
 			Healthy:     true,
 			CallsPerSec: rate,
 			Metrics:     snap,
+			// The process-global registry carries the transport-level
+			// metrics (rpc.server.shed, rpc.breaker.*, rpc.client.*) to the
+			// manager's merged view and the dashboard. It rides apart from
+			// snap because proclets sharing a process share it: the manager
+			// counts it once per process, not once per proclet.
+			Process: metrics.Default.Snapshot(),
 		},
 	})
 

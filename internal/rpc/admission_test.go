@@ -101,7 +101,7 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 	// Wait until the server has actually queued it (admission has no
 	// timers, so this is a condition wait rather than a clock advance),
 	// then confirm it is still parked there, not answered.
-	waitFor(t, func() bool { return s.queued.Load() > 0 })
+	waitFor(t, func() bool { return s.queuedLen() > 0 })
 	select {
 	case err := <-fastDone:
 		t.Fatalf("queued call returned early: %v", err)
@@ -140,7 +140,7 @@ func TestAdmissionQueueOverflowSheds(t *testing.T) {
 		queued <- err
 	}()
 	// Wait until the server has actually queued it.
-	waitFor(t, func() bool { return s.queued.Load() > 0 })
+	waitFor(t, func() bool { return s.queuedLen() > 0 })
 
 	// The queue is full: the next request must be shed immediately.
 	start := time.Now()
@@ -184,7 +184,7 @@ func TestPriorityAdmissionShedsLowFirst(t *testing.T) {
 			lowDone <- err
 		}()
 	}
-	waitFor(t, func() bool { return s.queued.Load() == 2 })
+	waitFor(t, func() bool { return s.queuedLen() == 2 })
 
 	// The queue is full of low-priority work: a high-priority arrival must
 	// displace one low call immediately and take its place.
@@ -247,14 +247,14 @@ func TestPriorityEvictionPrefersQueuedHedge(t *testing.T) {
 			CallOptions{Meta: CallMeta{Priority: PriorityLow}})
 		plainDone <- err
 	}()
-	waitFor(t, func() bool { return s.queued.Load() == 1 })
+	waitFor(t, func() bool { return s.queuedLen() == 1 })
 	hedgeDone := make(chan error, 1)
 	go func() {
 		_, err := callBytes(context.Background(), c, MethodKey("adm.Fast"), nil,
 			CallOptions{Meta: CallMeta{Priority: PriorityLow, Hedge: true}})
 		hedgeDone <- err
 	}()
-	waitFor(t, func() bool { return s.queued.Load() == 2 })
+	waitFor(t, func() bool { return s.queuedLen() == 2 })
 
 	go func() {
 		_, _ = callBytes(context.Background(), c, MethodKey("adm.Fast"), nil,
@@ -299,7 +299,7 @@ func TestPriorityQueuedHedgeDroppedOnCancel(t *testing.T) {
 			CallOptions{Meta: CallMeta{Hedge: true}})
 		hedgeDone <- err
 	}()
-	waitFor(t, func() bool { return s.queued.Load() == 1 })
+	waitFor(t, func() bool { return s.queuedLen() == 1 })
 
 	cancel() // the primary answered elsewhere; this duplicate is abandoned
 	if err := <-hedgeDone; !errors.Is(err, context.Canceled) {
@@ -308,7 +308,7 @@ func TestPriorityQueuedHedgeDroppedOnCancel(t *testing.T) {
 	waitFor(t, func() bool {
 		return metrics.Default.Counter("rpc.server.hedge_dropped").Value() > droppedBefore
 	})
-	waitFor(t, func() bool { return s.queued.Load() == 0 })
+	waitFor(t, func() bool { return s.queuedLen() == 0 })
 }
 
 // BenchmarkPriorityShedding saturates a small-MaxInflight server with an

@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -36,18 +35,15 @@ type admitter struct {
 	queues [numPriorities][]*admitWaiter // indexed by shed rank, FIFO each
 	queued int
 
-	// queuedGauge mirrors the queue depth for tests and metrics.
-	queuedGauge *atomic.Int64
 	// hedgeDropped counts queued hedged duplicates that left the queue
 	// unexecuted (evicted or abandoned by their caller).
 	hedgeDropped *metrics.Counter
 }
 
-func newAdmitter(maxInflight, maxQueue int, queuedGauge *atomic.Int64, hedgeDropped *metrics.Counter) *admitter {
+func newAdmitter(maxInflight, maxQueue int, hedgeDropped *metrics.Counter) *admitter {
 	return &admitter{
 		maxQueue:     maxQueue,
 		free:         maxInflight,
-		queuedGauge:  queuedGauge,
 		hedgeDropped: hedgeDropped,
 	}
 }
@@ -78,7 +74,6 @@ func (a *admitter) admit(ctx context.Context, meta CallMeta) bool {
 	w := &admitWaiter{grant: make(chan bool, 1), rank: rank, hedge: meta.Hedge}
 	a.queues[rank] = append(a.queues[rank], w)
 	a.queued++
-	a.queuedGauge.Add(1)
 	a.mu.Unlock()
 
 	select {
@@ -120,7 +115,6 @@ func (a *admitter) release() {
 			w := q[0]
 			a.queues[rank] = q[1:]
 			a.queued--
-			a.queuedGauge.Add(-1)
 			a.mu.Unlock()
 			w.grant <- true
 			return
@@ -149,7 +143,6 @@ func (a *admitter) evictBelowLocked(rank int) bool {
 		w := q[victim]
 		a.queues[r] = append(q[:victim], q[victim+1:]...)
 		a.queued--
-		a.queuedGauge.Add(-1)
 		if w.hedge {
 			a.hedgeDropped.Inc()
 		}
@@ -167,7 +160,6 @@ func (a *admitter) removeLocked(w *admitWaiter) bool {
 		if x == w {
 			a.queues[w.rank] = append(q[:i], q[i+1:]...)
 			a.queued--
-			a.queuedGauge.Add(-1)
 			return true
 		}
 	}

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -102,7 +101,7 @@ type ClientOptions struct {
 	Clock clock.Clock
 }
 
-// pingTimeout bounds how long Ping waits for a pong.
+// pingTimeout bounds how long Ping waits for the server's answer.
 const pingTimeout = 5 * time.Second
 
 // defaultNumConns picks the stripe width when ClientOptions.NumConns is
@@ -216,9 +215,9 @@ func (c *Client) callError(ctx context.Context, err error) error {
 	return &TransportError{Addr: c.addr, Err: err}
 }
 
-// Ping verifies liveness of the server with a ping/pong round trip. The
-// probe rotates over the stripes, so repeated pings exercise each conn of
-// the logical replica in turn.
+// Ping verifies liveness of the server with a ping round trip. The probe
+// rotates over the stripes, so repeated pings exercise each conn of the
+// logical replica in turn.
 func (c *Client) Ping(ctx context.Context) error {
 	cc, err := c.conn(ctx, 0)
 	if err != nil {
@@ -230,8 +229,9 @@ func (c *Client) Ping(ctx context.Context) error {
 	return nil
 }
 
-// PendingCalls reports calls registered on the client's connections whose
-// verdict has not been delivered, for tests and introspection.
+// PendingCalls reports requests — calls and pings — registered on the
+// client's connections whose verdict has not been delivered, for tests and
+// introspection.
 func (c *Client) PendingCalls() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -340,8 +340,8 @@ type pendingShard struct {
 }
 
 // clientConn is one multiplexed connection with a reader goroutine; writes
-// go through a coalescing flusher (see connFlusher) and responses complete
-// into the sharded pending table.
+// go through a coalescing flusher (see connFlusher) and responses — to
+// calls and to pings alike — complete into the sharded pending table.
 type clientConn struct {
 	conn   net.Conn
 	client *Client
@@ -349,9 +349,8 @@ type clientConn struct {
 
 	shards [pendingShards]pendingShard
 
-	mu    sync.Mutex
-	pings map[uint64]chan struct{}
-	err   error // non-nil once broken
+	mu  sync.Mutex
+	err error // non-nil once broken
 }
 
 func (cc *clientConn) shard(id uint64) *pendingShard {
@@ -367,13 +366,7 @@ func (cc *clientConn) register(id uint64) (*waiter, error) {
 	if sh.failed {
 		sh.mu.Unlock()
 		waiterPool.Put(w)
-		cc.mu.Lock()
-		err := cc.err
-		cc.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("connection closed")
-		}
-		return nil, err
+		return nil, cc.deathErr()
 	}
 	sh.m[id] = w
 	sh.mu.Unlock()
@@ -471,8 +464,10 @@ func newClientConn(conn net.Conn, c *Client) *clientConn {
 		conn:   conn,
 		client: c,
 		fl:     newConnFlusher(conn, c.txBytes, c.flushHist, nil, nil),
-		pings:  map[uint64]chan struct{}{},
 	}
+	// A failed write kills the conn, so its pending calls fail now and
+	// later calls redial instead of reusing it.
+	cc.fl.onFail = cc.close
 	for i := range cc.shards {
 		cc.shards[i].m = map[uint64]*waiter{}
 	}
@@ -486,6 +481,17 @@ func (cc *clientConn) dead() bool {
 	return cc.err != nil
 }
 
+// deathErr reports why the conn died, for calls that observe its death.
+func (cc *clientConn) deathErr() error {
+	cc.mu.Lock()
+	err := cc.err
+	cc.mu.Unlock()
+	if err == nil {
+		err = fmt.Errorf("connection closed")
+	}
+	return err
+}
+
 // close marks the connection broken and fails all pending calls: the
 // death error is recorded first (under cc.mu), then every shard is swept —
 // failed is set and a nil verdict delivered under each shard's lock, so a
@@ -496,8 +502,6 @@ func (cc *clientConn) close(err error) {
 	if cc.err == nil {
 		cc.err = err
 	}
-	pings := cc.pings
-	cc.pings = map[uint64]chan struct{}{}
 	cc.mu.Unlock()
 
 	cc.conn.Close()
@@ -511,9 +515,6 @@ func (cc *clientConn) close(err error) {
 		}
 		sh.mu.Unlock()
 	}
-	for _, ch := range pings {
-		close(ch)
-	}
 }
 
 func (cc *clientConn) readLoop() {
@@ -521,7 +522,7 @@ func (cc *clientConn) readLoop() {
 	// coalesced into a segment; each frame is sliced out of the shared
 	// pooled buffer and carries a reference to it. A claimed response hands
 	// its reference to the waiting caller, who releases after decoding;
-	// unclaimed frames (caller canceled, malformed, pongs) release here.
+	// unclaimed frames (caller canceled, malformed) release here.
 	fr := newFrameReader(cc.conn, cc.client.readHist, nil, cc.client.opts.Clock)
 	defer fr.close()
 	for {
@@ -553,83 +554,19 @@ func (cc *clientConn) readLoop() {
 				resp.Release()
 				cc.client.late.Inc()
 			}
-		case framePong:
-			if len(payload) >= 8 {
-				nonce := getUint64(payload)
-				cc.mu.Lock()
-				ch, ok := cc.pings[nonce]
-				if ok {
-					delete(cc.pings, nonce)
-					close(ch)
-				}
-				cc.mu.Unlock()
-			}
-			rb.release()
 		default:
 			rb.release()
 		}
 	}
 }
 
-// write assembles one frame from chunks into pooled scratch and hands it
-// to the flusher, blocking until the bytes are on the wire. Frames above
-// vectoredThreshold keep their (final-chunk) payload out of scratch and
-// ride the writev as a separate buffer, so a large compressed payload is
-// never copied.
-func (cc *clientConn) write(chunks ...[]byte) error {
-	var n int
-	for _, c := range chunks {
-		n += len(c)
-	}
-	if n > maxFrameSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	var tail []byte
-	if n > vectoredThreshold && len(chunks) > 1 {
-		tail = chunks[len(chunks)-1]
-		chunks = chunks[:len(chunks)-1]
-	}
-	fb := getFrame()
-	buf := append(fb.b[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(buf, uint32(n))
-	for _, c := range chunks {
-		buf = append(buf, c...)
-	}
-	fb.b = buf
-	if err := cc.fl.write(buf, tail, fb); err != nil {
-		cc.close(err)
-		return err
-	}
-	return nil
-}
-
-// writeInPlace enqueues a preassembled frame whose leading 4 bytes are
-// length scratch — the zero-copy request path. The buffer stays owned by
-// the flusher until write returns.
-func (cc *clientConn) writeInPlace(framed []byte) error {
-	n := len(framed) - 4
-	if n < 0 {
-		return fmt.Errorf("rpc: framed buffer of %d bytes lacks prefix scratch", len(framed))
-	}
-	if n > maxFrameSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	binary.LittleEndian.PutUint32(framed[:4], uint32(n))
-	if err := cc.fl.write(framed, nil, nil); err != nil {
-		cc.close(err)
-		return err
-	}
-	return nil
-}
-
 // send registers a waiter for one request and writes its frame, returning
 // once the frame is on the wire. framed carries PayloadHeadroom bytes of
-// scratch ahead of the args, and the frame is written in place from the
-// caller's buffer unless the args are compressed.
+// scratch ahead of the args; the frame is built in that scratch and
+// written in place, from the caller's buffer or, when the args are
+// compressed, from the compressor's, which reserves the same headroom.
 func (cc *clientConn) send(ctx context.Context, method MethodID, framed []byte, opts CallOptions) (Pending, error) {
 	id := cc.client.nextID.Add(1)
-	args := framed[PayloadHeadroom:]
-
 	hdr := header{
 		id:     id,
 		method: method,
@@ -639,61 +576,45 @@ func (cc *clientConn) send(ctx context.Context, method MethodID, framed []byte, 
 		shard:  opts.Shard,
 		meta:   opts.Meta,
 	}
-	if opts.Meta.Hedge {
-		hdr.flags |= flagHedge
-	}
 	if opts.Trace.Sampled {
 		hdr.flags |= flagSampled
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		hdr.deadline = dl.UnixNano()
 	}
-	inPlace := true
 	var comp *compressor
 	if cc.client.opts.Compress {
 		// Advertise response compression; compress the request itself when
 		// it is big enough to be worth the CPU.
 		hdr.flags |= flagAcceptCompressed
-		if len(args) >= DefaultCompressThreshold {
-			if small, c, ok := compress(args); ok {
-				args = small
-				comp = c
+		if len(framed)-PayloadHeadroom >= DefaultCompressThreshold {
+			if small, c, ok := compress(framed[PayloadHeadroom:], PayloadHeadroom); ok {
+				framed, comp = small, c
 				hdr.flags |= flagPayloadCompressed
-				inPlace = false // payload moved to the compressor's pooled buffer
 			}
 		}
 	}
 
 	w, err := cc.register(id)
 	if err != nil {
+		if comp != nil {
+			comp.release()
+		}
 		return Pending{}, err
 	}
 
-	var werr error
-	if inPlace {
-		// The headroom is filled right-aligned: the meta extension (0 to
-		// metaExtMax bytes) sits immediately before the args, and the frame
-		// start shifts left to absorb whatever extension space is unused,
-		// so the args never move and default-meta calls write the exact
-		// frame they always did.
-		ext := hdr.meta.extSize()
-		if ext > 0 {
-			hdr.flags |= flagMetaExt
-			hdr.meta.encodeExt(framed[PayloadHeadroom-ext : PayloadHeadroom])
-		}
-		start := metaExtMax - ext
-		framed[start+4] = frameRequest
-		hdr.encode(framed[start+5 : start+5+headerSize])
-		werr = cc.writeInPlace(framed[start:])
-	} else {
-		var buf [1 + headerSize + metaExtMax]byte
-		buf[0] = frameRequest
-		n := hdr.encodeWithExt(buf[1:])
-		werr = cc.write(buf[:1+n], args)
-	}
+	// The headroom is filled right-aligned: the header (and its meta
+	// extension, 0 to metaExtMax bytes) ends exactly where the args begin,
+	// and the frame start shifts right over whatever extension space is
+	// unused, so the args never move and default-meta calls write the
+	// exact frame they always did.
+	start := PayloadHeadroom - (1 + headerSize + hdr.meta.extSize())
+	framed[start] = frameRequest
+	hdr.encode(framed[start+1 : PayloadHeadroom])
+	werr := cc.fl.writeFramed(framed[start-4:])
 	if comp != nil {
-		// write blocks until the frame is on the wire (or abandoned), so
-		// the compressor's buffer is quiescent here.
+		// writeFramed blocks until the frame is on the wire (or
+		// abandoned), so the compressor's buffer is quiescent here.
 		comp.release()
 	}
 	if werr != nil {
@@ -731,13 +652,7 @@ func (p Pending) Result(resp *Response) (*Response, error) {
 	var err error
 	if resp == nil {
 		// Conn-death verdict from the close sweep.
-		cc.mu.Lock()
-		err = cc.err
-		cc.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("connection closed")
-		}
-		return nil, cc.client.callError(p.ctx, err)
+		return nil, cc.client.callError(p.ctx, cc.deathErr())
 	}
 	switch resp.status {
 	case statusError:
@@ -776,48 +691,38 @@ func (p Pending) Result(resp *Response) (*Response, error) {
 func (p Pending) Abandon() {
 	cc := p.cc
 	cc.forget(p.id, p.w)
-	var cbuf [9]byte
-	cbuf[0] = frameCancel
-	putUint64(cbuf[1:], p.id)
-	_ = cc.write(cbuf[:])
+	_ = cc.fl.writeControl(frameCancel, p.id)
 }
 
+// ping sends a ping frame and awaits its answer — a statusOK response
+// whose id is the ping's nonce — in the pending table like any call,
+// bounded by pingTimeout on the client's Clock.
 func (cc *clientConn) ping(ctx context.Context) error {
 	nonce := cc.client.nextID.Add(1)
-	ch := make(chan struct{})
-	cc.mu.Lock()
-	if cc.err != nil {
-		err := cc.err
-		cc.mu.Unlock()
+	w, err := cc.register(nonce)
+	if err != nil {
 		return err
 	}
-	cc.pings[nonce] = ch
-	cc.mu.Unlock()
-
-	var buf [9]byte
-	buf[0] = framePing
-	putUint64(buf[1:], nonce)
-	if err := cc.write(buf[:]); err != nil {
+	if err := cc.fl.writeControl(framePing, nonce); err != nil {
+		cc.forget(nonce, w)
 		return err
 	}
 
 	timer := cc.client.opts.Clock.NewTimer(pingTimeout)
 	defer timer.Stop()
 	select {
-	case <-ch:
-		cc.mu.Lock()
-		err := cc.err
-		cc.mu.Unlock()
-		return err
+	case resp := <-w.ch:
+		waiterPool.Put(w)
+		if resp == nil {
+			return cc.deathErr()
+		}
+		resp.Release()
+		return nil
 	case <-ctx.Done():
-		cc.mu.Lock()
-		delete(cc.pings, nonce)
-		cc.mu.Unlock()
+		cc.forget(nonce, w)
 		return ctx.Err()
 	case <-timer.C():
-		cc.mu.Lock()
-		delete(cc.pings, nonce)
-		cc.mu.Unlock()
+		cc.forget(nonce, w)
 		return fmt.Errorf("ping timeout")
 	}
 }

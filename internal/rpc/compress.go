@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -72,16 +73,19 @@ var inflaters = sync.Pool{
 	},
 }
 
-// compress flate-compresses p into a pooled buffer prefixed with the
-// uncompressed length. It returns (nil, nil, false) when compression would
-// not shrink the payload, in which case the caller sends it raw. On
-// success the returned payload aliases the compressor's buffer: the caller
-// must call release once the bytes are written (the flusher blocks until
-// then, so release-after-write is safe).
-func compress(p []byte) ([]byte, *compressor, bool) {
+// compress flate-compresses p into a pooled buffer behind headroom bytes
+// of scratch, prefixed with the uncompressed length, so the result goes
+// out in place exactly like an uncompressed framed buffer. It returns
+// (nil, nil, false) when compression would not shrink the payload, in
+// which case the caller sends it raw. On success the returned buffer
+// aliases the compressor's: the caller must call release once the bytes
+// are written (the flusher blocks until then, so release-after-write is
+// safe).
+func compress(p []byte, headroom int) ([]byte, *compressor, bool) {
 	c := compressors.Get().(*compressor)
-	c.out.b = append(c.out.b[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(c.out.b, uint32(len(p)))
+	n := headroom + compressPrefix
+	c.out.b = slices.Grow(c.out.b[:0], n)[:n]
+	binary.LittleEndian.PutUint32(c.out.b[headroom:], uint32(len(p)))
 	c.fw.Reset(&c.out)
 	if _, err := c.fw.Write(p); err != nil {
 		c.release()
@@ -91,7 +95,7 @@ func compress(p []byte) ([]byte, *compressor, bool) {
 		c.release()
 		return nil, nil, false
 	}
-	if len(c.out.b) >= len(p) {
+	if len(c.out.b)-headroom >= len(p) {
 		c.release()
 		return nil, nil, false
 	}

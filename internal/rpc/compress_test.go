@@ -13,7 +13,7 @@ import (
 func TestCompressRoundTrip(t *testing.T) {
 	// Compressible data shrinks and round-trips.
 	data := []byte(strings.Repeat("the same words over and over ", 1000))
-	small, comp, ok := compress(data)
+	small, comp, ok := compress(data, 0)
 	if !ok {
 		t.Fatal("compressible payload not compressed")
 	}
@@ -38,7 +38,7 @@ func TestCompressSkipsIncompressible(t *testing.T) {
 		x = x*1664525 + 1013904223
 		data[i] = byte(x >> 24)
 	}
-	if _, comp, ok := compress(data); ok {
+	if _, comp, ok := compress(data, 0); ok {
 		comp.release()
 		t.Log("note: PRNG data compressed anyway (acceptable but unexpected)")
 	}
@@ -63,7 +63,7 @@ func TestDecompressLengthMismatch(t *testing.T) {
 	// A stream holding more bytes than its declared length is corruption,
 	// not a prefix of valid data.
 	data := []byte(strings.Repeat("mismatch payload ", 500))
-	small, comp, ok := compress(data)
+	small, comp, ok := compress(data, 0)
 	if !ok {
 		t.Fatal("compressible payload not compressed")
 	}
@@ -78,7 +78,7 @@ func TestDecompressLengthMismatch(t *testing.T) {
 
 func TestQuickCompressRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		small, comp, ok := compress(data)
+		small, comp, ok := compress(data, 0)
 		if !ok {
 			return true // sent raw; nothing to verify
 		}
@@ -176,7 +176,7 @@ func FuzzDecompress(f *testing.F) {
 	// valid stream the encoder produces).
 	zeros := make([]byte, 16<<20)
 	f.Add(zeros)
-	small, comp, ok := compress(zeros)
+	small, comp, ok := compress(zeros, 0)
 	if !ok {
 		f.Fatal("zeros not compressed")
 	}
@@ -195,7 +195,7 @@ func FuzzDecompress(f *testing.F) {
 			t.Fatalf("decompress returned %d bytes, declared %d", len(out), binary.LittleEndian.Uint32(data))
 		}
 
-		small, comp, ok := compress(data)
+		small, comp, ok := compress(data, 0)
 		if !ok {
 			return
 		}

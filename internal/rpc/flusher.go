@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -25,15 +27,12 @@ const maxFlushBacklog = 1 << 20
 // writers on the connection.
 var flushBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// A flushEntry is one frame queued for write. head always starts with the
-// 4-byte length prefix; tail optionally carries a large payload that is
-// written vectored rather than copied into scratch. fb, when non-nil, is
-// the pooled scratch backing head and is recycled once the frame is on the
-// wire (or abandoned on error).
+// A flushEntry is one frame queued for write, starting with its 4-byte
+// length prefix. fb, when non-nil, is the pooled scratch backing frame and
+// is recycled once the frame is on the wire (or abandoned on error).
 type flushEntry struct {
-	head []byte
-	tail []byte
-	fb   *frameBuf
+	frame []byte
+	fb    *frameBuf
 }
 
 // A connFlusher coalesces concurrent frame writes on one connection into
@@ -48,12 +47,23 @@ type flushEntry struct {
 // Every write blocks until its frame is on the wire or the connection has
 // failed, which preserves the data plane's buffer-ownership contract:
 // callers may recycle pooled frames the moment write returns.
+//
+// Both ends of a connection write through the same two entry points:
+// writeFramed for a frame built in place in the caller's buffer (requests
+// and result responses) and writeControl for the small frames assembled
+// in pooled scratch (cancel, ping, status-only and error responses). On
+// the server the writers are handler goroutines still holding their
+// admission slot, so the backlog cap turns a congested connection into
+// backpressure on MaxInflight.
 type connFlusher struct {
 	w     io.Writer
 	tx    *metrics.Counter   // payload bytes (prefix excluded), successful writes only
 	hist  *metrics.Histogram // frames per flush batch
 	stall *atomic.Int64      // injected pre-flush stall (chaos); nil on clients
 	clk   clock.Clock
+	// onFail, when set, runs in every writer whose frame the failed
+	// connection dropped; clients use it to mark the conn dead.
+	onFail func(error)
 
 	mu        sync.Mutex
 	flushed   sync.Cond // doneSeq advanced or err set
@@ -76,12 +86,42 @@ func newConnFlusher(w io.Writer, tx *metrics.Counter, hist *metrics.Histogram, s
 	return f
 }
 
+// writeFramed writes a frame assembled in place: frame starts with 4
+// bytes of length scratch, which writeFramed fills, followed by the frame
+// type and body. frame stays owned by the flusher until the call returns.
+func (f *connFlusher) writeFramed(frame []byte) error {
+	n := len(frame) - 4
+	if n > maxFrameSize {
+		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	return f.write(frame, nil)
+}
+
+// writeControl assembles a small frame — type byte, 8-byte id, then
+// trailer — in pooled scratch and writes it. Cancel and ping frames carry
+// no trailer; a response carries its status byte, followed by the message
+// for an error.
+func (f *connFlusher) writeControl(typ byte, id uint64, trailer ...byte) error {
+	n := 1 + 8 + len(trailer)
+	if n > maxFrameSize {
+		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+	}
+	fb := getFrame()
+	buf := binary.LittleEndian.AppendUint32(fb.b[:0], uint32(n))
+	buf = append(buf, typ)
+	buf = binary.LittleEndian.AppendUint64(buf, id)
+	fb.b = append(buf, trailer...)
+	return f.write(fb.b, fb)
+}
+
 // write queues one frame and blocks until it has been written (nil) or the
-// connection has failed (the write error). head must start with the filled
-// 4-byte length prefix; fb, when non-nil, transfers to the flusher and is
-// recycled after the flush. On error the flusher has already dropped every
-// reference to the frame, so caller-owned buffers are safely reusable.
-func (f *connFlusher) write(head, tail []byte, fb *frameBuf) error {
+// connection has failed (the write error). frame must start with the
+// filled 4-byte length prefix; fb, when non-nil, transfers to the flusher
+// and is recycled after the flush. On error the flusher has already
+// dropped every reference to the frame, so caller-owned buffers are safely
+// reusable.
+func (f *connFlusher) write(frame []byte, fb *frameBuf) error {
 	f.mu.Lock()
 	// Backpressure: past the backlog cap, block until the in-flight flush
 	// makes room. The cap only binds while a flush is actually running —
@@ -99,8 +139,8 @@ func (f *connFlusher) write(head, tail []byte, fb *frameBuf) error {
 	}
 	f.enqSeq++
 	seq := f.enqSeq
-	f.queue = append(f.queue, flushEntry{head: head, tail: tail, fb: fb})
-	f.pending += len(head) + len(tail)
+	f.queue = append(f.queue, flushEntry{frame: frame, fb: fb})
+	f.pending += len(frame)
 
 	if !f.flushing {
 		f.flushing = true
@@ -132,6 +172,9 @@ func (f *connFlusher) write(head, tail []byte, fb *frameBuf) error {
 	if done {
 		return nil
 	}
+	if f.onFail != nil {
+		f.onFail(err)
+	}
 	return err
 }
 
@@ -157,18 +200,14 @@ func (f *connFlusher) runFlush() {
 		}
 		var err error
 		var wire int
-		if len(batch) == 1 && batch[0].tail == nil {
-			wire = len(batch[0].head)
-			_, err = f.w.Write(batch[0].head)
+		if len(batch) == 1 {
+			wire = len(batch[0].frame)
+			_, err = f.w.Write(batch[0].frame)
 		} else {
 			bufs := f.bufs[:0]
 			for _, e := range batch {
-				bufs = append(bufs, e.head)
-				wire += len(e.head)
-				if len(e.tail) > 0 {
-					bufs = append(bufs, e.tail)
-					wire += len(e.tail)
-				}
+				bufs = append(bufs, e.frame)
+				wire += len(e.frame)
 			}
 			f.bufs = bufs // keep the grown scratch
 			// WriteTo consumes a private header so f.bufs keeps its base;
@@ -210,7 +249,7 @@ func (f *connFlusher) runFlush() {
 		// entries returns buffer ownership to the waiters, which observe
 		// f.err and surface a retryable transport error.
 		for i := range f.queue {
-			f.pending -= len(f.queue[i].head) + len(f.queue[i].tail)
+			f.pending -= len(f.queue[i].frame)
 			if f.queue[i].fb != nil {
 				putFrame(f.queue[i].fb)
 			}

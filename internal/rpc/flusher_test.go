@@ -48,7 +48,7 @@ func TestFlusherLoneWriteIsImmediate(t *testing.T) {
 	w := &gateWriter{}
 	f := newConnFlusher(w, metrics.Default.Counter("test.flusher.tx"), nil, nil, nil)
 	head, fb := testFrame("solo")
-	if err := f.write(head, nil, fb); err != nil {
+	if err := f.write(head, fb); err != nil {
 		t.Fatal(err)
 	}
 	if w.writes != 1 {
@@ -69,7 +69,7 @@ func TestFlusherCoalescesConcurrentWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		head, fb := testFrame("leader")
-		if err := f.write(head, nil, fb); err != nil {
+		if err := f.write(head, fb); err != nil {
 			t.Errorf("leader write: %v", err)
 		}
 	}()
@@ -86,7 +86,7 @@ func TestFlusherCoalescesConcurrentWrites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			head, fb := testFrame("follower")
-			if err := f.write(head, nil, fb); err != nil {
+			if err := f.write(head, fb); err != nil {
 				t.Errorf("follower write: %v", err)
 			}
 		}()
@@ -123,7 +123,7 @@ func TestFlusherErrorFailsQueuedWriters(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		head, fb := testFrame("leader")
-		if err := f.write(head, nil, fb); !errors.Is(err, boom) {
+		if err := f.write(head, fb); !errors.Is(err, boom) {
 			t.Errorf("leader write err = %v, want %v", err, boom)
 		}
 	}()
@@ -139,7 +139,7 @@ func TestFlusherErrorFailsQueuedWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			head, fb := testFrame("doomed")
-			errs <- f.write(head, nil, fb)
+			errs <- f.write(head, fb)
 		}()
 	}
 	waitFor(t, func() bool {
@@ -160,7 +160,7 @@ func TestFlusherErrorFailsQueuedWriters(t *testing.T) {
 	}
 	// Later writers fail fast without touching the dead socket.
 	head, fb := testFrame("late")
-	if err := f.write(head, nil, fb); !errors.Is(err, boom) {
+	if err := f.write(head, fb); !errors.Is(err, boom) {
 		t.Errorf("post-mortem write err = %v, want %v", err, boom)
 	}
 }
@@ -174,7 +174,7 @@ func TestFlusherBackpressureBindsPendingBytes(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		head, fb := testFrame("leader")
-		_ = f.write(head, nil, fb)
+		_ = f.write(head, fb)
 	}()
 	waitFor(t, func() bool {
 		f.mu.Lock()
@@ -189,7 +189,7 @@ func TestFlusherBackpressureBindsPendingBytes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = f.write(big, nil, nil)
+		_ = f.write(big, nil)
 	}()
 	waitFor(t, func() bool {
 		f.mu.Lock()
@@ -203,7 +203,7 @@ func TestFlusherBackpressureBindsPendingBytes(t *testing.T) {
 		defer wg.Done()
 		head, fb := testFrame("overflow")
 		blocked.Store(true)
-		_ = f.write(head, nil, fb)
+		_ = f.write(head, fb)
 	}()
 	waitFor(t, func() bool { return blocked.Load() })
 	time.Sleep(5 * time.Millisecond)

@@ -18,8 +18,8 @@
 //	          when flagMetaExt is set), args
 //	response: id, status, payload (result bytes or error text)
 //	cancel:   id
-//	ping:     nonce     (liveness probes, answered with pong)
-//	pong:     nonce
+//	ping:     nonce     (liveness probe, answered by a statusOK response
+//	          whose id is the nonce)
 //
 // Per-call metadata that is almost always default — hedge marker, sampled
 // bit, priority, attempt number — rides the flags byte and the optional
@@ -30,13 +30,20 @@
 // connection, correlated by id. Cancellation propagates with an explicit
 // cancel frame so servers stop wasted work promptly.
 //
-// Both directions batch their syscalls. Writes go through a coalescing
-// flusher (connFlusher) that rides concurrent frames on one vectored
-// write; reads mirror it with a frameReader that issues one large Read
-// into a pooled buffer and slices out every complete frame that arrived,
-// so a deep batch of coalesced frames costs one syscall to send and one
-// to receive. The rpc.{client,server}.read_batch_frames histograms record
-// the read-side batch depths.
+// Every frame leaves through a connFlusher in one of two ways: a request
+// or a result response is written in place from the headroom its buffer
+// reserves ahead of the payload (compressed payloads too: the compressor
+// reserves the same headroom), and the small control frames — cancel,
+// ping, status-only and error responses — are assembled in pooled
+// scratch by connFlusher.writeControl.
+//
+// Both directions batch their syscalls. Writes go through the coalescing
+// flusher, which rides concurrent frames on one vectored write; reads
+// mirror it with a frameReader that issues one large Read into a pooled
+// buffer and slices out every complete frame that arrived, so a deep
+// batch of coalesced frames costs one syscall to send and one to receive.
+// The rpc.{client,server}.read_batch_frames histograms record the
+// read-side batch depths.
 package rpc
 
 import (
@@ -51,7 +58,6 @@ const (
 	frameResponse = 2
 	frameCancel   = 3
 	framePing     = 4
-	framePong     = 5
 )
 
 // Response status codes.
@@ -72,9 +78,9 @@ const maxFrameSize = 512 << 20
 // prefix, the frame type byte, the fixed request header, and room for a
 // fully populated meta extension. The transport fills the headroom in
 // place — right-aligned, so a call with default metadata leaves the first
-// metaExtMax bytes unused rather than shifting the payload — and writes
-// the buffer with a single Write, so an encoded payload travels from
-// codec to wire without being copied.
+// metaExtMax bytes unused rather than shifting the payload — and hands the
+// buffer to the flusher whole, so an encoded payload travels from codec to
+// wire without being copied.
 const PayloadHeadroom = 4 + 1 + headerSize + metaExtMax
 
 // ResponseHeadroom is the scratch space a FramedHandler must reserve at
@@ -166,11 +172,18 @@ type header struct {
 	meta     CallMeta
 }
 
-// encode writes the fixed 53-byte header. Callers sending non-default
-// meta use encodeWithExt instead; plain encode is the default-meta fast
-// path (h.flags must not claim an extension that is not written).
-func (h *header) encode(b []byte) {
-	_ = b[headerSize-1]
+// encode writes the fixed header followed by the meta extension when
+// h.meta has non-default priority or attempt, and returns the bytes
+// written: headerSize for default meta, which costs no extra wire byte.
+// The flags byte is h.flags with flagHedge and flagMetaExt derived from
+// h.meta. b must hold at least headerSize + h.meta.extSize() bytes.
+func (h *header) encode(b []byte) int {
+	ext := h.meta.extSize()
+	_ = b[headerSize+ext-1]
+	flags := h.flags &^ flagMetaExt
+	if h.meta.Hedge {
+		flags |= flagHedge
+	}
 	binary.LittleEndian.PutUint64(b[0:], h.id)
 	binary.LittleEndian.PutUint32(b[8:], uint32(h.method))
 	binary.LittleEndian.PutUint64(b[12:], uint64(h.deadline))
@@ -178,28 +191,18 @@ func (h *header) encode(b []byte) {
 	binary.LittleEndian.PutUint64(b[28:], h.span)
 	binary.LittleEndian.PutUint64(b[36:], h.parent)
 	binary.LittleEndian.PutUint64(b[44:], h.shard)
-	b[52] = h.flags
-}
-
-// encodeWithExt writes the fixed header followed by the meta extension
-// when h.meta has non-default priority or attempt, setting flagMetaExt
-// accordingly. It returns the total bytes written (headerSize when the
-// extension is empty). b must have room for headerSize+metaExtMax bytes.
-func (h *header) encodeWithExt(b []byte) int {
-	ext := h.meta.extSize()
 	if ext > 0 {
-		h.flags |= flagMetaExt
-	}
-	h.encode(b)
-	if ext > 0 {
+		flags |= flagMetaExt
 		h.meta.encodeExt(b[headerSize:])
 	}
+	b[52] = flags
 	return headerSize + ext
 }
 
 // decode parses the fixed header and, when flagMetaExt is set, the meta
 // extension. It returns the total header bytes consumed — the offset at
-// which the args payload begins.
+// which the args payload begins. flagMetaExt describes the framing only,
+// so decode clears it from h.flags: encode sets it again from h.meta.
 func (h *header) decode(b []byte) (int, error) {
 	if len(b) < headerSize {
 		return 0, fmt.Errorf("rpc: short request header: %d bytes", len(b))
@@ -211,10 +214,10 @@ func (h *header) decode(b []byte) (int, error) {
 	h.span = binary.LittleEndian.Uint64(b[28:])
 	h.parent = binary.LittleEndian.Uint64(b[36:])
 	h.shard = binary.LittleEndian.Uint64(b[44:])
-	h.flags = b[52]
+	h.flags = b[52] &^ flagMetaExt
 	h.meta = CallMeta{Hedge: h.flags&flagHedge != 0}
 	n := headerSize
-	if h.flags&flagMetaExt != 0 {
+	if b[52]&flagMetaExt != 0 {
 		k, err := h.meta.decodeExt(b[headerSize:])
 		if err != nil {
 			return 0, err
@@ -224,9 +227,8 @@ func (h *header) decode(b []byte) (int, error) {
 	return n, nil
 }
 
-// A frameBuf is a pooled scratch buffer used for frame assembly and frame
-// reads, so the steady-state data plane neither allocates nor copies into
-// fresh buffers per frame.
+// A frameBuf is a pooled scratch buffer in which connFlusher.writeControl
+// assembles small control frames, so they cost no allocation.
 type frameBuf struct{ b []byte }
 
 var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
@@ -243,9 +245,3 @@ func putFrame(fb *frameBuf) {
 	}
 	framePool.Put(fb)
 }
-
-// vectoredThreshold is the frame size above which a frame's payload skips
-// the pooled assembly scratch and rides the flusher's vectored write
-// (writev on TCP) as a separate buffer, so the payload bytes are never
-// copied.
-const vectoredThreshold = 64 << 10

@@ -3,6 +3,8 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"net"
 	"testing"
 
 	"repro/internal/tracing"
@@ -14,24 +16,86 @@ import (
 // new flags.
 func TestMetaDefaultWireBytesUnchanged(t *testing.T) {
 	h := header{id: 42, method: MethodKey("x.Y"), deadline: 123456, shard: 7}
-	var plain [headerSize]byte
-	h.encode(plain[:])
+	var want [headerSize]byte
+	binary.LittleEndian.PutUint64(want[0:], 42)
+	binary.LittleEndian.PutUint32(want[8:], uint32(MethodKey("x.Y")))
+	binary.LittleEndian.PutUint64(want[12:], 123456)
+	binary.LittleEndian.PutUint64(want[44:], 7)
 
-	var ext [headerSize + metaExtMax]byte
-	n := h.encodeWithExt(ext[:])
+	var buf [headerSize + metaExtMax]byte
+	n := h.encode(buf[:])
 	if n != headerSize {
 		t.Fatalf("default meta encoded %d bytes, want %d (no extension)", n, headerSize)
 	}
-	if !bytes.Equal(ext[:n], plain[:]) {
-		t.Fatal("default-meta encodeWithExt bytes differ from the fixed header")
+	if !bytes.Equal(buf[:n], want[:]) {
+		t.Fatal("default-meta header bytes differ from the fixed header layout")
 	}
-	if h.flags&(flagMetaExt|flagHedge|flagSampled) != 0 {
-		t.Fatalf("default meta set flags %#x", h.flags)
+	if flags := buf[52]; flags&(flagMetaExt|flagHedge|flagSampled) != 0 {
+		t.Fatalf("default meta set flags %#x", flags)
+	}
+}
+
+// TestRequestFrameWrittenInPlace reads the frames a client puts on the
+// wire: a default-meta request is the length prefix, the type byte, the
+// fixed header laid out byte for byte, then the args; a request with an
+// extension carries it between the header and the same args.
+func TestRequestFrameWrittenInPlace(t *testing.T) {
+	cliSide, srvSide := net.Pipe()
+	defer cliSide.Close()
+	defer srvSide.Close()
+	c := NewClient("pipe", ClientOptions{
+		NumConns: 1,
+		Dialer:   func(ctx context.Context, addr string) (net.Conn, error) { return cliSide, nil },
+	})
+	defer c.Close()
+
+	method := MethodKey("frame.Probe")
+	args := []byte("in-place args")
+	for _, meta := range []CallMeta{{}, {Priority: PriorityHigh, Attempt: 200}} {
+		framed := make([]byte, PayloadHeadroom+len(args))
+		copy(framed[PayloadHeadroom:], args)
+		frames := make(chan []byte, 1)
+		go func() {
+			frame, err := readFrameInto(srvSide, new([]byte))
+			if err != nil {
+				t.Error(err)
+			}
+			frames <- frame
+			_, _ = readFrameInto(srvSide, new([]byte)) // the cancel frame
+		}()
+		p, err := c.Start(context.Background(), method, framed, CallOptions{Shard: 7, Meta: meta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := <-frames
+		p.Abandon()
+
+		ext := meta.extSize()
+		want := []byte{frameRequest}
+		want = binary.LittleEndian.AppendUint64(want, 1)
+		want = binary.LittleEndian.AppendUint32(want, uint32(method))
+		want = append(want, make([]byte, 32)...) // deadline, trace, span, parent
+		want = binary.LittleEndian.AppendUint64(want, 7)
+		if ext == 0 {
+			want = append(want, 0)
+		} else {
+			want = append(want, flagMetaExt)
+			want = binary.AppendUvarint(want, uint64(meta.Priority))
+			want = binary.AppendUvarint(want, uint64(meta.Attempt))
+		}
+		want = append(want, args...)
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("meta %+v: frame\n% x\nwant\n% x", meta, frame, want)
+		}
+		if len(frame) != 1+headerSize+ext+len(args) {
+			t.Fatalf("meta %+v: frame of %d bytes", meta, len(frame))
+		}
+		c.nextID.Store(0)
 	}
 }
 
 // TestMetaExtRoundTrip drives every priority class and a spread of attempt
-// ordinals through encodeWithExt/decode, checking the extension stays
+// ordinals through encode/decode, checking the extension stays
 // within its headroom budget and decodes to the same metadata.
 func TestMetaExtRoundTrip(t *testing.T) {
 	for _, p := range []Priority{PriorityNormal, PriorityLow, PriorityHigh, PriorityCritical} {
@@ -46,7 +110,7 @@ func TestMetaExtRoundTrip(t *testing.T) {
 					h.flags |= flagHedge
 				}
 				var buf [headerSize + metaExtMax]byte
-				n := h.encodeWithExt(buf[:])
+				n := h.encode(buf[:])
 				if n > headerSize+metaExtMax {
 					t.Fatalf("meta %v/%d overflowed headroom: %d bytes", p, attempt, n)
 				}
@@ -75,7 +139,7 @@ func TestMetaExtRoundTrip(t *testing.T) {
 func TestMetaExtTruncatedRejected(t *testing.T) {
 	h := header{id: 1, method: MethodKey("x.Y"), meta: CallMeta{Priority: PriorityCritical, Attempt: 2}}
 	var buf [headerSize + metaExtMax]byte
-	n := h.encodeWithExt(buf[:])
+	n := h.encode(buf[:])
 	if n <= headerSize {
 		t.Fatal("test needs a non-empty extension")
 	}
@@ -83,6 +147,48 @@ func TestMetaExtTruncatedRejected(t *testing.T) {
 	if _, err := got.decode(buf[:headerSize]); err == nil {
 		t.Fatal("decode accepted a header whose advertised extension is missing")
 	}
+}
+
+// FuzzRequestHeader feeds arbitrary bytes to header.decode as a hostile
+// peer would. decode must never panic, must never claim more bytes than it
+// was given, and every header it accepts must re-encode through encode and
+// decode back to an equal header.
+func FuzzRequestHeader(f *testing.F) {
+	for _, h := range []header{
+		{id: 42, method: MethodKey("x.Y"), deadline: 123456, shard: 7},
+		{id: 1, flags: flagSampled | flagAcceptCompressed, trace: 5, span: 6, parent: 7},
+		{id: 9, meta: CallMeta{Priority: PriorityCritical, Attempt: 2, Hedge: true}},
+		{id: 3, meta: CallMeta{Priority: 200, Attempt: 255}},
+	} {
+		var buf [headerSize + metaExtMax]byte
+		n := h.encode(buf[:])
+		f.Add(append([]byte(nil), buf[:n]...))
+	}
+	f.Add([]byte{0x01})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var h header
+		n, err := h.decode(b)
+		if err != nil {
+			return
+		}
+		if n > len(b) {
+			t.Fatalf("decode consumed %d of %d bytes", n, len(b))
+		}
+		var buf [headerSize + metaExtMax]byte
+		m := h.encode(buf[:])
+		var got header
+		k, err := got.decode(buf[:m])
+		if err != nil {
+			t.Fatalf("re-encoded header %+v does not decode: %v", h, err)
+		}
+		if k != m {
+			t.Fatalf("decode consumed %d bytes, encode wrote %d", k, m)
+		}
+		if got != h {
+			t.Fatalf("round trip = %+v, want %+v", got, h)
+		}
+	})
 }
 
 // TestMetaVisibleToHandler sends priority, attempt, hedge, and the sampled

@@ -2,10 +2,8 @@ package rpc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime/debug"
 	"sync"
@@ -97,9 +95,8 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// Admission control: adm is the priority-aware admission gate (nil
-	// when unlimited); queued mirrors its wait-queue depth.
-	adm    *admitter
-	queued atomic.Int64
+	// when unlimited).
+	adm *admitter
 
 	// Drain state: once draining is set, new requests are answered with
 	// statusUnavailable (never executed, so callers retry elsewhere) while
@@ -188,7 +185,7 @@ func NewServerWithOptions(opts ServerOptions) *Server {
 	}
 	s.opts.Clock = clock.Or(opts.Clock)
 	if opts.MaxInflight > 0 {
-		s.adm = newAdmitter(opts.MaxInflight, opts.MaxQueue, &s.queued, s.hedgeDropMetric)
+		s.adm = newAdmitter(opts.MaxInflight, opts.MaxQueue, s.hedgeDropMetric)
 	}
 	// One wheel tick per millisecond while any deadline is outstanding;
 	// 256 slots keep a tick's sweep to the entries actually due.
@@ -389,7 +386,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	st := newConnState()
 	defer st.wg.Wait()
 
-	cw := s.newConnWriter(conn)
+	fl := newConnFlusher(conn, s.txBytes, s.flushHist, &s.flushStallNanos, s.opts.Clock)
 	fr := newFrameReader(conn, s.readHist, &s.readStallNanos, s.opts.Clock)
 	defer fr.close()
 
@@ -428,7 +425,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			st.add(hdr.id, rc)
 			st.wg.Add(1)
-			s.pool.submit(reqWork{s: s, cw: cw, st: st, rc: rc, rb: rb, hdr: hdr, args: payload[n:]})
+			s.pool.submit(reqWork{s: s, fl: fl, st: st, rc: rc, rb: rb, hdr: hdr, args: payload[n:]})
 
 		case frameCancel:
 			if len(payload) >= 8 {
@@ -437,11 +434,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			rb.release()
 
 		case framePing:
-			_ = cw.write([]byte{framePong}, payload)
+			// Answered inline, outside admission and drain: a ping probes
+			// the connection, not the handlers.
+			if len(payload) >= 8 {
+				_ = fl.writeControl(frameResponse, getUint64(payload), statusOK)
+			}
 			rb.release()
 
 		default:
-			// Servers do not send pings, so pongs (and unknown types) are
+			// Clients send no responses, so those (and unknown types) are
 			// ignored.
 			rb.release()
 		}
@@ -451,7 +452,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // handleRequest runs one request to completion: admission, dispatch, and
 // response write. It runs on a per-request goroutine; args aliases the
 // pooled request frame, which the caller returns to the pool afterwards.
-func (s *Server) handleRequest(rc *reqCtx, cw *connWriter, hdr header, args []byte) {
+func (s *Server) handleRequest(rc *reqCtx, fl *connFlusher, hdr header, args []byte) {
 	// Count in-flight before checking the drain gate: Drain stores the flag
 	// and then polls the counter, so a request that saw draining==false is
 	// guaranteed visible to the poll.
@@ -459,7 +460,7 @@ func (s *Server) handleRequest(rc *reqCtx, cw *connWriter, hdr header, args []by
 	defer s.inflightReqs.Add(-1)
 	if s.draining.Load() {
 		s.unavail.Inc()
-		_ = cw.respond(hdr.id, statusUnavailable, nil)
+		_ = fl.writeControl(frameResponse, hdr.id, statusUnavailable)
 		return
 	}
 
@@ -475,7 +476,7 @@ func (s *Server) handleRequest(rc *reqCtx, cw *connWriter, hdr header, args []by
 	if !s.admit(rc, hdr.meta) {
 		s.shed.Inc()
 		s.shedByClass[rank].Inc()
-		_ = cw.respond(hdr.id, statusOverloaded, nil)
+		_ = fl.writeControl(frameResponse, hdr.id, statusOverloaded)
 		return
 	}
 	s.admittedByClass[rank].Inc()
@@ -488,99 +489,38 @@ func (s *Server) handleRequest(rc *reqCtx, cw *connWriter, hdr header, args []by
 		}
 		if errors.Is(herr, errUnavailable) {
 			s.unavail.Inc()
-			_ = cw.respond(hdr.id, statusUnavailable, nil)
+			_ = fl.writeControl(frameResponse, hdr.id, statusUnavailable)
 			return
 		}
 		s.errored.Inc()
-		_ = cw.respond(hdr.id, statusError, []byte(herr.Error()))
+		_ = fl.writeControl(frameResponse, hdr.id, append([]byte{statusError}, herr.Error()...)...)
 		return
 	}
-	payload := result[ResponseHeadroom:]
-	if hdr.flags&flagAcceptCompressed != 0 && len(payload) >= DefaultCompressThreshold {
-		if small, comp, ok := compress(payload); ok {
+	if hdr.flags&flagAcceptCompressed != 0 && len(result)-ResponseHeadroom >= DefaultCompressThreshold {
+		if small, comp, ok := compress(result[ResponseHeadroom:], ResponseHeadroom); ok {
 			if owner != nil {
 				owner.Release()
 			}
-			_ = cw.respond(hdr.id, statusOKCompressed, small)
+			_ = respondFramed(fl, hdr.id, statusOKCompressed, small)
 			comp.release()
 			return
 		}
 	}
-	_ = cw.respondFramed(hdr.id, statusOK, result)
+	_ = respondFramed(fl, hdr.id, statusOK, result)
 	if owner != nil {
 		owner.Release()
 	}
 }
 
-// connWriter coalesces response writes on one server connection through a
-// connFlusher; tx bytes are counted only for writes that succeed. Response
-// writers are per-request handler goroutines still holding their admission
-// slot, so the flusher's backlog cap turns a congested connection into
-// backpressure on MaxInflight.
-type connWriter struct {
-	fl *connFlusher
-}
-
-func (s *Server) newConnWriter(w io.Writer) *connWriter {
-	return &connWriter{fl: newConnFlusher(w, s.txBytes, s.flushHist, &s.flushStallNanos, s.opts.Clock)}
-}
-
-// write frames and writes arbitrary chunks (pings/pongs).
-func (cw *connWriter) write(chunks ...[]byte) error {
-	var n int
-	for _, c := range chunks {
-		n += len(c)
-	}
-	if n > maxFrameSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	fb := getFrame()
-	buf := append(fb.b[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(buf, uint32(n))
-	for _, c := range chunks {
-		buf = append(buf, c...)
-	}
-	fb.b = buf
-	return cw.fl.write(buf, nil, fb)
-}
-
-// respond assembles a response frame (type, id, status, payload) in pooled
-// scratch and enqueues it on the flusher. Payloads above vectoredThreshold
-// stay out of scratch and ride the writev as a separate buffer.
-func (cw *connWriter) respond(id uint64, status byte, payload []byte) error {
-	n := 1 + 8 + 1 + len(payload)
-	if n > maxFrameSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	fb := getFrame()
-	buf := append(fb.b[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(buf, uint32(n))
-	buf = append(buf, frameResponse)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = append(buf, status)
-	if len(payload) > vectoredThreshold {
-		fb.b = buf
-		return cw.fl.write(buf, payload, fb)
-	}
-	buf = append(buf, payload...)
-	fb.b = buf
-	return cw.fl.write(buf, nil, fb)
-}
-
-// respondFramed fills the ResponseHeadroom scratch at the front of framed
-// in place and enqueues the buffer on the flusher — the zero-copy path for
-// pooled handler results. The buffer stays owned by the flusher until the
-// call returns.
-func (cw *connWriter) respondFramed(id uint64, status byte, framed []byte) error {
-	n := len(framed) - 4
-	if n > maxFrameSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	binary.LittleEndian.PutUint32(framed[0:4], uint32(n))
+// respondFramed fills the response framing into the ResponseHeadroom
+// scratch at the front of framed and writes the buffer in place — the
+// zero-copy path for pooled handler results and compressed ones alike.
+// The buffer stays owned by the flusher until the call returns.
+func respondFramed(fl *connFlusher, id uint64, status byte, framed []byte) error {
 	framed[4] = frameResponse
-	binary.LittleEndian.PutUint64(framed[5:13], id)
+	putUint64(framed[5:13], id)
 	framed[13] = status
-	return cw.fl.write(framed, nil, nil)
+	return fl.writeFramed(framed)
 }
 
 // dispatch runs the handler for hdr.method after the injected fault

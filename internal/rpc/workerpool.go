@@ -174,7 +174,7 @@ func (st *connState) cancelAll() {
 // worker's channel, so handing a request to the pool allocates nothing.
 type reqWork struct {
 	s    *Server
-	cw   *connWriter
+	fl   *connFlusher
 	st   *connState
 	rc   *reqCtx
 	rb   *readBuf
@@ -186,7 +186,7 @@ type reqWork struct {
 // dropped only after the response is on the wire (handlers may alias args
 // in their results), and the conn's WaitGroup releases last.
 func (wk reqWork) run() {
-	wk.s.handleRequest(wk.rc, wk.cw, wk.hdr, wk.args)
+	wk.s.handleRequest(wk.rc, wk.fl, wk.hdr, wk.args)
 	wk.st.remove(wk.hdr.id)
 	wk.rc.finish()
 	wk.rb.release()

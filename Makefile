@@ -47,14 +47,14 @@ race:
 
 # Allocation-budget gates for the zero-copy data plane (DESIGN.md §9), for
 # hedging's standing cost on the client call path (DESIGN.md §8), for a
-# co-located call's bookkeeping (DESIGN.md §13), and for the generated
-# codecs (DESIGN.md §6).
+# co-located call's bookkeeping (DESIGN.md §13), for the generated
+# codecs and for the decoder's string intern table (DESIGN.md §6).
 # They must run without -race: the detector makes sync.Pool drop Puts at
 # random, so alloc counts are only meaningful in a plain build. Two CPU
 # counts give two client stripe widths (min(4, GOMAXPROCS) conns), so a
 # stripe-width-dependent defect cannot pass on a 1-CPU host.
 allocs:
-	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc ./internal/core ./internal/boutique
+	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc ./internal/core ./internal/boutique ./internal/codec
 
 # The end-to-end benchmark is its own module (perfbench/go.mod), so the
 # root vet and build never compile it; vet and test it here so a change to
@@ -84,10 +84,11 @@ bench:
 # benchmark (at one and two CPUs) and records them as machine-readable JSON
 # in BENCH_rpc.json (EXPERIMENTS.md A9, A16), the placement
 # planner benchmark in BENCH_placement.json (EXPERIMENTS.md A6/A10), and the
-# generated vs reflective codec round trip in BENCH_codec.json
-# (EXPERIMENTS.md A1).
+# generated vs reflective codec round trip plus the interned string decode
+# in BENCH_codec.json (EXPERIMENTS.md A1, A1b).
 bench-json:
 	{ go test -run xxx -bench 'BenchmarkTransport|BenchmarkCall|BenchmarkPriority|BenchmarkReadBatch' -benchmem ./internal/rpc . && \
 	  go test -run xxx -bench 'BenchmarkLocalCall' -benchmem -cpu 1,2 ./internal/core; } | go run ./cmd/benchjson -out BENCH_rpc.json
 	go test -run xxx -bench 'BenchmarkPlacement' -benchmem . | go run ./cmd/benchjson -out BENCH_placement.json
-	go test -run xxx -bench 'BenchmarkOrderCodec' -benchmem -count 5 ./internal/boutique | go run ./cmd/benchjson -out BENCH_codec.json
+	{ go test -run xxx -bench 'BenchmarkOrderCodec' -benchmem -count 5 ./internal/boutique && \
+	  go test -run xxx -bench 'BenchmarkDecodeStrings' -benchmem -count 5 ./internal/codec; } | go run ./cmd/benchjson -out BENCH_codec.json

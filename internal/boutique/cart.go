@@ -42,7 +42,8 @@ type cart struct {
 }
 
 // Init prepares the cart state, loading persisted carts when CART_STORE_DIR
-// is configured.
+// is configured. A persisted cart that does not decode fails Init with an
+// error naming its key; it is never dropped silently.
 func (c *cart) Init(context.Context) error {
 	c.carts = map[string][]CartItem{}
 	dir := os.Getenv("CART_STORE_DIR")
@@ -53,18 +54,34 @@ func (c *cart) Init(context.Context) error {
 	if err != nil {
 		return fmt.Errorf("cart: opening store: %w", err)
 	}
-	c.db = db
+	var bad error
 	err = db.Range("cart/", func(key string, val []byte) bool {
-		var items []CartItem
-		if codec.Unmarshal(val, &items) == nil {
-			c.carts[key[len("cart/"):]] = items
+		var items cartRecord
+		if err := codec.Parse(val, &items); err != nil {
+			bad = fmt.Errorf("record %q: %w", key, err)
+			return false
 		}
+		c.carts[key[len("cart/"):]] = items
 		return true
 	})
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
+		db.Close()
 		return fmt.Errorf("cart: loading persisted carts: %w", err)
 	}
+	c.db = db
 	return nil
+}
+
+// cartRecord is one persisted cart. It is written and read with the
+// generated []CartItem codec, whose bytes equal the reflective engine's,
+// so stores written by either still load.
+type cartRecord []CartItem
+
+func (r *cartRecord) WeaverUnmarshal(d *codec.Decoder) {
+	weaverDec_slice_CartItem(d, (*[]CartItem)(r))
 }
 
 // Shutdown closes the persistent store, if any.
@@ -84,7 +101,10 @@ func (c *cart) persistLocked(userID string) error {
 	if !ok || len(items) == 0 {
 		return c.db.Delete("cart/" + userID)
 	}
-	return c.db.Put("cart/"+userID, codec.Marshal(items))
+	e := codec.GetEncoder()
+	defer codec.PutEncoder(e)
+	weaverEnc_slice_CartItem(e, &items)
+	return c.db.Put("cart/"+userID, e.Data()) // Put copies the bytes
 }
 
 // AddItem adds (or merges) an item into a user's cart.

@@ -346,10 +346,12 @@ func (d *Decoder) Count() int {
 	return int(v)
 }
 
-// String decodes a string.
+// String decodes a string. Short strings come from the intern table
+// (Intern), so a value decoded before usually costs no allocation; the
+// result never aliases the decoder's input.
 func (d *Decoder) String() string {
 	n := d.Len64("string")
-	return string(d.take(n, "string"))
+	return Intern(d.take(n, "string"))
 }
 
 // Bytes decodes a byte slice. The result is a copy and does not alias the

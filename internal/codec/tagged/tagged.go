@@ -37,6 +37,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/codec"
 )
 
 // Wire types.
@@ -532,7 +534,7 @@ func (f *field) decode(data []byte, wire int, v reflect.Value) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		v.SetString(string(payload))
+		v.SetString(codec.Intern(payload))
 		return rest, nil
 	case reflect.Struct:
 		payload, rest, err := takeBytes(data)

@@ -554,7 +554,9 @@ func (m *Manager) LoadReport(e *envelope.Envelope, lr pipe.LoadReport) {
 	})
 	m.mu.Lock()
 	m.metrics[e.ID] = lr.Metrics
-	if pid, ok := m.pids[e.ID]; ok {
+	// One proclet per process ships the process registry each interval;
+	// the other reports carry none and must not erase it.
+	if pid, ok := m.pids[e.ID]; ok && lr.Process != nil {
 		m.process[pid] = lr.Process
 	}
 	m.mu.Unlock()

@@ -145,7 +145,9 @@ type LoadReport struct {
 	Metrics []metrics.Snapshot `tag:"3"`
 	// Process is the process-global registry (metrics.Default: rpc.*),
 	// which every proclet of one OS process shares; the manager merges it
-	// once per process, keyed by the Pid the proclet registered with.
+	// once per process, keyed by the Pid the proclet registered with. One
+	// proclet per process and report interval fills it; the other reports
+	// leave it nil.
 	Process []metrics.Snapshot `tag:"4"`
 }
 

@@ -688,18 +688,22 @@ func (p *Proclet) reportOnce() {
 	p.lastCalls = totalCalls
 	p.lastReport = now
 
+	// The process-global registry carries the transport-level metrics
+	// (rpc.server.shed, rpc.breaker.*, rpc.client.*) to the manager's
+	// merged view and the dashboard. It rides apart from snap because
+	// proclets sharing a process share it: the manager keeps one snapshot
+	// per process, so one proclet per interval ships it.
+	var process []metrics.Snapshot
+	if claimProcessReport(now, p.opts.ReportInterval) {
+		process = metrics.Default.Snapshot()
+	}
 	_ = p.send(&pipe.Message{
 		Kind: pipe.KindLoadReport,
 		LoadReport: &pipe.LoadReport{
 			Healthy:     true,
 			CallsPerSec: rate,
 			Metrics:     snap,
-			// The process-global registry carries the transport-level
-			// metrics (rpc.server.shed, rpc.breaker.*, rpc.client.*) to the
-			// manager's merged view and the dashboard. It rides apart from
-			// snap because proclets sharing a process share it: the manager
-			// counts it once per process, not once per proclet.
-			Process: metrics.Default.Snapshot(),
+			Process:     process,
 		},
 	})
 
@@ -712,6 +716,30 @@ func (p *Proclet) reportOnce() {
 	if edges := p.graph.Drain(); len(edges) > 0 {
 		_ = p.send(&pipe.Message{Kind: pipe.KindGraphBatch, GraphBatch: &pipe.GraphBatch{Edges: edges}})
 	}
+}
+
+// processReportDue is the time (Unix ns) from which the next load report
+// of any proclet in this process carries the process-global registry.
+var processReportDue atomic.Int64
+
+// claimProcessReport reports whether the load report built at now carries
+// the process-global registry, and if so moves the shared due time one
+// interval on. A claim is taken up to a quarter interval early, so a lone
+// proclet whose ticks jitter still ships on every tick; after a stall
+// longer than an interval the schedule restarts from now rather than
+// catching up. Each claim moves the schedule a whole interval, so a process
+// ships about one snapshot per interval however many proclets it hosts.
+func claimProcessReport(now time.Time, interval time.Duration) bool {
+	n := now.UnixNano()
+	due := processReportDue.Load()
+	if n < due-int64(interval/4) {
+		return false
+	}
+	next := due + int64(interval)
+	if next <= n {
+		next = n + int64(interval)
+	}
+	return processReportDue.CompareAndSwap(due, next)
 }
 
 func shortNames(full []string) []string {

@@ -11,7 +11,9 @@ check: vet lint build race allocs perfbench sim
 # and the data plane's single frame writer (DESIGN.md §9): frame scratch
 # (getFrame) and the frame-size limit appear only in frame.go, flusher.go
 # and readbatch.go, plus compress.go, whose decompress bounds an inflated
-# payload by the same limit.
+# payload by the same limit; and a served request's single context
+# constructor (DESIGN.md §15): a reqCtx literal appears only in newReqCtx,
+# so the server dispatch allocation gate measures what the read loop builds.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
@@ -31,6 +33,12 @@ lint:
 		| grep -v -E '^internal/rpc/([a-z_]+_test|frame|flusher|readbatch|compress)\.go:' || true); \
 	if [ -n "$$out" ]; then \
 		echo "frame assembly outside internal/rpc/{frame,flusher,readbatch}.go:"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(awk 'FNR == 1 || /^}/ { fn = "" } /^func / { fn = $$0 } \
+		/(^|[^*A-Za-z0-9_])reqCtx\{/ && !(FILENAME == "internal/rpc/workerpool.go" && fn ~ /^func newReqCtx\(/) \
+		{ print FILENAME ":" FNR ":" $$0 }' internal/rpc/*.go); \
+	if [ -n "$$out" ]; then \
+		echo "reqCtx literal outside newReqCtx in internal/rpc/workerpool.go:"; \
 		echo "$$out"; exit 1; fi
 
 build:

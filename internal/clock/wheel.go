@@ -97,12 +97,14 @@ func (w *Wheel) Schedule(e *WheelEntry, deadline time.Time, x Expirer) {
 		w.running = true
 		w.prevTick = w.tickOf(w.clk.Now())
 	}
-	// Never link into a slot index the runner has already swept this
-	// revolution: a deadline at or before the sweep line waits a full
-	// revolution before its slot comes around again. Clamping to the next
-	// unswept tick keeps "fires within one tick" true for tight and
-	// already-past deadlines alike.
-	t := w.tickOf(deadline)
+	// Link into the first tick whose sweep time is at or after the
+	// deadline, so the entry is due whenever its slot is visited: a
+	// deadline inside a tick, linked at the tick it falls in, could be
+	// swept early and then skipped for a full revolution. Never link into
+	// a slot index the runner has already swept this revolution, either:
+	// clamping to the next unswept tick keeps "fires within one tick" true
+	// for tight and already-past deadlines alike.
+	t := w.tickOf(deadline.Add(w.tick - time.Nanosecond))
 	if t <= w.prevTick {
 		t = w.prevTick + 1
 	}

@@ -59,6 +59,28 @@ func TestWheelFiresWithinOneTick(t *testing.T) {
 	}
 }
 
+// A deadline inside a tick must fire at the first tick at or after it.
+// Linked into the slot of the tick it falls in, the entry is not yet due
+// when that tick is swept, and the slot is not visited again until the
+// ring wraps (here 8 ticks later).
+func TestWheelMidTickDeadline(t *testing.T) {
+	f := NewFake()
+	w := NewWheel(f, time.Millisecond, 8)
+	var r recorder
+	var e WheelEntry
+	w.Schedule(&e, f.Now().Add(5500*time.Microsecond), &r)
+	waitRunnerWaiting(t, f)
+	for i := 0; i < 5; i++ {
+		f.Advance(time.Millisecond)
+		waitRunnerWaiting(t, f)
+		if n := r.fired.Load(); n != 0 {
+			t.Fatalf("fired at %d ms, before the 5.5 ms deadline", i+1)
+		}
+	}
+	f.Advance(time.Millisecond)
+	eventually(t, "mid-tick deadline to fire at the next tick", func() bool { return r.fired.Load() == 1 })
+}
+
 func TestWheelStop(t *testing.T) {
 	f := NewFake()
 	w := NewWheel(f, time.Millisecond, 8)

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/codec"
 )
@@ -157,12 +160,45 @@ func TestAllocsMetaDefaultCall(t *testing.T) {
 	}
 }
 
+// allocsPerRun is testing.AllocsPerRun that also reports heap bytes: it
+// runs f once to warm up, then measures five windows of runs calls each.
+// Like AllocsPerRun it truncates the per-call means. It returns the
+// largest window's mallocs, so every window must meet an alloc budget,
+// and the smallest window's bytes: a stray allocation some other
+// goroutine makes during one window adds a byte or so to that window's
+// mean, while a cost f pays on every call shows in every window. Callers
+// pin GOMAXPROCS(1) so other goroutines' garbage stays out of the windows.
+func allocsPerRun(runs int, f func()) (allocs, bytes uint64) {
+	f()
+	bytes = math.MaxUint64
+	var before, after runtime.MemStats
+	for w := 0; w < 5; w++ {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = max(allocs, (after.Mallocs-before.Mallocs)/uint64(runs))
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return allocs, bytes
+}
+
+// reqCtxBytes is the byte budget of a served request's context: one
+// reqCtx in Go's 96-byte size class. wheelEntryBytes is the size class
+// of the wheel entry a deadline-carrying request adds.
+const (
+	reqCtxBytes     = 96
+	wheelEntryBytes = 64
+)
+
 // TestAllocsServerDispatch gates the server fast path: admission, dispatch
 // through a framed handler that answers from a pooled encoder, and the
-// in-place response write. Each request runs on a fresh *reqCtx, as the
-// read loop creates one per request frame; that context, which carries the
-// CallInfo and span context as fields, is the only allocation the path may
-// make.
+// in-place response write. Each request runs on a fresh context from
+// newReqCtx, as the read loop creates one per request frame; that
+// context, which carries the CallInfo and span context as fields, is the
+// only allocation the path may make, and it must fit reqCtxBytes. A
+// request carrying a deadline adds its wheel entry, which finish unlinks.
 func TestAllocsServerDispatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under the race detector (sync.Pool drops Puts)")
@@ -178,20 +214,40 @@ func TestAllocsServerDispatch(t *testing.T) {
 	})
 
 	fl := newConnFlusher(io.Discard, s.txBytes, s.flushHist, nil, nil)
-	hdr := header{id: 7, method: MethodKey("alloc.ServerEcho"), trace: 11, span: 12, parent: 13}
 	args := []byte("ping-pong payload")
 
-	serve := func() {
-		rc := &reqCtx{clk: s.opts.Clock, wheel: s.wheel}
-		s.handleRequest(rc, fl, hdr, args)
-		rc.finish()
+	if size := unsafe.Sizeof(*newReqCtx(s, header{})); size > reqCtxBytes {
+		t.Errorf("reqCtx is %d bytes, budget is %d", size, reqCtxBytes)
 	}
-	serve() // warm up pools
+	for _, tc := range []struct {
+		name          string
+		deadline      int64
+		allocs, bytes uint64
+	}{
+		{"NoDeadline", 0, 1, reqCtxBytes},
+		{"Deadline", time.Now().Add(time.Hour).UnixNano(), 2, reqCtxBytes + wheelEntryBytes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hdr := header{id: 7, method: MethodKey("alloc.ServerEcho"), trace: 11, span: 12, parent: 13, deadline: tc.deadline}
+			serve := func() {
+				rc := newReqCtx(s, hdr)
+				s.handleRequest(rc, fl, hdr, args)
+				rc.finish()
+			}
+			serve() // warm up pools
 
-	allocs := testing.AllocsPerRun(200, serve)
-	t.Logf("allocs/op: %.1f", allocs)
-	if allocs > 1 {
-		t.Errorf("server dispatch path allocates %.1f allocs/op, budget is 1 (the reqCtx)", allocs)
+			allocs, bytes := allocsPerRun(200, serve)
+			t.Logf("allocs/op: %d, B/op: %d", allocs, bytes)
+			if allocs > tc.allocs {
+				t.Errorf("server dispatch path allocates %d allocs/op, budget is %d", allocs, tc.allocs)
+			}
+			if bytes > tc.bytes {
+				t.Errorf("server dispatch path allocates %d B/op, budget is %d", bytes, tc.bytes)
+			}
+			if n := s.wheel.Len(); n != 0 {
+				t.Errorf("wheel holds %d entries after finished requests", n)
+			}
+		})
 	}
 }
 

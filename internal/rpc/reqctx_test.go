@@ -1,0 +1,244 @@
+package rpc
+
+import (
+	"context"
+	"errors"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/clock"
+)
+
+// These tests pin the served request context's deadline semantics on a
+// fake clock: Err is exact without anyone waiting, Done closes within one
+// wheel tick of the deadline, and every way a request ends — expiry,
+// cancel frame, finish — releases Done waiters and leaves the wheel empty.
+
+// reqDeadline is a deadline inside a wheel tick, so the tests also cover
+// a deadline that does not fall on a tick boundary.
+const reqDeadline = 5*time.Millisecond + 500*time.Microsecond
+
+func fakeServer() (*Server, *clock.Fake) {
+	f := clock.NewFake()
+	return NewServerWithOptions(ServerOptions{Clock: f}), f
+}
+
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+func TestReqCtxDeadline(t *testing.T) {
+	s, f := fakeServer()
+	if _, ok := newReqCtx(s, header{}).Deadline(); ok {
+		t.Error("request without a wire deadline reports one")
+	}
+	want := f.Now().Add(reqDeadline)
+	got, ok := newReqCtx(s, header{deadline: want.UnixNano()}).Deadline()
+	if !ok || !got.Equal(want) {
+		t.Errorf("Deadline() = %v, %v; want %v, true", got, ok, want)
+	}
+}
+
+// Err turns DeadlineExceeded exactly at the deadline, by the clock alone,
+// before the wheel's tick for it comes round.
+func TestReqCtxErrExactAtDeadline(t *testing.T) {
+	s, f := fakeServer()
+	rc := newReqCtx(s, header{deadline: f.Now().Add(reqDeadline).UnixNano()})
+	f.Advance(reqDeadline - time.Nanosecond)
+	if err := rc.Err(); err != nil {
+		t.Fatalf("Err() = %v one nanosecond before the deadline", err)
+	}
+	f.Advance(time.Nanosecond)
+	if err := rc.Err(); err != context.DeadlineExceeded {
+		t.Fatalf("Err() = %v at the deadline, want DeadlineExceeded", err)
+	}
+	rc.finish()
+}
+
+// A request's deadline is on the wheel from the start, and its Done
+// closes within one wheel tick of the deadline.
+func TestReqCtxDoneClosesWithinOneTick(t *testing.T) {
+	s, f := fakeServer()
+	rc := newReqCtx(s, header{deadline: f.Now().Add(reqDeadline).UnixNano()})
+	if n := s.wheel.Len(); n != 1 {
+		t.Fatalf("wheel holds %d entries for a deadline-carrying request, want 1", n)
+	}
+	done := rc.Done()
+	waitFor(t, func() bool { return f.Waiting() == 1 })
+	f.Advance(reqDeadline - time.Nanosecond)
+	waitFor(t, func() bool { return f.Waiting() == 1 })
+	if closed(done) {
+		t.Fatal("Done closed before the deadline")
+	}
+	f.Advance(time.Nanosecond + s.wheel.Tick())
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Done still open one wheel tick after the deadline")
+	}
+	if err := rc.Err(); err != context.DeadlineExceeded {
+		t.Fatalf("Err() = %v after expiry, want DeadlineExceeded", err)
+	}
+	if n := s.wheel.Len(); n != 0 {
+		t.Errorf("wheel holds %d entries after expiry", n)
+	}
+	waitFor(t, func() bool { return f.Waiting() == 0 })
+}
+
+// finish unlinks the wheel entry and releases the Done waiter.
+func TestReqCtxFinishStopsEntry(t *testing.T) {
+	s, f := fakeServer()
+	rc := newReqCtx(s, header{deadline: f.Now().Add(reqDeadline).UnixNano()})
+	done := rc.Done()
+	rc.finish()
+	if n := s.wheel.Len(); n != 0 {
+		t.Errorf("wheel holds %d entries after finish", n)
+	}
+	if !closed(done) {
+		t.Error("Done open after finish")
+	}
+	if err := rc.Err(); err != context.Canceled {
+		t.Errorf("Err() = %v after finish, want Canceled", err)
+	}
+	if !closed(rc.Done()) {
+		t.Error("Done taken after finish is open")
+	}
+	// Let the runner observe the drained wheel and exit.
+	waitFor(t, func() bool { return f.Waiting() == 1 })
+	f.Advance(s.wheel.Tick())
+	waitFor(t, func() bool { return f.Waiting() == 0 })
+}
+
+// A cancel frame on the connection closes the handler's Done.
+func TestReqCtxCancelFrameClosesDone(t *testing.T) {
+	s, f := fakeServer()
+	started := make(chan struct{})
+	errs := make(chan error, 1)
+	registerBytes(s, "reqctx.Wait", func(ctx context.Context, args []byte) ([]byte, error) {
+		done := ctx.Done()
+		close(started)
+		<-done
+		errs <- ctx.Err()
+		return nil, nil
+	})
+	cliSide, srvSide := net.Pipe()
+	defer cliSide.Close()
+	s.wg.Add(1)
+	go s.serveConn(srvSide)
+	go func() { // drain responses so the server's writes never block
+		var buf []byte
+		for {
+			if _, err := readFrameInto(cliSide, &buf); err != nil {
+				return
+			}
+		}
+	}()
+
+	// A deadline far past the test keeps the wheel busy but idle: only
+	// the cancel frame can close Done.
+	rawRequestDeadline(t, cliSide, 5, MethodKey("reqctx.Wait"), f.Now().Add(time.Hour).UnixNano())
+	<-started
+	var cancelFrame [9]byte
+	cancelFrame[0] = frameCancel
+	putUint64(cancelFrame[1:], 5)
+	if _, err := cliSide.Write(mkFrame(cancelFrame[:])); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errs:
+		if err != context.Canceled {
+			t.Errorf("Err() after cancel frame = %v, want Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancel frame did not close Done")
+	}
+	cliSide.Close()
+	s.Close()
+	if n := s.wheel.Len(); n != 0 {
+		t.Errorf("wheel holds %d entries after the request finished", n)
+	}
+}
+
+// rawRequestDeadline writes one request frame carrying a wire deadline.
+func rawRequestDeadline(t *testing.T, conn net.Conn, id uint64, method MethodID, deadline int64) {
+	t.Helper()
+	hdr := header{id: id, method: method, deadline: deadline}
+	var buf [1 + headerSize]byte
+	buf[0] = frameRequest
+	hdr.encode(buf[1:])
+	if _, err := conn.Write(mkFrame(buf[:])); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A child of context.WithCancel(rc) is cancelled when rc expires. reqCtx
+// is not a stdlib cancelCtx, so the context package watches rc.Done from
+// its own goroutine and then reads rc.Err — the stale-holder read that
+// rules out pooling reqCtxs.
+func TestReqCtxChildCancelledOnExpiry(t *testing.T) {
+	s, f := fakeServer()
+	rc := newReqCtx(s, header{deadline: f.Now().Add(reqDeadline).UnixNano()})
+	child, cancel := context.WithCancel(rc)
+	defer cancel()
+	waitFor(t, func() bool { return f.Waiting() == 1 })
+	f.Advance(reqDeadline)
+	waitFor(t, func() bool { return f.Waiting() == 1 })
+	f.Advance(s.wheel.Tick())
+	select {
+	case <-child.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("child context still open after the parent request expired")
+	}
+	if err := child.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("child Err() = %v, want DeadlineExceeded", err)
+	}
+	rc.finish()
+}
+
+// Done racing finish and cancel must stay clean under the race detector,
+// always end with Done closed, and never leave an entry on the wheel.
+func TestReqCtxDoneRacesFinish(t *testing.T) {
+	s := NewServer()
+	deadline := time.Now().Add(time.Hour).UnixNano()
+	for i := 0; i < 200; i++ {
+		rc := newReqCtx(s, header{deadline: deadline})
+		var wg sync.WaitGroup
+		chans := make([]<-chan struct{}, 3)
+		for j := range chans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				chans[j] = rc.Done()
+				_ = rc.Err()
+			}()
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			rc.end(ctxCanceled)
+		}()
+		go func() {
+			defer wg.Done()
+			rc.finish()
+		}()
+		wg.Wait()
+		for j, ch := range chans {
+			if !closed(ch) {
+				t.Fatalf("round %d: Done %d open after finish", i, j)
+			}
+		}
+		if rc.Err() == nil {
+			t.Fatalf("round %d: Err() nil after finish", i)
+		}
+		if n := s.wheel.Len(); n != 0 {
+			t.Fatalf("round %d: wheel holds %d entries after finish", i, n)
+		}
+	}
+}

@@ -58,7 +58,10 @@ type callInfoKey struct{}
 // InfoFromContext returns the CallInfo for an in-flight handler invocation.
 func InfoFromContext(ctx context.Context) (CallInfo, bool) {
 	if rc, ok := ctx.(*reqCtx); ok {
-		return rc.info, rc.hasInfo
+		if rc.h == nil {
+			return CallInfo{}, false
+		}
+		return rc.info(), true
 	}
 	ci, ok := ctx.Value(callInfoKey{}).(CallInfo)
 	return ci, ok
@@ -418,11 +421,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			s.requests.Inc()
 
-			rc := &reqCtx{clk: s.opts.Clock, wheel: s.wheel}
-			if hdr.deadline != 0 {
-				rc.deadline = time.Unix(0, hdr.deadline)
-				s.wheel.Schedule(&rc.entry, rc.deadline, rc)
-			}
+			rc := newReqCtx(s, hdr)
 			st.add(hdr.id, rc)
 			st.wg.Add(1)
 			s.pool.submit(reqWork{s: s, fl: fl, st: st, rc: rc, rb: rb, hdr: hdr, args: payload[n:]})
@@ -549,18 +548,15 @@ func (s *Server) dispatch(rc *reqCtx, hdr header, args []byte) (result []byte, o
 		}
 	}()
 
-	rc.info = CallInfo{
-		Method: h.name,
-		Trace: tracing.SpanContext{
-			Trace:   tracing.TraceID(hdr.trace),
-			Span:    tracing.SpanID(hdr.span),
-			Parent:  tracing.SpanID(hdr.parent),
-			Sampled: hdr.flags&flagSampled != 0,
-		},
-		Shard: hdr.shard,
-		Meta:  hdr.meta,
+	rc.h = h
+	rc.trace = tracing.SpanContext{
+		Trace:   tracing.TraceID(hdr.trace),
+		Span:    tracing.SpanID(hdr.span),
+		Parent:  tracing.SpanID(hdr.parent),
+		Sampled: hdr.flags&flagSampled != 0,
 	}
-	rc.hasInfo = true
+	rc.shard = hdr.shard
+	rc.meta = hdr.meta
 	if err := rc.Err(); err != nil {
 		return nil, nil, err
 	}

@@ -11,48 +11,99 @@ import (
 
 // A reqCtx is the context.Context of one in-flight server request. It
 // replaces the per-request context.WithDeadline + goroutine pair: the wire
-// deadline is tracked by the server's single timer wheel (reqCtx embeds
-// the wheel entry and implements clock.Expirer), and cancellation — by
-// cancel frame, conn death, or expiry — flips one mutex-guarded error.
-// The done channel is created only if someone asks for it, so requests
-// whose handlers never select on ctx.Done() pay no channel allocation.
+// deadline is tracked by the server's single timer wheel (reqCtx
+// implements clock.Expirer), and cancellation — by cancel frame, conn
+// death, or expiry — flips one mutex-guarded state. The done channel is
+// created only if someone asks for it, so requests whose handlers never
+// select on ctx.Done() pay no channel allocation.
 //
-// The reqCtx also carries the call's CallInfo, span context included, as
-// fields rather than as context values: dispatch fills info once, before
-// the handler runs, and nothing writes it afterwards. InfoFromContext and
-// tracing.FromContext read the fields directly (reqCtx is a
-// tracing.Carrier), and Value answers both keys, so a context a handler
-// derives from this one still resolves them. Serving a request therefore
-// allocates one context, this struct, instead of one per layer.
+// The layout holds only what a context reads, 96 bytes in all:
 //
-// reqCtxs are deliberately not pooled: a recycled context reachable from a
-// stale wheel entry or a straggling handler would be a use-after-free; one
-// small allocation per request is far cheaper than the timer and goroutine
-// it replaces.
+//   - s reaches the server's clock and timer wheel.
+//   - deadline is the wire deadline in Unix nanoseconds, 0 when the
+//     request carries none; Deadline builds the time.Time on demand.
+//   - entry is the wheel entry, allocated and scheduled by newReqCtx only
+//     for a request that carries a deadline, so the common deadline-free
+//     request does not pay for it.
+//   - h, trace, shard and meta are the call's CallInfo, stored as fields
+//     by dispatch before the handler runs and never written afterwards.
+//     InfoFromContext and tracing.FromContext read them directly (reqCtx
+//     is a tracing.Carrier), and Value assembles the CallInfo for
+//     contexts a handler derives from this one.
+//   - state records why the context ended. Err can only ever answer
+//     context.Canceled or context.DeadlineExceeded, so one byte stands
+//     in for an error interface's sixteen and keeps the struct in the
+//     96-byte size class.
+//
+// reqCtxs are deliberately not pooled. A stale holder may still read the
+// context after its handler returns: the goroutine context.WithCancel
+// starts for a parent it does not recognise, for one, calls parent.Err()
+// after Done closes. A recycled reqCtx would answer nil there, and the
+// context package panics on a nil cancel error. Shrinking the struct
+// saves the bytes without that hazard; one small allocation per request
+// is far cheaper than the timer and goroutine it replaces.
 type reqCtx struct {
-	clk      clock.Clock
-	wheel    *clock.Wheel
-	deadline time.Time // zero when the request carries none
-	entry    clock.WheelEntry
+	s        *Server
+	deadline int64             // Unix ns; 0 when the request carries none
+	entry    *clock.WheelEntry // non-nil iff deadline != 0
 
-	info    CallInfo // set by dispatch before the handler runs
-	hasInfo bool
+	h     *registeredHandler // nil until dispatch resolves the method
+	trace tracing.SpanContext
+	shard uint64
+	meta  CallMeta
 
-	mu   sync.Mutex
-	done chan struct{} // lazily created
-	err  error
+	state ctxState
+	mu    sync.Mutex
+	done  chan struct{} // lazily created
+}
+
+// A ctxState is why a reqCtx ended, or ctxLive while it runs.
+type ctxState uint8
+
+const (
+	ctxLive ctxState = iota
+	ctxCanceled
+	ctxExpired
+)
+
+func (st ctxState) err() error {
+	switch st {
+	case ctxCanceled:
+		return context.Canceled
+	case ctxExpired:
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 var _ tracing.Carrier = (*reqCtx)(nil)
 var _ clock.Expirer = (*reqCtx)(nil)
 
-func (rc *reqCtx) Deadline() (time.Time, bool) { return rc.deadline, !rc.deadline.IsZero() }
+// newReqCtx returns the context for one request frame, its deadline
+// already on the server's wheel. It is the only place a reqCtx is built
+// (make lint rejects a reqCtx literal anywhere else in the package), so
+// TestAllocsServerDispatch measures exactly what the read loop allocates.
+func newReqCtx(s *Server, hdr header) *reqCtx {
+	rc := &reqCtx{s: s, deadline: hdr.deadline}
+	if hdr.deadline != 0 {
+		rc.entry = new(clock.WheelEntry)
+		s.wheel.Schedule(rc.entry, time.Unix(0, hdr.deadline), rc)
+	}
+	return rc
+}
+
+func (rc *reqCtx) Deadline() (time.Time, bool) {
+	if rc.deadline == 0 {
+		return time.Time{}, false
+	}
+	return time.Unix(0, rc.deadline), true
+}
 
 func (rc *reqCtx) Done() <-chan struct{} {
 	rc.mu.Lock()
 	if rc.done == nil {
 		rc.done = make(chan struct{})
-		if rc.err != nil {
+		if rc.state != ctxLive {
 			close(rc.done)
 		}
 	}
@@ -66,43 +117,49 @@ func (rc *reqCtx) Done() <-chan struct{} {
 // deadlines, only Done waiters see tick granularity.
 func (rc *reqCtx) Err() error {
 	rc.mu.Lock()
-	err := rc.err
-	if err == nil && !rc.deadline.IsZero() && !rc.clk.Now().Before(rc.deadline) {
-		err = context.DeadlineExceeded
-		rc.err = err
+	if rc.state == ctxLive && rc.deadline != 0 && rc.s.opts.Clock.Now().UnixNano() >= rc.deadline {
+		rc.state = ctxExpired
 		if rc.done != nil {
 			close(rc.done)
 		}
 	}
+	st := rc.state
 	rc.mu.Unlock()
-	return err
+	return st.err()
+}
+
+// info assembles the CallInfo dispatch stored as fields.
+func (rc *reqCtx) info() CallInfo {
+	return CallInfo{Method: rc.h.name, Trace: rc.trace, Shard: rc.shard, Meta: rc.meta}
 }
 
 // Value answers the CallInfo and span-context keys from rc's fields. It
 // boxes its answer, so it serves only contexts derived from rc; callers
 // holding rc itself take the field fast paths.
 func (rc *reqCtx) Value(key any) any {
-	if !rc.hasInfo {
+	if rc.h == nil {
 		return nil
 	}
 	if _, ok := key.(callInfoKey); ok {
-		return rc.info
+		return rc.info()
 	}
-	if tracing.IsKey(key) && rc.info.Trace.Valid() {
-		return rc.info.Trace
+	if tracing.IsKey(key) && rc.trace.Valid() {
+		return rc.trace
 	}
 	return nil
 }
 
 // SpanContext implements tracing.Carrier.
 func (rc *reqCtx) SpanContext() (tracing.SpanContext, bool) {
-	return rc.info.Trace, rc.info.Trace.Valid()
+	return rc.trace, rc.trace.Valid()
 }
 
-func (rc *reqCtx) cancel(err error) {
+// end ends a live context with st and releases Done waiters: a cancel
+// frame or conn death (ctxCanceled), expiry, or the request finishing.
+func (rc *reqCtx) end(st ctxState) {
 	rc.mu.Lock()
-	if rc.err == nil {
-		rc.err = err
+	if rc.state == ctxLive {
+		rc.state = st
 		if rc.done != nil {
 			close(rc.done)
 		}
@@ -111,15 +168,15 @@ func (rc *reqCtx) cancel(err error) {
 }
 
 // Expire is the wheel's deadline callback.
-func (rc *reqCtx) Expire() { rc.cancel(context.DeadlineExceeded) }
+func (rc *reqCtx) Expire() { rc.end(ctxExpired) }
 
 // finish retires the context after its request completes: the wheel entry
 // is unlinked (O(1)) and any late Done waiters are released.
 func (rc *reqCtx) finish() {
-	if !rc.deadline.IsZero() {
-		rc.wheel.Stop(&rc.entry)
+	if rc.entry != nil {
+		rc.s.wheel.Stop(rc.entry)
 	}
-	rc.cancel(context.Canceled)
+	rc.end(ctxCanceled)
 }
 
 // connState tracks one server connection's in-flight requests, replacing
@@ -153,7 +210,7 @@ func (st *connState) cancel(id uint64) {
 	rc := st.m[id]
 	st.mu.Unlock()
 	if rc != nil {
-		rc.cancel(context.Canceled)
+		rc.end(ctxCanceled)
 	}
 }
 
@@ -166,7 +223,7 @@ func (st *connState) cancelAll() {
 	}
 	st.mu.Unlock()
 	for _, rc := range rcs {
-		rc.cancel(context.Canceled)
+		rc.end(ctxCanceled)
 	}
 }
 

@@ -13,11 +13,14 @@ check: vet lint build race allocs perfbench sim
 # and readbatch.go, plus compress.go, whose decompress bounds an inflated
 # payload by the same limit; and a served request's single context
 # constructor (DESIGN.md §15): a reqCtx literal appears only in newReqCtx,
-# so the server dispatch allocation gate measures what the read loop builds.
+# so the server dispatch allocation gate measures what the read loop builds;
+# and the code generator's single front end (DESIGN.md §6): no non-test file
+# in internal/generate imports go/printer, so every type in generated code is
+# spelled from go/types, never from source text.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rn -E 'SendRoutingInfo|CallRoutingInfo|PushRoutingInfo' \
+	@out=$$(grep -rn -E 'CallRoutingInfo|PushRoutingInfo' \
 		--include='*.go' internal/manager \
 		| grep -v '^internal/manager/actuator\.go:' || true); \
 	if [ -n "$$out" ]; then \
@@ -39,6 +42,10 @@ lint:
 		{ print FILENAME ":" FNR ":" $$0 }' internal/rpc/*.go); \
 	if [ -n "$$out" ]; then \
 		echo "reqCtx literal outside newReqCtx in internal/rpc/workerpool.go:"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -l '"go/printer"' $$(ls internal/generate/*.go | grep -v '_test\.go$$') || true); \
+	if [ -n "$$out" ]; then \
+		echo "go/printer imported by internal/generate (spell types with go/types):"; \
 		echo "$$out"; exit 1; fi
 
 build:

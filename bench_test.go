@@ -3,8 +3,6 @@
 // design claim:
 //
 //	BenchmarkTable2Sim         Table 2 on the simulated cloud (T2/T2b/H1)
-//	BenchmarkBoutiqueEndToEnd  Table 2's latency story measured on real
-//	                           deployments in this process (T2 local)
 //	BenchmarkCodec             ablation A1: unversioned vs tagged vs JSON
 //	BenchmarkTransport         ablation A2: custom TCP vs HTTP/1.1+JSON
 //	BenchmarkTransportThroughput  ablation A12: calls/s at 1/8/64 callers
@@ -32,16 +30,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/autoscale"
 	"repro/internal/boutique"
 	"repro/internal/codec"
 	"repro/internal/codec/tagged"
 	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/deploy"
-	"repro/internal/loadgen"
 	"repro/internal/logging"
-	"repro/internal/manager"
 	"repro/internal/placement"
 	"repro/internal/rollout"
 	"repro/internal/routing"
@@ -84,83 +78,11 @@ func BenchmarkTable2Sim(b *testing.B) {
 	}
 }
 
-// --- T2 local: end-to-end boutique operations on real deployments ---
-
+// benchFill fills a component for an in-process deployment, with its
+// listeners on loopback.
 func benchFill(impl any, name string, logger *logging.Logger, resolve func(reflect.Type) (any, error)) error {
 	listen := func(string) (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 	return weaver.FillComponent(impl, name, logger, resolve, listen)
-}
-
-// startBoutique deploys the boutique in this process: colocated=true puts
-// all components in one group (plain method calls); false gives every
-// component its own proclet (RPCs over real TCP).
-func startBoutique(b *testing.B, colocated bool) (boutique.Frontend, func()) {
-	b.Helper()
-	ctx := context.Background()
-	cfg := manager.Config{
-		App:              "bench",
-		DefaultAutoscale: autoscale.Config{MinReplicas: 1, MaxReplicas: 1},
-		Logger:           logging.New(logging.Options{Component: "manager", Min: logging.LevelError}),
-	}
-	if colocated {
-		var all []string
-		for _, c := range deploy.Inventory() {
-			all = append(all, c.Name)
-		}
-		cfg.Groups = map[string][]string{"app": all}
-	}
-	d, err := deploy.StartInProcess(ctx, deploy.Options{Config: cfg, Fill: benchFill})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fe, err := deploy.Get[boutique.Frontend](ctx, d)
-	if err != nil {
-		d.Stop()
-		b.Fatal(err)
-	}
-	// Prime every call path.
-	target := &loadgen.ComponentTarget{Frontend: fe}
-	for _, op := range []loadgen.Op{loadgen.OpIndex, loadgen.OpBrowse, loadgen.OpAddToCart, loadgen.OpViewCart, loadgen.OpCheckout} {
-		if err := target.Do(ctx, op, "bench-user", "USD", "OLJCESPC7Z"); err != nil {
-			d.Stop()
-			b.Fatal(err)
-		}
-	}
-	return fe, d.Stop
-}
-
-func BenchmarkBoutiqueEndToEnd(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		colocated bool
-	}{
-		{"Distributed", false},
-		{"Colocated", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			fe, stop := startBoutique(b, mode.colocated)
-			defer stop()
-			ctx := context.Background()
-			ops := []struct {
-				name string
-				fn   func() error
-			}{
-				{"Home", func() error { _, err := fe.Home(ctx, "u", "USD"); return err }},
-				{"Browse", func() error { _, err := fe.Product(ctx, "u", "OLJCESPC7Z", "EUR"); return err }},
-				{"ViewCart", func() error { _, err := fe.ViewCart(ctx, "u", "USD"); return err }},
-			}
-			for _, op := range ops {
-				b.Run(op.name, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := op.fn(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		})
-	}
 }
 
 // --- A1: serialization formats ---

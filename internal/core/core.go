@@ -69,12 +69,6 @@ type Options struct {
 	// Metrics receives per-call counters and latency histograms. Defaults
 	// to metrics.Default.
 	Metrics *metrics.Registry
-
-	// FastLocal, if true, makes Get return local component implementations
-	// directly, with zero interposition — plain Go method calls, exactly
-	// as the paper describes co-located components. The cost is that local
-	// calls are invisible to metrics and the call graph.
-	FastLocal bool
 }
 
 // Runtime instantiates and resolves components.
@@ -229,27 +223,16 @@ func (r *Runtime) getClient(ctx context.Context, name, caller string) (any, erro
 	}
 	r.mu.Unlock()
 
-	var client any
-	if r.opts.FastLocal && r.hosted(name) {
-		// Static fast path for single-process deployments: the raw
-		// implementation with zero interposition. Incompatible with live
-		// re-placement by construction — there is no stub to re-resolve.
-		if err := r.initLocal(ctx, c); err != nil {
-			return nil, err
-		}
-		client = c.impl
-	} else {
-		if err := r.ensureRoute(ctx, c); err != nil {
-			return nil, err
-		}
-		client = c.reg.ClientStub(&measuredConn{
-			runtime: r,
-			caller:  caller,
-			callee:  c.reg.Name,
-			comp:    c,
-			handles: make([]atomic.Pointer[methodHandle], len(c.reg.Methods)),
-		})
+	if err := r.ensureRoute(ctx, c); err != nil {
+		return nil, err
 	}
+	client := c.reg.ClientStub(&measuredConn{
+		runtime: r,
+		caller:  caller,
+		callee:  c.reg.Name,
+		comp:    c,
+		handles: make([]atomic.Pointer[methodHandle], len(c.reg.Methods)),
+	})
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -312,10 +295,11 @@ func (r *Runtime) remoteForLocked(c *comp) (codegen.Conn, error) {
 }
 
 // PromoteLocal flips a component's call path to direct local dispatch: the
-// callee has become colocated with this process (live re-placement, the
-// dynamic form of FastLocal). version is the routing epoch of the placement
-// decision; a promotion older than the currently installed epoch is ignored
-// (version 0 always applies — the initial assignment). Stubs handed out
+// callee has become colocated with this process (live re-placement). Stubs
+// keep their metrics and call-graph edges; only the route under them
+// changes. version is the routing epoch of the placement decision; a
+// promotion older than the currently installed epoch is ignored (version 0
+// always applies — the initial assignment). Stubs handed out
 // earlier pick up the flip on their next call; calls already in flight
 // finish on the connection they started with.
 func (r *Runtime) PromoteLocal(ctx context.Context, name string, version uint64) error {

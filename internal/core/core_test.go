@@ -184,18 +184,6 @@ func TestLocalResolutionAndInit(t *testing.T) {
 	}
 }
 
-func TestFastLocalReturnsImpl(t *testing.T) {
-	rt := NewRuntime(Options{Fill: fillWithDep, FastLocal: true})
-	ctx := context.Background()
-	v, err := rt.Get(ctx, reflect.TypeOf((*Pong)(nil)).Elem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := v.(*pongImpl); !ok {
-		t.Errorf("FastLocal Get returned %T, want *pongImpl", v)
-	}
-}
-
 func TestShutdownPropagates(t *testing.T) {
 	before := pongShuts.Load()
 	rt := NewRuntime(Options{Fill: fillWithDep})

@@ -264,19 +264,6 @@ func (e *Envelope) handle(m *pipe.Message) {
 	}
 }
 
-// SendHostComponents pushes an updated hosting assignment to the proclet.
-func (e *Envelope) SendHostComponents(components []string) error {
-	return e.conn.Send(&pipe.Message{
-		Kind:           pipe.KindHostComponents,
-		HostComponents: &pipe.HostComponents{Components: components},
-	})
-}
-
-// SendRoutingInfo pushes routing information for one component.
-func (e *Envelope) SendRoutingInfo(ri pipe.RoutingInfo) error {
-	return e.conn.Send(&pipe.Message{Kind: pipe.KindRoutingInfo, RoutingInfo: &ri})
-}
-
 // PushRoutingInfo pushes routing information with an ack callback: onAck
 // runs (on the envelope's serve goroutine) once the proclet has applied
 // the push. It is the observed-state feedback path — the manager records
@@ -284,9 +271,6 @@ func (e *Envelope) SendRoutingInfo(ri pipe.RoutingInfo) error {
 // dies before acking, the callback never runs; a dead proclet holds no
 // routes worth tracking.
 func (e *Envelope) PushRoutingInfo(ri pipe.RoutingInfo, onAck func()) error {
-	if onAck == nil {
-		return e.SendRoutingInfo(ri)
-	}
 	id := e.nextID.Add(1) << 1 // even, nonzero
 	e.acks.Store(id, func(m *pipe.Message) {
 		if m.Err == "" {

@@ -1,6 +1,7 @@
 package envelope
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -169,25 +170,40 @@ func TestTelemetryForwarded(t *testing.T) {
 
 func TestPushesReachProclet(t *testing.T) {
 	_, e, proc := setup(t)
-	if err := e.SendHostComponents([]string{"app/Y"}); err != nil {
-		t.Fatal(err)
-	}
+	hosted := make(chan error, 1)
+	go func() { hosted <- e.CallHostComponents(context.Background(), []string{"app/Y"}, 3) }()
 	m, err := proc.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Kind != pipe.KindHostComponents || m.HostComponents.Components[0] != "app/Y" {
+	if m.Kind != pipe.KindHostComponents || m.ID == 0 || m.HostComponents.Components[0] != "app/Y" || m.HostComponents.Version != 3 {
 		t.Errorf("push = %+v", m)
 	}
-	if err := e.SendRoutingInfo(pipe.RoutingInfo{Component: "app/Y", Replicas: []string{"a:1"}, Version: 2}); err != nil {
+	if err := proc.Send(&pipe.Message{Kind: pipe.KindAck, ID: m.ID}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-hosted; err != nil {
+		t.Fatal(err)
+	}
+
+	acked := make(chan struct{})
+	if err := e.PushRoutingInfo(pipe.RoutingInfo{Component: "app/Y", Replicas: []string{"a:1"}, Version: 2}, func() { close(acked) }); err != nil {
 		t.Fatal(err)
 	}
 	m, err = proc.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Kind != pipe.KindRoutingInfo || m.RoutingInfo.Version != 2 {
+	if m.Kind != pipe.KindRoutingInfo || m.ID == 0 || m.RoutingInfo.Version != 2 {
 		t.Errorf("push = %+v", m)
+	}
+	if err := proc.Send(&pipe.Message{Kind: pipe.KindAck, ID: m.ID}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-acked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("PushRoutingInfo's onAck never ran")
 	}
 }
 

@@ -3,15 +3,9 @@ package generate
 import (
 	"bytes"
 	"fmt"
-	"go/importer"
 	"go/types"
 	"hash/fnv"
-	"io"
-	"os"
-	"os/exec"
 	"reflect"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -21,100 +15,6 @@ import (
 // internal/codec. Both ends of a call run the same binary (§6.1), so the
 // code carries no field numbers or type descriptors. The reflective engine
 // in internal/codec produces the same bytes and stays as the test oracle.
-
-// loadTypes type-checks the package's non-generated files, so the codec
-// emitter can see through named types to their structure. Imported
-// packages are read from the compiler's export data, which `go list
-// -export` finds in (or adds to) the build cache. When that fails — e.g.
-// for a directory outside any module — imports stay unresolved, which is an
-// error only if a method signature uses one of their types.
-func (g *generator) loadTypes(dir string) {
-	files := sortedFiles(g.pkg)
-	seen := map[string]bool{}
-	var paths []string
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil && !seen[p] {
-				seen[p] = true
-				paths = append(paths, p)
-			}
-		}
-	}
-	sort.Strings(paths)
-	exports := map[string]string{}
-	if len(paths) > 0 {
-		// Listing the imports rather than the package itself keeps a stale
-		// or broken weaver_gen.go out of the build.
-		args := append([]string{"list", "-e", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}", "--"}, paths...)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = dir
-		out, _ := cmd.Output() // partial output still resolves what it can
-		for _, line := range strings.Split(string(out), "\n") {
-			if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
-				exports[path] = file
-			}
-		}
-	}
-	conf := types.Config{
-		Importer: importer.ForCompiler(g.fset, "gc", func(path string) (io.ReadCloser, error) {
-			file, ok := exports[path]
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", path)
-			}
-			return os.Open(file)
-		}),
-		Error: func(err error) {
-			if g.typeErr == nil {
-				g.typeErr = err
-			}
-		},
-	}
-	g.tpkg, _ = conf.Check(g.pkgPath, g.fset, files, nil)
-}
-
-// signature returns the type-checked signature of an interface method.
-func (g *generator) signature(iface, name string) (*types.Signature, error) {
-	obj := g.tpkg.Scope().Lookup(iface)
-	if obj != nil {
-		if it, ok := obj.Type().Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				if m := it.Method(i); m.Name() == name {
-					return m.Type().(*types.Signature), nil
-				}
-			}
-		}
-	}
-	return nil, fmt.Errorf("generate: %s.%s: cannot type-check the method: %v", iface, name, g.typeErr)
-}
-
-// qualifier names an imported package in the generated file, registering
-// the import (under a fresh alias if its name is taken).
-func (g *generator) qualifier(p *types.Package) string {
-	if p.Path() == g.pkgPath {
-		return ""
-	}
-	if alias, ok := g.imports[p.Path()]; ok {
-		return alias
-	}
-	alias := p.Name()
-	for i := 2; g.aliasTaken(alias); i++ {
-		alias = fmt.Sprintf("%s%d", p.Name(), i)
-	}
-	g.addImport(p.Path(), alias)
-	return alias
-}
-
-func (g *generator) aliasTaken(alias string) bool {
-	for _, a := range g.imports {
-		if a == alias {
-			return true
-		}
-	}
-	return false
-}
-
-// typeExpr spells t in the generated file.
-func (g *generator) typeExpr(t types.Type) string { return types.TypeString(t, g.qualifier) }
 
 // codecGen accumulates the per-type functions the generated methods call.
 type codecGen struct {
@@ -220,9 +120,12 @@ func hasCodecMethod(t types.Type, name, arg string) bool {
 	return ok && n.Obj().Name() == arg && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "repro/internal/codec"
 }
 
-func isTime(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == "Time" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "time"
+func isTime(t types.Type) bool { return isNamed(t, "time", "Time") }
+
+// isNamed reports whether t is the named type pkgPath.name.
+func isNamed(t types.Type, pkgPath, name string) bool {
+	n, ok := types.Unalias(t).(*types.Named)
+	return ok && n.Obj().Name() == name && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath
 }
 
 // isByte reports whether t is exactly byte (uint8), the element type the
@@ -512,35 +415,10 @@ func (c *codecGen) emitMapEnc(b *bytes.Buffer, m *types.Map) {
 	case ok && key.Kind() == types.Bool:
 		fmt.Fprintf(b, "\tfor _, k := range [2]%s{false, true} {\n\t\tv, ok := (*x)[k]\n\t\tif !ok {\n\t\t\tcontinue\n\t\t}\n", c.g.typeExpr(m.Key()))
 	case ok && key.Info()&types.IsOrdered != 0:
-		c.g.addImport("slices", "slices")
-		fmt.Fprintf(b, "\tkeys := make([]%s, 0, len(*x))\n\tfor k := range *x {\n\t\tkeys = append(keys, k)\n\t}\n\tslices.Sort(keys)\n", c.g.typeExpr(m.Key()))
+		fmt.Fprintf(b, "\tkeys := make([]%s, 0, len(*x))\n\tfor k := range *x {\n\t\tkeys = append(keys, k)\n\t}\n\t%s.Sort(keys)\n", c.g.typeExpr(m.Key()), c.g.importAs("slices", "slices"))
 		fmt.Fprintf(b, "\tfor _, k := range keys {\n\t\tv := (*x)[k]\n")
 	default:
 		fmt.Fprintf(b, "\tfor k, v := range *x {\n")
 	}
 	fmt.Fprintf(b, "\t\t%s\n\t\t%s\n\t}\n", c.enc(m.Key(), "&k"), c.enc(m.Elem(), "&v"))
-}
-
-// fieldTypes resolves the types of a method's parameters and results, and
-// checks that every one of them can cross the wire.
-func (c *codecGen) fieldTypes(iface string, m *method) error {
-	sig, err := c.g.signature(iface, m.name)
-	if err != nil {
-		return err
-	}
-	for i := range m.params {
-		t := sig.Params().At(i + 1).Type()
-		if err := c.check(t); err != nil {
-			return fmt.Errorf("generate: %s.%s: parameter %d: %w", iface, m.name, i+1, err)
-		}
-		m.params[i].t = t
-	}
-	for i := range m.results {
-		t := sig.Results().At(i).Type()
-		if err := c.check(t); err != nil {
-			return fmt.Errorf("generate: %s.%s: result %d: %w", iface, m.name, i, err)
-		}
-		m.results[i].t = t
-	}
-	return nil
 }

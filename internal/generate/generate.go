@@ -1,16 +1,19 @@
 // Package generate implements the weaver code generator (paper §4.2).
 //
-// The generator inspects a package's source for implementation structs that
-// embed weaver.Implements[T]. For every discovered component it emits, into
-// weaver_gen.go in the same package:
+// The generator type-checks a package with go/types and finds its
+// implementation structs: those that embed weaver.Implements[T]. Everything
+// it knows about the package comes from that one type-checked view; the
+// syntax tree is read only for the //weaver: directives in doc comments.
+// For every discovered component it emits, into weaver_gen.go in the same
+// package:
 //
 //   - an args struct and a results struct per method, whose
 //     WeaverMarshal/WeaverUnmarshal methods are the data plane's codec (the
 //     JSON baseline serializes the same structs);
 //   - one straight-line encode and one decode function for every type
-//     reachable from a method's parameters and results (codecs.go), found
-//     by type-checking the package with go/types. No reflection runs on a
-//     call; a type the wire format cannot carry is a generation-time error;
+//     reachable from a method's parameters and results (codecs.go). No
+//     reflection runs on a call; a type the wire format cannot carry is a
+//     generation-time error;
 //   - a client stub type implementing the component interface, whose
 //     methods pack arguments and delegate to a codegen.Conn;
 //   - a server-side dispatch closure per method that calls the real
@@ -28,11 +31,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/format"
+	"go/importer"
 	"go/parser"
-	"go/printer"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -63,18 +68,12 @@ type component struct {
 // A method is one component interface method.
 type method struct {
 	name     string
-	params   []param // excluding the leading context
-	results  []param // excluding the trailing error
-	variadic bool    // last param is variadic
-	routed   bool    // router has a matching method
-	noRetry  bool    // "weaver:noretry" directive in the doc comment
-	priority int     // "weaver:priority=..." directive (0 normal, 1 low, 2 high, 3 critical)
-}
-
-type param struct {
-	name string     // synthesized names a0, a1, ...
-	typ  string     // printed type expression
-	t    types.Type // type-checked type
+	params   []types.Type // excluding the leading context
+	results  []types.Type // excluding the trailing error
+	variadic bool         // last param is variadic
+	routed   bool         // router has a matching method
+	noRetry  bool         // "weaver:noretry" directive in the doc comment
+	priority int          // "weaver:priority=..." directive (0 normal, 1 low, 2 high, 3 critical)
 }
 
 // Generate scans the package in opts.Dir and returns the contents of its
@@ -111,26 +110,30 @@ func Generate(opts Options) ([]byte, error) {
 		}
 	}
 
-	g := &generator{
-		fset:    fset,
-		pkg:     pkg,
-		pkgPath: pkgPath,
-		imports: map[string]string{},
+	g := &generator{pkgPath: pkgPath, imports: map[string]string{}}
+	g.codecs = newCodecGen(g)
+	// The type-checked package is all the generator reads: components,
+	// signatures, wire types and the spelling of every type in the
+	// generated file. Type errors are tolerated, since the package may call
+	// into the weaver_gen.go being regenerated; an unresolved type is an
+	// error only where a component method uses it. The weaver package must
+	// resolve: without it no component can be seen, and reporting none
+	// would delete a good weaver_gen.go.
+	files := sortedFiles(pkg)
+	tpkg, unresolved, _ := typeCheck(opts.Dir, pkgPath, fset, files, func(err error) {
+		if g.typeErr == nil {
+			g.typeErr = err
+		}
+	})
+	if why, ok := unresolved[WeaverImportPath]; ok {
+		return nil, fmt.Errorf("generate: %s: cannot load %s, so no component can be found: %s", opts.Dir, WeaverImportPath, why)
 	}
-	if err := g.scan(); err != nil {
+	g.tpkg = tpkg
+	if err := g.findComponents(methodDocs(files)); err != nil {
 		return nil, err
 	}
 	if len(g.components) == 0 {
 		return nil, nil
-	}
-	g.loadTypes(opts.Dir)
-	g.codecs = newCodecGen(g)
-	for _, c := range g.components {
-		for _, m := range c.methods {
-			if err := g.codecs.fieldTypes(c.ifaceName, m); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return g.emit()
 }
@@ -195,348 +198,245 @@ func modulePath(gomod []byte) string {
 }
 
 type generator struct {
-	fset       *token.FileSet
-	pkg        *ast.Package
 	pkgPath    string
+	tpkg       *types.Package // the type-checked package
+	typeErr    error          // first type-checking error, if any
 	components []*component
-	// imports maps import path -> local alias used in the generated file.
+	// imports maps import path -> local name in the generated file.
 	imports map[string]string
-	// fileImports maps each parsed file to its import table
-	// (local name -> path).
-	fileImportsCache map[*ast.File]map[string]string
-
-	tpkg    *types.Package // the type-checked package
-	typeErr error          // first type-checking error, if any
 	codecs  *codecGen
 }
 
-// scan walks the package, discovering components.
-func (g *generator) scan() error {
-	ifaces := map[string]*ast.InterfaceType{}
-	routerMethods := map[string]map[string]*ast.FuncDecl{} // router type -> method -> decl
-	type embedding struct {
-		implName   string
-		ifaceName  string
-		routerName string
-		file       *ast.File
-	}
-	var embeddings []embedding
-	implsSeen := map[string]string{} // iface -> impl
-
-	// Pass 1: collect interface decls and router method decls.
-	for _, file := range sortedFiles(g.pkg) {
-		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					if it, ok := ts.Type.(*ast.InterfaceType); ok {
-						ifaces[ts.Name.Name] = it
-					}
-				}
-			case *ast.FuncDecl:
-				if d.Recv == nil || len(d.Recv.List) != 1 {
-					continue
-				}
-				recv := baseTypeName(d.Recv.List[0].Type)
-				if recv == "" {
-					continue
-				}
-				if routerMethods[recv] == nil {
-					routerMethods[recv] = map[string]*ast.FuncDecl{}
-				}
-				routerMethods[recv][d.Name.Name] = d
+// typeCheck type-checks files, reading the packages they import from the
+// compiler's export data, which `go list -export` finds in (or adds to) the
+// build cache of dir's module. Listing the imports rather than the package
+// itself keeps a stale or broken weaver_gen.go out of the build. Each type
+// error goes to onErr; if onErr is nil, checking stops at the first, which
+// is returned. unresolved says why each import without export data has none.
+func typeCheck(dir, pkgPath string, fset *token.FileSet, files []*ast.File, onErr func(error)) (pkg *types.Package, unresolved map[string]string, err error) {
+	seen := map[string]bool{}
+	var paths []string
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil && !seen[p] {
+				seen[p] = true
+				paths = append(paths, p)
 			}
 		}
 	}
-
-	// Pass 2: find Implements / WithRouter embeddings in struct decls.
-	for _, file := range sortedFiles(g.pkg) {
-		weaverNames := g.weaverLocalNames(file)
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
+	sort.Strings(paths)
+	exports, unresolved := map[string]string{}, map[string]string{}
+	if len(paths) > 0 {
+		args := append([]string{"list", "-e", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}\t{{with .Error}}{{.Err}}{{end}}", "--"}, paths...)
+		cmd := exec.Command("go", args...)
+		cmd.Dir = dir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output() // partial output still resolves what it can
+		why := map[string]string{}
+		for _, line := range strings.Split(string(out), "\n") {
+			if f := strings.SplitN(line, "\t", 3); len(f) == 3 {
+				exports[f[0]], why[f[0]] = f[1], f[2]
 			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
+		}
+		for _, p := range paths {
+			if exports[p] == "" {
+				if err != nil {
+					why[p] = fmt.Sprintf("go list: %v: %s", err, bytes.TrimSpace(stderr.Bytes()))
 				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				var emb embedding
-				emb.implName = ts.Name.Name
-				emb.file = file
-				for _, f := range st.Fields.List {
-					if len(f.Names) != 0 {
-						continue // named field, not an embedding
-					}
-					kind, arg := weaverGeneric(f.Type, weaverNames)
-					switch kind {
-					case "Implements":
-						id, ok := arg.(*ast.Ident)
-						if !ok {
-							return fmt.Errorf("generate: %s: weaver.Implements argument must be an interface declared in the same package", emb.implName)
-						}
-						emb.ifaceName = id.Name
-					case "WithRouter":
-						id, ok := arg.(*ast.Ident)
-						if !ok {
-							return fmt.Errorf("generate: %s: weaver.WithRouter argument must be a type declared in the same package", emb.implName)
-						}
-						emb.routerName = id.Name
-					}
-				}
-				if emb.ifaceName != "" {
-					if prev, dup := implsSeen[emb.ifaceName]; dup {
-						return fmt.Errorf("generate: interface %s implemented by both %s and %s", emb.ifaceName, prev, emb.implName)
-					}
-					implsSeen[emb.ifaceName] = emb.implName
-					embeddings = append(embeddings, emb)
-				}
+				unresolved[p] = why[p]
 			}
 		}
 	}
+	conf := types.Config{
+		Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			file := exports[path]
+			if file == "" {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(file)
+		}),
+		Error: onErr,
+	}
+	pkg, err = conf.Check(pkgPath, fset, files, nil)
+	return pkg, unresolved, err
+}
 
-	sort.Slice(embeddings, func(i, j int) bool { return embeddings[i].ifaceName < embeddings[j].ifaceName })
-
-	for _, emb := range embeddings {
-		it, ok := ifaces[emb.ifaceName]
+// findComponents collects every package-level struct that embeds
+// weaver.Implements[T], in interface name order. docs holds the doc
+// comments of interface methods by the position of their names.
+func (g *generator) findComponents(docs map[token.Pos]*ast.CommentGroup) error {
+	scope := g.tpkg.Scope()
+	implOf := map[string]string{} // interface -> implementation
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
 		if !ok {
-			return fmt.Errorf("generate: %s embeds weaver.Implements[%s], but interface %s is not declared in this package", emb.implName, emb.ifaceName, emb.ifaceName)
+			continue
 		}
-		c := &component{ifaceName: emb.ifaceName, implName: emb.implName, routerName: emb.routerName}
-		declFile := g.fileDeclaring(emb.ifaceName)
-		for _, f := range it.Methods.List {
-			ft, ok := f.Type.(*ast.FuncType)
-			if !ok {
-				return fmt.Errorf("generate: interface %s embeds other interfaces, which is unsupported", emb.ifaceName)
-			}
-			for _, name := range f.Names {
-				m, err := g.parseMethod(emb.ifaceName, name.Name, ft, declFile)
-				if err != nil {
-					return err
+		var iface, router types.Type
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Embedded() {
+				switch kind, arg := weaverEmbedding(f.Type()); kind {
+				case "Implements":
+					iface = arg
+				case "WithRouter":
+					router = arg
 				}
-				m.noRetry = hasDirective(f.Doc, "weaver:noretry")
-				m.priority, err = priorityDirective(emb.ifaceName, name.Name, f.Doc)
-				if err != nil {
-					return err
-				}
-				c.methods = append(c.methods, m)
 			}
 		}
-		sort.Slice(c.methods, func(i, j int) bool { return c.methods[i].name < c.methods[j].name })
-		if len(c.methods) == 0 {
-			return fmt.Errorf("generate: component interface %s has no methods", emb.ifaceName)
+		if iface == nil {
+			continue
 		}
-
-		if c.routerName != "" {
-			rms := routerMethods[c.routerName]
-			if len(rms) == 0 {
-				return fmt.Errorf("generate: %s: router %s has no methods", emb.implName, c.routerName)
-			}
-			byName := map[string]*method{}
-			for _, m := range c.methods {
-				byName[m.name] = m
-			}
-			for rm := range rms {
-				m, ok := byName[rm]
-				if !ok {
-					return fmt.Errorf("generate: router %s has method %s that %s does not", c.routerName, rm, c.ifaceName)
-				}
-				m.routed = true
-			}
+		c, err := g.component(name, iface, router, docs)
+		if err != nil {
+			return err
 		}
+		if prev, dup := implOf[c.ifaceName]; dup {
+			return fmt.Errorf("generate: interface %s implemented by both %s and %s", c.ifaceName, prev, name)
+		}
+		implOf[c.ifaceName] = name
 		g.components = append(g.components, c)
 	}
+	sort.Slice(g.components, func(i, j int) bool { return g.components[i].ifaceName < g.components[j].ifaceName })
 	return nil
 }
 
-// parseMethod validates and captures one interface method.
-func (g *generator) parseMethod(iface, name string, ft *ast.FuncType, file *ast.File) (*method, error) {
-	badSig := func(why string) error {
-		return fmt.Errorf("generate: %s.%s: %s (component methods must look like M(ctx context.Context, ...) (..., error))", iface, name, why)
-	}
-	if ft.Params == nil || len(ft.Params.List) == 0 {
-		return nil, badSig("missing context.Context parameter")
-	}
-	if ft.Results == nil || len(ft.Results.List) == 0 {
-		return nil, badSig("missing error result")
-	}
-
-	var flatParams []ast.Expr
-	for _, f := range ft.Params.List {
-		n := len(f.Names)
-		if n == 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			flatParams = append(flatParams, f.Type)
-		}
-	}
-	if !isContextContext(flatParams[0], file) {
-		return nil, badSig("first parameter is not context.Context")
-	}
-
-	var flatResults []ast.Expr
-	for _, f := range ft.Results.List {
-		n := len(f.Names)
-		if n == 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			flatResults = append(flatResults, f.Type)
-		}
-	}
-	last := flatResults[len(flatResults)-1]
-	if id, ok := last.(*ast.Ident); !ok || id.Name != "error" {
-		return nil, badSig("last result is not error")
-	}
-
-	m := &method{name: name}
-	for i, p := range flatParams[1:] {
-		typ := p
-		if ell, ok := typ.(*ast.Ellipsis); ok {
-			if i != len(flatParams[1:])-1 {
-				return nil, badSig("variadic parameter not last")
-			}
-			m.variadic = true
-			typ = &ast.ArrayType{Elt: ell.Elt}
-		}
-		ts, err := g.typeString(typ, file)
-		if err != nil {
-			return nil, fmt.Errorf("generate: %s.%s: %w", iface, name, err)
-		}
-		m.params = append(m.params, param{name: fmt.Sprintf("a%d", i), typ: ts})
-	}
-	for i, r := range flatResults[:len(flatResults)-1] {
-		ts, err := g.typeString(r, file)
-		if err != nil {
-			return nil, fmt.Errorf("generate: %s.%s: %w", iface, name, err)
-		}
-		m.results = append(m.results, param{name: fmt.Sprintf("r%d", i), typ: ts})
-	}
-	return m, nil
-}
-
-// typeString renders a type expression as Go source, registering any
-// imports it requires in the generated file.
-func (g *generator) typeString(e ast.Expr, file *ast.File) (string, error) {
-	// Register imports for every qualified identifier in the expression.
-	var walkErr error
-	ast.Inspect(e, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		path, ok := g.fileImports(file)[id.Name]
-		if !ok {
-			return true // not a package qualifier (e.g. field access)
-		}
-		g.addImport(path, id.Name)
-		return true
-	})
-	if walkErr != nil {
-		return "", walkErr
-	}
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, g.fset, e); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
-}
-
-// addImport records that the generated file needs the given import,
-// preserving the alias used in the source.
-func (g *generator) addImport(path, alias string) {
-	if cur, ok := g.imports[path]; ok {
-		_ = cur
-		return
-	}
-	g.imports[path] = alias
-}
-
-// fileImports returns the local-name -> path import table of a file.
-func (g *generator) fileImports(file *ast.File) map[string]string {
-	if g.fileImportsCache == nil {
-		g.fileImportsCache = map[*ast.File]map[string]string{}
-	}
-	if t, ok := g.fileImportsCache[file]; ok {
-		return t
-	}
-	t := map[string]string{}
-	for _, imp := range file.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		name := ""
-		if imp.Name != nil {
-			name = imp.Name.Name
-		} else {
-			name = path[strings.LastIndexByte(path, '/')+1:]
-		}
-		if name == "_" || name == "." {
-			continue
-		}
-		t[name] = path
-	}
-	g.fileImportsCache[file] = t
-	return t
-}
-
-// weaverLocalNames returns the set of local names under which the weaver
-// package is imported in a file.
-func (g *generator) weaverLocalNames(file *ast.File) map[string]bool {
-	names := map[string]bool{}
-	for name, path := range g.fileImports(file) {
-		if path == WeaverImportPath {
-			names[name] = true
-		}
-	}
-	return names
-}
-
-// weaverGeneric matches expressions of the form weaver.Kind[Arg], returning
-// the kind ("Implements", "WithRouter") and type argument.
-func weaverGeneric(e ast.Expr, weaverNames map[string]bool) (kind string, arg ast.Expr) {
-	ix, ok := e.(*ast.IndexExpr)
-	if !ok {
+// weaverEmbedding matches weaver.Implements[T] and weaver.WithRouter[T],
+// returning the kind ("Implements", "WithRouter") and T.
+func weaverEmbedding(t types.Type) (kind string, arg types.Type) {
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok || n.TypeArgs().Len() != 1 {
 		return "", nil
 	}
-	sel, ok := ix.X.(*ast.SelectorExpr)
-	if !ok {
-		return "", nil
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || !weaverNames[id.Name] {
-		return "", nil
-	}
-	switch sel.Sel.Name {
-	case "Implements", "WithRouter":
-		return sel.Sel.Name, ix.Index
+	if obj := n.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == WeaverImportPath &&
+		(obj.Name() == "Implements" || obj.Name() == "WithRouter") {
+		return obj.Name(), n.TypeArgs().At(0)
 	}
 	return "", nil
 }
 
-// isContextContext reports whether e denotes context.Context in file.
-func isContextContext(e ast.Expr, file *ast.File) bool {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Context" {
-		return false
+// localNamed returns t as a named type declared in the package, or nil.
+func (g *generator) localNamed(t types.Type) *types.Named {
+	if n, ok := types.Unalias(t).(*types.Named); ok && n.Obj().Pkg() == g.tpkg {
+		return n
 	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "context"
+	return nil
+}
+
+// component builds the component that impl implements, checking its
+// interface and router.
+func (g *generator) component(impl string, ifaceT, routerT types.Type, docs map[token.Pos]*ast.CommentGroup) (*component, error) {
+	named := g.localNamed(ifaceT)
+	if named == nil {
+		return nil, fmt.Errorf("generate: %s: weaver.Implements argument must be an interface declared in the same package", impl)
+	}
+	c := &component{ifaceName: named.Obj().Name(), implName: impl}
+	it, ok := named.Underlying().(*types.Interface)
+	if !ok {
+		return nil, fmt.Errorf("generate: %s embeds weaver.Implements[%s], but interface %s is not declared in this package", impl, c.ifaceName, c.ifaceName)
+	}
+	if it.NumEmbeddeds() > 0 {
+		return nil, fmt.Errorf("generate: interface %s embeds other interfaces, which is unsupported", c.ifaceName)
+	}
+	if it.NumExplicitMethods() == 0 {
+		return nil, fmt.Errorf("generate: component interface %s has no methods", c.ifaceName)
+	}
+	byName := map[string]*method{}
+	for i := 0; i < it.NumExplicitMethods(); i++ {
+		fn := it.ExplicitMethod(i)
+		m, err := g.method(c.ifaceName, fn, docs[fn.Pos()])
+		if err != nil {
+			return nil, err
+		}
+		c.methods = append(c.methods, m)
+		byName[m.name] = m
+	}
+	sort.Slice(c.methods, func(i, j int) bool { return c.methods[i].name < c.methods[j].name })
+
+	if routerT == nil {
+		return c, nil
+	}
+	router := g.localNamed(routerT)
+	if router == nil {
+		return nil, fmt.Errorf("generate: %s: weaver.WithRouter argument must be a type declared in the same package", impl)
+	}
+	c.routerName = router.Obj().Name()
+	if router.NumMethods() == 0 {
+		return nil, fmt.Errorf("generate: %s: router %s has no methods", impl, c.routerName)
+	}
+	var names []string
+	for i := 0; i < router.NumMethods(); i++ {
+		names = append(names, router.Method(i).Name())
+	}
+	sort.Strings(names)
+	for _, rm := range names {
+		m, ok := byName[rm]
+		if !ok {
+			return nil, fmt.Errorf("generate: router %s has method %s that %s does not", c.routerName, rm, c.ifaceName)
+		}
+		m.routed = true
+	}
+	return c, nil
+}
+
+// method validates one interface method and checks that every parameter
+// and result can cross the wire.
+func (g *generator) method(iface string, fn *types.Func, doc *ast.CommentGroup) (*method, error) {
+	name := fn.Name()
+	badSig := func(why string) error {
+		return fmt.Errorf("generate: %s.%s: %s (component methods must look like M(ctx context.Context, ...) (..., error))", iface, name, why)
+	}
+	sig := fn.Type().(*types.Signature)
+	params, results := sig.Params(), sig.Results()
+	if params.Len() == 0 || !isNamed(params.At(0).Type(), "context", "Context") {
+		return nil, badSig("first parameter is not context.Context")
+	}
+	if results.Len() == 0 || !types.Identical(results.At(results.Len()-1).Type(), types.Universe.Lookup("error").Type()) {
+		return nil, badSig("last result is not error")
+	}
+
+	m := &method{name: name, variadic: sig.Variadic(), noRetry: hasDirective(doc, "weaver:noretry")}
+	for i := 1; i < params.Len(); i++ {
+		t := params.At(i).Type()
+		if err := g.codecs.check(t); err != nil {
+			return nil, fmt.Errorf("generate: %s.%s: parameter %d: %w", iface, name, i, err)
+		}
+		m.params = append(m.params, t)
+	}
+	for i := 0; i < results.Len()-1; i++ {
+		t := results.At(i).Type()
+		if err := g.codecs.check(t); err != nil {
+			return nil, fmt.Errorf("generate: %s.%s: result %d: %w", iface, name, i, err)
+		}
+		m.results = append(m.results, t)
+	}
+	var err error
+	m.priority, err = priorityDirective(iface, name, doc)
+	return m, err
+}
+
+// methodDocs maps the position of each interface method's name, which is
+// the position go/types gives the method, to its doc comment: the one
+// place the //weaver: directives are read from source.
+func methodDocs(files []*ast.File) map[token.Pos]*ast.CommentGroup {
+	docs := map[token.Pos]*ast.CommentGroup{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, name := range m.Names {
+						docs[name.Pos()] = m.Doc
+					}
+				}
+			}
+			return true
+		})
+	}
+	return docs
 }
 
 // hasDirective reports whether a doc comment contains a //weaver:<name>
@@ -583,37 +483,6 @@ func priorityDirective(iface, method string, doc *ast.CommentGroup) (int, error)
 	return 0, nil
 }
 
-// baseTypeName returns the identifier of a receiver type ("T" or "*T").
-func baseTypeName(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.StarExpr:
-		if id, ok := t.X.(*ast.Ident); ok {
-			return id.Name
-		}
-	}
-	return ""
-}
-
-// fileDeclaring returns the file containing the declaration of a named type.
-func (g *generator) fileDeclaring(typeName string) *ast.File {
-	for _, file := range sortedFiles(g.pkg) {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == typeName {
-					return file
-				}
-			}
-		}
-	}
-	return nil
-}
-
 func sortedFiles(pkg *ast.Package) []*ast.File {
 	names := make([]string, 0, len(pkg.Files))
 	for name := range pkg.Files {
@@ -627,36 +496,59 @@ func sortedFiles(pkg *ast.Package) []*ast.File {
 	return out
 }
 
+// qualifier names an imported package in the generated file, registering
+// the import.
+func (g *generator) qualifier(p *types.Package) string {
+	if p.Path() == g.pkgPath {
+		return ""
+	}
+	return g.importAs(p.Path(), p.Name())
+}
+
+// importAs registers an import of path in the generated file and returns
+// its local name: name, or a fresh one if another path already holds name.
+func (g *generator) importAs(path, name string) string {
+	if alias, ok := g.imports[path]; ok {
+		return alias
+	}
+	taken := map[string]bool{}
+	for _, a := range g.imports {
+		taken[a] = true
+	}
+	alias := name
+	for i := 2; taken[alias]; i++ {
+		alias = fmt.Sprintf("%s%d", name, i)
+	}
+	g.imports[path] = alias
+	return alias
+}
+
+// typeExpr spells t in the generated file.
+func (g *generator) typeExpr(t types.Type) string { return types.TypeString(t, g.qualifier) }
+
 // emit renders the generated file.
 func (g *generator) emit() ([]byte, error) {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "// Code generated by weavergen. DO NOT EDIT.\n\n")
-	fmt.Fprintf(&b, "package %s\n\n", g.pkg.Name)
+	fmt.Fprintf(&b, "package %s\n\n", g.tpkg.Name())
 
-	// Mandatory imports.
-	g.addImport("context", "context")
-	g.addImport("reflect", "reflect")
-	g.addImport("repro/internal/codegen", "codegen")
-	g.addImport("repro/weaver", "weaver")
-	needRouting := false
+	// The emitter spells these packages by their names, so they take their
+	// names before any type's package can.
+	mandatory := []string{"context", "reflect", "repro/internal/codec", "repro/internal/codegen", WeaverImportPath}
 	for _, c := range g.components {
-		for _, m := range c.methods {
-			if m.routed {
-				needRouting = true
-			}
+		if c.routerName != "" {
+			mandatory = append(mandatory, "repro/internal/routing")
+			break
 		}
 	}
-	if needRouting {
-		g.addImport("repro/internal/routing", "routing")
+	for _, p := range mandatory {
+		g.importAs(p, p[strings.LastIndexByte(p, '/')+1:])
 	}
 
-	// Render component bodies first: they may register further imports
-	// (e.g. the codec for generated marshalers).
 	var body bytes.Buffer
 	for _, c := range g.components {
 		g.emitComponent(&body, c)
 	}
-	g.addImport("repro/internal/codec", "codec")
 	if len(g.codecs.order) > 0 {
 		fmt.Fprintf(&body, "// Encoders and decoders for the types reachable from component methods.\n\n")
 		g.codecs.emitFuncs(&body)
@@ -702,14 +594,14 @@ func (g *generator) emitComponent(b *bytes.Buffer, c *component) {
 	for _, m := range c.methods {
 		fmt.Fprintf(b, "type %s struct {\n", argsType(c, m))
 		for i, p := range m.params {
-			fmt.Fprintf(b, "\tP%d %s\n", i, p.typ)
+			fmt.Fprintf(b, "\tP%d %s\n", i, g.typeExpr(p))
 		}
 		fmt.Fprintf(b, "}\n\n")
 		g.codecs.emitMethods(b, argsType(c, m), fieldsOf("P", m.params))
 
 		fmt.Fprintf(b, "type %s struct {\n", resType(c, m))
 		for i, r := range m.results {
-			fmt.Fprintf(b, "\tR%d %s\n", i, r.typ)
+			fmt.Fprintf(b, "\tR%d %s\n", i, g.typeExpr(r))
 		}
 		fmt.Fprintf(b, "\tErr string\n\tHasErr bool\n}\n\n")
 		resFields := append(fieldsOf("R", m.results),
@@ -737,14 +629,14 @@ func (g *generator) emitComponent(b *bytes.Buffer, c *component) {
 		fmt.Fprintf(b, "func (s %s) %s(ctx context.Context", stub, m.name)
 		for i, p := range m.params {
 			if m.variadic && i == len(m.params)-1 {
-				fmt.Fprintf(b, ", %s ...%s", p.name, strings.TrimPrefix(p.typ, "[]"))
+				fmt.Fprintf(b, ", a%d ...%s", i, g.typeExpr(p.(*types.Slice).Elem()))
 			} else {
-				fmt.Fprintf(b, ", %s %s", p.name, p.typ)
+				fmt.Fprintf(b, ", a%d %s", i, g.typeExpr(p))
 			}
 		}
 		fmt.Fprintf(b, ") (")
 		for _, r := range m.results {
-			fmt.Fprintf(b, "%s, ", r.typ)
+			fmt.Fprintf(b, "%s, ", g.typeExpr(r))
 		}
 		fmt.Fprintf(b, "error) {\n")
 
@@ -752,13 +644,13 @@ func (g *generator) emitComponent(b *bytes.Buffer, c *component) {
 		// to them before the stub returns; results are extracted into
 		// locals first, so callers never see pooled memory.
 		fmt.Fprintf(b, "\targs := %s_pool.Get()\n", argsType(c, m))
-		for i, p := range m.params {
-			fmt.Fprintf(b, "\targs.P%d = %s\n", i, p.name)
+		for i := range m.params {
+			fmt.Fprintf(b, "\targs.P%d = a%d\n", i, i)
 		}
 		fmt.Fprintf(b, "\tres := %s_pool.Get()\n", resType(c, m))
 		if m.routed {
 			fmt.Fprintf(b, "\tvar router %s\n", c.routerName)
-			fmt.Fprintf(b, "\tshard := routing.KeyHash(router.%s(%s))\n", m.name, stubRouterArgs(m))
+			fmt.Fprintf(b, "\tshard := routing.KeyHash(router.%s(%s))\n", m.name, strings.Join(callArgs(m, "a%d"), ", "))
 			fmt.Fprintf(b, "\terr := s.conn.Invoke(ctx, %q, s.m%s, args, res, shard, true)\n", full, m.name)
 		} else {
 			fmt.Fprintf(b, "\terr := s.conn.Invoke(ctx, %q, s.m%s, args, res, 0, false)\n", full, m.name)
@@ -797,7 +689,7 @@ func (g *generator) emitComponent(b *bytes.Buffer, c *component) {
 		for i := range m.results {
 			fmt.Fprintf(b, "r.R%d, ", i)
 		}
-		fmt.Fprintf(b, "err = impl.(%s).%s(ctx%s)\n", c.ifaceName, m.name, doCallArgs(m))
+		fmt.Fprintf(b, "err = impl.(%s).%s(%s)\n", c.ifaceName, m.name, strings.Join(append([]string{"ctx"}, callArgs(m, "a.P%d")...), ", "))
 		fmt.Fprintf(b, "\t\t\tr.Err, r.HasErr = codegen.ErrorToWire(err)\n")
 		fmt.Fprintf(b, "\t\t},\n")
 		if m.noRetry {
@@ -811,7 +703,7 @@ func (g *generator) emitComponent(b *bytes.Buffer, c *component) {
 			fmt.Fprintf(b, "\t\t\ta := args.(*%s)\n", argsType(c, m))
 			fmt.Fprintf(b, "\t\t\t_ = a\n")
 			fmt.Fprintf(b, "\t\t\tvar router %s\n", c.routerName)
-			fmt.Fprintf(b, "\t\t\treturn routing.KeyHash(router.%s(%s))\n", m.name, doRouterArgs(m))
+			fmt.Fprintf(b, "\t\t\treturn routing.KeyHash(router.%s(%s))\n", m.name, strings.Join(callArgs(m, "a.P%d"), ", "))
 			fmt.Fprintf(b, "\t\t},\n")
 		}
 		fmt.Fprintf(b, "\t}\n")
@@ -864,10 +756,10 @@ type field struct {
 	t    types.Type
 }
 
-func fieldsOf(prefix string, params []param) []field {
-	out := make([]field, len(params))
-	for i, p := range params {
-		out[i] = field{name: fmt.Sprintf("%s%d", prefix, i), t: p.t}
+func fieldsOf(prefix string, ts []types.Type) []field {
+	out := make([]field, len(ts))
+	for i, t := range ts {
+		out[i] = field{name: fmt.Sprintf("%s%d", prefix, i), t: t}
 	}
 	return out
 }
@@ -880,42 +772,17 @@ func resType(c *component, m *method) string {
 	return lowerFirst(c.ifaceName) + "_" + m.name + "_Res"
 }
 
-// stubRouterArgs renders the router call arguments inside the client stub
-// (parameter names).
-func stubRouterArgs(m *method) string {
+// callArgs spells a method's arguments, the i-th as format applied to i,
+// spreading the variadic one.
+func callArgs(m *method, format string) []string {
 	parts := make([]string, len(m.params))
-	for i, p := range m.params {
-		parts[i] = p.name
+	for i := range m.params {
+		parts[i] = fmt.Sprintf(format, i)
 		if m.variadic && i == len(m.params)-1 {
 			parts[i] += "..."
 		}
 	}
-	return strings.Join(parts, ", ")
-}
-
-// doRouterArgs renders the router call arguments inside the server-side
-// Shard function (args struct fields).
-func doRouterArgs(m *method) string {
-	parts := make([]string, len(m.params))
-	for i := range m.params {
-		parts[i] = fmt.Sprintf("a.P%d", i)
-		if m.variadic && i == len(m.params)-1 {
-			parts[i] += "..."
-		}
-	}
-	return strings.Join(parts, ", ")
-}
-
-// doCallArgs renders the implementation call arguments inside Do.
-func doCallArgs(m *method) string {
-	var b strings.Builder
-	for i := range m.params {
-		fmt.Fprintf(&b, ", a.P%d", i)
-		if m.variadic && i == len(m.params)-1 {
-			b.WriteString("...")
-		}
-	}
-	return b.String()
+	return parts
 }
 
 func lowerFirst(s string) string {

@@ -2,6 +2,7 @@ package generate
 
 import (
 	"bytes"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -9,6 +10,25 @@ import (
 	"strings"
 	"testing"
 )
+
+// modDir writes files into a fresh package directory that is its own
+// module, with this repository replacing the repro module, so the
+// package's imports of repro/weaver resolve as they do for an application.
+func modDir(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	files["go.mod"] = "module example/bad\n\ngo 1.22\n\nrequire repro v0.0.0\n\nreplace repro => " + root + "\n"
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
 
 func generateTestdata(t *testing.T) string {
 	t.Helper()
@@ -119,8 +139,7 @@ func TestNoComponents(t *testing.T) {
 }
 
 func TestRejectsMissingContext(t *testing.T) {
-	dir := t.TempDir()
-	src := `package bad
+	dir := modDir(t, map[string]string{"b.go": `package bad
 
 import "repro/weaver"
 
@@ -133,10 +152,7 @@ type bImpl struct {
 }
 
 func (b *bImpl) M(x int) error { return nil }
-`
-	if err := os.WriteFile(filepath.Join(dir, "b.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`})
 	_, err := Generate(Options{Dir: dir, PkgPath: "example/bad"})
 	if err == nil || !strings.Contains(err.Error(), "context.Context") {
 		t.Errorf("err = %v, want context.Context complaint", err)
@@ -144,8 +160,7 @@ func (b *bImpl) M(x int) error { return nil }
 }
 
 func TestRejectsMissingError(t *testing.T) {
-	dir := t.TempDir()
-	src := `package bad
+	dir := modDir(t, map[string]string{"b.go": `package bad
 
 import (
 	"context"
@@ -162,10 +177,7 @@ type bImpl struct {
 }
 
 func (b *bImpl) M(ctx context.Context) string { return "" }
-`
-	if err := os.WriteFile(filepath.Join(dir, "b.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`})
 	_, err := Generate(Options{Dir: dir, PkgPath: "example/bad"})
 	if err == nil || !strings.Contains(err.Error(), "error") {
 		t.Errorf("err = %v, want error-result complaint", err)
@@ -173,8 +185,7 @@ func (b *bImpl) M(ctx context.Context) string { return "" }
 }
 
 func TestRejectsDuplicateImplementations(t *testing.T) {
-	dir := t.TempDir()
-	src := `package bad
+	dir := modDir(t, map[string]string{"b.go": `package bad
 
 import (
 	"context"
@@ -191,10 +202,7 @@ func (b *b1) M(ctx context.Context) error { return nil }
 
 type b2 struct{ weaver.Implements[B] }
 func (b *b2) M(ctx context.Context) error { return nil }
-`
-	if err := os.WriteFile(filepath.Join(dir, "b.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`})
 	_, err := Generate(Options{Dir: dir, PkgPath: "example/bad"})
 	if err == nil || !strings.Contains(err.Error(), "implemented by both") {
 		t.Errorf("err = %v, want duplicate-implementation complaint", err)
@@ -202,8 +210,7 @@ func (b *b2) M(ctx context.Context) error { return nil }
 }
 
 func TestRejectsRouterMethodMismatch(t *testing.T) {
-	dir := t.TempDir()
-	src := `package bad
+	dir := modDir(t, map[string]string{"b.go": `package bad
 
 import (
 	"context"
@@ -223,10 +230,7 @@ type bImpl struct {
 	weaver.WithRouter[r]
 }
 func (b *bImpl) M(ctx context.Context) error { return nil }
-`
-	if err := os.WriteFile(filepath.Join(dir, "b.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`})
 	_, err := Generate(Options{Dir: dir, PkgPath: "example/bad"})
 	if err == nil || !strings.Contains(err.Error(), "NotAMethod") {
 		t.Errorf("err = %v, want router mismatch complaint", err)
@@ -234,8 +238,7 @@ func (b *bImpl) M(ctx context.Context) error { return nil }
 }
 
 func TestNoRetryDirective(t *testing.T) {
-	dir := t.TempDir()
-	src := `package pay
+	dir := modDir(t, map[string]string{"pay.go": `package pay
 
 import (
 	"context"
@@ -257,10 +260,7 @@ type payImpl struct {
 
 func (p *payImpl) Charge(ctx context.Context, cents int64) (string, error) { return "", nil }
 func (p *payImpl) Refund(ctx context.Context, txn string) error            { return nil }
-`
-	if err := os.WriteFile(filepath.Join(dir, "pay.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`})
 	out, err := Generate(Options{Dir: dir, PkgPath: "example/pay"})
 	if err != nil {
 		t.Fatal(err)
@@ -296,8 +296,7 @@ func TestRejectsUnserializableTypes(t *testing.T) {
 		{"[]struct{ x int }", "cannot bound their count"},
 		{"wrapper", "field In: type chan string cannot be serialized"},
 	} {
-		dir := t.TempDir()
-		src := `package bad
+		dir := modDir(t, map[string]string{"b.go": `package bad
 
 import (
 	"context"
@@ -314,14 +313,143 @@ type B interface {
 type bImpl struct {
 	weaver.Implements[B]
 }
-`
-		if err := os.WriteFile(filepath.Join(dir, "b.go"), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
+`})
 		_, err := Generate(Options{Dir: dir, PkgPath: "example/bad"})
 		if err == nil || !strings.Contains(err.Error(), "B.M: parameter 1") || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want a generation-time error containing %q", tc.typ, err, tc.want)
 		}
+	}
+}
+
+func TestAcceptsAliasedContext(t *testing.T) {
+	dir := modDir(t, map[string]string{"b.go": `package bad
+
+import (
+	stdctx "context"
+
+	"repro/weaver"
+)
+
+type B interface {
+	M(ctx stdctx.Context, x int) error
+}
+
+type bImpl struct {
+	weaver.Implements[B]
+}
+
+func (b *bImpl) M(ctx stdctx.Context, x int) error { return nil }
+`})
+	out, err := Generate(Options{Dir: dir, PkgPath: "example/bad"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "func (s b_ClientStub) M(ctx context.Context, a0 int) error") {
+		t.Errorf("stub does not take a context.Context:\n%s", out)
+	}
+}
+
+// TestImportAliasesDoNotLeak imports one package under two names in two
+// files. The generated file names it once, by its package name, and
+// type-checks.
+func TestImportAliasesDoNotLeak(t *testing.T) {
+	dir := modDir(t, map[string]string{
+		"a.go": `package bad
+
+import (
+	"context"
+	"time"
+
+	"repro/weaver"
+)
+
+type A interface {
+	Wait(ctx context.Context, d time.Duration) error
+}
+
+type aImpl struct {
+	weaver.Implements[A]
+}
+
+func (a *aImpl) Wait(ctx context.Context, d time.Duration) error { return nil }
+`,
+		"b.go": `package bad
+
+import (
+	"context"
+	tm "time"
+
+	"repro/weaver"
+)
+
+type B interface {
+	At(ctx context.Context, when tm.Time) (tm.Duration, error)
+}
+
+type bImpl struct {
+	weaver.Implements[B]
+}
+
+func (b *bImpl) At(ctx context.Context, when tm.Time) (tm.Duration, error) { return 0, nil }
+`,
+	})
+	path, err := GenerateToFile(Options{Dir: dir, PkgPath: "example/bad"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// go build would refuse the generated file's imports of repro/internal
+	// packages from outside the repro module; a strict type check is the
+	// same test of the generated code.
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, f := range pkgs["bad"].Files {
+		files = append(files, f)
+	}
+	if _, _, err := typeCheck(dir, "example/bad", fset, files, nil); err != nil {
+		src, _ := os.ReadFile(path)
+		t.Fatalf("generated package does not type-check: %v\n----\n%s", err, src)
+	}
+}
+
+// TestUnresolvedWeaverKeepsGeneratedFile generates outside any module, where
+// repro/weaver cannot be loaded. That must be an error, not "no
+// components", which would delete the package's weaver_gen.go.
+func TestUnresolvedWeaverKeepsGeneratedFile(t *testing.T) {
+	dir := t.TempDir()
+	const gen = "// Code generated by weavergen. DO NOT EDIT.\n\npackage bad\n"
+	for name, src := range map[string]string{
+		"b.go": `package bad
+
+import (
+	"context"
+
+	"repro/weaver"
+)
+
+type B interface {
+	M(ctx context.Context) error
+}
+
+type bImpl struct {
+	weaver.Implements[B]
+}
+`,
+		"weaver_gen.go": gen,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := GenerateToFile(Options{Dir: dir, PkgPath: "example/bad"})
+	if err == nil || !strings.Contains(err.Error(), "repro/weaver") {
+		t.Errorf("err = %v, want a complaint that repro/weaver does not resolve", err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "weaver_gen.go")); err != nil || string(got) != gen {
+		t.Errorf("weaver_gen.go changed: %q, %v", got, err)
 	}
 }
 

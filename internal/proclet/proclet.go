@@ -473,7 +473,7 @@ func (p *Proclet) hostComponents(ctx context.Context, components []string, versi
 		return err
 	}
 	// Flip local callers of the newly hosted components to direct dispatch
-	// (dynamic FastLocal). Stubs resolved while the component was remote
+	// through their existing stubs. Stubs resolved while the component was remote
 	// pick up the new route on their next call.
 	for _, c := range fresh {
 		if err := p.runtime.PromoteLocal(ctx, c, version); err != nil {

@@ -63,11 +63,10 @@ func initSingle(ctx context.Context) (*App, error) {
 		Fill: func(impl any, name string, resolve func(reflect.Type) (any, error)) error {
 			return FillComponent(impl, name, logger.With(core.ShortName(name)), resolve, defaultListen)
 		},
-		Logger:    logger,
-		Graph:     graph,
-		Tracer:    tracer,
-		Metrics:   metrics.Default,
-		FastLocal: os.Getenv("WEAVER_FAST_LOCAL") != "",
+		Logger:  logger,
+		Graph:   graph,
+		Tracer:  tracer,
+		Metrics: metrics.Default,
 	})
 	app.runtime = rt
 	app.shutdown = rt.Shutdown

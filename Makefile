@@ -63,13 +63,15 @@ race:
 # Allocation-budget gates for the zero-copy data plane (DESIGN.md §9), for
 # hedging's standing cost on the client call path (DESIGN.md §8), for a
 # co-located call's bookkeeping (DESIGN.md §13), for the generated
-# codecs and for the decoder's string intern table (DESIGN.md §6).
+# codecs and for the decoder's string intern table (DESIGN.md §6), and for
+# the control plane's load reports: the pipe's reused buffers and a report
+# applied to the status table (DESIGN.md §14).
 # They must run without -race: the detector makes sync.Pool drop Puts at
 # random, so alloc counts are only meaningful in a plain build. Two CPU
 # counts give two client stripe widths (min(4, GOMAXPROCS) conns), so a
 # stripe-width-dependent defect cannot pass on a 1-CPU host.
 allocs:
-	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc ./internal/core ./internal/boutique ./internal/codec
+	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc ./internal/core ./internal/boutique ./internal/codec ./internal/pipe ./internal/manager
 
 # The end-to-end benchmark is its own module (perfbench/go.mod), so the
 # root vet and build never compile it; vet and test it here so a change to

@@ -21,8 +21,11 @@ type Expirer interface{ Expire() }
 // deadline, never before it. That is the right trade for request
 // deadlines, which are best-effort bounds rather than precise alarms.
 //
-// The runner goroutine exists only while entries are scheduled: the first
-// Schedule on an idle wheel starts it, and it exits when the wheel drains.
+// The runner goroutine ticks only while entries are scheduled. The first
+// Schedule starts it; when the wheel drains it parks on a channel, off the
+// clock, and the next Schedule on the idle wheel wakes it, so a wheel that
+// drains and refills many times a second starts one goroutine, not one per
+// refill. Close makes the runner exit once the wheel drains instead.
 // A Wheel draws its timers from an injected Clock, so deterministic tests
 // drive expiry with a Fake clock's Advance.
 type Wheel struct {
@@ -32,8 +35,15 @@ type Wheel struct {
 	mu       sync.Mutex
 	slots    []wheelEntry // ring of sentinel list heads
 	count    int          // scheduled entries
-	running  bool
-	prevTick uint64 // last tick index the runner swept
+	running  bool         // the runner is ticking
+	parked   bool         // the runner is parked, waiting on wake
+	closed   bool         // the runner exits instead of parking
+	prevTick uint64       // last tick index the runner swept
+
+	// wake resumes a parked runner: true to tick again, false to exit.
+	// Whoever clears parked sends the one value the runner waits for.
+	wake chan bool
+	due  []Expirer // scratch for a sweep's expiries, taken and returned under mu
 }
 
 // A WheelEntry is one scheduled callback. Entries are embeddable and
@@ -60,7 +70,7 @@ func NewWheel(clk Clock, tick time.Duration, slots int) *Wheel {
 	for n < slots {
 		n <<= 1
 	}
-	w := &Wheel{clk: Or(clk), tick: tick, slots: make([]wheelEntry, n)}
+	w := &Wheel{clk: Or(clk), tick: tick, slots: make([]wheelEntry, n), wake: make(chan bool, 1)}
 	for i := range w.slots {
 		s := &w.slots[i]
 		s.next, s.prev = s, s
@@ -92,10 +102,11 @@ func (w *Wheel) Schedule(e *WheelEntry, deadline time.Time, x Expirer) {
 		w.mu.Unlock()
 		panic("clock: WheelEntry scheduled twice")
 	}
-	start := !w.running
+	start, resume := !w.running, false
 	if start {
 		w.running = true
 		w.prevTick = w.tickOf(w.clk.Now())
+		resume, w.parked = w.parked, false
 	}
 	// Link into the first tick whose sweep time is at or after the
 	// deadline, so the entry is due whenever its slot is visited: a
@@ -115,8 +126,26 @@ func (w *Wheel) Schedule(e *WheelEntry, deadline time.Time, x Expirer) {
 	slot.prev = en
 	w.count++
 	w.mu.Unlock()
-	if start {
+	switch {
+	case resume:
+		w.wake <- true
+	case start:
 		go w.run()
+	}
+}
+
+// Close makes the runner exit, now if it is parked or else once the wheel
+// drains, instead of parking. Entries scheduled after Close still fire: a
+// Schedule on the idle, closed wheel starts a runner that exits when the
+// wheel drains again.
+func (w *Wheel) Close() {
+	w.mu.Lock()
+	w.closed = true
+	wake := w.parked
+	w.parked = false
+	w.mu.Unlock()
+	if wake {
+		w.wake <- false
 	}
 }
 
@@ -151,16 +180,17 @@ func (w *Wheel) tickOf(t time.Time) uint64 {
 
 // run is the single ticking goroutine: each tick it visits the slot
 // indexes that came due since the previous sweep and fires every entry
-// whose deadline has passed. It exits once the wheel is empty; the next
-// Schedule restarts it.
+// whose deadline has passed. Once the wheel is empty it parks until the
+// next Schedule, or exits if the wheel is closed.
 func (w *Wheel) run() {
 	for {
 		// Sleep, not After: After would allocate a timer and a channel on
 		// every tick of a busy wheel.
 		w.clk.Sleep(w.tick)
 		now := w.clk.Now()
-		var due []Expirer
 		w.mu.Lock()
+		due := w.due[:0]
+		w.due = nil // this sweep's own until handed back below
 		from, to := w.prevTick, w.tickOf(now)
 		if to > from {
 			// Visit each slot index that elapsed in (from, to]; when the
@@ -185,15 +215,23 @@ func (w *Wheel) run() {
 			}
 			w.prevTick = to
 		}
-		empty := w.count == 0
-		if empty {
+		idle := w.count == 0
+		if idle {
 			w.running = false
 		}
 		w.mu.Unlock()
 		for _, x := range due {
 			x.Expire()
 		}
-		if empty {
+		clear(due)
+		w.mu.Lock()
+		w.due = due[:0]
+		// Park, unless the wheel is closed or a Schedule since the sweep
+		// found it idle and started another runner.
+		park := idle && !w.running && !w.closed
+		w.parked = park
+		w.mu.Unlock()
+		if idle && (!park || !<-w.wake) {
 			return
 		}
 	}

@@ -1,6 +1,9 @@
 package clock
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -217,4 +220,64 @@ func TestWheelDoubleSchedulePanics(t *testing.T) {
 		w.Stop(&e)
 	}()
 	w.Schedule(&e, f.Now().Add(60*time.Millisecond), &r)
+}
+
+// runners returns the IDs of the goroutines running w's runner loop, read
+// from a dump of every goroutine's stack. Counting these rather than
+// runtime.NumGoroutine keeps goroutines of other tests, which may start or
+// end at any time, out of the count.
+func runners(w *Wheel) []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	frame := fmt.Sprintf("clock.(*Wheel).run(%p", w)
+	var ids []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, frame) {
+			ids = append(ids, strings.Fields(g)[1]) // "goroutine <id> [state]:"
+		}
+	}
+	return ids
+}
+
+// A drained wheel parks its runner instead of ending it, so refilling the
+// wheel starts no goroutine; Close ends the parked runner, and a wheel
+// scheduled after Close still fires and then lets its runner go.
+func TestWheelRunnerParksUntilClose(t *testing.T) {
+	f := NewFake()
+	w := NewWheel(f, time.Millisecond, 8)
+	var r recorder
+	var e WheelEntry
+	var first string
+	for round := int32(1); round <= 3; round++ {
+		w.Schedule(&e, f.Now().Add(time.Millisecond), &r)
+		waitRunnerWaiting(t, f)
+		f.Advance(time.Millisecond)
+		eventually(t, "entry to fire", func() bool { return r.fired.Load() == round })
+		eventually(t, "runner to leave the clock", func() bool { return f.Waiting() == 0 })
+		time.Sleep(20 * time.Millisecond) // give a runner that would exit the time to
+		ids := runners(w)
+		if len(ids) != 1 {
+			t.Fatalf("round %d: %d runner goroutines %v, want the one parked runner", round, len(ids), ids)
+		}
+		if round == 1 {
+			first = ids[0]
+		} else if ids[0] != first {
+			t.Fatalf("round %d: runner is goroutine %s, want the parked goroutine %s", round, ids[0], first)
+		}
+	}
+	w.Close()
+	eventually(t, "closed wheel's runner to exit", func() bool { return len(runners(w)) == 0 })
+
+	w.Schedule(&e, f.Now().Add(time.Millisecond), &r)
+	waitRunnerWaiting(t, f)
+	f.Advance(time.Millisecond)
+	eventually(t, "entry scheduled after Close to fire", func() bool { return r.fired.Load() == 4 })
+	eventually(t, "runner to exit once the closed wheel drains", func() bool { return len(runners(w)) == 0 })
 }

@@ -1,7 +1,10 @@
 package tagged
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -135,5 +138,75 @@ func TestDeterministicForSameStruct(t *testing.T) {
 	b, _ := Marshal(in)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("nondeterministic encoding for slice-only struct")
+	}
+}
+
+// Nested records are encoded in place behind a one-byte length that is
+// widened once the body reaches 128 bytes. Around each varint width, the
+// record must carry the minimal length varint its body needs and decode
+// back intact, nested two deep so an outer record shifts an inner one.
+func TestInPlaceNestedLengths(t *testing.T) {
+	for _, n := range []int{0, 1, 124, 125, 126, 127, 128, 129, 16380, 16381, 16384, 1 << 17} {
+		in := branch{Self: &branch{Leaves: []leaf{{S: strings.Repeat("s", n)}}}}
+		data, err := Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The outer record: field 3's tag, its length, then the body.
+		l, k := binary.Uvarint(data[1:])
+		if int(l) != len(data)-1-k || k != len(binary.AppendUvarint(nil, l)) {
+			t.Fatalf("string of %d: outer length %d in %d bytes for a %d-byte body", n, l, k, len(data)-1-k)
+		}
+		var out branch
+		if err := Unmarshal(data, &out); err != nil {
+			t.Fatalf("string of %d: %v", n, err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("string of %d: round trip changed the value", n)
+		}
+	}
+}
+
+// MarshalAppend appends to the buffer it is given, and a buffer reused at
+// the message's size encodes without allocating.
+func TestMarshalAppendReusesBuffer(t *testing.T) {
+	in := &branch{Leaves: []leaf{{N: 1, S: strings.Repeat("a", 200)}}, Self: &branch{}}
+	want, _ := Marshal(in)
+	buf, err := MarshalAppend([]byte("prefix"), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:6]) != "prefix" || !bytes.Equal(buf[6:], want) {
+		t.Fatalf("MarshalAppend = %q, want prefix then %q", buf, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() { buf, _ = MarshalAppend(buf[:0], in) })
+	if allocs != 0 {
+		t.Errorf("MarshalAppend into a reused buffer allocates %.1f times, want 0", allocs)
+	}
+}
+
+// Repeated records decode in place into a slice sized once for all of
+// them, even when other fields sit between them; a decode that fails keeps
+// no half-decoded element.
+func TestRepeatedDecodeSizesOnce(t *testing.T) {
+	in := branch{Leaves: []leaf{{N: 1}, {N: 2}, {N: 3}}, ByName: map[string]leaf{"k": {N: 4}}}
+	data, _ := Marshal(in)
+	// Move the map entry between the first and second leaves.
+	leafLen := 2 + int(data[1])
+	mapEntry := data[3*leafLen:]
+	mixed := append(append(append([]byte{}, data[:leafLen]...), mapEntry...), data[leafLen:3*leafLen]...)
+	var out branch
+	if err := Unmarshal(mixed, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) || cap(out.Leaves) != 3 {
+		t.Fatalf("decoded %+v (cap %d), want %+v (cap 3)", out, cap(out.Leaves), in)
+	}
+	var bad branch
+	if err := Unmarshal(append(data[:leafLen:leafLen], 1<<3|2, 5, 1<<3|0), &bad); err == nil {
+		t.Fatal("truncated repeated record accepted")
+	}
+	if len(bad.Leaves) != 1 {
+		t.Fatalf("failed decode left %d leaves, want the 1 complete one", len(bad.Leaves))
 	}
 }

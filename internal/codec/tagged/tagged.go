@@ -51,7 +51,13 @@ const (
 
 // Marshal encodes v, which must be a struct or pointer to struct, into the
 // tagged wire format.
-func Marshal(v any) ([]byte, error) {
+func Marshal(v any) ([]byte, error) { return MarshalAppend(nil, v) }
+
+// MarshalAppend appends the tagged encoding of v, which must be a struct or
+// pointer to struct, to b and returns the extended buffer. Nested messages
+// are encoded in place behind their length prefix, so a caller that reuses
+// b encodes without allocating once b has grown to the message size.
+func MarshalAppend(b []byte, v any) ([]byte, error) {
 	rv := reflect.ValueOf(v)
 	for rv.Kind() == reflect.Pointer {
 		if rv.IsNil() {
@@ -66,7 +72,7 @@ func Marshal(v any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return prog.marshal(nil, rv), nil
+	return prog.marshal(b, rv), nil
 }
 
 // Unmarshal decodes data into v, which must be a non-nil pointer to struct.
@@ -217,6 +223,38 @@ func appendTag(b []byte, num uint64, wire int) []byte {
 	return binary.AppendUvarint(b, num<<3|uint64(wire))
 }
 
+// beginNested starts a length-delimited record in place: it reserves one
+// length byte and returns the offset at which the record's body begins.
+func beginNested(b []byte) ([]byte, int) {
+	b = append(b, 0)
+	return b, len(b)
+}
+
+// endNested back-fills the length of the body that began at start. A body
+// under 128 bytes fits the reserved byte; a longer one is shifted right by
+// the extra varint bytes its length needs. The bytes are those of encoding
+// the body separately and appending its length and contents.
+func endNested(b []byte, start int) []byte {
+	n := len(b) - start
+	if n < 0x80 {
+		b[start-1] = byte(n)
+		return b
+	}
+	var lenBuf [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(lenBuf[:], uint64(n))
+	b = append(b, lenBuf[1:k]...) // grow by the extra length bytes
+	copy(b[start-1+k:], b[start:start+n])
+	copy(b[start-1:], lenBuf[:k])
+	return b
+}
+
+// appendMessage appends field num's tag and the in-place encoding of the
+// struct v.
+func (p *program) appendMessage(b []byte, num uint64, v reflect.Value) []byte {
+	b, start := beginNested(appendTag(b, num, wireBytes))
+	return endNested(p.marshal(b, v), start)
+}
+
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
 
@@ -290,18 +328,12 @@ func (f *field) append(b []byte, v reflect.Value) []byte {
 		if v.IsZero() {
 			return b
 		}
-		inner := f.sub.marshal(nil, v)
-		b = appendTag(b, f.num, wireBytes)
-		b = binary.AppendUvarint(b, uint64(len(inner)))
-		return append(b, inner...)
+		return f.sub.appendMessage(b, f.num, v)
 	case reflect.Pointer:
 		if v.IsNil() {
 			return b
 		}
-		inner := f.sub.marshal(nil, v.Elem())
-		b = appendTag(b, f.num, wireBytes)
-		b = binary.AppendUvarint(b, uint64(len(inner)))
-		return append(b, inner...)
+		return f.sub.appendMessage(b, f.num, v.Elem())
 	case reflect.Slice: // repeated: one tagged record per element
 		for i := 0; i < v.Len(); i++ {
 			b = f.elem.appendAlways(b, v.Index(i))
@@ -310,12 +342,11 @@ func (f *field) append(b []byte, v reflect.Value) []byte {
 	case reflect.Map: // repeated nested (key, value) entries
 		iter := v.MapRange()
 		for iter.Next() {
-			var entry []byte
-			entry = f.key.appendAlways(entry, iter.Key())
-			entry = f.elem.appendAlways(entry, iter.Value())
-			b = appendTag(b, f.num, wireBytes)
-			b = binary.AppendUvarint(b, uint64(len(entry)))
-			b = append(b, entry...)
+			var start int
+			b, start = beginNested(appendTag(b, f.num, wireBytes))
+			b = f.key.appendAlways(b, iter.Key())
+			b = f.elem.appendAlways(b, iter.Value())
+			b = endNested(b, start)
 		}
 		return b
 	}
@@ -360,18 +391,13 @@ func (f *field) appendAlways(b []byte, v reflect.Value) []byte {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		return append(b, s...)
 	case reflect.Struct:
-		inner := f.sub.marshal(nil, v)
-		b = appendTag(b, f.num, wireBytes)
-		b = binary.AppendUvarint(b, uint64(len(inner)))
-		return append(b, inner...)
+		return f.sub.appendMessage(b, f.num, v)
 	case reflect.Pointer:
-		var inner []byte
-		if !v.IsNil() {
-			inner = f.sub.marshal(nil, v.Elem())
+		if v.IsNil() {
+			b = appendTag(b, f.num, wireBytes)
+			return append(b, 0)
 		}
-		b = appendTag(b, f.num, wireBytes)
-		b = binary.AppendUvarint(b, uint64(len(inner)))
-		return append(b, inner...)
+		return f.sub.appendMessage(b, f.num, v.Elem())
 	}
 	return f.append(b, v)
 }
@@ -393,13 +419,40 @@ func (p *program) unmarshal(data []byte, v reflect.Value) error {
 			data = rest
 			continue
 		}
-		rest, err := f.decode(data, wire, v.Field(f.index))
+		fv := v.Field(f.index)
+		if f.elem != nil && f.kind == reflect.Slice && fv.Len() == fv.Cap() {
+			// A repeated field about to grow: make room for all of its
+			// records in this message at once.
+			fv.Grow(countRecords(data, wire, tag))
+		}
+		rest, err := f.decode(data, wire, fv)
 		if err != nil {
 			return fmt.Errorf("tagged: field %d in %v: %w", num, p.typ, err)
 		}
 		data = rest
 	}
 	return nil
+}
+
+// countRecords counts the records tagged tag in a message body: the one
+// whose payload, of wire type wire, data begins with, and every later one.
+// It stops at the first record it cannot skip; the decoder reports that.
+func countRecords(data []byte, wire int, tag uint64) int {
+	n := 1
+	for {
+		rest, err := skip(data, wire)
+		if err != nil {
+			return n
+		}
+		t, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return n
+		}
+		if t == tag {
+			n++
+		}
+		data, wire = rest[k:], int(t&7)
+	}
 }
 
 func skip(data []byte, wire int) ([]byte, error) {
@@ -432,14 +485,21 @@ func skip(data []byte, wire int) ([]byte, error) {
 }
 
 func (f *field) decode(data []byte, wire int, v reflect.Value) ([]byte, error) {
-	// Repeated fields receive one element per record.
+	// Repeated fields receive one element per record, decoded in place
+	// into the slot the slice grows by.
 	if f.kind == reflect.Slice && !f.isBytes {
-		elem := reflect.New(f.typ.Elem()).Elem()
+		n := v.Len()
+		if n == v.Cap() {
+			v.Grow(1)
+		}
+		v.SetLen(n + 1)
+		elem := v.Index(n)
+		elem.SetZero()
 		rest, err := f.elem.decode(data, wire, elem)
 		if err != nil {
+			v.SetLen(n)
 			return nil, err
 		}
-		v.Set(reflect.Append(v, elem))
 		return rest, nil
 	}
 	if f.kind == reflect.Map {

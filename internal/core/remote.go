@@ -179,6 +179,7 @@ func (c *DataPlaneConn) Close() {
 		cl.Close()
 	}
 	c.clients = map[string]*rpc.Client{}
+	c.wheel.Close()
 }
 
 func (c *DataPlaneConn) clientFor(addr string) *rpc.Client {

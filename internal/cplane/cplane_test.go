@@ -23,13 +23,22 @@ func mkState(group string, n int, comps ...string) *State {
 	}
 	for i := 0; i < n; i++ {
 		id := group + "/" + string(rune('0'+i))
-		g.Replicas[id] = &Replica{
-			ID: id, Addr: "addr-" + id, Ready: true, Healthy: true,
-			LastReport: time.Unix(1000, 0), Applied: map[string]uint64{},
-		}
+		g.Replicas[id] = &Replica{ID: id, Addr: "addr-" + id, Ready: true, Healthy: true}
 		g.NextID++
 	}
 	return s
+}
+
+// reported returns a status table in which every replica of s last
+// reported at t = 1000 s.
+func reported(s *State) *Status {
+	st := NewStatus()
+	for _, g := range s.Groups {
+		for id := range g.Replicas {
+			st.Touch(id, time.Unix(1000, 0))
+		}
+	}
+	return st
 }
 
 func countStopping(s *State, group string) int {
@@ -72,7 +81,7 @@ func TestReconcileScaleDecisionTable(t *testing.T) {
 				}
 				return tc.want
 			}
-			des := ReconcileScale(obs, oracle, now, 5*time.Second)
+			des := ReconcileScale(obs, reported(obs), oracle, now, 5*time.Second)
 			acts := Diff(obs, des)
 			gotStart := 0
 			for _, a := range acts.Start {
@@ -100,7 +109,7 @@ func TestReconcileScaleDecisionTable(t *testing.T) {
 
 func TestReconcileScaleStopsNewestFirst(t *testing.T) {
 	obs := mkState("g", 3, "app/X")
-	des := ReconcileScale(obs, func(string, int, float64, time.Time) int { return 2 },
+	des := ReconcileScale(obs, reported(obs), func(string, int, float64, time.Time) int { return 2 },
 		time.Unix(1000, 0), 5*time.Second)
 	if !des.Groups["g"].Replicas["g/2"].Stopping {
 		t.Error("newest replica g/2 not chosen for stop")
@@ -112,9 +121,10 @@ func TestReconcileScaleStopsNewestFirst(t *testing.T) {
 
 func TestReconcileScaleMarksStaleUnhealthy(t *testing.T) {
 	obs := mkState("g", 2, "app/X")
-	obs.Groups["g"].Replicas["g/0"].LastReport = time.Unix(100, 0) // long ago
+	st := reported(obs)
+	st.Touch("g/0", time.Unix(100, 0)) // long ago
 	now := time.Unix(1000, 0)
-	des := ReconcileScale(obs, func(_ string, current int, _ float64, _ time.Time) int { return current },
+	des := ReconcileScale(obs, st, func(_ string, current int, _ float64, _ time.Time) int { return current },
 		now, 5*time.Second)
 	if des.Groups["g"].Replicas["g/0"].Healthy {
 		t.Error("stale replica still healthy")
@@ -134,7 +144,7 @@ func TestReconcileScaleSkipsMainAndEmptyGroups(t *testing.T) {
 	if _, err := obs.AddGroup("empty", []string{"app/E"}, map[string]bool{}); err != nil {
 		t.Fatal(err)
 	}
-	des := ReconcileScale(obs, func(string, int, float64, time.Time) int { return 5 },
+	des := ReconcileScale(obs, reported(obs), func(string, int, float64, time.Time) int { return 5 },
 		time.Unix(1000, 0), 5*time.Second)
 	if !Diff(obs, des).Empty() {
 		t.Error("reconciler acted on main or an empty group")

@@ -25,11 +25,12 @@ type DesiredFunc func(group string, current int, load float64, now time.Time) in
 
 // ReconcileScale is the autoscale + health reconciler. For every group but
 // "main" and the empty on-demand ones it marks stale replicas unhealthy
-// (no load report within staleAfter), asks the oracle for a desired count,
-// raises Starting to scale up, and marks the newest replicas Stopping to
-// scale down. It returns the desired state; Diff against the observed
-// snapshot yields the starts, stops, and routing pushes.
-func ReconcileScale(obs *State, desired DesiredFunc, now time.Time, staleAfter time.Duration) *State {
+// (no load report in st within staleAfter), asks the oracle for a desired
+// count given the group's load in st, raises Starting to scale up, and
+// marks the newest replicas Stopping to scale down. It returns the desired
+// state; Diff against the observed snapshot yields the starts, stops, and
+// routing pushes.
+func ReconcileScale(obs *State, st *Status, desired DesiredFunc, now time.Time, staleAfter time.Duration) *State {
 	des := obs.Clone()
 	for _, name := range des.SortedGroupNames() {
 		g := des.Groups[name]
@@ -39,12 +40,13 @@ func ReconcileScale(obs *State, desired DesiredFunc, now time.Time, staleAfter t
 
 		// Health: mark stale replicas unhealthy so routing skips them.
 		var totalRate float64
-		for _, r := range g.Replicas {
-			if now.Sub(r.LastReport) > staleAfter {
+		for id, r := range g.Replicas {
+			rate, last := st.Load(id)
+			if now.Sub(last) > staleAfter {
 				r.Healthy = false
 			}
 			if r.Healthy && r.Ready && !r.Stopping {
-				totalRate += r.Rate
+				totalRate += rate
 			}
 		}
 
@@ -176,8 +178,9 @@ func ReconcilePlacement(obs *State, g *callgraph.Graph, cfg placement.Config, mi
 //   - hosting is a bijection: CompGroup and the groups' Components lists
 //     agree exactly (no orphaned or doubly-hosted component);
 //   - Routed flags only cover hosted components;
-//   - no stamped push and no replica-applied version exceeds RouteEpoch
-//     (the epoch counter is the upper bound of everything ever issued);
+//   - no stamped push exceeds RouteEpoch (the epoch counter is the upper
+//     bound of everything ever issued; CheckApplied checks the replicas'
+//     applied epochs against it);
 //   - replica bookkeeping is sane (IDs match keys, Starting >= 0).
 func CheckInvariants(s *State) error {
 	seen := map[string]string{}
@@ -203,11 +206,6 @@ func CheckInvariants(s *State) error {
 			if r.ID != id {
 				return fmt.Errorf("group %q replica keyed %q has ID %q", name, id, r.ID)
 			}
-			for c, v := range r.Applied {
-				if v > s.RouteEpoch {
-					return fmt.Errorf("replica %q applied epoch %d for %q beyond RouteEpoch %d", id, v, c, s.RouteEpoch)
-				}
-			}
 		}
 	}
 	for c, gname := range s.CompGroup {
@@ -222,6 +220,19 @@ func CheckInvariants(s *State) error {
 		if p.Version > s.RouteEpoch {
 			return fmt.Errorf("component %q push epoch %d beyond RouteEpoch %d", c, p.Version, s.RouteEpoch)
 		}
+	}
+	return nil
+}
+
+// CheckApplied verifies that no replica has applied a routing epoch beyond
+// the RouteEpoch of the State that snapshot returns. It reads st before it
+// takes the snapshot: an epoch is stamped in a published State before any
+// replica can acknowledge it, so a push stamped and acknowledged meanwhile
+// cannot read as a violation.
+func CheckApplied(st *Status, snapshot func() *State) error {
+	id, c, v := st.MaxApplied()
+	if s := snapshot(); v > s.RouteEpoch {
+		return fmt.Errorf("replica %q applied epoch %d for %q beyond RouteEpoch %d", id, v, c, s.RouteEpoch)
 	}
 	return nil
 }

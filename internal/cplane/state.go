@@ -11,7 +11,6 @@ package cplane
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // Replica is the control plane's view of one running (or starting) replica
@@ -24,14 +23,8 @@ type Replica struct {
 	Healthy  bool // reported healthy and not stale
 	Stopping bool // a scale-down or resize picked it for graceful stop
 
-	Rate       float64   // calls/sec from the latest load report
-	LastReport time.Time // when the replica last reported (or was created)
-
-	// Applied records, per component, the newest routing epoch this
-	// replica's proclet has acknowledged applying. It is the observed side
-	// of routing convergence: LastPush says what was asked, Applied says
-	// what each replica has done.
-	Applied map[string]uint64
+	// The replica's load rate, last report time and applied routing epochs
+	// are observed status, kept in a Status table (status.go), not here.
 }
 
 // Group is one colocation group: a named set of components sharing an OS
@@ -61,8 +54,10 @@ type Push struct {
 // by Store.Snapshot must not be mutated; all mutation happens on the
 // working copy inside Store.Update.
 type State struct {
-	// Version counts store updates. It is assigned by the store and resets
-	// when a manager is rebuilt; RouteEpoch does not.
+	// Version counts store updates, which are desired changes: observed
+	// status (load reports, routing acks) lives in Status and never moves
+	// it. It is assigned by the store and resets when a manager is rebuilt;
+	// RouteEpoch does not.
 	Version uint64
 
 	// RouteEpoch is the global routing epoch: every routing broadcast and
@@ -124,18 +119,10 @@ func (g *Group) clone() *Group {
 		c.Routed[comp] = r
 	}
 	for id, r := range g.Replicas {
-		c.Replicas[id] = r.clone()
+		rc := *r
+		c.Replicas[id] = &rc
 	}
 	return c
-}
-
-func (r *Replica) clone() *Replica {
-	c := *r
-	c.Applied = make(map[string]uint64, len(r.Applied))
-	for comp, v := range r.Applied {
-		c.Applied[comp] = v
-	}
-	return &c
 }
 
 // NextEpoch draws a fresh global routing epoch. Call only on the working
@@ -192,6 +179,14 @@ func (s *State) Relocate(component, dest string) error {
 	sort.Strings(dstG.Components)
 	dstG.Routed[component] = routed
 	s.CompGroup[component] = dest
+	return nil
+}
+
+// Replica returns the record of replica id in group, or nil.
+func (s *State) Replica(group, id string) *Replica {
+	if g := s.Groups[group]; g != nil {
+		return g.Replicas[id]
+	}
 	return nil
 }
 

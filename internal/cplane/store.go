@@ -34,10 +34,22 @@ func (st *Store) Snapshot() *State {
 // not retain the working copy beyond the call. The published state is
 // returned.
 func (st *Store) Update(fn func(s *State)) *State {
+	return st.UpdateIf(func(s *State) bool {
+		fn(s)
+		return true
+	})
+}
+
+// UpdateIf is Update for a pass that may find nothing to change: when fn
+// returns false, the working copy is dropped, nothing is published and
+// Version does not move. It returns the current state either way.
+func (st *Store) UpdateIf(fn func(s *State) bool) *State {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	work := st.cur.Clone()
-	fn(work)
+	if !fn(work) {
+		return st.cur
+	}
 	work.Version = st.cur.Version + 1
 	st.cur = work
 	return work

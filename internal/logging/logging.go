@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // Level is a log severity.
@@ -175,6 +177,7 @@ func (s *TextSink) Log(e Entry) {
 type Buffer struct {
 	mu      sync.Mutex
 	entries []Entry
+	spare   []Entry // a drained slice handed back by Recycle
 	max     int
 }
 
@@ -191,13 +194,26 @@ func (b *Buffer) Log(e Entry) {
 	}
 }
 
-// Drain removes and returns all buffered entries.
+// Drain removes and returns all buffered entries. A caller that is done
+// with the returned slice may hand it back with Recycle, and the buffer
+// then fills it again instead of growing a new one.
 func (b *Buffer) Drain() []Entry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := b.entries
-	b.entries = nil
+	b.entries, b.spare = b.spare, nil
 	return out
+}
+
+// Recycle hands back a slice that Drain returned. The caller must not use
+// it afterwards.
+func (b *Buffer) Recycle(entries []Entry) {
+	clear(entries) // release the strings the entries reference
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if cap(entries) > cap(b.spare) {
+		b.spare = entries[:0]
+	}
 }
 
 // Len reports the number of buffered entries.
@@ -208,32 +224,30 @@ func (b *Buffer) Len() int {
 }
 
 // Aggregator collects entries from many replicas and serves ordered views,
-// playing the manager's log-aggregation role from Figure 3.
+// playing the manager's log-aggregation role from Figure 3. It retains the
+// newest entries in fixed-size chunks (internal/ring), so holding N entries
+// allocates them once instead of regrowing one slice.
 type Aggregator struct {
 	mu      sync.Mutex
-	entries []Entry
-	max     int
+	entries *ring.Buffer[Entry]
 }
 
 // NewAggregator returns an aggregator retaining at most max entries
 // (0 = unlimited).
-func NewAggregator(max int) *Aggregator { return &Aggregator{max: max} }
+func NewAggregator(max int) *Aggregator { return &Aggregator{entries: ring.New[Entry](max)} }
 
 // Add ingests a batch of entries from one replica.
 func (a *Aggregator) Add(batch []Entry) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.entries = append(a.entries, batch...)
-	if a.max > 0 && len(a.entries) > a.max {
-		a.entries = a.entries[len(a.entries)-a.max:]
-	}
+	a.entries.Add(batch...)
 }
 
 // Ordered returns all retained entries sorted by timestamp.
 func (a *Aggregator) Ordered() []Entry {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := append([]Entry(nil), a.entries...)
+	out := a.entries.AppendTo(make([]Entry, 0, a.entries.Len()))
+	a.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TimeNanos < out[j].TimeNanos })
 	return out
 }

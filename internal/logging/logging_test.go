@@ -136,3 +136,47 @@ func (s *syncBuilder) String() string {
 func TestDiscard(t *testing.T) {
 	Discard.Log(Entry{}) // must not panic
 }
+
+// Drain and Recycle double-buffer: a slice handed back with Recycle is the
+// one the buffer fills after the next Drain, so a proclet that drains every
+// report interval stops growing new slices.
+func TestBufferRecycleReusesDrainedSlice(t *testing.T) {
+	buf := NewBuffer(0)
+	var drained [][]Entry
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 10; i++ {
+			buf.Log(Entry{Msg: "m"})
+		}
+		d := buf.Drain()
+		if len(d) != 10 {
+			t.Fatalf("round %d: drained %d entries, want 10", round, len(d))
+		}
+		drained = append(drained, d)
+		buf.Recycle(d)
+		if d[0].Msg != "" {
+			t.Fatal("recycled entries still reference their strings")
+		}
+	}
+	for round := 2; round < 4; round++ {
+		if &drained[round][:1][0] != &drained[round-2][:1][0] {
+			t.Errorf("round %d filled a new slice, not the one recycled two rounds before", round)
+		}
+	}
+}
+
+// The aggregator keeps exactly the newest max entries across batches.
+func TestAggregatorKeepsNewest(t *testing.T) {
+	a := NewAggregator(2500)
+	for batch := 0; batch < 7; batch++ {
+		entries := make([]Entry, 1000)
+		for i := range entries {
+			entries[i].TimeNanos = int64(batch*1000 + i)
+		}
+		a.Add(entries)
+	}
+	got := a.Ordered()
+	if len(got) != 2500 || got[0].TimeNanos != 4500 || got[2499].TimeNanos != 6999 {
+		t.Fatalf("retained %d entries from %d to %d, want 2500 from 4500 to 6999",
+			len(got), got[0].TimeNanos, got[len(got)-1].TimeNanos)
+	}
+}

@@ -167,12 +167,8 @@ func (m *Manager) launchReplica(ctx context.Context, group string) error {
 			return
 		}
 		if g.Replicas[id] == nil {
-			g.Replicas[id] = &cplane.Replica{
-				ID:         id,
-				Healthy:    true,
-				LastReport: m.clk.Now(),
-				Applied:    map[string]uint64{},
-			}
+			g.Replicas[id] = &cplane.Replica{ID: id, Healthy: true}
+			m.status.Touch(id, m.clk.Now())
 		}
 	})
 	if err != nil {
@@ -214,24 +210,6 @@ func (m *Manager) stampGroupRouting(group string) []pipe.RoutingInfo {
 	return out
 }
 
-// noteApplied records a proclet's ack of a routing push in the observed
-// state: the replica has applied this epoch for this component.
-func (m *Manager) noteApplied(group, replicaID, component string, version uint64) {
-	m.store.Update(func(s *cplane.State) {
-		g := s.Groups[group]
-		if g == nil {
-			return
-		}
-		rep := g.Replicas[replicaID]
-		if rep == nil {
-			return
-		}
-		if version > rep.Applied[component] {
-			rep.Applied[component] = version
-		}
-	})
-}
-
 // broadcastGroupRouting pushes fresh routing info for a group's components
 // to every envelope. Pushes are acked: each proclet's ack records the
 // applied epoch in the observed state, closing the desired-vs-observed
@@ -253,7 +231,7 @@ func (m *Manager) broadcastGroupRouting(group string) {
 		for _, ri := range infos {
 			ri, e := ri, e
 			_ = e.PushRoutingInfo(ri, func() {
-				m.noteApplied(e.Group, e.ID, ri.Component, ri.Version)
+				m.status.NoteApplied(e.ID, ri.Component, ri.Version)
 			})
 		}
 	}
@@ -267,7 +245,7 @@ func (m *Manager) callRoutingInfo(ctx context.Context, envs []*envelope.Envelope
 		if err := e.CallRoutingInfo(sctx, ri); err != nil {
 			return err
 		}
-		m.noteApplied(e.Group, e.ID, ri.Component, ri.Version)
+		m.status.NoteApplied(e.ID, ri.Component, ri.Version)
 		return nil
 	})
 }
@@ -360,7 +338,7 @@ func (m *Manager) ControlStatus() ControlStatus {
 				gc.Ready++
 			}
 			for c, p := range s.LastPush {
-				if p.Version > 0 && r.Applied[c] < p.Version {
+				if p.Version > 0 && m.status.Applied(id, c) < p.Version {
 					gc.Lag++
 				}
 			}

@@ -34,6 +34,7 @@ import (
 	"repro/internal/logging"
 	"repro/internal/metrics"
 	"repro/internal/pipe"
+	"repro/internal/ring"
 	"repro/internal/tracing"
 )
 
@@ -131,6 +132,10 @@ type Manager struct {
 	// truth for groups, replicas, hosting, and routing epochs). All
 	// decision logic reads snapshots and commits desired states here.
 	store *cplane.Store
+	// status holds what replicas last reported (load, report time, applied
+	// routing epochs), updated in place; its entries follow the store's
+	// replica records (cplane.Status).
+	status *cplane.Status
 
 	known     map[string]bool // component inventory (immutable after New)
 	routedSet map[string]bool // routed components of the inventory
@@ -172,8 +177,11 @@ type Manager struct {
 	process map[int64][]metrics.Snapshot  // pid -> latest process-global snapshot
 
 	traceMu sync.Mutex
-	spans   []tracing.Span
+	spans   *ring.Buffer[tracing.Span] // the newest maxSpans spans
 }
+
+// maxSpans bounds the trace spans the manager retains.
+const maxSpans = 200000
 
 // New builds a manager for the given deployment. Call Stop when done.
 func New(cfg Config, starter Starter) (*Manager, error) {
@@ -200,10 +208,12 @@ func New(cfg Config, starter Starter) (*Manager, error) {
 		ctx:       ctx,
 		cancel:    cancel,
 		clk:       clock.Or(cfg.Clock),
+		status:    cplane.NewStatus(),
 		envs:      map[string]*envelope.Envelope{},
 		envelopes: map[*envelope.Envelope]bool{},
 		as:        map[string]*autoscale.Autoscaler{},
 		logs:      logging.NewAggregator(200000),
+		spans:     ring.New[tracing.Span](maxSpans),
 		graph:     callgraph.NewCollector(),
 		metrics:   map[string][]metrics.Snapshot{},
 		pids:      map[string]int64{},
@@ -322,7 +332,7 @@ func (m *Manager) Graph() *callgraph.Collector { return m.graph }
 func (m *Manager) Spans() []tracing.Span {
 	m.traceMu.Lock()
 	defer m.traceMu.Unlock()
-	return append([]tracing.Span(nil), m.spans...)
+	return m.spans.AppendTo(make([]tracing.Span, 0, m.spans.Len()))
 }
 
 // MergedMetrics aggregates the latest metric snapshot across all replicas,
@@ -345,6 +355,12 @@ func (m *Manager) MergedMetrics() map[string]metrics.Snapshot {
 // treat it as read-only. Harnesses assert invariants on it; the dashboard
 // renders it.
 func (m *Manager) ControlState() *cplane.State { return m.store.Snapshot() }
+
+// CheckApplied verifies that no replica has applied a routing epoch beyond
+// the current RouteEpoch (cplane.CheckApplied).
+func (m *Manager) CheckApplied() error {
+	return cplane.CheckApplied(m.status, m.store.Snapshot)
+}
 
 // StartGroup ensures that the named group is running at least n replicas.
 // The deployer calls it for "main"; everything else starts on demand.
@@ -441,20 +457,17 @@ func (m *Manager) RegisterReplica(e *envelope.Envelope, r pipe.RegisterReplica) 
 		if rep == nil {
 			// A replica the manager did not start (the main driver, or any
 			// replica during recovery): adopt it.
-			rep = &cplane.Replica{ID: e.ID, Healthy: true, Applied: map[string]uint64{}}
+			rep = &cplane.Replica{ID: e.ID, Healthy: true}
 			g.Replicas[e.ID] = rep
 		}
 		rep.Addr = r.Addr
 		rep.Ready = true
 		rep.Healthy = true
-		rep.LastReport = m.clk.Now()
+		m.status.Touch(e.ID, m.clk.Now())
 		if r.Epoch > s.RouteEpoch {
 			s.RouteEpoch = r.Epoch
 		}
-		for c, v := range r.Routing {
-			if v > rep.Applied[c] {
-				rep.Applied[c] = v
-			}
+		for _, v := range r.Routing {
 			if v > s.RouteEpoch {
 				s.RouteEpoch = v
 			}
@@ -475,6 +488,11 @@ func (m *Manager) RegisterReplica(e *envelope.Envelope, r pipe.RegisterReplica) 
 	})
 	if !found {
 		return fmt.Errorf("manager: replica of unknown group %q", e.Group)
+	}
+	// Record the applied epochs only once the floored RouteEpoch above is
+	// published (cplane.CheckApplied).
+	for c, v := range r.Routing {
+		m.status.NoteApplied(e.ID, c, v)
 	}
 
 	m.cfg.Logger.Info("replica registered", "group", e.Group, "replica", e.ID, "addr", r.Addr)
@@ -537,21 +555,19 @@ func (m *Manager) StartComponent(e *envelope.Envelope, component string, routed 
 	return nil
 }
 
-// LoadReport implements envelope.Manager.
+// LoadReport implements envelope.Manager. The rate and report time update
+// the status table in place; the State changes only when a report flips the
+// replica's health, which routing depends on.
 func (m *Manager) LoadReport(e *envelope.Envelope, lr pipe.LoadReport) {
-	m.store.Update(func(s *cplane.State) {
-		g := s.Groups[e.Group]
-		if g == nil {
-			return
+	if m.status.Report(e.ID, lr.CallsPerSec, m.clk.Now()) {
+		if rep := m.store.Snapshot().Replica(e.Group, e.ID); rep != nil && rep.Healthy != lr.Healthy {
+			m.store.Update(func(s *cplane.State) {
+				if rep := s.Replica(e.Group, e.ID); rep != nil {
+					rep.Healthy = lr.Healthy
+				}
+			})
 		}
-		rep := g.Replicas[e.ID]
-		if rep == nil {
-			return
-		}
-		rep.Rate = lr.CallsPerSec
-		rep.Healthy = lr.Healthy
-		rep.LastReport = m.clk.Now()
-	})
+	}
 	m.mu.Lock()
 	m.metrics[e.ID] = lr.Metrics
 	// One proclet per process ships the process registry each interval;
@@ -586,10 +602,7 @@ func (m *Manager) Logs(entries []logging.Entry) { m.logs.Add(entries) }
 func (m *Manager) Traces(spans []tracing.Span) {
 	m.traceMu.Lock()
 	defer m.traceMu.Unlock()
-	m.spans = append(m.spans, spans...)
-	if len(m.spans) > 200000 {
-		m.spans = m.spans[len(m.spans)-200000:]
-	}
+	m.spans.Add(spans...)
 }
 
 // GraphEdges implements envelope.Manager.
@@ -618,6 +631,7 @@ func (m *Manager) ReplicaExited(e *envelope.Envelope, exitErr error) {
 		found = true
 		rep := g.Replicas[e.ID]
 		delete(g.Replicas, e.ID)
+		m.status.Remove(e.ID)
 		deliberate := stopped || (rep != nil && rep.Stopping) || exitErr == nil
 		if des := cplane.ReconcileRestart(s, e.Group, deliberate, m.cfg.MaxRestarts); des != nil {
 			acts = cplane.Diff(s, des)
@@ -675,10 +689,14 @@ func (m *Manager) scaleOnce(now time.Time) {
 		return m.scaler(group).Desired(current, load, at)
 	}
 	var acts cplane.Actions
-	m.store.Update(func(s *cplane.State) {
-		des := cplane.ReconcileScale(s, oracle, now, replicaStaleAfter)
+	m.store.UpdateIf(func(s *cplane.State) bool {
+		des := cplane.ReconcileScale(s, m.status, oracle, now, replicaStaleAfter)
 		acts = cplane.Diff(s, des)
+		if acts.Empty() && sameTargets(s, des) {
+			return false // a pass that decides nothing new is not a new version
+		}
 		cplane.Commit(s, des)
+		return true
 	})
 	if acts.Empty() {
 		return
@@ -694,6 +712,18 @@ func (m *Manager) scaleOnce(now time.Time) {
 		m.cfg.Logger.Info("scaling down", "group", g, "stopping", fmt.Sprint(n))
 	}
 	_ = m.actuate(m.ctx, acts, actuateOpts{})
+}
+
+// sameTargets reports whether every group of des has the Target it has in
+// obs: the one field ReconcileScale sets that Diff does not turn into an
+// action.
+func sameTargets(obs, des *cplane.State) bool {
+	for name, g := range des.Groups {
+		if og := obs.Groups[name]; og == nil || og.Target != g.Target {
+			return false
+		}
+	}
+	return true
 }
 
 // GroupStatus describes one group for status reporting.
@@ -726,11 +756,12 @@ func (m *Manager) Status() []GroupStatus {
 		sort.Strings(ids)
 		for _, id := range ids {
 			r := g.Replicas[id]
+			rate, _ := m.status.Load(id)
 			gs.Replicas = append(gs.Replicas, ReplicaStatus{
 				ID:      r.ID,
 				Addr:    r.Addr,
 				Healthy: r.Healthy,
-				Rate:    r.Rate,
+				Rate:    rate,
 				Pid:     m.pidOf(id),
 			})
 		}

@@ -9,9 +9,12 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -248,37 +251,57 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // Snapshot captures the current state of every metric in the registry,
 // sorted by name within each kind.
-func (r *Registry) Snapshot() []Snapshot {
+func (r *Registry) Snapshot() []Snapshot { return r.AppendSnapshot(nil) }
+
+// AppendSnapshot is Snapshot into dst's storage: it overwrites dst from
+// index 0 and reuses the Buckets arrays of the snapshots it overwrites, so
+// a caller that snapshots into the same slice on every report allocates
+// only when the registry grows. A histogram's Bounds are shared with the
+// histogram, not copied: they never change after it is created, and no
+// reader of a snapshot may modify them.
+func (r *Registry) AppendSnapshot(dst []Snapshot) []Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Snapshot
+	out := dst[:0]
 	for _, c := range r.counters {
-		out = append(out, Snapshot{Name: c.name, Kind: KindCounter, Value: float64(c.Value()), Count: c.Value()})
+		out = append(out, Snapshot{Name: c.name, Kind: KindCounter, Value: float64(c.Value()), Count: c.Value(), Buckets: reusable(out)})
 	}
 	for _, g := range r.gauges {
-		out = append(out, Snapshot{Name: g.name, Kind: KindGauge, Value: g.Value()})
+		out = append(out, Snapshot{Name: g.name, Kind: KindGauge, Value: g.Value(), Buckets: reusable(out)})
 	}
 	for _, h := range r.histograms {
 		s := Snapshot{
 			Name:    h.name,
 			Kind:    KindHistogram,
-			Bounds:  append([]float64(nil), h.bounds...),
-			Buckets: make([]uint64, len(h.buckets)),
+			Bounds:  h.bounds,
+			Buckets: reusable(out),
 			Sum:     float64(h.sum.Load()) / 1e6,
 		}
 		for i := range h.buckets {
-			s.Buckets[i] = h.buckets[i].Load()
-			s.Count += s.Buckets[i]
+			n := h.buckets[i].Load()
+			s.Buckets = append(s.Buckets, n)
+			s.Count += n
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
+	// A counter or gauge keeps the (empty) Buckets array it was handed, so
+	// the array is there for a histogram that lands in its slot next time.
+	slices.SortFunc(out, func(a, b Snapshot) int {
+		if a.Kind != b.Kind {
+			return cmp.Compare(a.Kind, b.Kind)
 		}
-		return out[i].Name < out[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return out
+}
+
+// reusable returns the emptied Buckets array of the snapshot that the next
+// append to out overwrites, if any.
+func reusable(out []Snapshot) []uint64 {
+	if len(out) < cap(out) {
+		return out[:len(out)+1][len(out)].Buckets[:0]
+	}
+	return nil
 }
 
 // MergeAll merges snapshot slices from many replicas into one map keyed by

@@ -19,6 +19,14 @@
 // (HostComponents, RoutingInfo, StopComponent) are what make live
 // re-placement drain-safe: the manager knows when a proclet has applied a
 // placement or routing change, not merely received it.
+//
+// Each Conn encodes into and reads into one buffer of its own, reused from
+// message to message, so a steady stream of load reports costs no buffer
+// allocations. Reuse changes no byte on the pipe: a message is its 4-byte
+// little-endian length and its tagged encoding, exactly as when each
+// message had buffers of its own. A decoded message never aliases the read
+// buffer, because the tagged codec copies every string and []byte it
+// decodes.
 package pipe
 
 import (
@@ -169,14 +177,24 @@ type GraphBatch struct {
 // maxMessageSize bounds control-plane messages.
 const maxMessageSize = 64 << 20
 
+// maxRetainedBuffer bounds the send and receive buffers a Conn keeps
+// between messages; a buffer grown past it by a larger message is dropped
+// after that message.
+const maxRetainedBuffer = 1 << 20
+
 // A Conn exchanges Messages over a byte stream (a Unix pipe in production,
 // net.Pipe or os.Pipe in tests). Send is safe for concurrent use; Recv
 // must be called from a single reader goroutine.
 type Conn struct {
-	r   io.Reader
-	w   io.Writer
-	wmu sync.Mutex
-	c   []io.Closer
+	r io.Reader
+	w io.Writer
+	c []io.Closer
+
+	wmu  sync.Mutex
+	wbuf []byte // guarded by wmu: the length prefix and encoding of one message
+
+	rhdr [4]byte // Recv-owned: the length prefix
+	rbuf []byte  // Recv-owned: one message body
 }
 
 // NewConn builds a Conn from a reader and writer. Any of them implementing
@@ -203,45 +221,55 @@ func (c *Conn) Close() error {
 	return first
 }
 
-// Send writes one message.
+// retain returns b emptied for reuse, or nil if it is too large to keep.
+func retain(b []byte) []byte {
+	if cap(b) > maxRetainedBuffer {
+		return nil
+	}
+	return b[:0]
+}
+
+// Send writes one message: its length prefix and encoding, built in the
+// Conn's send buffer, in a single Write.
 func (c *Conn) Send(m *Message) error {
-	data, err := tagged.Marshal(m)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	buf, err := tagged.MarshalAppend(append(c.wbuf[:0], 0, 0, 0, 0), m)
+	c.wbuf = retain(buf)
 	if err != nil {
 		return fmt.Errorf("pipe: encoding message kind %d: %w", m.Kind, err)
 	}
-	if len(data) > maxMessageSize {
-		return fmt.Errorf("pipe: message kind %d too large (%d bytes)", m.Kind, len(data))
+	n := len(buf) - 4
+	if n > maxMessageSize {
+		return fmt.Errorf("pipe: message kind %d too large (%d bytes)", m.Kind, n)
 	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(data)))
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if _, err := c.w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err = c.w.Write(data)
+	binary.LittleEndian.PutUint32(buf, uint32(n))
+	_, err = c.w.Write(buf)
 	return err
 }
 
-// Recv reads one message.
+// Recv reads one message into the Conn's receive buffer and decodes it.
 func (c *Conn) Recv() (*Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(c.r, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.rhdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := binary.LittleEndian.Uint32(c.rhdr[:])
 	if n > maxMessageSize {
 		return nil, fmt.Errorf("pipe: message length %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
+	if uint32(cap(c.rbuf)) < n {
+		c.rbuf = make([]byte, n)
+	}
+	buf := c.rbuf[:n]
+	c.rbuf = retain(buf)
 	if _, err := io.ReadFull(c.r, buf); err != nil {
 		return nil, err
 	}
-	var m Message
-	if err := tagged.Unmarshal(buf, &m); err != nil {
+	m := new(Message)
+	if err := tagged.Unmarshal(buf, m); err != nil {
 		return nil, fmt.Errorf("pipe: decoding message: %w", err)
 	}
-	return &m, nil
+	return m, nil
 }
 
 // Proclet-side file descriptors. The envelope passes its ends of two pipes

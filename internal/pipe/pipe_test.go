@@ -205,3 +205,33 @@ func TestVersionSkewTolerance(t *testing.T) {
 		t.Errorf("kind = %d", m.Kind)
 	}
 }
+
+// TestAllocsSendRecv gates the pipe's buffers: once they have grown to the
+// message size, Send allocates nothing, and Recv allocates only the message
+// it returns (its strings come from the decoder's intern table).
+func TestAllocsSendRecv(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	env, proc := pair(t)
+	m := &Message{Kind: KindStartComponent, StartComponent: &StartComponent{Component: "app/Cart", Routed: true}}
+	round := func() {
+		if err := proc.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := env.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.StartComponent.Component != "app/Cart" {
+			t.Fatalf("got %+v", got.StartComponent)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		round() // grow the buffers, let the intern table settle
+	}
+	// The Message and its StartComponent.
+	if allocs := testing.AllocsPerRun(200, round); allocs != 2 {
+		t.Errorf("a send and receive allocate %.1f times, want 2", allocs)
+	}
+}

@@ -99,8 +99,12 @@ type Proclet struct {
 	acks   sync.Map // id -> chan *pipe.Message
 	nextID atomic.Uint64
 
+	// Report-loop state. Only the report loop touches it; each report is
+	// built in report and sent before the next one reuses it (Send encodes
+	// a message before it returns).
 	lastCalls  float64
 	lastReport time.Time
+	report     reportBufs
 
 	shutdownOnce sync.Once
 	shutdownCh   chan struct{}
@@ -669,8 +673,22 @@ func (p *Proclet) reportLoop(ctx context.Context) {
 	}
 }
 
+// reportBufs holds the messages and snapshot slices reportOnce builds its
+// reports in, reused from report to report.
+type reportBufs struct {
+	msg     pipe.Message
+	load    pipe.LoadReport
+	logs    pipe.LogBatch
+	spans   pipe.TraceBatch
+	edges   pipe.GraphBatch
+	metrics []metrics.Snapshot
+	process []metrics.Snapshot
+}
+
 func (p *Proclet) reportOnce() {
-	snap := p.metrics.Snapshot()
+	r := &p.report
+	r.metrics = p.metrics.AppendSnapshot(r.metrics)
+	snap := r.metrics
 
 	// Load = delta of calls served by this replica per second.
 	var totalCalls float64
@@ -695,26 +713,29 @@ func (p *Proclet) reportOnce() {
 	// per process, so one proclet per interval ships it.
 	var process []metrics.Snapshot
 	if claimProcessReport(now, p.opts.ReportInterval) {
-		process = metrics.Default.Snapshot()
+		r.process = metrics.Default.AppendSnapshot(r.process)
+		process = r.process
 	}
-	_ = p.send(&pipe.Message{
-		Kind: pipe.KindLoadReport,
-		LoadReport: &pipe.LoadReport{
-			Healthy:     true,
-			CallsPerSec: rate,
-			Metrics:     snap,
-			Process:     process,
-		},
-	})
+	r.load = pipe.LoadReport{Healthy: true, CallsPerSec: rate, Metrics: snap, Process: process}
+	r.msg = pipe.Message{Kind: pipe.KindLoadReport, LoadReport: &r.load}
+	_ = p.send(&r.msg)
 
-	if entries := p.logBuf.Drain(); len(entries) > 0 {
-		_ = p.send(&pipe.Message{Kind: pipe.KindLogBatch, LogBatch: &pipe.LogBatch{Entries: entries}})
+	entries := p.logBuf.Drain()
+	if len(entries) > 0 {
+		r.logs.Entries = entries
+		r.msg = pipe.Message{Kind: pipe.KindLogBatch, LogBatch: &r.logs}
+		_ = p.send(&r.msg)
 	}
+	p.logBuf.Recycle(entries)
 	if spans := p.tracer.Drain(); len(spans) > 0 {
-		_ = p.send(&pipe.Message{Kind: pipe.KindTraceBatch, TraceBatch: &pipe.TraceBatch{Spans: spans}})
+		r.spans.Spans = spans
+		r.msg = pipe.Message{Kind: pipe.KindTraceBatch, TraceBatch: &r.spans}
+		_ = p.send(&r.msg)
 	}
 	if edges := p.graph.Drain(); len(edges) > 0 {
-		_ = p.send(&pipe.Message{Kind: pipe.KindGraphBatch, GraphBatch: &pipe.GraphBatch{Edges: edges}})
+		r.edges.Edges = edges
+		r.msg = pipe.Message{Kind: pipe.KindGraphBatch, GraphBatch: &r.edges}
+		_ = p.send(&r.msg)
 	}
 }
 

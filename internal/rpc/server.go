@@ -363,8 +363,10 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.wg.Wait()
-	// Every serveConn has drained its requests; retire the idle workers.
+	// Every serveConn has drained its requests; retire the idle workers
+	// and the deadline wheel's runner.
 	s.pool.stop()
+	s.wheel.Close()
 	return nil
 }
 

@@ -18,7 +18,8 @@
 //     across a manager teardown and rebuild (OpMgrRestart);
 //   - the published control-plane state satisfies its structural
 //     invariants after every op (hosting bijection, epoch bounds, replica
-//     bookkeeping — cplane.CheckInvariants), and no live proclet hosts a
+//     bookkeeping — cplane.CheckInvariants; applied epochs in the status
+//     table — cplane.CheckApplied), and no live proclet hosts a
 //     component the control plane assigns to another group.
 //
 // Faults — replica crashes, explicit resharding, live re-placement,
@@ -543,6 +544,9 @@ func (w *world) apply(ctx context.Context, i int, op Op) (string, error) {
 // plane assigns elsewhere (an orphaned hosting would mean a move or crash
 // left stale handlers serving).
 func (w *world) checkControlState(i int, op Op) string {
+	if err := w.d.Manager.CheckApplied(); err != nil {
+		return fmt.Sprintf("op %d (%s): control-plane invariant: %v", i, op, err)
+	}
 	s := w.d.Manager.ControlState()
 	if err := cplane.CheckInvariants(s); err != nil {
 		return fmt.Sprintf("op %d (%s): control-plane invariant: %v", i, op, err)

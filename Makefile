@@ -3,9 +3,12 @@
 # Tier-1 verification: everything a PR must keep green.
 check: vet lint build race allocs perfbench sim
 
-# Lint gate: gofmt cleanliness, the control plane's single-routing-site
-# invariant (DESIGN.md §14): routing-mutation envelope calls inside
-# internal/manager may appear only in the actuator, the call path's
+# Lint gate: gofmt cleanliness, the control plane's single actuation path
+# (DESIGN.md §14): outside internal/manager/actuator.go, no non-test file in
+# internal/manager or internal/deploy sends a request to a proclet (the
+# envelope's host, routing, stop-component and re-register requests), stops
+# or kills an envelope, calls a Starter, draws a routing epoch or writes
+# LastPush, the call path's
 # single metric-binding site (DESIGN.md §13): inside internal/core, metrics
 # are looked up by name only in handles.go, where call-site handles bind,
 # and the data plane's single frame writer (DESIGN.md §9): frame scratch
@@ -20,11 +23,11 @@ check: vet lint build race allocs perfbench sim
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rn -E 'CallRoutingInfo|PushRoutingInfo' \
-		--include='*.go' internal/manager \
-		| grep -v '^internal/manager/actuator\.go:' || true); \
+	@out=$$(grep -n -E '(HostComponents|StopComponent|RoutingInfo|Reregister)\(|\.(Stop\([^)]|Kill\(\))|\bstarter\(|NextEpoch\(|LastPush\[[^]]*\] *=' \
+		$$(ls internal/manager/*.go internal/deploy/*.go \
+		| grep -v -E '_test\.go$$|^internal/manager/actuator\.go$$') || true); \
 	if [ -n "$$out" ]; then \
-		echo "routing mutation outside internal/manager/actuator.go:"; \
+		echo "actuation outside internal/manager/actuator.go:"; \
 		echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -E '\.Metrics\.(Counter|Histogram|Gauge)\(' \
 		--include='*.go' internal/core \

@@ -1222,7 +1222,6 @@ func init() {
 		Name:    "repro/internal/boutique/Payment",
 		Iface:   reflect.TypeOf((*Payment)(nil)).Elem(),
 		Impl:    reflect.TypeOf(payment{}),
-		NoRetry: []string{"Charge"},
 		Methods: []*codegen.MethodSpec{mPaymentCharge},
 		ClientStub: func(conn codegen.Conn) any {
 			return payment_ClientStub{conn: conn, mCharge: mPaymentCharge}
@@ -1706,7 +1705,6 @@ func init() {
 		Name:    "repro/internal/boutique/Shipping",
 		Iface:   reflect.TypeOf((*Shipping)(nil)).Elem(),
 		Impl:    reflect.TypeOf(shipping{}),
-		NoRetry: []string{"ShipOrder"},
 		Methods: []*codegen.MethodSpec{mShippingGetQuote, mShippingShipOrder},
 		ClientStub: func(conn codegen.Conn) any {
 			return shipping_ClientStub{conn: conn, mGetQuote: mShippingGetQuote, mShipOrder: mShippingShipOrder}

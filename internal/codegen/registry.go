@@ -110,11 +110,6 @@ type Registration struct {
 	// ClientStub returns a value implementing Iface that forwards every
 	// method call through conn.
 	ClientStub func(conn Conn) any
-
-	// NoRetry lists methods that must not be retried automatically (e.g.
-	// non-idempotent payment operations). Reserved for future use by the
-	// runtime's retry policy.
-	NoRetry []string
 }
 
 // Validate checks internal consistency of a registration.

@@ -325,12 +325,12 @@ func (d *InProcess) KillReplica(id string) bool {
 // RestartManager simulates a manager crash and rebuild: the old manager is
 // detached (its control loops stop; its replicas keep running and keep
 // serving data-plane traffic), a fresh manager is built from the original
-// config with empty observed state, the fleet's envelopes are repointed at
-// it, and every proclet is asked to re-register. The call returns once the
-// new manager has recovered the fleet — adopted every replica, floored its
-// routing epoch above everything the proclets have applied, and
-// rebroadcast routing for every group — or once ctx expires (recovery is
-// then force-finished with whatever re-registered).
+// config with empty observed state, adopts the fleet's envelopes, and they
+// are repointed at it. The call returns once the new manager has recovered
+// the fleet — every proclet re-registered, the routing epoch floored above
+// everything the proclets have applied, and routing rebroadcast for every
+// group — or once ctx expires (recovery is then finished with whatever
+// re-registered).
 func (d *InProcess) RestartManager(ctx context.Context) (*manager.Manager, error) {
 	old := d.Manager
 	envs := old.Envelopes()
@@ -343,13 +343,7 @@ func (d *InProcess) RestartManager(ctx context.Context) (*manager.Manager, error
 	mgr.Adopt(envs)
 	d.ref.p.Store(mgr)
 	d.Manager = mgr
-	for _, e := range envs {
-		_ = e.Reregister() // dead proclets are recovered via ctx expiry
-	}
-	if err := mgr.WaitRecovered(ctx); err != nil {
-		return mgr, err
-	}
-	return mgr, nil
+	return mgr, mgr.Recover(ctx)
 }
 
 // Stop shuts the deployment down.

@@ -55,14 +55,6 @@ type Envelope struct {
 	registered pipe.RegisterReplica
 	hasInfo    bool
 
-	// Envelope-initiated requests (live re-placement, acked routing
-	// pushes): acks holds, per outstanding request ID, either a reply
-	// channel (Call) or a callback (PushRoutingInfo). Envelope IDs are
-	// even, proclet IDs odd, so the two request streams never collide on
-	// the pipe.
-	acks   sync.Map // uint64 -> chan *pipe.Message | func(*pipe.Message)
-	nextID atomic.Uint64
-
 	stopping atomic.Bool
 	done     chan struct{}
 }
@@ -192,63 +184,39 @@ func (e *Envelope) serve() {
 	}
 }
 
+// handle relays one proclet message to the manager and acks it if it is a
+// request.
 func (e *Envelope) handle(m *pipe.Message) {
-	ack := func(reply *pipe.Message, err error) {
-		if m.ID == 0 {
-			return
-		}
-		if reply == nil {
-			reply = &pipe.Message{}
-		}
-		reply.Kind = pipe.KindAck
-		reply.ID = m.ID
-		if err != nil {
-			reply.Err = err.Error()
-		}
-		_ = e.conn.Send(reply)
-	}
-
+	var reply *pipe.Message
+	var err error
 	switch m.Kind {
-	case pipe.KindAck:
-		// Reply to an envelope-initiated request (Call or PushRoutingInfo).
-		if v, ok := e.acks.Load(m.ID); ok {
-			switch h := v.(type) {
-			case chan *pipe.Message:
-				h <- m
-			case func(*pipe.Message):
-				e.acks.Delete(m.ID)
-				h(m)
-			}
-		}
-
 	case pipe.KindRegisterReplica:
 		if m.RegisterReplica == nil {
-			ack(nil, fmt.Errorf("malformed RegisterReplica"))
-			return
+			err = fmt.Errorf("malformed RegisterReplica")
+			break
 		}
 		e.mu.Lock()
 		e.registered = *m.RegisterReplica
 		e.hasInfo = true
 		e.mu.Unlock()
-		ack(nil, e.mgr.RegisterReplica(e, *m.RegisterReplica))
+		err = e.mgr.RegisterReplica(e, *m.RegisterReplica)
 
 	case pipe.KindComponentsToHost:
-		components, err := e.mgr.ComponentsToHost(e)
-		ack(&pipe.Message{HostComponents: &pipe.HostComponents{Components: components}}, err)
+		var components []string
+		components, err = e.mgr.ComponentsToHost(e)
+		reply = &pipe.Message{HostComponents: &pipe.HostComponents{Components: components}}
 
 	case pipe.KindStartComponent:
 		if m.StartComponent == nil {
-			ack(nil, fmt.Errorf("malformed StartComponent"))
-			return
+			err = fmt.Errorf("malformed StartComponent")
+			break
 		}
-		ack(nil, e.mgr.StartComponent(e, m.StartComponent.Component, m.StartComponent.Routed))
+		err = e.mgr.StartComponent(e, m.StartComponent.Component, m.StartComponent.Routed)
 
 	case pipe.KindLoadReport:
 		if m.LoadReport != nil {
 			e.mgr.LoadReport(e, *m.LoadReport)
 		}
-		ack(nil, nil)
-
 	case pipe.KindLogBatch:
 		if m.LogBatch != nil {
 			e.mgr.Logs(m.LogBatch.Entries)
@@ -262,83 +230,55 @@ func (e *Envelope) handle(m *pipe.Message) {
 			e.mgr.GraphEdges(m.GraphBatch.Edges)
 		}
 	}
+	_ = e.conn.Ack(m, reply, err)
 }
 
-// PushRoutingInfo pushes routing information with an ack callback: onAck
-// runs (on the envelope's serve goroutine) once the proclet has applied
-// the push. It is the observed-state feedback path — the manager records
-// each replica's applied routing epoch from these acks. If the proclet
-// dies before acking, the callback never runs; a dead proclet holds no
-// routes worth tracking.
-func (e *Envelope) PushRoutingInfo(ri pipe.RoutingInfo, onAck func()) error {
-	id := e.nextID.Add(1) << 1 // even, nonzero
-	e.acks.Store(id, func(m *pipe.Message) {
-		if m.Err == "" {
-			onAck()
-		}
-	})
-	if err := e.conn.Send(&pipe.Message{Kind: pipe.KindRoutingInfo, RoutingInfo: &ri, ID: id}); err != nil {
-		e.acks.Delete(id)
-		return err
-	}
-	return nil
+// The requests below are the envelope's half of the manager's actuation
+// path (internal/manager/actuator.go, the only caller `make lint` allows):
+// each sends one acked request down the pipe and calls done exactly once,
+// with nil once the proclet has applied it, or with the proclet's error, or
+// with an error wrapping pipe.ErrClosed if the proclet is gone first.
+// done may run on the envelope's serve goroutine, so it must not block.
+
+// HostComponents asks the proclet to host components, with the routing
+// epoch of the placement decision; it acks once their handlers serve.
+func (e *Envelope) HostComponents(components []string, version uint64, done func(error)) {
+	e.request(&pipe.Message{
+		Kind:           pipe.KindHostComponents,
+		HostComponents: &pipe.HostComponents{Components: components, Version: version},
+	}, done)
+}
+
+// PushRoutingInfo pushes routing information; the proclet acks once it has
+// applied it.
+func (e *Envelope) PushRoutingInfo(ri pipe.RoutingInfo, done func(error)) {
+	e.request(&pipe.Message{Kind: pipe.KindRoutingInfo, RoutingInfo: &ri}, done)
+}
+
+// StopComponent asks the proclet to stop hosting a component; it acks once
+// the component's in-flight calls have drained and its handlers are
+// released.
+func (e *Envelope) StopComponent(component string, version uint64, done func(error)) {
+	e.request(&pipe.Message{
+		Kind:          pipe.KindStopComponent,
+		StopComponent: &pipe.StopComponent{Component: component, Version: version},
+	}, done)
 }
 
 // Reregister asks the proclet to re-send its registration, carrying its
-// full observed state (hosted components, applied routing epochs). A
-// rebuilt manager sends this to every adopted envelope to recover control
-// state it no longer has.
-func (e *Envelope) Reregister() error {
-	return e.conn.Send(&pipe.Message{Kind: pipe.KindReregister})
+// full observed state (hosted components, applied routing epochs). The
+// proclet sends the registration before its ack and the pipe keeps order,
+// so done runs after the manager has handled the registration.
+func (e *Envelope) Reregister(done func(error)) {
+	e.request(&pipe.Message{Kind: pipe.KindReregister}, done)
 }
 
-// Call sends an envelope-initiated request down the pipe and waits for the
-// proclet's ack. The manager's re-placement protocol uses it for the
-// operations whose *completion* matters: hosting a component on a new
-// group, applying a routing epoch, and draining a stopped component.
-func (e *Envelope) Call(ctx context.Context, m *pipe.Message) error {
-	id := e.nextID.Add(1) << 1 // even, nonzero
-	m.ID = id
-	ch := make(chan *pipe.Message, 1)
-	e.acks.Store(id, ch)
-	defer e.acks.Delete(id)
-	if err := e.conn.Send(m); err != nil {
-		return err
-	}
-	select {
-	case reply := <-ch:
-		if reply.Err != "" {
-			return fmt.Errorf("envelope: proclet %s: %s", e.ID, reply.Err)
+func (e *Envelope) request(m *pipe.Message, done func(error)) {
+	e.conn.Request(m, func(_ *pipe.Message, err error) {
+		if err != nil {
+			err = fmt.Errorf("envelope: proclet %s: %w", e.ID, err)
 		}
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-e.done:
-		return fmt.Errorf("envelope: proclet %s is gone", e.ID)
-	}
-}
-
-// CallHostComponents asks the proclet to host components (with the routing
-// epoch of the placement decision) and waits until their handlers serve.
-func (e *Envelope) CallHostComponents(ctx context.Context, components []string, version uint64) error {
-	return e.Call(ctx, &pipe.Message{
-		Kind:           pipe.KindHostComponents,
-		HostComponents: &pipe.HostComponents{Components: components, Version: version},
-	})
-}
-
-// CallRoutingInfo pushes routing information and waits until the proclet
-// has applied it.
-func (e *Envelope) CallRoutingInfo(ctx context.Context, ri pipe.RoutingInfo) error {
-	return e.Call(ctx, &pipe.Message{Kind: pipe.KindRoutingInfo, RoutingInfo: &ri})
-}
-
-// CallStopComponent asks the proclet to stop hosting a component and waits
-// until its in-flight calls have drained and its handlers are released.
-func (e *Envelope) CallStopComponent(ctx context.Context, component string, version uint64) error {
-	return e.Call(ctx, &pipe.Message{
-		Kind:          pipe.KindStopComponent,
-		StopComponent: &pipe.StopComponent{Component: component, Version: version},
+		done(err)
 	})
 }
 

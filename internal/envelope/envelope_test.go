@@ -2,7 +2,9 @@ package envelope
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -83,24 +85,40 @@ func setup(t *testing.T) (*fakeManager, *Envelope, *pipe.Conn) {
 	return mgr, e, procConn
 }
 
+// readAcks runs proc's reader, which completes proc's requests as their
+// acks arrive; nothing else reaches proc in the tests that use it.
+func readAcks(proc *pipe.Conn) {
+	go func() {
+		for {
+			if _, err := proc.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+}
+
+func call(t *testing.T, proc *pipe.Conn, m *pipe.Message) (*pipe.Message, error) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return proc.Call(ctx, m)
+}
+
 func TestRegisterRelayedAndInfoStored(t *testing.T) {
 	mgr, e, proc := setup(t)
-	err := proc.Send(&pipe.Message{
+	readAcks(proc)
+	req := &pipe.Message{
 		Kind: pipe.KindRegisterReplica,
-		ID:   1,
 		RegisterReplica: &pipe.RegisterReplica{
 			ProcletID: "test/0", Group: "test", Addr: "127.0.0.1:1234", Pid: 99,
 		},
-	})
+	}
+	ack, err := call(t, proc, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := proc.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Kind != pipe.KindAck || ack.ID != 1 || ack.Err != "" {
-		t.Fatalf("ack = %+v", ack)
+	if ack.Kind != pipe.KindAck || ack.ID != req.ID || ack.ID%2 != 1 || ack.Err != "" {
+		t.Fatalf("ack = %+v for request ID %d", ack, req.ID)
 	}
 	mgr.mu.Lock()
 	n := len(mgr.registered)
@@ -119,10 +137,8 @@ func TestRegisterRelayedAndInfoStored(t *testing.T) {
 
 func TestComponentsToHostAck(t *testing.T) {
 	_, _, proc := setup(t)
-	if err := proc.Send(&pipe.Message{Kind: pipe.KindComponentsToHost, ID: 2}); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := proc.Recv()
+	readAcks(proc)
+	ack, err := call(t, proc, &pipe.Message{Kind: pipe.KindComponentsToHost})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,29 +149,24 @@ func TestComponentsToHostAck(t *testing.T) {
 
 func TestStartComponentErrorPropagates(t *testing.T) {
 	_, _, proc := setup(t)
-	if err := proc.Send(&pipe.Message{
-		Kind: pipe.KindStartComponent, ID: 3,
+	readAcks(proc)
+	_, err := call(t, proc, &pipe.Message{
+		Kind:           pipe.KindStartComponent,
 		StartComponent: &pipe.StartComponent{Component: "bad"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := proc.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Err == "" {
-		t.Error("error not propagated in ack")
+	})
+	if err == nil || !strings.Contains(err.Error(), "no such component") {
+		t.Errorf("err = %v, want the manager's error carried by the ack", err)
 	}
 }
 
 func TestTelemetryForwarded(t *testing.T) {
 	mgr, _, proc := setup(t)
+	readAcks(proc)
 	_ = proc.Send(&pipe.Message{Kind: pipe.KindLogBatch, LogBatch: &pipe.LogBatch{
 		Entries: []logging.Entry{{Msg: "hello"}},
 	}})
-	_ = proc.Send(&pipe.Message{Kind: pipe.KindLoadReport, ID: 4, LoadReport: &pipe.LoadReport{CallsPerSec: 7}})
 	// LoadReport is acked; wait for it so the log batch has been handled.
-	if _, err := proc.Recv(); err != nil {
+	if _, err := call(t, proc, &pipe.Message{Kind: pipe.KindLoadReport, LoadReport: &pipe.LoadReport{CallsPerSec: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	mgr.mu.Lock()
@@ -171,25 +182,23 @@ func TestTelemetryForwarded(t *testing.T) {
 func TestPushesReachProclet(t *testing.T) {
 	_, e, proc := setup(t)
 	hosted := make(chan error, 1)
-	go func() { hosted <- e.CallHostComponents(context.Background(), []string{"app/Y"}, 3) }()
+	e.HostComponents([]string{"app/Y"}, 3, func(err error) { hosted <- err })
 	m, err := proc.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Kind != pipe.KindHostComponents || m.ID == 0 || m.HostComponents.Components[0] != "app/Y" || m.HostComponents.Version != 3 {
+	if m.Kind != pipe.KindHostComponents || m.ID == 0 || m.ID%2 != 0 || m.HostComponents.Components[0] != "app/Y" || m.HostComponents.Version != 3 {
 		t.Errorf("push = %+v", m)
 	}
-	if err := proc.Send(&pipe.Message{Kind: pipe.KindAck, ID: m.ID}); err != nil {
+	if err := proc.Ack(m, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-hosted; err != nil {
 		t.Fatal(err)
 	}
 
-	acked := make(chan struct{})
-	if err := e.PushRoutingInfo(pipe.RoutingInfo{Component: "app/Y", Replicas: []string{"a:1"}, Version: 2}, func() { close(acked) }); err != nil {
-		t.Fatal(err)
-	}
+	acked := make(chan error, 1)
+	e.PushRoutingInfo(pipe.RoutingInfo{Component: "app/Y", Replicas: []string{"a:1"}, Version: 2}, func(err error) { acked <- err })
 	m, err = proc.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -197,13 +206,38 @@ func TestPushesReachProclet(t *testing.T) {
 	if m.Kind != pipe.KindRoutingInfo || m.ID == 0 || m.RoutingInfo.Version != 2 {
 		t.Errorf("push = %+v", m)
 	}
-	if err := proc.Send(&pipe.Message{Kind: pipe.KindAck, ID: m.ID}); err != nil {
+	if err := proc.Ack(m, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-acked:
+	case err := <-acked:
+		if err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("PushRoutingInfo's onAck never ran")
+		t.Fatal("PushRoutingInfo's done never ran")
+	}
+
+	// A proclet's error comes back through done, and a proclet that is gone
+	// fails what it has not acked.
+	stopped := make(chan error, 2)
+	e.StopComponent("app/Y", 4, func(err error) { stopped <- err })
+	e.Reregister(func(err error) { stopped <- err })
+	if m, err = proc.Recv(); err != nil || m.Kind != pipe.KindStopComponent || m.StopComponent.Component != "app/Y" || m.StopComponent.Version != 4 {
+		t.Fatalf("push = %+v, %v", m, err)
+	}
+	if err := proc.Ack(m, nil, fmt.Errorf("still draining")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-stopped; err == nil || !strings.Contains(err.Error(), "still draining") {
+		t.Errorf("StopComponent err = %v, want the proclet's error", err)
+	}
+	if m, err = proc.Recv(); err != nil || m.Kind != pipe.KindReregister || m.ID == 0 {
+		t.Fatalf("push = %+v, %v", m, err)
+	}
+	proc.Close()
+	if err := <-stopped; !errors.Is(err, pipe.ErrClosed) {
+		t.Errorf("Reregister err = %v, want pipe.ErrClosed once the proclet is gone", err)
 	}
 }
 

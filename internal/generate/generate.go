@@ -717,22 +717,6 @@ func (g *generator) emitComponent(b *bytes.Buffer, c *component) {
 	if c.routerName != "" {
 		fmt.Fprintf(b, "\t\tRouted: true,\n")
 	}
-	var noRetry []string
-	for _, m := range c.methods {
-		if m.noRetry {
-			noRetry = append(noRetry, m.name)
-		}
-	}
-	if len(noRetry) > 0 {
-		fmt.Fprintf(b, "\t\tNoRetry: []string{")
-		for i, n := range noRetry {
-			if i > 0 {
-				fmt.Fprintf(b, ", ")
-			}
-			fmt.Fprintf(b, "%q", n)
-		}
-		fmt.Fprintf(b, "},\n")
-	}
 	fmt.Fprintf(b, "\t\tMethods: []*codegen.MethodSpec{")
 	for i, m := range c.methods {
 		if i > 0 {

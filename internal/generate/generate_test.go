@@ -269,9 +269,6 @@ func (p *payImpl) Refund(ctx context.Context, txn string) error            { ret
 	if !strings.Contains(code, "NoRetry: true,") {
 		t.Error("Charge did not get NoRetry")
 	}
-	if !strings.Contains(code, `NoRetry: []string{"Charge"}`) {
-		t.Error("registration NoRetry list missing")
-	}
 	if strings.Count(code, "NoRetry: true,") != 1 {
 		t.Error("Refund wrongly marked NoRetry")
 	}

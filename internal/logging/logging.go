@@ -125,6 +125,9 @@ func (l *Logger) With(component string) *Logger {
 	return &cp
 }
 
+// MinLevel returns the least severe level l logs.
+func (l *Logger) MinLevel() Level { return l.min }
+
 func (l *Logger) log(level Level, msg string, attrs ...string) {
 	if level < l.min {
 		return

@@ -1,15 +1,20 @@
 package manager
 
-// This file is the actuator: the only code in the manager that starts
-// replicas, stops them, or pushes routing to proclets. Reconcilers
+// This file is the actuator: the only code in the manager that sends
+// requests to proclets, starts replicas, or stops them. Reconcilers
 // (internal/cplane) decide WHAT the fabric should look like; the actuator
 // diffs desired against observed and performs the envelope operations, in
 // a fixed order — routing pushes first, then starts, then stops — so no
-// proclet keeps routing to a replica that is draining. `make lint`
-// enforces that routing sends appear nowhere else in this package.
+// proclet keeps routing to a replica that is draining. It also executes
+// each step of a live re-placement move (replace.go) and the
+// re-registration that ends a manager's recovery, and it is the single
+// site that draws routing epochs and stamps LastPush. `make lint` enforces
+// that envelope requests, envelope stops and Starter calls appear nowhere
+// else in this package (nor in internal/deploy).
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -40,6 +45,10 @@ type ActionRecord struct {
 // maxActionLog bounds the action ring.
 const maxActionLog = 128
 
+// stepTimeout bounds each acked step: a move's host, flip and drain
+// steps, and recovery's re-registration.
+const stepTimeout = 10 * time.Second
+
 func (m *Manager) recordAction(kind, detail string, epoch uint64) {
 	m.actMu.Lock()
 	defer m.actMu.Unlock()
@@ -62,7 +71,7 @@ func (m *Manager) Actions() []ActionRecord {
 // Starting in the desired state), so actuate only performs the launches.
 func (m *Manager) actuate(ctx context.Context, acts cplane.Actions, opts actuateOpts) error {
 	for _, group := range acts.Push {
-		m.broadcastGroupRouting(group)
+		_ = m.pushRouting(ctx, "group "+group, m.stampGroupRouting(group), false)
 	}
 
 	var firstErr error
@@ -106,23 +115,25 @@ func (m *Manager) actuate(ctx context.Context, acts cplane.Actions, opts actuate
 		for _, a := range acts.Stop {
 			m.recordAction("stop", fmt.Sprintf("stopping %s", a.Replica), 0)
 		}
-		if opts.sync {
-			var wg sync.WaitGroup
-			for _, e := range envs {
-				wg.Add(1)
-				go func(e *envelope.Envelope) {
-					defer wg.Done()
-					e.Stop(5 * time.Second)
-				}(e)
-			}
-			wg.Wait()
-		} else {
-			for _, e := range envs {
-				go e.Stop(5 * time.Second)
-			}
-		}
+		stopEnvelopes(envs, 5*time.Second, opts.sync)
 	}
 	return firstErr
+}
+
+// stopEnvelopes stops proclets gracefully and in parallel, each killed
+// after grace; with wait it returns once all of them are gone.
+func stopEnvelopes(envs []*envelope.Envelope, grace time.Duration, wait bool) {
+	var wg sync.WaitGroup
+	for _, e := range envs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.Stop(grace)
+		}()
+	}
+	if wait {
+		wg.Wait()
+	}
 }
 
 // launchReplica starts one replica of a group through the deployer's
@@ -176,112 +187,190 @@ func (m *Manager) launchReplica(ctx context.Context, group string) error {
 		return err
 	}
 	m.mu.Lock()
-	m.envelopes[env] = true
 	m.envs[id] = env
 	m.mu.Unlock()
 	m.cfg.Logger.Info("replica started", "group", group, "replica", id)
 	return nil
 }
 
-// stampGroupRouting draws one fresh epoch and builds the RoutingInfo
-// messages for a group's components from the current ready replica set,
-// stamping LastPush for each. This (with its caller below) is the single
-// site that issues routing epochs.
+// stampRouting draws one fresh epoch and builds the RoutingInfo messages
+// for comps, routed to group's ready replicas, stamping LastPush for each.
+// It is the one function that builds routing pushes: broadcasts and a
+// move's flip both stamp through it.
+func stampRouting(s *cplane.State, group string, comps []string) []pipe.RoutingInfo {
+	g := s.Groups[group]
+	addrs := s.ReadyAddrs(group)
+	v := s.NextEpoch()
+	out := make([]pipe.RoutingInfo, 0, len(comps))
+	for _, c := range comps {
+		ri := pipe.RoutingInfo{Component: c, Replicas: addrs, Version: v}
+		if g.Routed[c] && len(addrs) > 0 {
+			a := routing.EqualSlices(v, addrs, slicesPerReplica)
+			ri.Assignment = &a
+		}
+		s.LastPush[c] = cplane.Push{Version: v, Addrs: addrs}
+		out = append(out, ri)
+	}
+	return out
+}
+
+// stampGroupRouting stamps fresh routing for all of a group's components.
 func (m *Manager) stampGroupRouting(group string) []pipe.RoutingInfo {
 	var out []pipe.RoutingInfo
 	m.store.Update(func(s *cplane.State) {
-		g := s.Groups[group]
-		if g == nil {
-			return
-		}
-		addrs := s.ReadyAddrs(group)
-		v := s.NextEpoch()
-		out = make([]pipe.RoutingInfo, 0, len(g.Components))
-		for _, c := range g.Components {
-			ri := pipe.RoutingInfo{Component: c, Replicas: addrs, Version: v}
-			if g.Routed[c] && len(addrs) > 0 {
-				a := routing.EqualSlices(v, addrs, slicesPerReplica)
-				ri.Assignment = &a
-			}
-			s.LastPush[c] = cplane.Push{Version: v, Addrs: addrs}
-			out = append(out, ri)
+		if g := s.Groups[group]; g != nil {
+			out = stampRouting(s, group, g.Components)
 		}
 	})
 	return out
 }
 
-// broadcastGroupRouting pushes fresh routing info for a group's components
-// to every envelope. Pushes are acked: each proclet's ack records the
-// applied epoch in the observed state, closing the desired-vs-observed
-// loop the /control page and the sim invariants inspect.
-func (m *Manager) broadcastGroupRouting(group string) {
-	infos := m.stampGroupRouting(group)
+// pushRouting sends stamped routing to every envelope. Pushes are acked:
+// each proclet's ack records the applied epoch in the observed status,
+// closing the desired-vs-observed loop the /control page and the sim
+// invariants inspect. With wait, pushRouting returns once every proclet
+// has applied the push (a move's flip).
+func (m *Manager) pushRouting(ctx context.Context, what string, infos []pipe.RoutingInfo, wait bool) error {
 	if len(infos) == 0 {
-		return
-	}
-	m.mu.Lock()
-	envs := make([]*envelope.Envelope, 0, len(m.envelopes))
-	for e := range m.envelopes {
-		envs = append(envs, e)
-	}
-	m.mu.Unlock()
-	m.recordAction("push", fmt.Sprintf("group %s: %d components to %d proclets, %d replicas",
-		group, len(infos), len(envs), len(infos[0].Replicas)), infos[0].Version)
-	for _, e := range envs {
-		for _, ri := range infos {
-			ri, e := ri, e
-			_ = e.PushRoutingInfo(ri, func() {
-				m.status.NoteApplied(e.ID, ri.Component, ri.Version)
-			})
-		}
-	}
-}
-
-// callRoutingInfo synchronously pushes one RoutingInfo to every envelope
-// in envs and waits for all acks (re-placement's flip step). Successful
-// acks record applied epochs like broadcasts do.
-func (m *Manager) callRoutingInfo(ctx context.Context, envs []*envelope.Envelope, ri pipe.RoutingInfo) error {
-	return m.forEachEnvelope(ctx, envs, func(sctx context.Context, e *envelope.Envelope) error {
-		if err := e.CallRoutingInfo(sctx, ri); err != nil {
-			return err
-		}
-		m.status.NoteApplied(e.ID, ri.Component, ri.Version)
 		return nil
-	})
-}
-
-// forEachEnvelope runs fn against every envelope in parallel with a
-// per-step timeout and returns the first hard failure. An envelope whose
-// proclet exited during the step does not fail the step: it is gone, and
-// gone proclets hold no stale state.
-func (m *Manager) forEachEnvelope(ctx context.Context, envs []*envelope.Envelope, fn func(context.Context, *envelope.Envelope) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(envs))
-	for i, e := range envs {
-		wg.Add(1)
-		go func(i int, e *envelope.Envelope) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, moveStepTimeout)
-			defer cancel()
-			err := fn(sctx, e)
-			if err == nil {
-				return
-			}
-			select {
-			case <-e.Done():
-				return // replica exited mid-step; nothing to fence
-			default:
-			}
-			errs[i] = err
-		}(i, e)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	envs := m.Envelopes()
+	m.recordAction("push", fmt.Sprintf("%s: %d components to %d proclets, %d replicas",
+		what, len(infos), len(envs), len(infos[0].Replicas)), infos[0].Version)
+	for _, ri := range infos {
+		if err := requestAll(ctx, envs, wait, func(e *envelope.Envelope, done func(error)) {
+			e.PushRoutingInfo(ri, func(err error) {
+				if err == nil {
+					m.status.NoteApplied(e.ID, ri.Component, ri.Version)
+				}
+				done(err)
+			})
+		}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// requestAll sends one acked request to each of envs through send and,
+// with wait, blocks until every request has resolved or stepTimeout has
+// passed, returning the first failure. A request whose proclet is gone
+// (pipe.ErrClosed) does not fail the step: gone proclets hold no stale
+// state.
+func requestAll(ctx context.Context, envs []*envelope.Envelope, wait bool, send func(*envelope.Envelope, func(error))) error {
+	results := make(chan error, len(envs))
+	for _, e := range envs {
+		send(e, func(err error) { results <- err })
+	}
+	if !wait {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, stepTimeout)
+	defer cancel()
+	for range envs {
+		select {
+		case err := <-results:
+			if err != nil && !errors.Is(err, pipe.ErrClosed) {
+				return err
+			}
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// readyEnvelopes returns the envelopes of a group's routable replicas per
+// the state snapshot s.
+func (m *Manager) readyEnvelopes(s *cplane.State, group string) []*envelope.Envelope {
+	ids := s.ReadyReplicaIDs(group)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var envs []*envelope.Envelope
+	for _, id := range ids {
+		if e := m.envs[id]; e != nil {
+			envs = append(envs, e)
+		}
+	}
+	return envs
+}
+
+// hostOn is a move's host step (DESIGN.md §10, steps 2 and 4): under a
+// fresh epoch, every ready replica of group is asked to host the group's
+// components plus component, and hostOn waits until their handlers serve.
+// Replicas already hosting them ack at once.
+func (m *Manager) hostOn(ctx context.Context, group, component string) error {
+	var (
+		v     uint64
+		comps []string
+		envs  []*envelope.Envelope
+	)
+	m.store.Update(func(s *cplane.State) {
+		v = s.NextEpoch()
+		comps = append([]string(nil), s.Groups[group].Components...)
+		if s.CompGroup[component] != group {
+			comps = append(comps, component)
+		}
+		envs = m.readyEnvelopes(s, group)
+	})
+	return requestAll(ctx, envs, true, func(e *envelope.Envelope, done func(error)) {
+		e.HostComponents(comps, v, done)
+	})
+}
+
+// flip is a move's flip step (DESIGN.md §10, step 3): in one store update
+// it moves component's ownership to dest and stamps its routing, then it
+// pushes that routing to every proclet and waits for all acks. It returns
+// the flip's epoch and the replicas that hosted component before it, which
+// the drain step stops.
+func (m *Manager) flip(ctx context.Context, component, dest string) (uint64, []*envelope.Envelope, error) {
+	var (
+		infos []pipe.RoutingInfo
+		src   []*envelope.Envelope
+	)
+	m.store.Update(func(s *cplane.State) {
+		src = m.readyEnvelopes(s, s.CompGroup[component])
+		_ = s.Relocate(component, dest)
+		infos = stampRouting(s, dest, []string{component})
+	})
+	err := m.pushRouting(ctx, fmt.Sprintf("move flip %s -> %s", component, dest), infos, true)
+	return infos[0].Version, src, err
+}
+
+// drain is a move's drain step (DESIGN.md §10, step 5): every replica in
+// envs stops hosting component, acking once its in-flight calls have
+// drained and its handlers are released.
+func (m *Manager) drain(ctx context.Context, envs []*envelope.Envelope, component string, version uint64) error {
+	return requestAll(ctx, envs, true, func(e *envelope.Envelope, done func(error)) {
+		e.StopComponent(component, version, done)
+	})
+}
+
+// Recover ends the recovery Adopt began. It asks every adopted proclet to
+// re-register and waits for their acks; each ack arrives after the
+// proclet's registration has been handled, because the pipe keeps order.
+// Then, or once ctx ends (proclets that missed it re-register later
+// through the normal path), it leaves recovery and rebroadcasts every
+// group's routing at fresh epochs above the recovered floor, rebuilding
+// every proclet's routing view under this manager.
+func (m *Manager) Recover(ctx context.Context) error {
+	err := requestAll(ctx, m.Envelopes(), true, func(e *envelope.Envelope, done func(error)) {
+		e.Reregister(done)
+	})
+	m.mu.Lock()
+	m.recovering = false
+	m.mu.Unlock()
+
+	s := m.store.Snapshot()
+	var groups []string
+	for _, name := range s.SortedGroupNames() {
+		if len(s.Groups[name].Components) > 0 {
+			groups = append(groups, name)
+		}
+	}
+	m.recordAction("recover", fmt.Sprintf("recovery complete, rebroadcasting %d groups", len(groups)), s.RouteEpoch)
+	_ = m.actuate(m.ctx, cplane.Actions{Push: groups}, actuateOpts{})
+	return err
 }
 
 // --- control-plane introspection (the /control page) ---

@@ -13,7 +13,7 @@
 // pure reconcilers from an observed snapshot to a desired state, and one
 // actuator (actuator.go) diffs desired against observed and performs the
 // envelope operations — it is the only code that starts replicas, stops
-// them, or pushes routing.
+// them, or sends requests to proclets.
 package manager
 
 import (
@@ -142,18 +142,14 @@ type Manager struct {
 
 	// mu guards the runtime registries that cannot live in the value store:
 	// live envelope handles and per-replica metrics batches.
-	mu        sync.Mutex
-	envs      map[string]*envelope.Envelope // replica id -> envelope
-	envelopes map[*envelope.Envelope]bool   // every envelope we push to
-	stopped   bool
+	mu      sync.Mutex
+	envs    map[string]*envelope.Envelope // replica id -> envelope, from first contact
+	stopped bool
 
-	// Manager-rebuild recovery: while recovering > 0, registrations are
-	// adoptions of already-running replicas and routing broadcasts are
-	// deferred until the fleet has re-registered (or recovery is forced).
-	recovering   int
-	reregistered map[string]bool
-	recovered    chan struct{}
-	recoveryDone bool
+	// Manager-rebuild recovery: between Adopt and the end of Recover,
+	// registrations are adoptions of already-running replicas and routing
+	// broadcasts wait for Recover's rebroadcast.
+	recovering bool
 
 	// asMu guards the per-group autoscalers (they carry hysteresis state,
 	// so they live outside the value store).
@@ -203,21 +199,20 @@ func New(cfg Config, starter Starter) (*Manager, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:       cfg,
-		starter:   starter,
-		ctx:       ctx,
-		cancel:    cancel,
-		clk:       clock.Or(cfg.Clock),
-		status:    cplane.NewStatus(),
-		envs:      map[string]*envelope.Envelope{},
-		envelopes: map[*envelope.Envelope]bool{},
-		as:        map[string]*autoscale.Autoscaler{},
-		logs:      logging.NewAggregator(200000),
-		spans:     ring.New[tracing.Span](maxSpans),
-		graph:     callgraph.NewCollector(),
-		metrics:   map[string][]metrics.Snapshot{},
-		pids:      map[string]int64{},
-		process:   map[int64][]metrics.Snapshot{},
+		cfg:     cfg,
+		starter: starter,
+		ctx:     ctx,
+		cancel:  cancel,
+		clk:     clock.Or(cfg.Clock),
+		status:  cplane.NewStatus(),
+		envs:    map[string]*envelope.Envelope{},
+		as:      map[string]*autoscale.Autoscaler{},
+		logs:    logging.NewAggregator(200000),
+		spans:   ring.New[tracing.Span](maxSpans),
+		graph:   callgraph.NewCollector(),
+		metrics: map[string][]metrics.Snapshot{},
+		pids:    map[string]int64{},
+		process: map[int64][]metrics.Snapshot{},
 	}
 
 	m.known = map[string]bool{}
@@ -432,10 +427,9 @@ func replicaOrdinal(id string) (int, bool) {
 // stale.
 func (m *Manager) RegisterReplica(e *envelope.Envelope, r pipe.RegisterReplica) error {
 	m.mu.Lock()
-	m.envelopes[e] = true
 	m.envs[e.ID] = e
 	m.pids[e.ID] = r.Pid
-	recovering := m.recovering > 0
+	recovering := m.recovering
 	m.mu.Unlock()
 
 	found := false
@@ -497,7 +491,6 @@ func (m *Manager) RegisterReplica(e *envelope.Envelope, r pipe.RegisterReplica) 
 
 	m.cfg.Logger.Info("replica registered", "group", e.Group, "replica", e.ID, "addr", r.Addr)
 	if recovering {
-		m.noteReregistered(e.ID)
 		return nil
 	}
 	return m.actuate(m.ctx, cplane.Actions{Push: []string{e.Group}}, actuateOpts{})
@@ -508,7 +501,7 @@ func (m *Manager) RegisterReplica(e *envelope.Envelope, r pipe.RegisterReplica) 
 // the manager must track their envelopes from first contact.
 func (m *Manager) adoptEnvelope(e *envelope.Envelope) {
 	m.mu.Lock()
-	m.envelopes[e] = true
+	m.envs[e.ID] = e
 	m.mu.Unlock()
 }
 
@@ -614,7 +607,6 @@ func (m *Manager) GraphEdges(edges []callgraph.Edge) { m.graph.Merge(edges) }
 // restarted").
 func (m *Manager) ReplicaExited(e *envelope.Envelope, exitErr error) {
 	m.mu.Lock()
-	delete(m.envelopes, e)
 	delete(m.envs, e.ID)
 	delete(m.metrics, e.ID)
 	m.dropPidLocked(e.ID)
@@ -796,22 +788,10 @@ func (m *Manager) Stop() {
 		return
 	}
 	m.stopped = true
-	envs := make([]*envelope.Envelope, 0, len(m.envelopes))
-	for e := range m.envelopes {
-		envs = append(envs, e)
-	}
 	m.mu.Unlock()
 
 	m.cancel()
-	var wg sync.WaitGroup
-	for _, e := range envs {
-		wg.Add(1)
-		go func(e *envelope.Envelope) {
-			defer wg.Done()
-			e.Stop(3 * time.Second)
-		}(e)
-	}
-	wg.Wait()
+	stopEnvelopes(m.Envelopes(), 3*time.Second, true)
 }
 
 // --- manager rebuild (recovery from re-registration) ---
@@ -835,94 +815,24 @@ func (m *Manager) Detach() {
 func (m *Manager) Envelopes() []*envelope.Envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*envelope.Envelope, 0, len(m.envelopes))
-	for e := range m.envelopes {
+	out := make([]*envelope.Envelope, 0, len(m.envs))
+	for _, e := range m.envs {
 		out = append(out, e)
 	}
 	return out
 }
 
 // Adopt hands a freshly built manager the envelopes of an already-running
-// fleet (from a predecessor's Envelopes). The manager enters recovery: it
-// expects one re-registration per envelope (the deployer sends
-// envelope.Reregister after repointing them here) and defers routing
-// broadcasts until the fleet has re-registered, then rebroadcasts every
-// group at epochs above the recovered floor. WaitRecovered blocks until
-// that happens.
+// fleet (from a predecessor's Envelopes) and puts it in recovery: until
+// Recover ends it, registrations adopt the replicas' observed state and
+// trigger no routing broadcasts. A deployer calls Adopt before repointing
+// the envelopes here, then Recover.
 func (m *Manager) Adopt(envs []*envelope.Envelope) {
 	m.mu.Lock()
 	for _, e := range envs {
-		m.envelopes[e] = true
-		if e.ID != "" {
-			m.envs[e.ID] = e
-		}
+		m.envs[e.ID] = e
 	}
-	m.recovering = len(envs)
-	m.reregistered = map[string]bool{}
-	m.recovered = make(chan struct{})
-	m.recoveryDone = false
+	m.recovering = true
 	m.mu.Unlock()
 	m.recordAction("recover", fmt.Sprintf("adopted %d envelopes, awaiting re-registration", len(envs)), 0)
-	if len(envs) == 0 {
-		m.finishRecovery()
-	}
-}
-
-func (m *Manager) noteReregistered(id string) {
-	m.mu.Lock()
-	if m.recovering <= 0 || m.reregistered[id] {
-		m.mu.Unlock()
-		return
-	}
-	m.reregistered[id] = true
-	m.recovering--
-	done := m.recovering == 0
-	m.mu.Unlock()
-	if done {
-		m.finishRecovery()
-	}
-}
-
-// finishRecovery ends recovery (idempotently) and rebroadcasts every
-// group's routing at fresh epochs above the recovered floor, rebuilding
-// every proclet's routing view under the new manager.
-func (m *Manager) finishRecovery() {
-	m.mu.Lock()
-	if m.recoveryDone || m.recovered == nil {
-		m.mu.Unlock()
-		return
-	}
-	m.recoveryDone = true
-	m.recovering = 0
-	close(m.recovered)
-	m.mu.Unlock()
-
-	s := m.store.Snapshot()
-	var groups []string
-	for _, name := range s.SortedGroupNames() {
-		if len(s.Groups[name].Components) > 0 {
-			groups = append(groups, name)
-		}
-	}
-	m.recordAction("recover", fmt.Sprintf("recovery complete, rebroadcasting %d groups", len(groups)), s.RouteEpoch)
-	_ = m.actuate(m.ctx, cplane.Actions{Push: groups}, actuateOpts{})
-}
-
-// WaitRecovered blocks until recovery completes. If ctx expires first,
-// recovery is force-finished with whatever has re-registered (missing
-// replicas re-register later through the normal path).
-func (m *Manager) WaitRecovered(ctx context.Context) error {
-	m.mu.Lock()
-	ch := m.recovered
-	m.mu.Unlock()
-	if ch == nil {
-		return nil // never adopted anything
-	}
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		m.finishRecovery()
-		return ctx.Err()
-	}
 }

@@ -13,10 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cplane"
-	"repro/internal/envelope"
-	"repro/internal/pipe"
 	"repro/internal/placement"
-	"repro/internal/routing"
 )
 
 // A MoveRecord describes one applied re-placement move.
@@ -112,29 +109,28 @@ func (m *Manager) placementOnce(ctx context.Context) error {
 	return nil
 }
 
-// moveStepTimeout bounds each acked step of a move, and moveReadyTimeout
-// bounds waiting for the destination group's first ready replica.
-const (
-	moveStepTimeout  = 10 * time.Second
-	moveReadyTimeout = 20 * time.Second
-)
+// moveReadyTimeout bounds waiting for the destination group's first ready
+// replica.
+const moveReadyTimeout = 20 * time.Second
 
 // MoveComponent relocates a component to another colocation group at
-// runtime, drain-safely:
+// runtime, drain-safely. Each step after the first is one actuator call:
 //
 //  1. Ensure the destination group exists and runs a ready replica.
 //  2. Host the component on every destination replica and wait until its
-//     handlers serve (epoch vHost).
+//     handlers serve (hostOn).
 //  3. In one store update, flip ownership in the control-plane state and
-//     stamp a fresh epoch vFlip; broadcast the component's new routing to
-//     every proclet and wait for all acks. From each proclet's ack on, its
-//     new calls target the destination; calls already in flight complete
-//     where they started.
-//  4. Re-push hosting to destination replicas that registered mid-move.
+//     stamp the component's routing under a fresh epoch vFlip; push it to
+//     every proclet and wait for all acks (flip). From each proclet's ack
+//     on, its new calls target the destination; calls already in flight
+//     complete where they started.
+//  4. Re-push hosting to the destination's replicas, so those that
+//     registered mid-move host the component too (hostOn; the others ack
+//     at once).
 //  5. Tell the old hosts to stop the component: each demotes its local
 //     route, unregisters the handlers, and acks once in-flight calls have
-//     drained. Stragglers that still reach the old hosts are refused with
-//     a retryable never-executed status.
+//     drained (drain). Stragglers that still reach the old hosts are
+//     refused with a retryable never-executed status.
 //
 // Every step draws a strictly increasing epoch, so a step replayed late
 // (after an ack timeout) is fenced out by whatever superseded it. Moves
@@ -182,80 +178,19 @@ func (m *Manager) MoveComponent(ctx context.Context, component, dest string) err
 		return err
 	}
 
-	// Step 2: host on the destination.
-	var (
-		vHost  uint64
-		comps  []string
-		hosted []*envelope.Envelope
-	)
-	m.store.Update(func(s *cplane.State) {
-		vHost = s.NextEpoch()
-		comps = append(append([]string(nil), s.Groups[dest].Components...), component)
-		hosted = m.readyEnvelopes(s, dest)
-	})
-	hostOn := func(envs []*envelope.Envelope, v uint64) error {
-		return m.forEachEnvelope(ctx, envs, func(sctx context.Context, e *envelope.Envelope) error {
-			return e.CallHostComponents(sctx, comps, v)
-		})
-	}
-	if err := hostOn(hosted, vHost); err != nil {
+	if err := m.hostOn(ctx, dest, component); err != nil {
 		return fmt.Errorf("manager: hosting %s on %s: %w", component, dest, err)
 	}
-
-	// Step 3: flip ownership + routing under one epoch, broadcast, await
-	// all acks.
-	var (
-		vFlip   uint64
-		ri      pipe.RoutingInfo
-		srcReps []*envelope.Envelope
-	)
-	m.store.Update(func(s *cplane.State) {
-		routed := s.Groups[src].Routed[component]
-		_ = s.Relocate(component, dest)
-		vFlip = s.NextEpoch()
-		addrs := s.ReadyAddrs(dest)
-		ri = pipe.RoutingInfo{Component: component, Replicas: addrs, Version: vFlip}
-		if routed && len(addrs) > 0 {
-			a := routing.EqualSlices(vFlip, addrs, slicesPerReplica)
-			ri.Assignment = &a
-		}
-		s.LastPush[component] = cplane.Push{Version: vFlip, Addrs: addrs}
-		srcReps = m.readyEnvelopes(s, src)
-	})
-	m.mu.Lock()
-	all := make([]*envelope.Envelope, 0, len(m.envelopes))
-	for e := range m.envelopes {
-		all = append(all, e)
-	}
-	m.mu.Unlock()
-	m.recordAction("push", fmt.Sprintf("move flip %s -> %s", component, dest), vFlip)
-	if err := m.callRoutingInfo(ctx, all, ri); err != nil {
+	vFlip, srcReps, err := m.flip(ctx, component, dest)
+	if err != nil {
 		// Ownership already flipped; leave the old hosts serving as a
 		// safety net for whoever missed the ack and report the failure.
 		return fmt.Errorf("manager: broadcasting routing for %s: %w", component, err)
 	}
-
-	// Step 4: destination replicas that registered between steps 2 and 3
-	// fetched their hosting list before the flip; re-push so they host the
-	// component too (idempotent on the others).
-	var (
-		vHost2 uint64
-		late   []*envelope.Envelope
-	)
-	m.store.Update(func(s *cplane.State) {
-		vHost2 = s.NextEpoch()
-		late = m.readyEnvelopes(s, dest)
-	})
-	if len(late) > len(hosted) {
-		if err := hostOn(late, vHost2); err != nil {
-			return fmt.Errorf("manager: re-hosting %s on %s: %w", component, dest, err)
-		}
+	if err := m.hostOn(ctx, dest, component); err != nil {
+		return fmt.Errorf("manager: re-hosting %s on %s: %w", component, dest, err)
 	}
-
-	// Step 5: drain and release on the old hosts.
-	if err := m.forEachEnvelope(ctx, srcReps, func(sctx context.Context, e *envelope.Envelope) error {
-		return e.CallStopComponent(sctx, component, vFlip)
-	}); err != nil {
+	if err := m.drain(ctx, srcReps, component, vFlip); err != nil {
 		return fmt.Errorf("manager: draining %s on %s: %w", component, src, err)
 	}
 
@@ -288,19 +223,4 @@ func (m *Manager) waitGroupReady(ctx context.Context, group string) error {
 			return fmt.Errorf("manager: stopped")
 		}
 	}
-}
-
-// readyEnvelopes returns the envelopes of a group's routable replicas per
-// the state snapshot s.
-func (m *Manager) readyEnvelopes(s *cplane.State, group string) []*envelope.Envelope {
-	ids := s.ReadyReplicaIDs(group)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var envs []*envelope.Envelope
-	for _, id := range ids {
-		if e := m.envs[id]; e != nil {
-			envs = append(envs, e)
-		}
-	}
-	return envs
 }

@@ -10,15 +10,20 @@
 //	proclet → envelope: RegisterReplica, ComponentsToHost (request),
 //	                    StartComponent, LoadReport, LogBatch, TraceBatch,
 //	                    GraphBatch
-//	envelope → proclet: HostComponents, RoutingInfo, StopComponent, Shutdown
+//	envelope → proclet: HostComponents, RoutingInfo, StopComponent,
+//	                    Reregister, Shutdown
 //
-// Acks flow in both directions: either side may set Message.ID on a request
-// and the peer answers with a KindAck carrying the same ID. Proclets use
-// odd IDs and envelopes even ones, so the two request streams can never
-// collide on the shared pipe. Envelope-initiated acked requests
-// (HostComponents, RoutingInfo, StopComponent) are what make live
-// re-placement drain-safe: the manager knows when a proclet has applied a
-// placement or routing change, not merely received it.
+// Acks flow in both directions: either side may send a request with
+// Message.ID set, and the peer answers with a KindAck carrying the same ID.
+// The Conn matches acks to requests for both ends: Request and Call number
+// a request (proclets odd, envelopes even, so the two request streams never
+// collide on the shared pipe) and keep it pending, Recv consumes every ack
+// and completes its request, and a Conn that closes or breaks fails every
+// request still pending. Neither the envelope nor the proclet keeps a table
+// of its own. Envelope-initiated acked requests (HostComponents,
+// RoutingInfo, StopComponent, Reregister) are what make live re-placement
+// drain-safe and manager recovery exact: the manager knows when a proclet
+// has applied a change, not merely received it.
 //
 // Each Conn encodes into and reads into one buffer of its own, reused from
 // message to message, so a steady stream of load reports costs no buffer
@@ -30,7 +35,9 @@
 package pipe
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -58,7 +65,7 @@ const (
 	KindShutdown         = 10 // envelope -> proclet
 	KindAck              = 11 // either direction (reply to ID-carrying requests)
 	KindStopComponent    = 12 // envelope -> proclet (request; acked once drained)
-	KindReregister       = 13 // envelope -> proclet (re-send RegisterReplica after a manager rebuild)
+	KindReregister       = 13 // envelope -> proclet (request; acked after re-sending RegisterReplica)
 )
 
 // Message is the single wire envelope for all control-plane traffic. Kind
@@ -92,14 +99,14 @@ type RegisterReplica struct {
 	Version string `tag:"5"` // application version, for atomic rollouts
 
 	// The remaining fields let a rebuilt manager recover observed state
-	// from re-registration alone (the envelope pushes KindReregister after
+	// from re-registration alone (the envelope sends KindReregister after
 	// a manager restart, and the proclet answers with a fresh, complete
-	// registration). Hosted lists the components this proclet currently
-	// hosts; Routing carries the newest routing epoch it has applied per
-	// component; Epoch is the highest routing/placement epoch it has seen
-	// anywhere. A recovering manager floors its epoch counter at the
-	// maximum reported Epoch so fresh broadcasts are never fenced out as
-	// stale.
+	// registration before its ack). Hosted lists the components this
+	// proclet currently hosts; Routing carries the newest routing epoch it
+	// has applied per component; Epoch is the highest routing/placement
+	// epoch it has seen anywhere. A recovering manager floors its epoch
+	// counter at the maximum reported Epoch so fresh broadcasts are never
+	// fenced out as stale.
 	Hosted  []string          `tag:"6"`
 	Routing map[string]uint64 `tag:"7"`
 	Epoch   uint64            `tag:"8"`
@@ -182,9 +189,15 @@ const maxMessageSize = 64 << 20
 // after that message.
 const maxRetainedBuffer = 1 << 20
 
+// ErrClosed is wrapped by the error of every request that fails because
+// its Conn closed or broke before the peer acked it, and by Send's error
+// when the stream refuses a write.
+var ErrClosed = errors.New("pipe: connection closed")
+
 // A Conn exchanges Messages over a byte stream (a Unix pipe in production,
-// net.Pipe or os.Pipe in tests). Send is safe for concurrent use; Recv
-// must be called from a single reader goroutine.
+// net.Pipe or os.Pipe in tests). Send, Request and Call are safe for
+// concurrent use; Recv must be called from a single reader goroutine, which
+// also completes the requests (a Call waits on that goroutine).
 type Conn struct {
 	r io.Reader
 	w io.Writer
@@ -195,12 +208,18 @@ type Conn struct {
 
 	rhdr [4]byte // Recv-owned: the length prefix
 	rbuf []byte  // Recv-owned: one message body
+
+	mu      sync.Mutex
+	odd     uint64                           // 1 on the proclet end, whose request IDs are odd
+	nextID  uint64                           // guarded by mu
+	pending map[uint64]func(*Message, error) // guarded by mu: unacked requests by ID
+	err     error                            // guarded by mu: why the Conn failed, once it has
 }
 
 // NewConn builds a Conn from a reader and writer. Any of them implementing
-// io.Closer is closed by Close.
+// io.Closer is closed by Close. Its requests carry envelope (even) IDs.
 func NewConn(r io.Reader, w io.Writer) *Conn {
-	conn := &Conn{r: r, w: w}
+	conn := &Conn{r: r, w: w, pending: map[uint64]func(*Message, error){}}
 	if c, ok := r.(io.Closer); ok {
 		conn.c = append(conn.c, c)
 	}
@@ -210,8 +229,15 @@ func NewConn(r io.Reader, w io.Writer) *Conn {
 	return conn
 }
 
-// Close closes the underlying stream(s).
+// procletEnd makes c number its requests with proclet (odd) IDs.
+func procletEnd(c *Conn) *Conn {
+	c.odd = 1
+	return c
+}
+
+// Close fails every pending request and closes the underlying stream(s).
 func (c *Conn) Close() error {
+	c.fail(ErrClosed)
 	var first error
 	for _, cl := range c.c {
 		if err := cl.Close(); err != nil && first == nil {
@@ -244,12 +270,124 @@ func (c *Conn) Send(m *Message) error {
 		return fmt.Errorf("pipe: message kind %d too large (%d bytes)", m.Kind, n)
 	}
 	binary.LittleEndian.PutUint32(buf, uint32(n))
-	_, err = c.w.Write(buf)
-	return err
+	if _, err := c.w.Write(buf); err != nil {
+		return fmt.Errorf("%w: %w", ErrClosed, err)
+	}
+	return nil
 }
 
-// Recv reads one message into the Conn's receive buffer and decodes it.
+// Request sends m as a request, setting m.ID, and calls done exactly once:
+// with the peer's ack, or with an error if the peer answered with one, the
+// send failed, or the Conn closed or broke first (that error wraps
+// ErrClosed). An ack's done runs on the Recv goroutine, so it must not
+// block.
+func (c *Conn) Request(m *Message, done func(*Message, error)) {
+	c.request(m, done)
+}
+
+func (c *Conn) request(m *Message, done func(*Message, error)) uint64 {
+	c.mu.Lock()
+	if err := c.err; err != nil {
+		c.mu.Unlock()
+		done(nil, err)
+		return 0
+	}
+	c.nextID++
+	id := c.nextID<<1 | c.odd
+	c.pending[id] = done
+	c.mu.Unlock()
+	m.ID = id
+	if err := c.Send(m); err != nil {
+		c.complete(id, nil, err)
+	}
+	return id
+}
+
+// Call sends m as a request and waits for its ack (see Request). It
+// returns early with ctx's error if ctx ends first.
+func (c *Conn) Call(ctx context.Context, m *Message) (*Message, error) {
+	type result struct {
+		reply *Message
+		err   error
+	}
+	ch := make(chan result, 1)
+	id := c.request(m, func(reply *Message, err error) { ch <- result{reply, err} })
+	select {
+	case r := <-ch:
+		return r.reply, r.err
+	case <-ctx.Done():
+		c.complete(id, nil, ctx.Err())
+		return nil, ctx.Err()
+	}
+}
+
+// Ack answers the request req with reply (nil for an empty ack) and err's
+// text. Unsolicited messages (ID 0) get no ack.
+func (c *Conn) Ack(req, reply *Message, err error) error {
+	if req.ID == 0 {
+		return nil
+	}
+	if reply == nil {
+		reply = &Message{}
+	}
+	reply.Kind = KindAck
+	reply.ID = req.ID
+	if err != nil {
+		reply.Err = err.Error()
+	}
+	return c.Send(reply)
+}
+
+// complete takes request id out of the pending table and runs its done, if
+// it is still pending; an ack for an unknown or answered ID is dropped.
+func (c *Conn) complete(id uint64, reply *Message, err error) {
+	c.mu.Lock()
+	done := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	if done != nil {
+		done(reply, err)
+	}
+}
+
+// fail marks the Conn failed by cause and fails every pending request.
+func (c *Conn) fail(cause error) {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = cause
+		if !errors.Is(cause, ErrClosed) {
+			c.err = fmt.Errorf("%w: %w", ErrClosed, cause)
+		}
+	}
+	pending, err := c.pending, c.err
+	c.pending = nil
+	c.mu.Unlock()
+	for _, done := range pending {
+		done(nil, err)
+	}
+}
+
+// Recv returns the next message that is not an ack. Acks complete their
+// requests here; an error fails every pending request.
 func (c *Conn) Recv() (*Message, error) {
+	for {
+		m, err := c.recv()
+		if err != nil {
+			c.fail(err)
+			return nil, err
+		}
+		if m.Kind != KindAck {
+			return m, nil
+		}
+		if m.Err != "" {
+			err = errors.New(m.Err)
+		}
+		c.complete(m.ID, m, err)
+	}
+}
+
+// recv reads one message into the Conn's receive buffer and decodes it.
+func (c *Conn) recv() (*Message, error) {
 	if _, err := io.ReadFull(c.r, c.rhdr[:]); err != nil {
 		return nil, err
 	}
@@ -287,7 +425,7 @@ func ProcletConn() (*Conn, error) {
 	if r == nil || w == nil {
 		return nil, fmt.Errorf("pipe: control-plane file descriptors not inherited")
 	}
-	return NewConn(r, w), nil
+	return procletEnd(NewConn(r, w)), nil
 }
 
 // Pair returns two connected Conns over in-process OS pipes: one for the
@@ -306,5 +444,5 @@ func Pair() (envelope, proclet *Conn, err error) {
 		epW.Close()
 		return nil, nil, err
 	}
-	return NewConn(peR, epW), NewConn(epR, peW), nil
+	return NewConn(peR, epW), procletEnd(NewConn(epR, peW)), nil
 }

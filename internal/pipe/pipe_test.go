@@ -1,9 +1,14 @@
 package pipe
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/logging"
 	"repro/internal/metrics"
@@ -233,5 +238,144 @@ func TestAllocsSendRecv(t *testing.T) {
 	// The Message and its StartComponent.
 	if allocs := testing.AllocsPerRun(200, round); allocs != 2 {
 		t.Errorf("a send and receive allocate %.1f times, want 2", allocs)
+	}
+}
+
+// answer runs c's reader until c breaks, acking every StartComponent
+// request with the component name it carried.
+func answer(c *Conn) {
+	go func() {
+		for {
+			m, err := c.Recv()
+			if err != nil {
+				return
+			}
+			reply := &Message{StartComponent: &StartComponent{Component: m.StartComponent.Component}}
+			_ = c.Ack(m, reply, nil)
+		}
+	}()
+}
+
+// TestAcksReachTheirRequests has both ends send requests concurrently over
+// one pipe, as envelope and proclet do: every reply must reach the request
+// it answers, and the two ends' IDs must keep their parity.
+func TestAcksReachTheirRequests(t *testing.T) {
+	env, proc := pair(t)
+	answer(env)
+	answer(proc)
+	const callers, calls = 4, 50
+	var wg sync.WaitGroup
+	for side, c := range map[uint64]*Conn{0: env, 1: proc} {
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < calls; i++ {
+					want := fmt.Sprintf("side%d/caller%d/%d", side, g, i)
+					req := &Message{Kind: KindStartComponent, StartComponent: &StartComponent{Component: want}}
+					reply, err := c.Call(context.Background(), req)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if req.ID%2 != side || reply.ID != req.ID || reply.StartComponent.Component != want {
+						t.Errorf("request %d (%s) got reply %d (%+v)", req.ID, want, reply.ID, reply.StartComponent)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestStrayAcksDropped checks that an ack for an ID that was never used,
+// or that was already answered, completes nothing and is not returned by
+// Recv.
+func TestStrayAcksDropped(t *testing.T) {
+	env, proc := pair(t)
+	var answers atomic.Int32
+	env.Request(&Message{Kind: KindShutdown}, func(*Message, error) { answers.Add(1) })
+	req, err := proc.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		_ = proc.Send(&Message{Kind: KindAck, ID: 1000})
+		_ = proc.Ack(req, nil, nil)
+		_ = proc.Ack(req, nil, errors.New("answered twice"))
+		_ = proc.Send(&Message{Kind: KindLoadReport, LoadReport: &LoadReport{CallsPerSec: 1}})
+	}()
+	m, err := env.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Kind != KindLoadReport {
+		t.Errorf("Recv returned kind %d, want the load report after the acks", m.Kind)
+	}
+	if n := answers.Load(); n != 1 {
+		t.Errorf("request answered %d times, want 1", n)
+	}
+}
+
+// TestCloseFailsPending checks that a closing Conn fails every pending
+// request at once: callbacks get an error wrapping ErrClosed, a Call
+// returns without waiting for its ctx, and later requests fail at once.
+// The same holds when the peer goes away under a running reader.
+func TestCloseFailsPending(t *testing.T) {
+	for _, how := range []string{"Close", "peer gone"} {
+		t.Run(how, func(t *testing.T) {
+			env, proc := pair(t)
+			go func() {
+				for {
+					if _, err := env.Recv(); err != nil {
+						return
+					}
+				}
+			}()
+			const n = 8
+			failed := make(chan error, n+1)
+			for i := 0; i < n; i++ {
+				env.Request(&Message{Kind: KindShutdown}, func(_ *Message, err error) { failed <- err })
+			}
+			called := make(chan error, 1)
+			go func() {
+				_, err := env.Call(context.Background(), &Message{Kind: KindShutdown})
+				called <- err
+			}()
+			for i := 0; i <= n; i++ {
+				if _, err := proc.Recv(); err != nil { // every request is out
+					t.Fatal(err)
+				}
+			}
+			if how == "Close" {
+				env.Close()
+			} else {
+				proc.Close()
+			}
+			timeout := time.After(5 * time.Second)
+			for i := 0; i < n; i++ {
+				select {
+				case err := <-failed:
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("callback err = %v, want ErrClosed", err)
+					}
+				case <-timeout:
+					t.Fatalf("%d of %d callbacks never failed", n-i, n)
+				}
+			}
+			select {
+			case err := <-called:
+				if !errors.Is(err, ErrClosed) {
+					t.Errorf("Call err = %v, want ErrClosed", err)
+				}
+			case <-timeout:
+				t.Fatal("Call waited on a closed Conn")
+			}
+			env.Request(&Message{Kind: KindShutdown}, func(_ *Message, err error) { failed <- err })
+			if err := <-failed; !errors.Is(err, ErrClosed) {
+				t.Errorf("request after close: err = %v, want ErrClosed", err)
+			}
+		})
 	}
 }

@@ -42,9 +42,6 @@ type Options struct {
 	// Fill injects weaver state into component implementations (see
 	// core.Options.Fill). The logger passed through is the proclet's.
 	Fill func(impl any, name string, logger *logging.Logger, resolve func(reflect.Type) (any, error)) error
-	// ListenAddr is the address the data-plane server binds
-	// (default "127.0.0.1:0").
-	ListenAddr string
 	// MaxInflight bounds concurrently executing data-plane requests in
 	// this replica; MaxQueue bounds the admission wait queue beyond that.
 	// Zero means unlimited (see rpc.ServerOptions).
@@ -55,8 +52,8 @@ type Options struct {
 	ReportInterval time.Duration
 	// TraceFraction is the sampled fraction of traces (default 0.01).
 	TraceFraction float64
-	// Logger is the proclet's own logger; component logs are routed to the
-	// envelope regardless.
+	// Logger is the proclet's own logger. Component logs are routed to the
+	// envelope at its minimum level.
 	Logger *logging.Logger
 	// BypassAssignmentDispatch disables assignment-aware local dispatch:
 	// colocated routed calls always take the local fast path, even when the
@@ -96,9 +93,6 @@ type Proclet struct {
 	started  map[string]bool // StartComponent already sent
 	maxEpoch uint64          // highest routing/placement epoch seen anywhere
 
-	acks   sync.Map // id -> chan *pipe.Message
-	nextID atomic.Uint64
-
 	// Report-loop state. Only the report loop touches it; each report is
 	// built in report and sent before the next one reuses it (Send encodes
 	// a message before it returns).
@@ -120,9 +114,6 @@ func Start(ctx context.Context, opts Options) (*Proclet, error) {
 	}
 	if opts.ReportInterval <= 0 {
 		opts.ReportInterval = 500 * time.Millisecond
-	}
-	if opts.ListenAddr == "" {
-		opts.ListenAddr = "127.0.0.1:0"
 	}
 	if opts.TraceFraction == 0 {
 		opts.TraceFraction = 0.01
@@ -147,7 +138,7 @@ func Start(ctx context.Context, opts Options) (*Proclet, error) {
 		MaxInflight: opts.MaxInflight,
 		MaxQueue:    opts.MaxQueue,
 	})
-	addr, err := p.srv.Listen(opts.ListenAddr)
+	addr, err := p.srv.Listen(listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("proclet: data plane listen: %w", err)
 	}
@@ -156,6 +147,7 @@ func Start(ctx context.Context, opts Options) (*Proclet, error) {
 	componentLogger := logging.New(logging.Options{
 		Component: "app",
 		Replica:   opts.ProcletID,
+		Min:       opts.Logger.MinLevel(),
 		Sink:      p.logBuf,
 	})
 	routedLocal := p.routedShardLocal
@@ -185,7 +177,7 @@ func Start(ctx context.Context, opts Options) (*Proclet, error) {
 	// Fetch and host the initial component assignment BEFORE registering:
 	// registration publishes our data-plane address to other proclets, so
 	// every assigned component's handlers must be serving by then.
-	reply, err := p.call(ctx, &pipe.Message{Kind: pipe.KindComponentsToHost})
+	reply, err := opts.Conn.Call(ctx, &pipe.Message{Kind: pipe.KindComponentsToHost})
 	if err != nil {
 		p.srv.Close()
 		return nil, fmt.Errorf("proclet: fetching components to host: %w", err)
@@ -355,30 +347,6 @@ func (p *Proclet) send(m *pipe.Message) error {
 	return p.opts.Conn.Send(m)
 }
 
-// call transmits a request and waits for its Ack. Proclet-initiated
-// request IDs are odd; envelope-initiated ones even (see package pipe).
-func (p *Proclet) call(ctx context.Context, m *pipe.Message) (*pipe.Message, error) {
-	id := p.nextID.Add(1)<<1 | 1
-	m.ID = id
-	ch := make(chan *pipe.Message, 1)
-	p.acks.Store(id, ch)
-	defer p.acks.Delete(id)
-	if err := p.send(m); err != nil {
-		return nil, err
-	}
-	select {
-	case reply := <-ch:
-		if reply.Err != "" {
-			return nil, fmt.Errorf("proclet: envelope error: %s", reply.Err)
-		}
-		return reply, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-p.shutdownCh:
-		return nil, fmt.Errorf("proclet: shut down")
-	}
-}
-
 // recvLoop dispatches envelope messages until the pipe breaks.
 //
 // Host and stop requests run on their own goroutines: hosting a component
@@ -396,10 +364,6 @@ func (p *Proclet) recvLoop(ctx context.Context) {
 			return
 		}
 		switch m.Kind {
-		case pipe.KindAck:
-			if ch, ok := p.acks.Load(m.ID); ok {
-				ch.(chan *pipe.Message) <- m
-			}
 		case pipe.KindHostComponents:
 			m := m
 			go func() {
@@ -410,7 +374,7 @@ func (p *Proclet) recvLoop(ctx context.Context) {
 						p.opts.Logger.Error("hosting components", err)
 					}
 				}
-				p.ackTo(m, err)
+				_ = p.opts.Conn.Ack(m, nil, err)
 			}()
 		case pipe.KindStopComponent:
 			m := m
@@ -422,36 +386,25 @@ func (p *Proclet) recvLoop(ctx context.Context) {
 						p.opts.Logger.Error("stopping component", err)
 					}
 				}
-				p.ackTo(m, err)
+				_ = p.opts.Conn.Ack(m, nil, err)
 			}()
 		case pipe.KindRoutingInfo:
 			if m.RoutingInfo != nil {
 				p.updateRouting(m.RoutingInfo)
 			}
-			p.ackTo(m, nil)
+			_ = p.opts.Conn.Ack(m, nil, nil)
 		case pipe.KindReregister:
 			// A rebuilt manager is recovering observed state: answer with a
-			// fresh, complete registration.
+			// fresh, complete registration, then ack. The pipe keeps order,
+			// so the envelope has relayed the registration when the ack
+			// arrives.
 			_ = p.send(p.registrationMsg())
-			p.ackTo(m, nil)
+			_ = p.opts.Conn.Ack(m, nil, nil)
 		case pipe.KindShutdown:
 			p.Shutdown(nil)
 			return
 		}
 	}
-}
-
-// ackTo answers an envelope-initiated request; unsolicited pushes (ID 0)
-// get no reply.
-func (p *Proclet) ackTo(m *pipe.Message, err error) {
-	if m.ID == 0 {
-		return
-	}
-	reply := &pipe.Message{Kind: pipe.KindAck, ID: m.ID}
-	if err != nil {
-		reply.Err = err.Error()
-	}
-	_ = p.send(reply)
 }
 
 // hostComponents initializes and serves any newly assigned components.
@@ -512,6 +465,10 @@ func (p *Proclet) unhostComponent(component string, version uint64) error {
 	p.opts.Logger.Info("stopped hosting component", "component", core.ShortName(component))
 	return nil
 }
+
+// listenAddr is the address the data-plane server binds: any free port on
+// the loopback interface.
+const listenAddr = "127.0.0.1:0"
 
 // procletNoReplicaGrace is how long a proclet's data-plane calls wait for a
 // cold component's replica set to become non-empty. It is generous because

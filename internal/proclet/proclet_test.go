@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/callgraph"
+	"repro/internal/codegen"
 	"repro/internal/envelope"
 	"repro/internal/logging"
 	"repro/internal/pipe"
@@ -19,6 +20,7 @@ type scriptedManager struct {
 	host    []string
 	lastReg chan pipe.RegisterReplica
 	loads   chan pipe.LoadReport
+	logs    chan logging.Entry
 }
 
 func newScriptedManager(host ...string) *scriptedManager {
@@ -26,6 +28,7 @@ func newScriptedManager(host ...string) *scriptedManager {
 		host:    host,
 		lastReg: make(chan pipe.RegisterReplica, 8),
 		loads:   make(chan pipe.LoadReport, 1024),
+		logs:    make(chan logging.Entry, 1024),
 	}
 }
 
@@ -43,10 +46,31 @@ func (m *scriptedManager) LoadReport(e *envelope.Envelope, lr pipe.LoadReport) {
 	default:
 	}
 }
-func (m *scriptedManager) Logs([]logging.Entry)                    {}
+func (m *scriptedManager) Logs(entries []logging.Entry) {
+	for _, e := range entries {
+		select {
+		case m.logs <- e:
+		default:
+		}
+	}
+}
 func (m *scriptedManager) Traces([]tracing.Span)                   {}
 func (m *scriptedManager) GraphEdges([]callgraph.Edge)             {}
 func (m *scriptedManager) ReplicaExited(*envelope.Envelope, error) {}
+
+// quiet is a component with no methods whose Fill logs at every level.
+type quiet interface{}
+
+type quietImpl struct{}
+
+func init() {
+	codegen.Register(codegen.Registration{
+		Name:       "proclet_test/Quiet",
+		Iface:      reflect.TypeOf((*quiet)(nil)).Elem(),
+		Impl:       reflect.TypeOf(quietImpl{}),
+		ClientStub: func(codegen.Conn) any { return quietImpl{} },
+	})
+}
 
 func noFill(impl any, name string, logger *logging.Logger, resolve func(reflect.Type) (any, error)) error {
 	return nil
@@ -180,5 +204,50 @@ func TestGracefulShutdownMessage(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("proclet ignored shutdown")
+	}
+}
+
+// TestComponentLogsObeyProcletLevel checks that a component's logger drops
+// what the proclet's own logger would: entries below its minimum level are
+// never shipped to the envelope.
+func TestComponentLogsObeyProcletLevel(t *testing.T) {
+	envConn, procConn, err := pipe.Pair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := newScriptedManager("proclet_test/Quiet")
+	envelope.Attach("p/0", "p", envConn, mgr)
+	p, err := Start(context.Background(), Options{
+		Conn: procConn, ProcletID: "p/0", Group: "p",
+		Fill: func(impl any, name string, logger *logging.Logger, resolve func(reflect.Type) (any, error)) error {
+			logger.Debug("debug")
+			logger.Info("info")
+			logger.Warn("warn")
+			return nil
+		},
+		ReportInterval: 20 * time.Millisecond,
+		Logger:         logging.New(logging.Options{Min: logging.LevelInfo, Sink: logging.Discard}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Shutdown(nil)
+
+	var got []string
+	for len(got) < 2 {
+		select {
+		case e := <-mgr.logs:
+			got = append(got, e.Msg)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("shipped component logs = %q, want [info warn]", got)
+		}
+	}
+	// Two more report intervals: anything else would have shipped by now.
+	time.Sleep(40 * time.Millisecond)
+	for len(mgr.logs) > 0 {
+		got = append(got, (<-mgr.logs).Msg)
+	}
+	if strings.Join(got, " ") != "info warn" {
+		t.Errorf("shipped component logs = %q, want [info warn]", got)
 	}
 }

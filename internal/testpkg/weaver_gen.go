@@ -846,7 +846,6 @@ func init() {
 		Iface:   reflect.TypeOf((*Mover)(nil)).Elem(),
 		Impl:    reflect.TypeOf(moverImpl{}),
 		Routed:  true,
-		NoRetry: []string{"Deliver"},
 		Methods: []*codegen.MethodSpec{mMoverDeliver},
 		ClientStub: func(conn codegen.Conn) any {
 			return mover_ClientStub{conn: conn, mDeliver: mMoverDeliver}

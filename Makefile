@@ -19,7 +19,10 @@ check: vet lint build race allocs perfbench sim
 # so the server dispatch allocation gate measures what the read loop builds;
 # and the code generator's single front end (DESIGN.md §6): no non-test file
 # in internal/generate imports go/printer, so every type in generated code is
-# spelled from go/types, never from source text.
+# spelled from go/types, never from source text; and a routing push's single
+# entry (DESIGN.md §10): no non-test Go file calls .Balancer().Update( on a
+# conn, so every push goes through DataPlaneConn.UpdateRouting and wakes the
+# calls waiting for a replica.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
@@ -49,6 +52,10 @@ lint:
 	@out=$$(grep -l '"go/printer"' $$(ls internal/generate/*.go | grep -v '_test\.go$$') || true); \
 	if [ -n "$$out" ]; then \
 		echo "go/printer imported by internal/generate (spell types with go/types):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -F '.Balancer().Update(' . || true); \
+	if [ -n "$$out" ]; then \
+		echo "routing push bypasses DataPlaneConn.UpdateRouting (waiting calls would not wake):"; \
 		echo "$$out"; exit 1; fi
 
 build:

@@ -1,8 +1,9 @@
 // Package clock abstracts time for the runtime's scheduling decisions so
 // tests can inject a controlled clock instead of sleeping. The data plane
-// (rpc server delay injection), the resilience layer (replica-wait polling,
-// the hedge-alarm wheel), and the chaos/sim harnesses all draw their timers from a
-// Clock; production code uses Real, deterministic tests use Fake.
+// (rpc server delay injection), the resilience layer (the replica wait's
+// grace, the hedge-alarm wheel), and the chaos/sim harnesses all draw their
+// timers from a Clock; production code uses Real, deterministic tests use
+// Fake.
 //
 // Only *scheduling* time goes through a Clock. Measurements that feed
 // telemetry (latency histograms, breaker windows) intentionally stay on

@@ -62,3 +62,36 @@ func TestLatencyTrackerRecomputeCadence(t *testing.T) {
 		t.Fatal("recompute reallocated the scratch slice")
 	}
 }
+
+// TestAllocsLatencyTracker gates the hedge delay's quantile: a recompute
+// sorts the reused scratch slice in place and allocates nothing. Wired into
+// `make allocs`.
+func TestAllocsLatencyTracker(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	lt := newLatencyTracker()
+	for i := 0; i < len(lt.samples); i++ {
+		lt.add(time.Duration(i) * time.Microsecond)
+	}
+	lt.p99() // sizes the scratch slice
+	d := time.Duration(0)
+	recomputes := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		// 32 inserts cross the recompute threshold, so every p99 re-sorts.
+		for i := 0; i < 32; i++ {
+			d = (d + 7*time.Microsecond) % time.Millisecond
+			lt.add(d)
+		}
+		lt.p99()
+		if lt.sinceCalc == 0 {
+			recomputes++
+		}
+	})
+	if recomputes < 2 {
+		t.Fatalf("%d recomputes measured, want at least 2", recomputes)
+	}
+	if allocs != 0 {
+		t.Errorf("latencyTracker recompute allocates %.1f/op, want 0", allocs)
+	}
+}

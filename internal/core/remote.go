@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,6 +58,11 @@ type DataPlaneConn struct {
 	mu      sync.Mutex
 	clients map[string]*rpc.Client
 
+	// wake is closed by UpdateRouting to wake calls waiting for a replica;
+	// nil until a call finds the replica set empty.
+	wakeMu sync.Mutex
+	wake   chan struct{}
+
 	hedges    atomic.Uint64
 	hedgeWins atomic.Uint64
 
@@ -84,11 +89,13 @@ type ConnOptions struct {
 	DisableHedging bool
 
 	// NoReplicaGrace is how long a call waits for the component's replica
-	// set to become non-empty before failing (default 3s). Tests inject a
-	// short grace so they need not wait out the production default.
+	// set to become non-empty before failing (default 3s). The call re-picks
+	// as soon as UpdateRouting installs a push, so the grace bounds the
+	// wait, it does not pace it. Tests inject a short grace so they need not
+	// wait out the production default.
 	NoReplicaGrace time.Duration
 
-	// Clock supplies the scheduling timers (replica-wait polling, the
+	// Clock supplies the scheduling timers (the replica wait's grace, the
 	// hedge-alarm wheel). Nil means the wall clock.
 	Clock clock.Clock
 
@@ -155,8 +162,8 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 	return c
 }
 
-// Balancer returns the conn's balancer, so deployers can push replica-set
-// and assignment updates into it.
+// Balancer returns the conn's balancer for inspection. Routing pushes go
+// through UpdateRouting, never through the balancer's Update.
 func (c *DataPlaneConn) Balancer() routing.Balancer { return c.balancer }
 
 // BreakerState returns the breaker state for a replica address (closed
@@ -193,30 +200,62 @@ func (c *DataPlaneConn) clientFor(addr string) *rpc.Client {
 	return cl
 }
 
+// UpdateRouting installs a routing push — the component's replica set and,
+// for routed components, its slice assignment — and wakes every call
+// waiting in pickWithGrace for a replica. It is the one way a push reaches
+// the conn's balancer: a push applied around it would leave such callers
+// asleep until NoReplicaGrace ran out.
+func (c *DataPlaneConn) UpdateRouting(replicas []string, assignment *routing.Assignment) {
+	c.balancer.Update(replicas, assignment)
+	// Close only after the balancer has applied the update, so a woken
+	// caller's re-pick sees it.
+	c.wakeMu.Lock()
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
+	c.wakeMu.Unlock()
+}
+
+// routingPushed returns a channel that the next UpdateRouting closes. It is
+// made on demand, so only calls that find the replica set empty pay for it.
+func (c *DataPlaneConn) routingPushed() <-chan struct{} {
+	c.wakeMu.Lock()
+	defer c.wakeMu.Unlock()
+	if c.wake == nil {
+		c.wake = make(chan struct{})
+	}
+	return c.wake
+}
+
 // pickWithGrace chooses a healthy replica, waiting out NoReplicaGrace when
-// the replica set is empty — typically mid-restart after a crash (paper
-// §3.1: replicas "may fail and get restarted") — rather than failing the
-// caller immediately. The wait respects context cancellation.
+// the replica set is empty — on demand start before the first routing push
+// lands, or mid-restart after a crash (paper §3.1: replicas "may fail and
+// get restarted") — rather than failing the caller immediately. The wait
+// re-picks on every routing push and respects context cancellation.
 func (c *DataPlaneConn) pickWithGrace(ctx context.Context, shard uint64, hasShard bool) (string, error) {
 	addr, err := c.pick.Pick(shard, hasShard)
 	if !errors.Is(err, routing.ErrNoReplicas) {
 		return addr, err
 	}
-	poll := 20 * time.Millisecond
-	if c.opts.NoReplicaGrace < 5*poll {
-		poll = c.opts.NoReplicaGrace / 5
-	}
-	clk := c.opts.Clock
-	waitUntil := clk.Now().Add(c.opts.NoReplicaGrace)
-	for err != nil && clk.Now().Before(waitUntil) {
+	grace := c.opts.Clock.NewTimer(c.opts.NoReplicaGrace)
+	defer grace.Stop()
+	for {
+		// Take the wake channel before re-picking: a push that lands after
+		// the pick closes this channel, so no push goes unnoticed.
+		pushed := c.routingPushed()
+		addr, err = c.pick.Pick(shard, hasShard)
+		if !errors.Is(err, routing.ErrNoReplicas) {
+			return addr, err
+		}
 		select {
 		case <-ctx.Done():
 			return "", ctx.Err()
-		case <-clk.After(poll):
+		case <-grace.C():
+			return "", err
+		case <-pushed:
 		}
-		addr, err = c.pick.Pick(shard, hasShard)
 	}
-	return addr, err
 }
 
 // hedgeDelay returns the delay after which an idempotent call is hedged,
@@ -327,7 +366,7 @@ func (t *latencyTracker) p99() time.Duration {
 		}
 		tmp := t.scratch[:size]
 		copy(tmp, t.samples[:size])
-		sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+		slices.Sort(tmp)
 		t.cached = tmp[(size*99)/100]
 	}
 	return t.cached

@@ -503,8 +503,9 @@ func newRouteState(component string, routed bool, tracer *tracing.Recorder) *rou
 // configs where two groups' components reference each other — each group
 // would sit in component init waiting for the other group's routing, and
 // neither would reach RegisterReplica. Early calls instead wait inside the
-// conn (DataPlaneConn.pickReplica polls out NoReplicaGrace) while the
-// manager spins the component up and routing propagates.
+// conn, for at most NoReplicaGrace, while the manager spins the component
+// up; the routing push that names its first replica wakes them
+// (DataPlaneConn.UpdateRouting).
 func (p *Proclet) remoteConn(reg *codegen.Registration) (codegen.Conn, error) {
 	p.mu.Lock()
 	rs, ok := p.routes[reg.Name]
@@ -575,7 +576,7 @@ func (p *Proclet) updateRouting(ri *pipe.RoutingInfo) {
 	rs.version = ri.Version
 	p.mu.Unlock()
 
-	rs.conn.Balancer().Update(ri.Replicas, ri.Assignment)
+	rs.conn.UpdateRouting(ri.Replicas, ri.Assignment)
 	// Publish the applied epoch and replica count only after the balancer
 	// has applied the update, so RoutingVersion and RoutingReplicas never
 	// run ahead of what Pick sees.

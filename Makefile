@@ -22,7 +22,9 @@ check: vet lint build race allocs perfbench sim
 # spelled from go/types, never from source text; and a routing push's single
 # entry (DESIGN.md §10): no non-test Go file calls .Balancer().Update( on a
 # conn, so every push goes through DataPlaneConn.UpdateRouting and wakes the
-# calls waiting for a replica.
+# calls waiting for a replica; and the circuit breaker's single time source
+# (DESIGN.md §8): internal/rpc/breaker.go never calls time.Now, so windows
+# and cooldowns read the conn's injected clock.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
@@ -56,6 +58,10 @@ lint:
 	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -F '.Balancer().Update(' . || true); \
 	if [ -n "$$out" ]; then \
 		echo "routing push bypasses DataPlaneConn.UpdateRouting (waiting calls would not wake):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -n 'time\.Now' internal/rpc/breaker.go || true); \
+	if [ -n "$$out" ]; then \
+		echo "internal/rpc/breaker.go reads the wall clock (use its clock.Clock):"; \
 		echo "$$out"; exit 1; fi
 
 build:

@@ -37,6 +37,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/boutique"
 	"repro/internal/callgraph"
+	"repro/internal/deploy"
 	"repro/internal/envelope"
 	"repro/internal/loadgen"
 	"repro/internal/logging"
@@ -290,7 +291,7 @@ func measureBaseline(baselineBin string, rate float64, duration time.Duration) (
 
 func measureWeaverMulti(boutiqueBin string, rate float64, duration time.Duration) (localResult, error) {
 	const httpAddr = "127.0.0.1:19098"
-	inventory, err := describeBinary(boutiqueBin)
+	inventory, err := deploy.DescribeBinary(boutiqueBin)
 	if err != nil {
 		return localResult{}, err
 	}
@@ -353,26 +354,6 @@ func measureColocated(boutiqueBin string, rate float64, duration time.Duration) 
 		return localResult{}, err
 	}
 	return localResult{name: "prototype co-located", report: report, cores: cores}, nil
-}
-
-func describeBinary(binary string) ([]manager.ComponentInfo, error) {
-	cmd := exec.Command(binary)
-	cmd.Env = append(os.Environ(), "WEAVER_DESCRIBE=1")
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("describing %s: %w", binary, err)
-	}
-	var inventory []manager.ComponentInfo
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 {
-			inventory = append(inventory, manager.ComponentInfo{Name: fields[0], Routed: fields[1] == "true"})
-		}
-	}
-	if len(inventory) == 0 {
-		return nil, fmt.Errorf("no components reported")
-	}
-	return inventory, nil
 }
 
 // --- Experiment A5: rollouts ---

@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"sort"
 	"strings"
@@ -44,6 +43,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/core"
 	"repro/internal/dashboard"
+	"repro/internal/deploy"
 	"repro/internal/envelope"
 	"repro/internal/generate"
 	"repro/internal/logging"
@@ -69,7 +69,7 @@ func main() {
 		if len(os.Args) != 3 {
 			usage()
 		}
-		inventory, err := describeBinary(os.Args[2])
+		inventory, err := deploy.DescribeBinary(os.Args[2])
 		if err != nil {
 			fatal(err)
 		}
@@ -102,30 +102,6 @@ func usage() {
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "weaver: %v\n", err)
 	os.Exit(1)
-}
-
-// describeBinary asks an application binary for its component inventory by
-// running it with WEAVER_DESCRIBE=1 (the code generator has registered
-// every component by init time, so the binary can introspect itself).
-func describeBinary(binary string) ([]manager.ComponentInfo, error) {
-	cmd := exec.Command(binary)
-	cmd.Env = append(os.Environ(), "WEAVER_DESCRIBE=1")
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("describing %s: %w", binary, err)
-	}
-	var inventory []manager.ComponentInfo
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		inventory = append(inventory, manager.ComponentInfo{Name: fields[0], Routed: fields[1] == "true"})
-	}
-	if len(inventory) == 0 {
-		return nil, fmt.Errorf("%s reports no components (did you run weavergen?)", binary)
-	}
-	return inventory, nil
 }
 
 // resolveComponents maps component short names to full names.
@@ -173,7 +149,7 @@ func multiRun(args []string) {
 	binary := fs.Arg(0)
 	binArgs := fs.Args()[1:]
 
-	inventory, err := describeBinary(binary)
+	inventory, err := deploy.DescribeBinary(binary)
 	if err != nil {
 		fatal(err)
 	}

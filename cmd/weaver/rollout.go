@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
+	"repro/internal/deploy"
 	"repro/internal/envelope"
 	"repro/internal/logging"
 	"repro/internal/manager"
@@ -102,7 +103,7 @@ func rolloutRun(args []string) {
 
 // deployVersion stands up one complete deployment of a binary.
 func deployVersion(binary, version, listenerName, httpAddr string, maxReplicas int, logger *logging.Logger) (*manager.Manager, error) {
-	inventory, err := describeBinary(binary)
+	inventory, err := deploy.DescribeBinary(binary)
 	if err != nil {
 		return nil, err
 	}

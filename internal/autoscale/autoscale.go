@@ -23,11 +23,11 @@ type Config struct {
 	// ScaleDownDelay is how long load must remain below the scale-down
 	// threshold before replicas are removed. Scale-ups are immediate.
 	ScaleDownDelay time.Duration
-	// Tolerance suppresses scaling when the desired count is within
-	// ±Tolerance (fraction) of current capacity, mirroring the HPA's 10%
-	// dead band. Defaults to 0.1.
-	Tolerance float64
 }
+
+// tolerance suppresses scaling when the desired count is within ±tolerance
+// (fraction) of current capacity, mirroring the HPA's 10% dead band.
+const tolerance = 0.1
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -45,9 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ScaleDownDelay <= 0 {
 		c.ScaleDownDelay = 30 * time.Second
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 0.1
 	}
 	return c
 }
@@ -87,7 +84,7 @@ func (a *Autoscaler) Desired(current int, totalLoad float64, now time.Time) int 
 	capacity := float64(current) * a.cfg.TargetLoadPerReplica
 	if capacity > 0 {
 		ratio := totalLoad / capacity
-		if ratio > 1-a.cfg.Tolerance && ratio < 1+a.cfg.Tolerance {
+		if ratio > 1-tolerance && ratio < 1+tolerance {
 			a.lowSince = time.Time{}
 			a.lastDesired = current
 			return current

@@ -44,10 +44,14 @@ func TestScaleDownCanceledBySpike(t *testing.T) {
 }
 
 func TestDeadBand(t *testing.T) {
-	a := New(Config{MinReplicas: 1, MaxReplicas: 10, TargetLoadPerReplica: 100, Tolerance: 0.1})
+	a := New(Config{MinReplicas: 1, MaxReplicas: 10, TargetLoadPerReplica: 100})
 	// 4 replicas, load 410: ratio 1.025 is inside the ±10% band -> hold.
 	if got := a.Desired(4, 410, t0); got != 4 {
 		t.Errorf("dead band: desired = %d", got)
+	}
+	// Load 450: ratio 1.125 is outside the band -> scale up to 5.
+	if got := a.Desired(4, 450, t0); got != 5 {
+		t.Errorf("outside dead band: desired = %d, want 5", got)
 	}
 }
 

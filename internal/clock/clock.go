@@ -1,14 +1,13 @@
 // Package clock abstracts time for the runtime's scheduling decisions so
 // tests can inject a controlled clock instead of sleeping. The data plane
 // (rpc server delay injection), the resilience layer (the replica wait's
-// grace, the hedge-alarm wheel), and the chaos/sim harnesses all draw their
-// timers from a Clock; production code uses Real, deterministic tests use
-// Fake.
+// grace, the circuit breakers' windows and cooldowns, the hedge-alarm
+// wheel), and the chaos/sim harnesses all draw their time from a Clock;
+// production code uses Real, deterministic tests use Fake.
 //
-// Only *scheduling* time goes through a Clock. Measurements that feed
-// telemetry (latency histograms, breaker windows) intentionally stay on
-// real time: they describe what actually happened, not what should happen
-// next.
+// Only time that decides what happens next goes through a Clock.
+// Measurements that feed telemetry (latency histograms) intentionally stay
+// on real time: they describe what actually happened.
 package clock
 
 import (

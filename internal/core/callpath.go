@@ -104,7 +104,7 @@ func (m *callMeta) callOptions(hedge bool) rpc.CallOptions {
 }
 
 // retry owns the attempt loop: per attempt it picks a replica
-// (waiting out NoReplicaGrace when the set is empty, preferring replicas
+// (waiting out noReplicaGrace when the set is empty, preferring replicas
 // not yet tried) and classifies failures. Server sheds and unavailable
 // replies never executed, so they draw on a budget separate from
 // executing attempts — which at-most-once methods get exactly one of.

@@ -73,13 +73,12 @@ type DataPlaneConn struct {
 	mUnavail   *metrics.Counter
 }
 
-// ConnOptions configures a DataPlaneConn.
+// ConnOptions configures a DataPlaneConn. The breaker's tuning and the
+// replica wait's grace are fixed (rpc's breaker constants and
+// noReplicaGrace); both read time from Clock.
 type ConnOptions struct {
 	// Client configures the per-replica rpc clients.
 	Client rpc.ClientOptions
-
-	// Breaker tunes the per-replica circuit breakers.
-	Breaker rpc.BreakerOptions
 
 	// HedgeAfter is the fixed delay before an idempotent call is hedged to
 	// a second replica. Zero selects an adaptive delay: the rolling p99 of
@@ -88,21 +87,24 @@ type ConnOptions struct {
 	// DisableHedging turns hedging off entirely.
 	DisableHedging bool
 
-	// NoReplicaGrace is how long a call waits for the component's replica
-	// set to become non-empty before failing (default 3s). The call re-picks
-	// as soon as UpdateRouting installs a push, so the grace bounds the
-	// wait, it does not pace it. Tests inject a short grace so they need not
-	// wait out the production default.
-	NoReplicaGrace time.Duration
-
-	// Clock supplies the scheduling timers (the replica wait's grace, the
-	// hedge-alarm wheel). Nil means the wall clock.
+	// Clock supplies the conn's time: the replica wait's grace, the
+	// breakers' windows and cooldowns, and the hedge-alarm wheel. Nil
+	// means the wall clock. Tests inject a Fake and advance it rather than
+	// wait out the grace or a cooldown.
 	Clock clock.Clock
 
 	// Tracer, when set, records spans for hedge-race legs that lose after
 	// the call is decided (so traces show the canceled duplicate).
 	Tracer *tracing.Recorder
 }
+
+// noReplicaGrace is how long a call waits for the component's replica set
+// to become non-empty before failing with routing.ErrNoReplicas. It is
+// generous because the manager may be spawning the component's very first
+// replica (in a subprocess deployment that includes an exec). The call
+// re-picks as soon as UpdateRouting installs a push, so the grace bounds
+// the wait; it does not pace it.
+const noReplicaGrace = 15 * time.Second
 
 // transportAttempts is the attempt budget for transport-level failures,
 // and separately for attempts the server refused without executing.
@@ -111,9 +113,6 @@ type ConnOptions struct {
 const transportAttempts = 3
 
 func (o *ConnOptions) fill() {
-	if o.NoReplicaGrace <= 0 {
-		o.NoReplicaGrace = 3 * time.Second
-	}
 	o.Clock = clock.Or(o.Clock)
 	if o.Client.Clock == nil {
 		// The rpc client's own timers (ping timeout) follow the conn's
@@ -154,8 +153,7 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 			c.methodIDs[i] = rpc.ComponentMethodKey(component, m.Name)
 		}
 	}
-	c.breakers = rpc.NewBreakerGroup(opts.Breaker)
-	c.breakers.SetProbe(func(ctx context.Context, addr string) error {
+	c.breakers = rpc.NewBreakerGroup(opts.Clock, func(ctx context.Context, addr string) error {
 		return c.clientFor(addr).Ping(ctx)
 	})
 	c.pick = routing.NewHealthAware(balancer, c.breakers.Healthy)
@@ -204,7 +202,7 @@ func (c *DataPlaneConn) clientFor(addr string) *rpc.Client {
 // for routed components, its slice assignment — and wakes every call
 // waiting in pickWithGrace for a replica. It is the one way a push reaches
 // the conn's balancer: a push applied around it would leave such callers
-// asleep until NoReplicaGrace ran out.
+// asleep until noReplicaGrace ran out.
 func (c *DataPlaneConn) UpdateRouting(replicas []string, assignment *routing.Assignment) {
 	c.balancer.Update(replicas, assignment)
 	// Close only after the balancer has applied the update, so a woken
@@ -228,7 +226,7 @@ func (c *DataPlaneConn) routingPushed() <-chan struct{} {
 	return c.wake
 }
 
-// pickWithGrace chooses a healthy replica, waiting out NoReplicaGrace when
+// pickWithGrace chooses a healthy replica, waiting out noReplicaGrace when
 // the replica set is empty — on demand start before the first routing push
 // lands, or mid-restart after a crash (paper §3.1: replicas "may fail and
 // get restarted") — rather than failing the caller immediately. The wait
@@ -238,7 +236,7 @@ func (c *DataPlaneConn) pickWithGrace(ctx context.Context, shard uint64, hasShar
 	if !errors.Is(err, routing.ErrNoReplicas) {
 		return addr, err
 	}
-	grace := c.opts.Clock.NewTimer(c.opts.NoReplicaGrace)
+	grace := c.opts.Clock.NewTimer(noReplicaGrace)
 	defer grace.Stop()
 	for {
 		// Take the wake channel before re-picking: a push that lands after

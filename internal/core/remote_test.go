@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/codegen"
 	"repro/internal/routing"
@@ -124,44 +125,61 @@ func TestRetriesPreferUntriedReplicas(t *testing.T) {
 	}
 }
 
-func TestNoReplicaGraceInjectable(t *testing.T) {
-	conn := NewDataPlaneConnWith("grace_test/C", routing.NewRoundRobin(),
-		ConnOptions{NoReplicaGrace: 80 * time.Millisecond, DisableHedging: true})
+func TestNoReplicaGraceIsFifteenSeconds(t *testing.T) {
+	// A call to a component with no replica waits 15 s of the conn's clock
+	// for a routing push, then fails. The fake clock moves only when the
+	// test advances it.
+	const component = "grace_test/C"
+	clk := clock.NewFake()
+	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
+		ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
-	var args, res emptyMsg
-	start := time.Now()
-	err := conn.Invoke(context.Background(), "grace_test/C", emptySpec(false), &args, &res, 0, false)
-	elapsed := time.Since(start)
-	if !errors.Is(err, routing.ErrNoReplicas) {
-		t.Fatalf("err = %v, want ErrNoReplicas", err)
+	done := invokeAsync(conn, component)
+	eventually(t, "the call to arm its grace timer", func() bool { return clk.Waiting() == 1 })
+	clk.Advance(15*time.Second - time.Nanosecond)
+	if got := clk.Waiting(); got != 1 {
+		t.Fatalf("%d fake timers pending at 15s - 1ns, want the call's grace timer", got)
 	}
-	if elapsed < 60*time.Millisecond {
-		t.Errorf("failed after %v; grace period not honored", elapsed)
+	select {
+	case err := <-done:
+		t.Fatalf("call returned %v before its 15s grace elapsed", err)
+	case <-time.After(10 * time.Millisecond):
 	}
-	if elapsed > time.Second {
-		t.Errorf("failed after %v; injected 80ms grace not applied", elapsed)
+	clk.Advance(time.Nanosecond)
+	select {
+	case err := <-done:
+		if !errors.Is(err, routing.ErrNoReplicas) {
+			t.Fatalf("err = %v, want ErrNoReplicas", err)
+		}
+	case <-time.After(wallBound):
+		t.Fatal("call still waiting after its 15s grace elapsed")
 	}
 }
 
 func TestNoReplicaGraceRespectsCancellation(t *testing.T) {
-	conn := NewDataPlaneConnWith("grace_cancel/C", routing.NewRoundRobin(),
-		ConnOptions{NoReplicaGrace: 5 * time.Second, DisableHedging: true})
+	// The fake clock never moves, so only the cancellation can end the wait.
+	const component = "grace_cancel/C"
+	clk := clock.NewFake()
+	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
+		ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
 	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
+		var args, res emptyMsg
+		done <- conn.Invoke(ctx, component, emptySpec(false), &args, &res, 0, false)
 	}()
-	var args, res emptyMsg
-	start := time.Now()
-	err := conn.Invoke(ctx, "grace_cancel/C", emptySpec(false), &args, &res, 0, false)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("cancellation took %v to unblock the grace wait", elapsed)
+	eventually(t, "the call to arm its grace timer", func() bool { return clk.Waiting() == 1 })
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(wallBound):
+		t.Fatalf("call still waiting %v after its ctx was canceled", wallBound)
 	}
 }
 
@@ -176,24 +194,28 @@ func (c lateCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 
 func TestNoAttemptStartsPastDeadline(t *testing.T) {
 	// An attempt sent with no time left can only expire, and its expiry
-	// must not be charged to the replica it happened to pick.
+	// must not be charged to the replica it happened to pick. Enough late
+	// calls are made to trip the breaker if each charged the replica.
 	const component = "late_test/C"
+	const lateCalls = 16
 	_, addr, calls := startCounting(t, component, rpc.ServerOptions{})
 	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(addr),
-		ConnOptions{DisableHedging: true, Breaker: rpc.BreakerOptions{MinSamples: 1}})
+		ConnOptions{DisableHedging: true})
 	defer conn.Close()
 
 	ctx := lateCtx{Context: context.Background(), deadline: time.Now().Add(-time.Millisecond)}
-	var args, res emptyMsg
-	err := conn.Invoke(ctx, component, emptySpec(false), &args, &res, 0, false)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("call past its deadline = %v, want context.DeadlineExceeded", err)
+	for i := 0; i < lateCalls; i++ {
+		var args, res emptyMsg
+		err := conn.Invoke(ctx, component, emptySpec(false), &args, &res, 0, false)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d past its deadline = %v, want context.DeadlineExceeded", i, err)
+		}
 	}
 	if got := calls.Load(); got != 0 {
 		t.Errorf("replica executed %d calls past the deadline", got)
 	}
 	if got := conn.BreakerState(addr); got != rpc.BreakerClosed {
-		t.Errorf("breaker = %v after a call that never reached the replica, want closed", got)
+		t.Errorf("breaker = %v after %d calls that never reached the replica, want closed", got, lateCalls)
 	}
 }
 
@@ -203,15 +225,11 @@ func TestBreakerRoutesAroundSlowReplica(t *testing.T) {
 	_, fastAddr, _ := startCounting(t, component, rpc.ServerOptions{})
 	slowSrv.SetDelay(150 * time.Millisecond)
 
+	// The breakers read the fake clock, so the cooldown ends only when the
+	// test advances it.
+	clk := clock.NewFake()
 	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(slowAddr, fastAddr),
-		ConnOptions{
-			DisableHedging: true,
-			Breaker: rpc.BreakerOptions{
-				MinSamples: 2,
-				Threshold:  0.5,
-				Cooldown:   500 * time.Millisecond,
-			},
-		})
+		ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
 	spec := emptySpec(false)
@@ -240,8 +258,22 @@ func TestBreakerRoutesAroundSlowReplica(t *testing.T) {
 		}
 	}
 
-	// Heal the replica; the background Ping probe must close the breaker.
+	// The cooldown runs on the conn's clock: a second of wall time does not
+	// end it while the fake clock stands still.
+	time.Sleep(time.Second)
+	for i := 0; i < 4; i++ {
+		if err := invoke(50 * time.Millisecond); err != nil {
+			t.Fatalf("call %d failed while slow replica quarantined: %v", i, err)
+		}
+	}
+	if got := conn.BreakerState(slowAddr); got != rpc.BreakerOpen {
+		t.Fatalf("breaker = %v after a second of wall time on a stopped clock, want open", got)
+	}
+
+	// Heal the replica and end the cooldown; the background Ping probe
+	// must close the breaker.
 	slowSrv.SetDelay(0)
+	clk.Advance(time.Minute)
 	before := slowCalls.Load()
 	deadline = time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) && conn.BreakerState(slowAddr) != rpc.BreakerClosed {

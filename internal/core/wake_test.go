@@ -58,7 +58,7 @@ func TestRoutingPushWakesWaitingCall(t *testing.T) {
 	_, addr, calls := startCounting(t, component, rpc.ServerOptions{})
 	clk := clock.NewFake()
 	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{NoReplicaGrace: time.Minute, DisableHedging: true, Clock: clk})
+		ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
 	done := invokeAsync(conn, component)
@@ -84,11 +84,10 @@ func TestEmptyRoutingPushRewaits(t *testing.T) {
 	// A push that leaves the set empty wakes the waiter, which re-picks,
 	// finds nothing and waits again on the same grace deadline.
 	const component = "wake_empty/C"
-	const grace = time.Second
 	clk := clock.NewFake()
 	bal := &countingBalancer{Balancer: routing.NewRoundRobin()}
 	conn := NewDataPlaneConnWith(component, bal,
-		ConnOptions{NoReplicaGrace: grace, DisableHedging: true, Clock: clk})
+		ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
 	done := invokeAsync(conn, component)
@@ -106,7 +105,7 @@ func TestEmptyRoutingPushRewaits(t *testing.T) {
 	if got := clk.Waiting(); got != 1 {
 		t.Errorf("%d fake timers pending after the re-wait, want the one grace timer", got)
 	}
-	clk.Advance(grace)
+	clk.Advance(noReplicaGrace)
 	select {
 	case err := <-done:
 		if !errors.Is(err, routing.ErrNoReplicas) {
@@ -125,7 +124,7 @@ func TestConcurrentWaitersRacePushes(t *testing.T) {
 	_, addr, calls := startCounting(t, component, rpc.ServerOptions{})
 	clk := clock.NewFake() // never advanced: a lost wake-up hangs the test
 	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{NoReplicaGrace: time.Minute, DisableHedging: true, Clock: clk})
+		ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
 	start := make(chan struct{})

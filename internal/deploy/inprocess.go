@@ -14,7 +14,10 @@ package deploy
 import (
 	"context"
 	"fmt"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,6 +75,29 @@ func Inventory() []manager.ComponentInfo {
 	return out
 }
 
+// DescribeBinary asks an application binary for its component inventory by
+// running it with WEAVER_DESCRIBE=1: the code generator has registered every
+// component by init time, so the binary prints one "name routed" line per
+// component and exits.
+func DescribeBinary(binary string) ([]manager.ComponentInfo, error) {
+	cmd := exec.Command(binary)
+	cmd.Env = append(os.Environ(), "WEAVER_DESCRIBE=1")
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("describing %s: %w", binary, err)
+	}
+	var inventory []manager.ComponentInfo
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if fields := strings.Fields(line); len(fields) == 2 {
+			inventory = append(inventory, manager.ComponentInfo{Name: fields[0], Routed: fields[1] == "true"})
+		}
+	}
+	if len(inventory) == 0 {
+		return nil, fmt.Errorf("%s reports no components (did you run weavergen?)", binary)
+	}
+	return inventory, nil
+}
+
 // InProcess is a running in-process deployment.
 type InProcess struct {
 	Manager *manager.Manager
@@ -85,6 +111,11 @@ type InProcess struct {
 
 	mu       sync.Mutex
 	proclets map[string]*proclet.Proclet
+	// starting holds the replicas whose proclet.Start has not returned.
+	// A proclet registers with the manager, and so serves calls, before
+	// Start returns it; lookups wait on started until it is recorded.
+	starting map[string]bool
+	started  *sync.Cond
 }
 
 // Options configures an in-process deployment.
@@ -116,7 +147,8 @@ func StartInProcess(ctx context.Context, opts Options) (*InProcess, error) {
 		opts.Config.Version = "v1"
 	}
 
-	d := &InProcess{proclets: map[string]*proclet.Proclet{}, ref: &managerRef{}}
+	d := &InProcess{proclets: map[string]*proclet.Proclet{}, starting: map[string]bool{}, ref: &managerRef{}}
+	d.started = sync.NewCond(&d.mu)
 
 	startProclet := func(ctx context.Context, group, id string, _ envelope.Manager) (*envelope.Envelope, *proclet.Proclet, error) {
 		envConn, procConn, err := pipe.Pair()
@@ -126,6 +158,9 @@ func StartInProcess(ctx context.Context, opts Options) (*InProcess, error) {
 		// Envelopes talk to the manager through the ref, so a manager
 		// rebuild repoints them without re-attaching.
 		e := envelope.Attach(id, group, envConn, d.ref)
+		d.mu.Lock()
+		d.starting[id] = true
+		d.mu.Unlock()
 		p, err := proclet.Start(ctx, proclet.Options{
 			Conn:           procConn,
 			ProcletID:      id,
@@ -140,14 +175,18 @@ func StartInProcess(ctx context.Context, opts Options) (*InProcess, error) {
 
 			BypassAssignmentDispatch: opts.BypassAssignmentDispatch,
 		})
+		d.mu.Lock()
+		delete(d.starting, id)
+		if err == nil {
+			d.proclets[id] = p
+		}
+		d.started.Broadcast()
+		d.mu.Unlock()
 		if err != nil {
 			envConn.Close()
 			procConn.Close()
 			return nil, nil, err
 		}
-		d.mu.Lock()
-		d.proclets[id] = p
-		d.mu.Unlock()
 		return e, p, nil
 	}
 
@@ -218,6 +257,15 @@ func (d *InProcess) RoutingVersion(component string) uint64 {
 func (d *InProcess) Proclet(id string) (*proclet.Proclet, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.procletLocked(id)
+}
+
+// procletLocked returns the proclet for a replica id, waiting out its
+// start if one is in progress. Caller holds d.mu.
+func (d *InProcess) procletLocked(id string) (*proclet.Proclet, bool) {
+	for d.starting[id] {
+		d.started.Wait()
+	}
 	p, ok := d.proclets[id]
 	return p, ok
 }
@@ -266,7 +314,7 @@ func (d *InProcess) GroupReplicas(group string) []string {
 // false if the replica does not exist.
 func (d *InProcess) DegradeReplica(id string, delay time.Duration) bool {
 	d.mu.Lock()
-	p, ok := d.proclets[id]
+	p, ok := d.procletLocked(id)
 	d.mu.Unlock()
 	if !ok {
 		return false
@@ -281,7 +329,7 @@ func (d *InProcess) DegradeReplica(id string, delay time.Duration) bool {
 // exist.
 func (d *InProcess) DegradeBatching(id string, stall time.Duration) bool {
 	d.mu.Lock()
-	p, ok := d.proclets[id]
+	p, ok := d.procletLocked(id)
 	d.mu.Unlock()
 	if !ok {
 		return false
@@ -296,7 +344,7 @@ func (d *InProcess) DegradeBatching(id string, stall time.Duration) bool {
 // returns false if the replica does not exist.
 func (d *InProcess) StallReads(id string, stall time.Duration) bool {
 	d.mu.Lock()
-	p, ok := d.proclets[id]
+	p, ok := d.procletLocked(id)
 	d.mu.Unlock()
 	if !ok {
 		return false
@@ -310,7 +358,7 @@ func (d *InProcess) StallReads(id string, stall time.Duration) bool {
 // replica does not exist.
 func (d *InProcess) KillReplica(id string) bool {
 	d.mu.Lock()
-	p, ok := d.proclets[id]
+	p, ok := d.procletLocked(id)
 	if ok {
 		delete(d.proclets, id)
 	}

@@ -22,13 +22,6 @@ type Config struct {
 	// the practical limits on process size: fault-isolation blast radius
 	// and per-process resource ceilings.
 	MaxGroupSize int
-	// MaxGroups caps the number of groups (0 = unlimited). Merging stops
-	// once the plan has at most this many groups and no mandatory merges
-	// remain.
-	MaxGroups int
-	// MinCalls is the minimum inter-group call volume worth merging for
-	// (default 1): pairs chattier than this are colocation candidates.
-	MinCalls uint64
 }
 
 // Plan computes a colocation plan for the components in g. The result maps
@@ -37,9 +30,6 @@ type Config struct {
 func Plan(g *callgraph.Graph, cfg Config) map[string][]string {
 	if cfg.MaxGroupSize <= 0 {
 		cfg.MaxGroupSize = 4
-	}
-	if cfg.MinCalls == 0 {
-		cfg.MinCalls = 1
 	}
 
 	components := g.Components()
@@ -73,7 +63,6 @@ func Plan(g *callgraph.Graph, cfg Config) map[string][]string {
 		traffic[pairKey{a, b}] += e.Calls
 	}
 
-	groupsCount := len(components)
 	for {
 		// Find the heaviest mergeable pair of current groups.
 		agg := map[pairKey]uint64{}
@@ -98,9 +87,6 @@ func Plan(g *callgraph.Graph, cfg Config) map[string][]string {
 		})
 		for _, k := range keys {
 			calls := agg[k]
-			if calls < cfg.MinCalls {
-				continue
-			}
 			if size[k[0]]+size[k[1]] > cfg.MaxGroupSize {
 				continue
 			}
@@ -109,15 +95,12 @@ func Plan(g *callgraph.Graph, cfg Config) map[string][]string {
 			}
 		}
 		if bestCalls == 0 {
-			break
-		}
-		if cfg.MaxGroups > 0 && groupsCount <= cfg.MaxGroups {
+			// Every remaining pair is too big to merge or never calls.
 			break
 		}
 		// Merge.
 		parent[best[1]] = best[0]
 		size[best[0]] += size[best[1]]
-		groupsCount--
 	}
 
 	// Materialize groups with stable names.

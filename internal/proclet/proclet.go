@@ -470,12 +470,6 @@ func (p *Proclet) unhostComponent(component string, version uint64) error {
 // the loopback interface.
 const listenAddr = "127.0.0.1:0"
 
-// procletNoReplicaGrace is how long a proclet's data-plane calls wait for a
-// cold component's replica set to become non-empty. It is generous because
-// the manager may be spawning the component's very first replica (in a
-// subprocess deployment that includes an exec).
-const procletNoReplicaGrace = 15 * time.Second
-
 // newRouteState builds the client-side routing state for one component.
 // The proclet's span recorder is handed to the conn so hedge-loser spans
 // land in the same export stream as served-call spans.
@@ -489,8 +483,7 @@ func newRouteState(component string, routed bool, tracer *tracing.Recorder) *rou
 	return &routeState{
 		conn: core.NewDataPlaneConnWith(component, bal, core.ConnOptions{
 			// NumConns zero: stripe each peer min(4, GOMAXPROCS) wide.
-			NoReplicaGrace: procletNoReplicaGrace,
-			Tracer:         tracer,
+			Tracer: tracer,
 		}),
 	}
 }
@@ -503,7 +496,7 @@ func newRouteState(component string, routed bool, tracer *tracing.Recorder) *rou
 // configs where two groups' components reference each other — each group
 // would sit in component init waiting for the other group's routing, and
 // neither would reach RegisterReplica. Early calls instead wait inside the
-// conn, for at most NoReplicaGrace, while the manager spins the component
+// conn, for at most the conn's 15 s grace, while the manager spins the component
 // up; the routing push that names its first replica wakes them
 // (DataPlaneConn.UpdateRouting).
 func (p *Proclet) remoteConn(reg *codegen.Registration) (codegen.Conn, error) {

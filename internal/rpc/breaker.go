@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 )
 
@@ -44,47 +45,24 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerOptions tunes the breaker state machine.
-type BreakerOptions struct {
-	// Window is the rolling window over which failures are counted
-	// (default 5s). Outcomes older than the window are forgotten.
-	Window time.Duration
-	// Buckets is the window's subdivision granularity (default 5).
-	Buckets int
-	// Threshold is the failure fraction within the window that trips the
-	// breaker open (default 0.5).
-	Threshold float64
-	// MinSamples is the minimum number of outcomes in the window before
-	// the threshold applies (default 8), so one early failure cannot trip
-	// a cold breaker.
-	MinSamples int
-	// Cooldown is how long the breaker stays open before a half-open
-	// probe is attempted (default 1s).
-	Cooldown time.Duration
-	// now overrides the clock in tests.
-	now func() time.Time
-}
-
-func (o *BreakerOptions) fill() {
-	if o.Window <= 0 {
-		o.Window = 5 * time.Second
-	}
-	if o.Buckets <= 0 {
-		o.Buckets = 5
-	}
-	if o.Threshold <= 0 {
-		o.Threshold = 0.5
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 8
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = time.Second
-	}
-	if o.now == nil {
-		o.now = time.Now
-	}
-}
+// Breaker tuning. Every deployment runs with these values.
+const (
+	// breakerWindow is the rolling window over which outcomes are counted;
+	// outcomes older than the window are forgotten.
+	breakerWindow = 5 * time.Second
+	// breakerBuckets is the window's subdivision granularity.
+	breakerBuckets = 5
+	// breakerThreshold is the failure fraction within the window that trips
+	// the breaker open.
+	breakerThreshold = 0.5
+	// breakerMinSamples is the minimum number of outcomes in the window
+	// before the threshold applies, so one early failure cannot trip a cold
+	// breaker.
+	breakerMinSamples = 8
+	// breakerCooldown is how long the breaker stays open before a half-open
+	// probe is attempted. It also bounds the probe itself.
+	breakerCooldown = time.Second
+)
 
 // breakerBucket accumulates outcomes for one time slice of the window.
 type breakerBucket struct {
@@ -93,22 +71,22 @@ type breakerBucket struct {
 }
 
 // A Breaker tracks one replica's recent call outcomes in a rolling window
-// and trips open when the failure fraction exceeds the threshold.
+// and trips open when the failure fraction reaches the threshold. It reads
+// time only from its clock.
 type Breaker struct {
-	opts BreakerOptions
+	clk clock.Clock
 
 	mu       sync.Mutex
 	state    BreakerState
 	openedAt time.Time
 	probing  bool // a half-open probe is in flight
-	buckets  []breakerBucket
+	buckets  [breakerBuckets]breakerBucket
 	cur      int
 }
 
-// NewBreaker returns a closed breaker.
-func NewBreaker(opts BreakerOptions) *Breaker {
-	opts.fill()
-	return &Breaker{opts: opts, buckets: make([]breakerBucket, opts.Buckets)}
+// NewBreaker returns a closed breaker that reads time from clk.
+func NewBreaker(clk clock.Clock) *Breaker {
+	return &Breaker{clk: clk}
 }
 
 // State returns the current state without advancing it.
@@ -121,17 +99,17 @@ func (b *Breaker) State() BreakerState {
 // rotateLocked advances the bucket ring so that the current bucket covers
 // now, zeroing buckets that fell out of the window.
 func (b *Breaker) rotateLocked(now time.Time) {
-	span := b.opts.Window / time.Duration(len(b.buckets))
+	const span = breakerWindow / breakerBuckets
 	cur := &b.buckets[b.cur]
 	if cur.start.IsZero() {
 		cur.start = now
 		return
 	}
 	for now.Sub(b.buckets[b.cur].start) >= span {
-		next := (b.cur + 1) % len(b.buckets)
+		next := (b.cur + 1) % breakerBuckets
 		b.buckets[next] = breakerBucket{start: b.buckets[b.cur].start.Add(span)}
 		b.cur = next
-		if b.buckets[b.cur].start.Add(b.opts.Window).Before(now) {
+		if b.buckets[b.cur].start.Add(breakerWindow).Before(now) {
 			// Far behind (idle period): restart the window at now.
 			b.buckets[b.cur].start = now
 		}
@@ -140,8 +118,9 @@ func (b *Breaker) rotateLocked(now time.Time) {
 
 // tallyLocked returns in-window totals.
 func (b *Breaker) tallyLocked(now time.Time) (ok, fail int) {
-	for _, bk := range b.buckets {
-		if !bk.start.IsZero() && now.Sub(bk.start) < b.opts.Window {
+	for i := range b.buckets {
+		bk := &b.buckets[i]
+		if !bk.start.IsZero() && now.Sub(bk.start) < breakerWindow {
 			ok += bk.ok
 			fail += bk.fail
 		}
@@ -149,11 +128,14 @@ func (b *Breaker) tallyLocked(now time.Time) (ok, fail int) {
 	return ok, fail
 }
 
-// Report records one call outcome and updates the state machine.
-func (b *Breaker) Report(failure bool) {
-	now := b.opts.now()
+// Report records one call outcome, updates the state machine, and returns
+// the states before and after the outcome, so a caller can count trips and
+// recoveries without asking for the state again.
+func (b *Breaker) Report(failure bool) (from, to BreakerState) {
+	now := b.clk.Now()
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	from = b.state
 
 	switch b.state {
 	case BreakerHalfOpen:
@@ -164,13 +146,13 @@ func (b *Breaker) Report(failure bool) {
 			b.openedAt = now
 		} else {
 			b.state = BreakerClosed
-			b.buckets = make([]breakerBucket, len(b.buckets))
+			b.buckets = [breakerBuckets]breakerBucket{}
 			b.cur = 0
 		}
-		return
+		return from, b.state
 	case BreakerOpen:
 		// Stragglers from before the trip; the window already decided.
-		return
+		return from, from
 	}
 
 	b.rotateLocked(now)
@@ -180,11 +162,12 @@ func (b *Breaker) Report(failure bool) {
 		b.buckets[b.cur].ok++
 	}
 	ok, fail := b.tallyLocked(now)
-	if total := ok + fail; total >= b.opts.MinSamples &&
-		float64(fail) >= b.opts.Threshold*float64(total) {
+	if total := ok + fail; total >= breakerMinSamples &&
+		float64(fail) >= breakerThreshold*float64(total) {
 		b.state = BreakerOpen
 		b.openedAt = now
 	}
+	return from, b.state
 }
 
 // Allow reports whether a call (or probe) may be sent to the replica. In
@@ -192,14 +175,12 @@ func (b *Breaker) Report(failure bool) {
 // transitions to half-open and admits exactly one trial; further calls are
 // rejected until that trial reports.
 func (b *Breaker) Allow() bool {
-	now := b.opts.now()
+	now := b.clk.Now()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case BreakerClosed:
-		return true
 	case BreakerOpen:
-		if now.Sub(b.openedAt) < b.opts.Cooldown {
+		if now.Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.state = BreakerHalfOpen
@@ -217,10 +198,10 @@ func (b *Breaker) Allow() bool {
 
 // A BreakerGroup maintains one Breaker per replica address. When a breaker
 // opens and its cooldown elapses, the group launches a half-open liveness
-// probe (the data plane's existing Ping) in the background; the replica
-// stays quarantined until a probe succeeds.
+// probe (the data plane's Ping) in the background; the replica stays
+// quarantined until a probe succeeds. Real requests are never the trial.
 type BreakerGroup struct {
-	opts  BreakerOptions
+	clk   clock.Clock
 	probe func(ctx context.Context, addr string) error
 
 	mu sync.Mutex
@@ -231,26 +212,18 @@ type BreakerGroup struct {
 	probes *metrics.Counter
 }
 
-// NewBreakerGroup returns an empty group. Breakers are created lazily on
+// NewBreakerGroup returns an empty group whose breakers read time from clk
+// and whose half-open trials call probe. Breakers are created lazily on the
 // first Report for an address.
-func NewBreakerGroup(opts BreakerOptions) *BreakerGroup {
-	opts.fill()
+func NewBreakerGroup(clk clock.Clock, probe func(ctx context.Context, addr string) error) *BreakerGroup {
 	return &BreakerGroup{
-		opts:   opts,
+		clk:    clk,
+		probe:  probe,
 		m:      map[string]*Breaker{},
 		opened: metrics.Default.Counter("rpc.breaker.opened"),
 		closed: metrics.Default.Counter("rpc.breaker.closed"),
 		probes: metrics.Default.Counter("rpc.breaker.probes"),
 	}
-}
-
-// SetProbe installs the half-open liveness probe (typically a closure over
-// Client.Ping). Without a probe, recovery uses a real request as the
-// half-open trial instead.
-func (g *BreakerGroup) SetProbe(probe func(ctx context.Context, addr string) error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.probe = probe
 }
 
 // get returns the breaker for addr, or nil if none exists yet.
@@ -274,63 +247,38 @@ func (g *BreakerGroup) Report(addr string, failure bool) {
 	g.mu.Lock()
 	b := g.m[addr]
 	if b == nil {
-		b = NewBreaker(g.opts)
+		b = NewBreaker(g.clk)
 		g.m[addr] = b
 	}
 	g.mu.Unlock()
 
-	before := b.State()
-	b.Report(failure)
-	after := b.State()
-	if before != BreakerOpen && after == BreakerOpen {
-		g.opened.Inc()
-	}
-	if before != BreakerClosed && after == BreakerClosed {
-		g.closed.Inc()
+	from, to := b.Report(failure)
+	if from != to {
+		switch to {
+		case BreakerOpen:
+			g.opened.Inc()
+		case BreakerClosed:
+			g.closed.Inc()
+		}
 	}
 }
 
 // Healthy reports whether routing should consider addr. A closed (or
-// unknown) breaker is healthy. An open breaker is not; once its cooldown
-// elapses, Healthy kicks off a background probe (if configured) or admits
-// one real request as the half-open trial.
+// unknown) breaker is healthy. An open breaker is not; the first Healthy
+// after its cooldown elapses wins the half-open slot and launches the probe
+// off the request path.
 func (g *BreakerGroup) Healthy(addr string) bool {
 	b := g.get(addr)
-	if b == nil {
+	if b == nil || b.State() == BreakerClosed {
 		return true
-	}
-	if b.State() == BreakerClosed {
-		return true
-	}
-
-	g.mu.Lock()
-	probe := g.probe
-	g.mu.Unlock()
-	if probe == nil {
-		// No probe configured: let one real request through as the trial.
-		return b.Allow()
 	}
 	if b.Allow() {
-		// Won the half-open slot: probe liveness off the request path.
 		g.probes.Inc()
 		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), g.opts.Cooldown)
+			ctx, cancel := context.WithTimeout(context.Background(), breakerCooldown)
 			defer cancel()
-			err := probe(ctx, addr)
-			g.Report(addr, err != nil)
+			g.Report(addr, g.probe(ctx, addr) != nil)
 		}()
 	}
 	return false
-}
-
-// Forget drops breakers for addresses not in live, so replicas removed
-// from the routing table do not leak state.
-func (g *BreakerGroup) Forget(live map[string]bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for addr := range g.m {
-		if !live[addr] {
-			delete(g.m, addr)
-		}
-	}
 }

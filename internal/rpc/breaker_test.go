@@ -3,69 +3,43 @@ package rpc
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
-// fakeClock is an injectable clock for breaker state-machine tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	// Start well away from the zero time: the bucket ring uses IsZero to
-	// detect uninitialized buckets.
-	return &fakeClock{t: time.Unix(1000, 0)}
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func testBreakerOptions(clock *fakeClock) BreakerOptions {
-	return BreakerOptions{
-		Window:     10 * time.Second,
-		Buckets:    5,
-		Threshold:  0.5,
-		MinSamples: 8,
-		Cooldown:   time.Second,
-		now:        clock.now,
+// reportN reports n outcomes of one kind to b.
+func reportN(b *Breaker, n int, failure bool) {
+	for i := 0; i < n; i++ {
+		b.Report(failure)
 	}
 }
 
 func TestBreakerTripsAtThreshold(t *testing.T) {
-	clock := newFakeClock()
-	b := NewBreaker(testBreakerOptions(clock))
+	clk := clock.NewFake()
+	b := NewBreaker(clk)
 
-	for i := 0; i < 4; i++ {
-		b.Report(false)
-	}
-	for i := 0; i < 3; i++ {
-		b.Report(true)
-	}
+	reportN(b, 4, false)
+	reportN(b, 3, true)
 	if got := b.State(); got != BreakerClosed {
 		t.Fatalf("state after 4 ok / 3 fail = %v, want closed", got)
 	}
-	b.Report(true) // 8 samples, 4 failures: exactly at the 0.5 threshold
-	if got := b.State(); got != BreakerOpen {
-		t.Fatalf("state after 4 ok / 4 fail = %v, want open", got)
+	// 8 samples, 4 failures: exactly at the 0.5 threshold.
+	if from, to := b.Report(true); from != BreakerClosed || to != BreakerOpen {
+		t.Fatalf("tripping report moved %v → %v, want closed → open", from, to)
 	}
 	if b.Allow() {
 		t.Fatal("open breaker admitted a call before the cooldown")
 	}
 
-	clock.advance(time.Second)
+	// The cooldown is 1 s.
+	clk.Advance(time.Second - time.Nanosecond)
+	if b.Allow() {
+		t.Fatal("breaker admitted a trial 1ns before its 1s cooldown elapsed")
+	}
+	clk.Advance(time.Nanosecond)
 	if !b.Allow() {
 		t.Fatal("breaker did not admit the half-open trial after cooldown")
 	}
@@ -77,100 +51,116 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 	}
 
 	// Trial succeeds: closed, with a fresh window.
-	b.Report(false)
-	if got := b.State(); got != BreakerClosed {
-		t.Fatalf("state after successful trial = %v, want closed", got)
+	if from, to := b.Report(false); from != BreakerHalfOpen || to != BreakerClosed {
+		t.Fatalf("successful trial moved %v → %v, want half-open → closed", from, to)
 	}
-	for i := 0; i < 3; i++ {
-		b.Report(true)
-	}
+	reportN(b, 3, true)
 	if got := b.State(); got != BreakerClosed {
 		t.Fatalf("window not reset after recovery: 3 failures tripped to %v", got)
 	}
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	clock := newFakeClock()
-	b := NewBreaker(testBreakerOptions(clock))
-	for i := 0; i < 8; i++ {
-		b.Report(true)
-	}
+	clk := clock.NewFake()
+	b := NewBreaker(clk)
+	reportN(b, breakerMinSamples, true)
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("state = %v, want open", got)
 	}
 
-	clock.advance(time.Second)
+	clk.Advance(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("half-open trial not admitted")
 	}
-	b.Report(true)
-	if got := b.State(); got != BreakerOpen {
-		t.Fatalf("state after failed trial = %v, want open", got)
+	if from, to := b.Report(true); from != BreakerHalfOpen || to != BreakerOpen {
+		t.Fatalf("failed trial moved %v → %v, want half-open → open", from, to)
 	}
 	if b.Allow() {
 		t.Fatal("reopened breaker admitted a call before a second cooldown")
 	}
-	clock.advance(time.Second)
+	clk.Advance(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("second cooldown did not admit a new trial")
 	}
 }
 
 func TestBreakerMinSamplesGate(t *testing.T) {
-	clock := newFakeClock()
-	b := NewBreaker(testBreakerOptions(clock))
-	for i := 0; i < 7; i++ {
-		b.Report(true)
-	}
+	// The threshold applies from the eighth outcome in the window.
+	b := NewBreaker(clock.NewFake())
+	reportN(b, 7, true)
 	if got := b.State(); got != BreakerClosed {
-		t.Fatalf("state with 7 samples (MinSamples 8) = %v, want closed", got)
+		t.Fatalf("state with 7 failures (min samples 8) = %v, want closed", got)
 	}
 	if !b.Allow() {
 		t.Fatal("closed breaker rejected a call")
 	}
+	b.Report(true)
+	if got := b.State(); got != BreakerOpen {
+		t.Fatalf("state with 8 failures (min samples 8) = %v, want open", got)
+	}
 }
 
 func TestBreakerWindowForgetsOldOutcomes(t *testing.T) {
-	clock := newFakeClock()
-	b := NewBreaker(testBreakerOptions(clock))
-	for i := 0; i < 7; i++ {
+	// Seven failures, then one more after a pause: the eighth trips the
+	// breaker only while the first seven are still inside the 5 s window.
+	for _, tc := range []struct {
+		pause time.Duration
+		want  BreakerState
+	}{
+		{5*time.Second - time.Nanosecond, BreakerOpen},
+		{5 * time.Second, BreakerClosed},
+		{15 * time.Second, BreakerClosed}, // idle far past the window
+	} {
+		clk := clock.NewFake()
+		b := NewBreaker(clk)
+		reportN(b, breakerMinSamples-1, true)
+		clk.Advance(tc.pause)
 		b.Report(true)
+		if got := b.State(); got != tc.want {
+			t.Errorf("failure %v after %d others: state %v, want %v",
+				tc.pause, breakerMinSamples-1, got, tc.want)
+		}
 	}
-	// A long idle period expires the whole window; the next failure stands
-	// alone and must not combine with the forgotten ones to trip.
-	clock.advance(11 * time.Second)
-	b.Report(true)
+}
+
+func TestBreakerWindowSlidesByBucket(t *testing.T) {
+	// The window slides in 1 s buckets: at 5 s the successes of its first
+	// bucket age out while the failures of its second still count.
+	clk := clock.NewFake()
+	b := NewBreaker(clk)
+	reportN(b, 9, false)
+	clk.Advance(time.Second)
+	reportN(b, 7, true)
+	clk.Advance(4*time.Second - time.Nanosecond)
+	b.Report(true) // 8 failures against 9 successes
 	if got := b.State(); got != BreakerClosed {
-		t.Fatalf("state after idle window expiry = %v, want closed", got)
+		t.Fatalf("state with 8 of 17 outcomes failed = %v, want closed", got)
+	}
+	clk.Advance(time.Nanosecond)
+	b.Report(true) // the 9 successes have aged out
+	if got := b.State(); got != BreakerOpen {
+		t.Fatalf("state once the first bucket aged out = %v, want open", got)
 	}
 }
 
 func TestBreakerStragglersIgnoredWhileOpen(t *testing.T) {
-	clock := newFakeClock()
-	b := NewBreaker(testBreakerOptions(clock))
-	for i := 0; i < 8; i++ {
-		b.Report(true)
-	}
+	b := NewBreaker(clock.NewFake())
+	reportN(b, breakerMinSamples, true)
 	// In-flight calls from before the trip finish after it; their outcomes
 	// must not perturb the open state (only the half-open trial decides).
-	b.Report(false)
-	b.Report(false)
-	if got := b.State(); got != BreakerOpen {
-		t.Fatalf("straggler successes changed open state to %v", got)
+	for _, failure := range []bool{false, false, true} {
+		if from, to := b.Report(failure); from != BreakerOpen || to != BreakerOpen {
+			t.Fatalf("straggler moved %v → %v, want open → open", from, to)
+		}
 	}
 }
 
 func TestBreakerGroupProbeRecovery(t *testing.T) {
-	clock := newFakeClock()
-	g := NewBreakerGroup(BreakerOptions{
-		MinSamples: 2,
-		Cooldown:   time.Second,
-		now:        clock.now,
-	})
+	clk := clock.NewFake()
 	var probeFail atomic.Bool
 	probeFail.Store(true)
 	var probeCalls atomic.Int64
-	g.SetProbe(func(ctx context.Context, addr string) error {
+	g := NewBreakerGroup(clk, func(ctx context.Context, addr string) error {
 		probeCalls.Add(1)
 		if probeFail.Load() {
 			return errors.New("still sick")
@@ -181,10 +171,11 @@ func TestBreakerGroupProbeRecovery(t *testing.T) {
 	if !g.Healthy("a") {
 		t.Fatal("unknown address reported unhealthy")
 	}
-	g.Report("a", true)
-	g.Report("a", true)
+	for i := 0; i < breakerMinSamples; i++ {
+		g.Report("a", true)
+	}
 	if got := g.State("a"); got != BreakerOpen {
-		t.Fatalf("state after 2/2 failures = %v, want open", got)
+		t.Fatalf("state after %d/%d failures = %v, want open", breakerMinSamples, breakerMinSamples, got)
 	}
 	if g.Healthy("a") {
 		t.Fatal("open breaker reported healthy")
@@ -196,23 +187,22 @@ func TestBreakerGroupProbeRecovery(t *testing.T) {
 	// While the probe keeps failing the replica must stay quarantined:
 	// each cooldown expiry admits exactly one probe, the probe fails, and
 	// the breaker reopens without ever reporting healthy.
-	for round := int64(0); round < 3; round++ {
-		clock.advance(time.Second)
+	for round := int64(1); round <= 3; round++ {
+		clk.Advance(breakerCooldown)
 		if g.Healthy("a") {
 			t.Fatal("replica reported healthy while probe fails")
 		}
+		if g.Healthy("a") {
+			t.Fatal("replica reported healthy while its probe is in flight")
+		}
 		// The probe runs off the request path; wait for its verdict to
 		// land (half-open trial resolved, breaker open again).
-		waitFor(t, func() bool { return probeCalls.Load() > round })
-		waitFor(t, func() bool { return g.State("a") == BreakerOpen })
-	}
-	if probeCalls.Load() == 0 {
-		t.Fatal("no probe launched after cooldown")
+		waitFor(t, func() bool { return probeCalls.Load() == round && g.State("a") == BreakerOpen })
 	}
 
 	// Probe starts succeeding: the breaker must close.
 	probeFail.Store(false)
-	clock.advance(time.Second)
+	clk.Advance(breakerCooldown)
 	if g.Healthy("a") {
 		t.Fatal("replica reported healthy before the probe's verdict")
 	}
@@ -220,44 +210,41 @@ func TestBreakerGroupProbeRecovery(t *testing.T) {
 	if !g.Healthy("a") {
 		t.Fatal("closed breaker reported unhealthy")
 	}
+	if got := probeCalls.Load(); got != 4 {
+		t.Errorf("%d probes over 4 cooldowns, want one each", got)
+	}
 }
 
-func TestBreakerGroupNoProbeAdmitsSingleTrial(t *testing.T) {
-	clock := newFakeClock()
-	g := NewBreakerGroup(BreakerOptions{
-		MinSamples: 2,
-		Cooldown:   time.Second,
-		now:        clock.now,
-	})
-	g.Report("a", true)
-	g.Report("a", true)
-	if g.Healthy("a") {
-		t.Fatal("open breaker reported healthy")
+func TestBreakerGroupCountsTransitions(t *testing.T) {
+	// The opened and closed counters move once per trip and once per
+	// recovery, never for an outcome that leaves the state where it was.
+	clk := clock.NewFake()
+	g := NewBreakerGroup(clk, func(context.Context, string) error { return nil })
+	opened, closed := g.opened.Value(), g.closed.Value()
+	check := func(when string, wantOpened, wantClosed uint64) {
+		t.Helper()
+		if got := g.opened.Value() - opened; got != wantOpened {
+			t.Errorf("%s: opened counted %d, want %d", when, got, wantOpened)
+		}
+		if got := g.closed.Value() - closed; got != wantClosed {
+			t.Errorf("%s: closed counted %d, want %d", when, got, wantClosed)
+		}
 	}
-	clock.advance(time.Second)
-	// With no probe configured, exactly one real request is the trial.
-	if !g.Healthy("a") {
-		t.Fatal("half-open trial not admitted after cooldown")
-	}
-	if g.Healthy("a") {
-		t.Fatal("second trial admitted while the first is outstanding")
-	}
+
 	g.Report("a", false)
-	if got := g.State("a"); got != BreakerClosed {
-		t.Fatalf("state after successful trial = %v, want closed", got)
+	check("a success while closed", 0, 0)
+	for i := 0; i < breakerMinSamples; i++ {
+		g.Report("a", true)
 	}
-}
+	check("the trip", 1, 0)
+	g.Report("a", true)
+	g.Report("a", false)
+	check("stragglers while open", 1, 0)
 
-func TestBreakerGroupForget(t *testing.T) {
-	g := NewBreakerGroup(BreakerOptions{MinSamples: 1})
-	g.Report("gone", true)
-	if got := g.State("gone"); got != BreakerOpen {
-		t.Fatalf("state = %v, want open", got)
-	}
-	g.Forget(map[string]bool{"kept": true})
-	if got := g.State("gone"); got != BreakerClosed {
-		t.Fatalf("forgotten address still has breaker state %v", got)
-	}
+	clk.Advance(breakerCooldown)
+	g.Healthy("a") // launches the probe, which succeeds
+	waitFor(t, func() bool { return g.closed.Value() != closed })
+	check("the recovery", 1, 1)
 }
 
 func TestBreakerStateString(t *testing.T) {

@@ -19,10 +19,12 @@ check: vet lint build race allocs perfbench sim
 # so the server dispatch allocation gate measures what the read loop builds;
 # and the code generator's single front end (DESIGN.md §6): no non-test file
 # in internal/generate imports go/printer, so every type in generated code is
-# spelled from go/types, never from source text; and a routing push's single
-# entry (DESIGN.md §10): no non-test Go file calls .Balancer().Update( on a
-# conn, so every push goes through DataPlaneConn.UpdateRouting and wakes the
-# calls waiting for a replica; and the circuit breaker's single time source
+# spelled from go/types, never from source text; and a conn's single replica
+# table (DESIGN.md §10): in non-test internal/core files, rpc.NewClient is
+# called only in DataPlaneConn.newReplica, the table's entry constructor, so
+# every client belongs to an entry that a routing push prunes (a conn has no
+# balancer accessor, so the compiler already routes every push through
+# UpdateRouting); and the circuit breaker's single time source
 # (DESIGN.md §8): internal/rpc/breaker.go never calls time.Now, so windows
 # and cooldowns read the conn's injected clock.
 lint:
@@ -55,9 +57,11 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "go/printer imported by internal/generate (spell types with go/types):"; \
 		echo "$$out"; exit 1; fi
-	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -F '.Balancer().Update(' . || true); \
+	@out=$$(awk 'FNR == 1 || /^}/ { fn = "" } /^func / { fn = $$0 } \
+		/rpc\.NewClient\(/ && fn !~ /^func \(c \*DataPlaneConn\) newReplica\(/ \
+		{ print FILENAME ":" FNR ":" $$0 }' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
 	if [ -n "$$out" ]; then \
-		echo "routing push bypasses DataPlaneConn.UpdateRouting (waiting calls would not wake):"; \
+		echo "rpc client made outside the replica table's entry constructor (DataPlaneConn.newReplica):"; \
 		echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'time\.Now' internal/rpc/breaker.go || true); \
 	if [ -n "$$out" ]; then \

@@ -577,9 +577,10 @@ func BenchmarkHedgedTailLatency(b *testing.B) {
 			defer fast.Close()
 			slow.SetDelay(3 * time.Millisecond)
 
-			conn := core.NewDataPlaneConnWith(component, routing.NewRoundRobin(slowAddr, fastAddr),
+			conn := core.NewDataPlaneConnWith(component, routing.NewRoundRobin(),
 				core.ConnOptions{HedgeAfter: time.Millisecond, DisableHedging: mode.disable})
 			defer conn.Close()
+			conn.UpdateRouting(1, []string{slowAddr, fastAddr}, nil)
 			spec := &codegen.MethodSpec{
 				Name:    "M",
 				NewArgs: func() codegen.Message { return &emptyMsg{} },

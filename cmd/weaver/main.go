@@ -177,8 +177,6 @@ func multiRun(args []string) {
 
 	logger := logging.New(logging.Options{Component: "deployer", Min: logging.LevelInfo})
 	cfg := manager.Config{
-		App:        binary,
-		Version:    *version,
 		Components: inventory,
 		Groups:     groups,
 		DefaultAutoscale: autoscale.Config{
@@ -203,22 +201,17 @@ func multiRun(args []string) {
 		limitEnv = append(limitEnv, fmt.Sprintf("WEAVER_MAX_QUEUE=%d", cfg.MaxOverloadQueue))
 	}
 
-	starter := func(ctx context.Context, group, id string, mgr envelope.Manager) (*envelope.Envelope, error) {
-		return envelope.Spawn(ctx, envelope.SpawnOptions{
-			Binary:  binary,
-			Args:    binArgs,
-			ID:      id,
-			Group:   group,
-			Version: *version,
-			Env:     limitEnv,
-		}, mgr)
-	}
-
-	mgr, err := manager.New(cfg, starter)
+	// The driver replica is the subprocess in which the application's main
+	// function actually runs.
+	mgr, mainEnv, err := startDeployment(cfg, envelope.SpawnOptions{
+		Binary:  binary,
+		Args:    binArgs,
+		Version: *version,
+		Env:     limitEnv,
+	})
 	if err != nil {
 		fatal(err)
 	}
-
 	if *dashAddr != "" {
 		addr, err := dashboard.Serve(mgr, *dashAddr)
 		if err != nil {
@@ -226,22 +219,6 @@ func multiRun(args []string) {
 			fatal(err)
 		}
 		logger.Info("dashboard serving", "addr", "http://"+addr)
-	}
-
-	ctx := context.Background()
-	// Launch the driver replica; it is the subprocess in which the
-	// application's main function actually runs.
-	mainEnv, err := envelope.Spawn(ctx, envelope.SpawnOptions{
-		Binary:  binary,
-		Args:    binArgs,
-		ID:      "main/0",
-		Group:   "main",
-		Version: *version,
-		Env:     limitEnv,
-	}, mgr)
-	if err != nil {
-		mgr.Stop()
-		fatal(err)
 	}
 	logger.Info("deployment started", "binary", binary, "version", *version)
 
@@ -273,6 +250,30 @@ loop:
 		fmt.Println(mgr.Graph().Analyze().Dot())
 	}
 	mgr.Stop()
+}
+
+// startDeployment starts a subprocess deployment of spawn.Binary: a
+// manager built from cfg whose starter spawns each replica as an
+// envelope-supervised subprocess with spawn's arguments, version and
+// environment, then the driver replica main/0. It sets cfg's App and
+// Version from spawn.
+func startDeployment(cfg manager.Config, spawn envelope.SpawnOptions) (*manager.Manager, *envelope.Envelope, error) {
+	cfg.App, cfg.Version = spawn.Binary, spawn.Version
+	mgr, err := manager.New(cfg, func(ctx context.Context, group, id string, mgr envelope.Manager) (*envelope.Envelope, error) {
+		replica := spawn
+		replica.ID, replica.Group = id, group
+		return envelope.Spawn(ctx, replica, mgr)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	spawn.ID, spawn.Group = "main/0", "main"
+	driver, err := envelope.Spawn(context.Background(), spawn, mgr)
+	if err != nil {
+		mgr.Stop()
+		return nil, nil, err
+	}
+	return mgr, driver, nil
 }
 
 func printStatus(mgr *manager.Manager) {

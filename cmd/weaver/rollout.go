@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -107,33 +106,19 @@ func deployVersion(binary, version, listenerName, httpAddr string, maxReplicas i
 	if err != nil {
 		return nil, err
 	}
-	env := []string{"WEAVER_LISTEN_" + strings.ToUpper(listenerName) + "=" + httpAddr}
-	cfg := manager.Config{
-		App:        binary,
-		Version:    version,
+	mgr, _, err := startDeployment(manager.Config{
 		Components: inventory,
 		DefaultAutoscale: autoscale.Config{
 			MinReplicas: 1, MaxReplicas: maxReplicas,
 			TargetLoadPerReplica: 200, ScaleDownDelay: 30 * time.Second,
 		},
 		Logger: logger.With("manager-" + version),
-	}
-	starter := func(ctx context.Context, group, id string, mgr envelope.Manager) (*envelope.Envelope, error) {
-		return envelope.Spawn(ctx, envelope.SpawnOptions{
-			Binary: binary, ID: id, Group: group, Version: version, Env: env,
-		}, mgr)
-	}
-	mgr, err := manager.New(cfg, starter)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := envelope.Spawn(context.Background(), envelope.SpawnOptions{
-		Binary: binary, ID: "main/0", Group: "main", Version: version, Env: env,
-	}, mgr); err != nil {
-		mgr.Stop()
-		return nil, err
-	}
-	return mgr, nil
+	}, envelope.SpawnOptions{
+		Binary:  binary,
+		Version: version,
+		Env:     []string{"WEAVER_LISTEN_" + strings.ToUpper(listenerName) + "=" + httpAddr},
+	})
+	return mgr, err
 }
 
 // newVersionProxy builds the traffic-shifting reverse proxy. Requests are

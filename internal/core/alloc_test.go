@@ -24,8 +24,9 @@ func TestAllocsHedgedInvoke(t *testing.T) {
 	_, addr, _ := startCounting(t, component, rpc.ServerOptions{})
 	spec := emptySpec(false)
 	measure := func(opts ConnOptions) float64 {
-		conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(addr), opts)
+		conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(), opts)
 		defer conn.Close()
+		conn.UpdateRouting(1, []string{addr}, nil)
 		ctx := context.Background()
 		call := func() {
 			var args, res emptyMsg

@@ -1,8 +1,9 @@
 // Client call path: the mechanics the paper assigns to the runtime (§5)
 // as a fixed sequence of method calls. Invoke calls retry, which runs the
 // attempt loop and calls hedge per attempt, which races one or two
-// transport legs. Replicas are always picked through the breaker group's
-// health-filtered view. A per-call *callMeta carries the state the steps
+// transport legs. Replicas are always picked through the breakers'
+// health-filtered view, and each leg holds its replica's table entry from
+// send to outcome. A per-call *callMeta carries the state the steps
 // share; its wire-visible fields ride the request header.
 package core
 
@@ -197,10 +198,14 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 		done     [2]<-chan *rpc.Response
 		firstErr error
 	)
-	legs[0] = raceLeg{addr: m.Addr, start: time.Now()}
-	p, err := c.clientFor(m.Addr).Start(ctx, m.MethodID, m.framed, m.callOptions(false))
+	r := c.acquire(m.Addr)
+	if r == nil {
+		return nil, errGone(m.Addr)
+	}
+	legs[0] = raceLeg{r: r, start: time.Now()}
+	p, err := r.client.Start(ctx, m.MethodID, m.framed, m.callOptions(false))
 	if err != nil {
-		return c.outcome(m.Addr, legs[0].start, nil, err)
+		return c.outcome(r, legs[0].start, nil, err)
 	}
 	legs[0].p, done[0] = p, p.Done()
 
@@ -223,14 +228,18 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 			if err != nil || addr == m.Addr {
 				continue // no distinct replica to hedge to
 			}
+			r := c.acquire(addr)
+			if r == nil {
+				continue // pruned since the pick
+			}
 			m.markTried(addr)
 			c.hedges.Add(1)
 			c.mHedges.Inc()
-			legs[1] = raceLeg{addr: addr, start: time.Now()}
-			p, err := c.clientFor(addr).Start(ctx, m.MethodID, m.framed, m.callOptions(true))
+			legs[1] = raceLeg{r: r, start: time.Now()}
+			p, err := r.client.Start(ctx, m.MethodID, m.framed, m.callOptions(true))
 			if err != nil {
 				// The primary is still outstanding; let it decide the call.
-				_, firstErr = c.outcome(addr, legs[1].start, nil, err)
+				_, firstErr = c.outcome(r, legs[1].start, nil, err)
 				continue
 			}
 			legs[1].p, done[1] = p, p.Done()
@@ -239,14 +248,14 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 			for j := range legs {
 				if done[j] != nil {
 					legs[j].p.Abandon()
-					c.outcome(legs[j].addr, legs[j].start, nil, ctx.Err())
+					c.outcome(legs[j].r, legs[j].start, nil, ctx.Err())
 				}
 			}
 			return nil, ctx.Err()
 		}
 		done[i] = nil
 		out, err := legs[i].p.Result(resp)
-		out, err = c.outcome(legs[i].addr, legs[i].start, out, err)
+		out, err = c.outcome(legs[i].r, legs[i].start, out, err)
 		if err == nil {
 			if i == 1 {
 				c.hedgeWins.Add(1)
@@ -256,6 +265,7 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 				if done[j] != nil {
 					legs[j].p.Abandon()
 					c.recordHedgeLoser(m, legs[j].start)
+					legs[j].r.release()
 				}
 			}
 			return out, nil
@@ -273,7 +283,7 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 // A raceLeg is one outstanding leg of a hedge race.
 type raceLeg struct {
 	p     rpc.Pending
-	addr  string
+	r     *replica
 	start time.Time
 }
 
@@ -328,37 +338,43 @@ func (c *DataPlaneConn) recordHedgeLoser(m *callMeta, start time.Time) {
 
 // transport performs one unhedged attempt against the chosen replica.
 func (c *DataPlaneConn) transport(ctx context.Context, m *callMeta) (*rpc.Response, error) {
+	r := c.acquire(m.Addr)
+	if r == nil {
+		return nil, errGone(m.Addr)
+	}
 	start := time.Now()
-	out, err := c.clientFor(m.Addr).CallFramed(ctx, m.MethodID, m.framed, m.callOptions(false))
-	return c.outcome(m.Addr, start, out, err)
+	out, err := r.client.CallFramed(ctx, m.MethodID, m.framed, m.callOptions(false))
+	return c.outcome(r, start, out, err)
 }
 
 // outcome feeds one completed leg back to its replica's breaker and, on
-// success, its latency to the adaptive hedge delay; it returns the leg's
-// result unchanged. Every leg, hedged or not, ends here. Cancellation (a
-// hedge loser, or the caller giving up) is not held against the replica;
-// a deadline that expired mid-call is, because slowness is exactly what
-// the breaker needs to see.
-func (c *DataPlaneConn) outcome(addr string, start time.Time, out *rpc.Response, err error) (*rpc.Response, error) {
+// success, its latency to the adaptive hedge delay, then ends the leg's
+// hold on the replica; it returns the leg's result unchanged. Every leg
+// but an abandoned hedge loser ends here. Cancellation (a hedge loser, or
+// the caller giving up) is not held against the replica; a deadline that
+// expired mid-call is, because slowness is exactly what the breaker needs
+// to see.
+func (c *DataPlaneConn) outcome(r *replica, start time.Time, out *rpc.Response, err error) (*rpc.Response, error) {
+	defer r.release()
 	if err == nil {
 		c.lat.add(time.Since(start))
-		c.breakers.Report(addr, false)
+		c.counted(r.breaker.Report(false))
 		return out, nil
 	}
 	var te *rpc.TransportError
 	switch {
 	case errors.Is(err, rpc.ErrOverloaded):
 		c.mOverload.Inc()
-		c.breakers.Report(addr, true)
+		c.counted(r.breaker.Report(true))
 	case errors.Is(err, rpc.ErrUnavailable):
 		// The replica is draining or no longer hosts the component (live
 		// re-placement). The request never executed; steer the breaker away
 		// and let the caller retry on a replica from the new epoch.
 		c.mUnavail.Inc()
-		c.breakers.Report(addr, true)
+		c.counted(r.breaker.Report(true))
 	case errors.Is(err, context.Canceled):
 	case errors.As(err, &te) || errors.Is(err, context.DeadlineExceeded):
-		c.breakers.Report(addr, true)
+		c.counted(r.breaker.Report(true))
 	}
 	return nil, err
 }

@@ -261,7 +261,8 @@ func runHops(t *testing.T, frontFraction, backFraction float64) (seen map[string
 	frontRT := NewRuntime(Options{
 		Hosted: func(name string) bool { return name != "core_test/HopB" },
 		RemoteConn: func(reg *codegen.Registration) (codegen.Conn, error) {
-			c := NewDataPlaneConnWith(reg.Name, routing.NewRoundRobin(addr), ConnOptions{DisableHedging: true})
+			c := NewDataPlaneConnWith(reg.Name, routing.NewRoundRobin(), ConnOptions{DisableHedging: true})
+			c.UpdateRouting(1, []string{addr}, nil)
 			conns = append(conns, c)
 			return c, nil
 		},

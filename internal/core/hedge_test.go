@@ -43,6 +43,7 @@ func hedgePair(t *testing.T, component string, serve func(ctx context.Context, r
 		Client:     rpc.ClientOptions{NumConns: 1},
 	})
 	t.Cleanup(conn.Close)
+	conn.UpdateRouting(1, addrs[:], nil)
 	return conn, addrs
 }
 
@@ -131,7 +132,7 @@ func TestHedgeCancelAbandonsBothLegs(t *testing.T) {
 		t.Errorf("hedges launched = %d, want 1", launched)
 	}
 	for _, addr := range addrs {
-		if n := conn.clientFor(addr).PendingCalls(); n != 0 {
+		if n := conn.lookup(addr).client.PendingCalls(); n != 0 {
 			t.Errorf("client for %s has %d pending calls after cancellation", addr, n)
 		}
 	}
@@ -186,7 +187,7 @@ func TestHedgeLoserLateResponseReleased(t *testing.T) {
 	if late.Value() != before+1 {
 		t.Fatal("the abandoned primary's late response never reached the read loop")
 	}
-	primary := conn.clientFor(addrs[0])
+	primary := conn.lookup(addrs[0]).client
 	if n := primary.PendingCalls(); n != 0 {
 		t.Errorf("primary client has %d pending calls after its late answer", n)
 	}

@@ -48,6 +48,7 @@ func TestTransportRetryPolicy(t *testing.T) {
 	t.Run("RetriableMethodFailsOver", func(t *testing.T) {
 		conn := NewDataPlaneConnWith("retry_test/C", &scriptedBalancer{seq: []string{dead, live}}, ConnOptions{})
 		defer conn.Close()
+		conn.UpdateRouting(1, []string{dead, live}, nil)
 		var args, res emptyMsg
 		if err := conn.Invoke(context.Background(), "retry_test/C", spec, &args, &res, 0, false); err != nil {
 			t.Fatalf("retriable method failed despite a live replica: %v", err)
@@ -68,6 +69,7 @@ func TestTransportRetryPolicy(t *testing.T) {
 		}
 		conn := NewDataPlaneConnWith("retry_test/C", &scriptedBalancer{seq: []string{dead, live}}, ConnOptions{})
 		defer conn.Close()
+		conn.UpdateRouting(1, []string{dead, live}, nil)
 		var args, res emptyMsg
 		err := conn.Invoke(context.Background(), "retry_test/C", noRetrySpec, &args, &res, 0, false)
 		if err == nil {

@@ -20,8 +20,12 @@ import (
 
 // DataPlaneConn invokes component methods over the custom TCP data plane
 // (internal/rpc) using the unversioned codec. One DataPlaneConn serves one
-// component; the balancer chooses among the component's replicas per call,
-// and rpc.Clients are cached per replica address.
+// component; the balancer chooses among the component's replicas per call.
+//
+// The conn owns the caller's whole route to the component: the applied
+// routing epoch, the balancer, and a replica table with one entry — an
+// rpc.Client and its circuit breaker — per replica of the applied push.
+// UpdateRouting changes all of them under one lock.
 //
 // The conn owns the resilience mechanics the paper assigns to the runtime
 // (§5): transport failures are retried (against a different replica when
@@ -49,19 +53,21 @@ type DataPlaneConn struct {
 	balancer  routing.Balancer
 	pick      routing.Balancer // balancer filtered through breaker health
 	opts      ConnOptions
-	breakers  *rpc.BreakerGroup
 	lat       *latencyTracker
 	// wheel arms hedge alarms at the server's 1 ms deadline resolution;
 	// its runner goroutine exists only while a hedged call is in flight.
 	wheel *clock.Wheel
 
-	mu      sync.Mutex
-	clients map[string]*rpc.Client
-
+	// mu guards the route: a push changes the epoch, the balancer, the
+	// table and the wake channel together.
+	mu    sync.Mutex
+	epoch uint64 // newest routing epoch applied
+	// replicas is the replica table, keyed by address: exactly the
+	// addresses of the applied push. It is nil once the conn is closed.
+	replicas map[string]*replica
 	// wake is closed by UpdateRouting to wake calls waiting for a replica;
 	// nil until a call finds the replica set empty.
-	wakeMu sync.Mutex
-	wake   chan struct{}
+	wake chan struct{}
 
 	hedges    atomic.Uint64
 	hedgeWins atomic.Uint64
@@ -71,6 +77,36 @@ type DataPlaneConn struct {
 	mHedgeWins *metrics.Counter
 	mOverload  *metrics.Counter
 	mUnavail   *metrics.Counter
+	mOpened    *metrics.Counter // breaker trips
+	mClosed    *metrics.Counter // breaker recoveries
+	mProbes    *metrics.Counter // half-open probes launched
+}
+
+// A replica is one entry of a conn's replica table: the rpc client and the
+// circuit breaker of one replica address.
+type replica struct {
+	client  *rpc.Client
+	breaker *rpc.Breaker
+	// refs counts the table's own reference, held until a push prunes the
+	// entry or the conn closes, plus one per leg in flight. The client
+	// closes when the last reference goes, so a pruned replica's legs run
+	// to completion and nothing uses its client afterwards.
+	refs atomic.Int32
+}
+
+// newReplica makes the table entry for addr. It is the one place a conn
+// makes an rpc client (make lint enforces this).
+func (c *DataPlaneConn) newReplica(addr string) *replica {
+	r := &replica{client: rpc.NewClient(addr, c.opts.Client), breaker: rpc.NewBreaker(c.opts.Clock)}
+	r.refs.Store(1)
+	return r
+}
+
+// release drops one reference to r, closing its client with the last.
+func (r *replica) release() {
+	if r.refs.Add(-1) == 0 {
+		r.client.Close()
+	}
 }
 
 // ConnOptions configures a DataPlaneConn. The breaker's tuning and the
@@ -140,11 +176,14 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 		opts:       opts,
 		lat:        newLatencyTracker(),
 		wheel:      clock.NewWheel(opts.Clock, time.Millisecond, 64),
-		clients:    map[string]*rpc.Client{},
+		replicas:   map[string]*replica{},
 		mHedges:    metrics.Default.Counter("core.dataplane.hedges"),
 		mHedgeWins: metrics.Default.Counter("core.dataplane.hedge_wins"),
 		mOverload:  metrics.Default.Counter("core.dataplane.overloaded"),
 		mUnavail:   metrics.Default.Counter("core.dataplane.unavailable"),
+		mOpened:    metrics.Default.Counter("rpc.breaker.opened"),
+		mClosed:    metrics.Default.Counter("rpc.breaker.closed"),
+		mProbes:    metrics.Default.Counter("rpc.breaker.probes"),
 	}
 	if reg, ok := codegen.Find(component); ok {
 		c.methods = reg.Methods
@@ -153,21 +192,42 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 			c.methodIDs[i] = rpc.ComponentMethodKey(component, m.Name)
 		}
 	}
-	c.breakers = rpc.NewBreakerGroup(opts.Clock, func(ctx context.Context, addr string) error {
-		return c.clientFor(addr).Ping(ctx)
-	})
-	c.pick = routing.NewHealthAware(balancer, c.breakers.Healthy)
+	c.pick = routing.NewHealthAware(balancer, c.healthy)
 	return c
 }
 
-// Balancer returns the conn's balancer for inspection. Routing pushes go
-// through UpdateRouting, never through the balancer's Update.
-func (c *DataPlaneConn) Balancer() routing.Balancer { return c.balancer }
+// Owners returns the replicas the applied slice assignment maps shard to,
+// or nil when there is none (an unrouted component, or no assignment yet).
+func (c *DataPlaneConn) Owners(shard uint64) []string {
+	if a, ok := c.balancer.(*routing.Affinity); ok {
+		return a.Owners(shard)
+	}
+	return nil
+}
+
+// Applied reports the newest routing epoch the conn has applied (0 before
+// any push) and the sorted addresses its replica table holds: those of
+// that push. Both are read under the lock the push is applied under, so
+// they never run ahead of what Pick sees. A pruned entry whose last legs
+// are still running is no longer in the table.
+func (c *DataPlaneConn) Applied() (epoch uint64, addrs []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	addrs = make([]string, 0, len(c.replicas))
+	for addr := range c.replicas {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
+	return c.epoch, addrs
+}
 
 // BreakerState returns the breaker state for a replica address (closed
-// when the address is unknown).
+// when the address is not in the table).
 func (c *DataPlaneConn) BreakerState(addr string) rpc.BreakerState {
-	return c.breakers.State(addr)
+	if r := c.lookup(addr); r != nil {
+		return r.breaker.State()
+	}
+	return rpc.BreakerClosed
 }
 
 // HedgeStats returns how many hedges this conn launched and how many were
@@ -176,50 +236,121 @@ func (c *DataPlaneConn) HedgeStats() (launched, won uint64) {
 	return c.hedges.Load(), c.hedgeWins.Load()
 }
 
-// Close closes all cached clients.
+// Close prunes every entry from the replica table and stops the hedge
+// wheel. Legs in flight finish, and each client closes when its last leg
+// ends. A push after Close is ignored, so nothing makes a client again.
 func (c *DataPlaneConn) Close() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cl := range c.clients {
-		cl.Close()
+	for _, r := range c.replicas {
+		r.release()
 	}
-	c.clients = map[string]*rpc.Client{}
+	c.replicas = nil
+	c.mu.Unlock()
 	c.wheel.Close()
 }
 
-func (c *DataPlaneConn) clientFor(addr string) *rpc.Client {
+// lookup returns addr's table entry, or nil.
+func (c *DataPlaneConn) lookup(addr string) *replica {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cl := c.clients[addr]
-	if cl == nil {
-		cl = rpc.NewClient(addr, c.opts.Client)
-		c.clients[addr] = cl
-	}
-	return cl
+	return c.replicas[addr]
 }
 
-// UpdateRouting installs a routing push — the component's replica set and,
-// for routed components, its slice assignment — and wakes every call
-// waiting in pickWithGrace for a replica. It is the one way a push reaches
-// the conn's balancer: a push applied around it would leave such callers
-// asleep until noReplicaGrace ran out.
-func (c *DataPlaneConn) UpdateRouting(replicas []string, assignment *routing.Assignment) {
+// acquire returns addr's table entry holding a reference for one leg, or
+// nil when addr is not in the table: a push removed it after the call
+// picked it, or the conn closed. The leg's outcome drops the reference.
+func (c *DataPlaneConn) acquire(addr string) *replica {
+	c.mu.Lock()
+	r := c.replicas[addr]
+	if r != nil {
+		r.refs.Add(1)
+	}
+	c.mu.Unlock()
+	return r
+}
+
+// errGone is the error of a leg whose replica left the table between the
+// pick and the send. The request never left, so the retry stage treats it
+// like a drain's reply: retried elsewhere, no executing attempt spent.
+func errGone(addr string) error {
+	return &rpc.TransportError{Addr: addr, Err: rpc.ErrUnavailable}
+}
+
+// healthy filters the conn's picks: a replica is healthy unless its
+// entry's breaker is open or half-open. The first check after an open
+// breaker's cooldown wins the half-open slot and pings the replica through
+// that entry's client, off the request path. The probe takes no leg, so
+// it never keeps a pruned client open or makes a new one.
+func (c *DataPlaneConn) healthy(addr string) bool {
+	r := c.lookup(addr)
+	if r == nil || r.breaker.State() == rpc.BreakerClosed {
+		return true
+	}
+	if r.breaker.Allow() {
+		c.mProbes.Inc()
+		go func() { c.counted(r.breaker.Probe(r.client.Ping)) }()
+	}
+	return false
+}
+
+// counted counts a breaker transition: a trip or a recovery.
+func (c *DataPlaneConn) counted(from, to rpc.BreakerState) {
+	if from == to {
+		return
+	}
+	switch to {
+	case rpc.BreakerOpen:
+		c.mOpened.Inc()
+	case rpc.BreakerClosed:
+		c.mClosed.Inc()
+	}
+}
+
+// UpdateRouting applies a routing push made at epoch: the component's
+// replica set and, for routed components, its slice assignment. Under the
+// conn's lock it drops a push older than the applied epoch (an equal epoch
+// applies), installs the push in the balancer, makes the replica table
+// hold exactly the pushed addresses, wakes every call waiting in
+// pickWithGrace for a replica, and publishes the epoch. It is the one way
+// a push reaches the balancer. A pruned entry takes no new leg; its legs
+// in flight, hedge legs included, run to completion, and its client
+// closes when the last one ends.
+func (c *DataPlaneConn) UpdateRouting(epoch uint64, replicas []string, assignment *routing.Assignment) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.replicas == nil || epoch < c.epoch {
+		return // closed, or a stale push
+	}
+	c.epoch = epoch
 	c.balancer.Update(replicas, assignment)
-	// Close only after the balancer has applied the update, so a woken
-	// caller's re-pick sees it.
-	c.wakeMu.Lock()
+	table := make(map[string]*replica, len(replicas))
+	for _, addr := range replicas {
+		r := c.replicas[addr]
+		if r == nil {
+			r = c.newReplica(addr)
+			c.replicas[addr] = r // a repeated address finds it
+		}
+		table[addr] = r
+	}
+	for addr, r := range c.replicas {
+		if table[addr] == nil {
+			r.release()
+		}
+	}
+	c.replicas = table
+	// The balancer has applied the push, so a woken caller's re-pick sees
+	// it.
 	if c.wake != nil {
 		close(c.wake)
 		c.wake = nil
 	}
-	c.wakeMu.Unlock()
 }
 
 // routingPushed returns a channel that the next UpdateRouting closes. It is
 // made on demand, so only calls that find the replica set empty pay for it.
 func (c *DataPlaneConn) routingPushed() <-chan struct{} {
-	c.wakeMu.Lock()
-	defer c.wakeMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.wake == nil {
 		c.wake = make(chan struct{})
 	}

@@ -88,6 +88,7 @@ func TestOverloadShedRetriesElsewhereForNoRetry(t *testing.T) {
 	conn := NewDataPlaneConnWith(component, &scriptedBalancer{seq: []string{addrA, addrB}},
 		ConnOptions{DisableHedging: true})
 	defer conn.Close()
+	conn.UpdateRouting(1, []string{addrA, addrB}, nil)
 
 	var args, res emptyMsg
 	if err := conn.Invoke(context.Background(), component, emptySpec(true), &args, &res, 0, false); err != nil {
@@ -112,6 +113,7 @@ func TestRetriesPreferUntriedReplicas(t *testing.T) {
 	conn := NewDataPlaneConnWith(component, bal,
 		ConnOptions{DisableHedging: true})
 	defer conn.Close()
+	conn.UpdateRouting(1, []string{dead, live}, nil)
 
 	var args, res emptyMsg
 	if err := conn.Invoke(context.Background(), component, emptySpec(false), &args, &res, 0, false); err != nil {
@@ -199,9 +201,10 @@ func TestNoAttemptStartsPastDeadline(t *testing.T) {
 	const component = "late_test/C"
 	const lateCalls = 16
 	_, addr, calls := startCounting(t, component, rpc.ServerOptions{})
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(addr),
+	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
 		ConnOptions{DisableHedging: true})
 	defer conn.Close()
+	conn.UpdateRouting(1, []string{addr}, nil)
 
 	ctx := lateCtx{Context: context.Background(), deadline: time.Now().Add(-time.Millisecond)}
 	for i := 0; i < lateCalls; i++ {
@@ -228,9 +231,10 @@ func TestBreakerRoutesAroundSlowReplica(t *testing.T) {
 	// The breakers read the fake clock, so the cooldown ends only when the
 	// test advances it.
 	clk := clock.NewFake()
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(slowAddr, fastAddr),
+	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
 		ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
+	conn.UpdateRouting(1, []string{slowAddr, fastAddr}, nil)
 
 	spec := emptySpec(false)
 	invoke := func(timeout time.Duration) error {
@@ -302,9 +306,10 @@ func TestHedgingReducesTailLatency(t *testing.T) {
 	_, fastAddr, _ := startCounting(t, component, rpc.ServerOptions{})
 	slowSrv.SetDelay(200 * time.Millisecond)
 
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(slowAddr, fastAddr),
+	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
 		ConnOptions{HedgeAfter: 10 * time.Millisecond})
 	defer conn.Close()
+	conn.UpdateRouting(1, []string{slowAddr, fastAddr}, nil)
 
 	spec := emptySpec(false)
 	var worst time.Duration
@@ -344,12 +349,13 @@ func TestHedgedCallsSurviveReplicaDeathOnStripedConns(t *testing.T) {
 	_, safeAddr, safeCalls := startCounting(t, component, rpc.ServerOptions{})
 	doomedSrv.SetDelay(3 * time.Millisecond)
 
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(doomedAddr, safeAddr),
+	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
 		ConnOptions{
 			HedgeAfter: time.Millisecond,
 			Client:     rpc.ClientOptions{NumConns: 4},
 		})
 	defer conn.Close()
+	conn.UpdateRouting(1, []string{doomedAddr, safeAddr}, nil)
 
 	spec := emptySpec(false)
 	const workers, perWorker = 6, 25
@@ -391,9 +397,10 @@ func TestHedgingDisabledForNoRetry(t *testing.T) {
 	_, fastAddr, fastCalls := startCounting(t, component, rpc.ServerOptions{})
 	slowSrv.SetDelay(60 * time.Millisecond)
 
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(slowAddr, fastAddr),
+	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
 		ConnOptions{HedgeAfter: 5 * time.Millisecond})
 	defer conn.Close()
+	conn.UpdateRouting(1, []string{slowAddr, fastAddr}, nil)
 
 	spec := emptySpec(true)
 	for i := 0; i < 8; i++ {
@@ -422,9 +429,10 @@ func TestHedgeLoserSpanRecorded(t *testing.T) {
 	// Fraction 0: nothing is recorded unless the span context's sampled
 	// bit — the root's decision — forces it through RecordSampled.
 	rec := tracing.NewRecorder(0, 0)
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(slowAddr, fastAddr),
+	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
 		ConnOptions{HedgeAfter: 5 * time.Millisecond, Tracer: rec})
 	defer conn.Close()
+	conn.UpdateRouting(1, []string{slowAddr, fastAddr}, nil)
 
 	sc := tracing.NewTrace()
 	sc.Sampled = true

@@ -63,7 +63,7 @@ func TestRoutingPushWakesWaitingCall(t *testing.T) {
 
 	done := invokeAsync(conn, component)
 	eventually(t, "the call to arm its grace timer", func() bool { return clk.Waiting() == 1 })
-	conn.UpdateRouting([]string{addr}, nil)
+	conn.UpdateRouting(1, []string{addr}, nil)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -95,7 +95,7 @@ func TestEmptyRoutingPushRewaits(t *testing.T) {
 	// channel is taken.
 	eventually(t, "the call to wait for a push", func() bool { return bal.picks.Load() >= 2 })
 	before := bal.picks.Load()
-	conn.UpdateRouting(nil, nil)
+	conn.UpdateRouting(1, nil, nil)
 	eventually(t, "the empty push to wake the call", func() bool { return bal.picks.Load() > before })
 	select {
 	case err := <-done:
@@ -143,11 +143,11 @@ func TestConcurrentWaitersRacePushes(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		for i := 0; i < 200; i++ {
-			conn.UpdateRouting(nil, nil)
+		for i := uint64(1); i <= 200; i++ {
+			conn.UpdateRouting(i, nil, nil)
 			runtime.Gosched()
 		}
-		conn.UpdateRouting([]string{addr}, nil)
+		conn.UpdateRouting(201, []string{addr}, nil)
 	}()
 	close(start)
 

@@ -64,17 +64,6 @@ type Options struct {
 	BypassAssignmentDispatch bool
 }
 
-// routeState tracks what this proclet knows about one remote component.
-type routeState struct {
-	conn    *core.DataPlaneConn
-	version uint64 // newest routing epoch accepted (fences stale pushes)
-	// applied and replicas describe the last push fully installed in the
-	// balancer; they are published only after Balancer.Update returns, so
-	// readers never run ahead of what Pick sees.
-	applied  uint64
-	replicas int
-}
-
 // Proclet is the per-process daemon.
 type Proclet struct {
 	opts    Options
@@ -87,11 +76,13 @@ type Proclet struct {
 	tracer  *tracing.Recorder
 	graph   *callgraph.Collector
 
-	mu       sync.Mutex
-	hosted   map[string]bool
-	routes   map[string]*routeState
-	started  map[string]bool // StartComponent already sent
-	maxEpoch uint64          // highest routing/placement epoch seen anywhere
+	mu     sync.Mutex
+	hosted map[string]bool
+	// routes holds the data-plane conn to each remote component; a
+	// component is in it once StartComponent was sent for it or a routing
+	// push named it. Each conn owns its route's epoch and replica table.
+	routes   map[string]*core.DataPlaneConn
+	maxEpoch uint64 // highest routing/placement epoch seen anywhere
 
 	// Report-loop state. Only the report loop touches it; each report is
 	// built in report and sent before the next one reuses it (Send encodes
@@ -129,8 +120,7 @@ func Start(ctx context.Context, opts Options) (*Proclet, error) {
 		tracer:     tracing.NewRecorder(100000, opts.TraceFraction),
 		graph:      callgraph.NewCollector(),
 		hosted:     map[string]bool{},
-		routes:     map[string]*routeState{},
-		started:    map[string]bool{},
+		routes:     map[string]*core.DataPlaneConn{},
 		shutdownCh: make(chan struct{}),
 	}
 
@@ -212,9 +202,9 @@ func (p *Proclet) registrationMsg() *pipe.Message {
 	}
 	sort.Strings(hosted)
 	applied := make(map[string]uint64, len(p.routes))
-	for c, rs := range p.routes {
-		if rs.applied > 0 {
-			applied[c] = rs.applied
+	for c, conn := range p.routes {
+		if v, _ := conn.Applied(); v > 0 {
+			applied[c] = v
 		}
 	}
 	epoch := p.maxEpoch
@@ -289,11 +279,8 @@ func (p *Proclet) InjectReadStall(d time.Duration) { p.srv.SetReadStall(d) }
 func (p *Proclet) Route(component string) (*core.DataPlaneConn, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rs, ok := p.routes[component]
-	if !ok {
-		return nil, false
-	}
-	return rs.conn, true
+	conn, ok := p.routes[component]
+	return conn, ok
 }
 
 // Wait blocks until the proclet shuts down and returns the terminating
@@ -325,8 +312,8 @@ func (p *Proclet) Shutdown(err error) {
 		_ = p.runtime.Shutdown(ctx)
 		p.srv.Close()
 		p.mu.Lock()
-		for _, rs := range p.routes {
-			rs.conn.Close()
+		for _, conn := range p.routes {
+			conn.Close()
 		}
 		p.mu.Unlock()
 		// Closing the control-plane connection tells the envelope this
@@ -470,22 +457,18 @@ func (p *Proclet) unhostComponent(component string, version uint64) error {
 // the loopback interface.
 const listenAddr = "127.0.0.1:0"
 
-// newRouteState builds the client-side routing state for one component.
-// The proclet's span recorder is handed to the conn so hedge-loser spans
-// land in the same export stream as served-call spans.
-func newRouteState(component string, routed bool, tracer *tracing.Recorder) *routeState {
+// newConn builds the data-plane conn to one remote component. The
+// proclet's span recorder is handed to the conn so hedge-loser spans land
+// in the same export stream as served-call spans.
+func newConn(component string, routed bool, tracer *tracing.Recorder) *core.DataPlaneConn {
 	var bal routing.Balancer
 	if routed {
 		bal = routing.NewAffinity()
 	} else {
 		bal = routing.NewRoundRobin()
 	}
-	return &routeState{
-		conn: core.NewDataPlaneConnWith(component, bal, core.ConnOptions{
-			// NumConns zero: stripe each peer min(4, GOMAXPROCS) wide.
-			Tracer: tracer,
-		}),
-	}
+	// NumConns zero: stripe each peer min(4, GOMAXPROCS) wide.
+	return core.NewDataPlaneConnWith(component, bal, core.ConnOptions{Tracer: tracer})
 }
 
 // remoteConn builds (once per component) the data-plane connection used to
@@ -501,16 +484,14 @@ func newRouteState(component string, routed bool, tracer *tracing.Recorder) *rou
 // (DataPlaneConn.UpdateRouting).
 func (p *Proclet) remoteConn(reg *codegen.Registration) (codegen.Conn, error) {
 	p.mu.Lock()
-	rs, ok := p.routes[reg.Name]
+	conn, ok := p.routes[reg.Name]
 	if !ok {
-		rs = newRouteState(reg.Name, reg.Routed, p.tracer)
-		p.routes[reg.Name] = rs
+		conn = newConn(reg.Name, reg.Routed, p.tracer)
+		p.routes[reg.Name] = conn
 	}
-	needStart := !p.started[reg.Name]
-	p.started[reg.Name] = true
 	p.mu.Unlock()
 
-	if needStart {
+	if !ok {
 		if err := p.send(&pipe.Message{
 			Kind:           pipe.KindStartComponent,
 			StartComponent: &pipe.StartComponent{Component: reg.Name, Routed: reg.Routed},
@@ -518,7 +499,7 @@ func (p *Proclet) remoteConn(reg *codegen.Registration) (codegen.Conn, error) {
 			return nil, fmt.Errorf("proclet: StartComponent(%s): %w", reg.Name, err)
 		}
 	}
-	return rs.conn, nil
+	return conn, nil
 }
 
 // routedShardLocal implements core.Options.RoutedLocal: it reports whether
@@ -528,16 +509,12 @@ func (p *Proclet) remoteConn(reg *codegen.Registration) (codegen.Conn, error) {
 // local fast path.
 func (p *Proclet) routedShardLocal(component string, shard uint64) (owns, known bool) {
 	p.mu.Lock()
-	rs := p.routes[component]
+	conn := p.routes[component]
 	p.mu.Unlock()
-	if rs == nil {
+	if conn == nil {
 		return false, false
 	}
-	aff, ok := rs.conn.Balancer().(*routing.Affinity)
-	if !ok {
-		return false, false
-	}
-	owners := aff.Owners(shard)
+	owners := conn.Owners(shard)
 	if len(owners) == 0 {
 		return false, false
 	}
@@ -549,47 +526,31 @@ func (p *Proclet) routedShardLocal(component string, shard uint64) (owns, known 
 	return false, true
 }
 
-// updateRouting applies a routing push from the envelope.
+// updateRouting applies a routing push from the envelope. The conn fences
+// stale pushes itself.
 func (p *Proclet) updateRouting(ri *pipe.RoutingInfo) {
 	p.mu.Lock()
-	rs, ok := p.routes[ri.Component]
+	conn, ok := p.routes[ri.Component]
 	if !ok {
 		// Routing info for a component we have not asked about yet: create
-		// the state so a later remoteConn finds it ready.
+		// the conn so a later remoteConn finds it ready.
 		reg, found := codegen.Find(ri.Component)
-		rs = newRouteState(ri.Component, found && reg.Routed, p.tracer)
-		p.routes[ri.Component] = rs
-		p.started[ri.Component] = true
+		conn = newConn(ri.Component, found && reg.Routed, p.tracer)
+		p.routes[ri.Component] = conn
 	}
 	p.noteEpochLocked(ri.Version)
-	if ri.Version < rs.version {
-		p.mu.Unlock()
-		return // stale
-	}
-	rs.version = ri.Version
 	p.mu.Unlock()
-
-	rs.conn.UpdateRouting(ri.Replicas, ri.Assignment)
-	// Publish the applied epoch and replica count only after the balancer
-	// has applied the update, so RoutingVersion and RoutingReplicas never
-	// run ahead of what Pick sees.
-	p.mu.Lock()
-	if rs.version == ri.Version {
-		rs.applied = ri.Version
-		rs.replicas = len(ri.Replicas)
-	}
-	p.mu.Unlock()
+	conn.UpdateRouting(ri.Version, ri.Replicas, ri.Assignment)
 }
 
 // RoutingVersion reports the routing epoch this proclet has applied for a
 // component's data-plane route (0 before any routing info arrived). The
-// epoch is published only after the balancer finished applying the push,
-// so observing version v implies Pick sees assignment v (or newer).
+// conn publishes the epoch under the lock it applies the push under, so
+// observing version v implies Pick sees assignment v (or newer).
 func (p *Proclet) RoutingVersion(component string) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if rs, ok := p.routes[component]; ok {
-		return rs.applied
+	if conn, ok := p.Route(component); ok {
+		v, _ := conn.Applied()
+		return v
 	}
 	return 0
 }
@@ -600,10 +561,9 @@ func (p *Proclet) RoutingVersion(component string) uint64 {
 // needs a stable replica set — e.g. a test asserting routing affinity —
 // must wait for the client-visible count, not just the manager's.
 func (p *Proclet) RoutingReplicas(component string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if rs, ok := p.routes[component]; ok {
-		return rs.replicas
+	if conn, ok := p.Route(component); ok {
+		_, addrs := conn.Applied()
+		return len(addrs)
 	}
 	return 0
 }

@@ -1,8 +1,8 @@
 // Package routing implements replica selection for component method calls:
-// round-robin and least-loaded balancing for unrouted components, and
-// slice-based affinity routing in the style of Slicer (paper §5.2) for
-// routed components, where requests for the same key are directed to the
-// same replica to improve cache locality.
+// round-robin balancing for unrouted components, and slice-based affinity
+// routing in the style of Slicer (paper §5.2) for routed components, where
+// requests for the same key are directed to the same replica to improve
+// cache locality.
 package routing
 
 import (
@@ -34,8 +34,9 @@ type Slice struct {
 
 // An Assignment maps the entire 64-bit key space onto replicas, as a sorted
 // list of slices. The first slice must start at 0 so every key is covered.
-// Assignments are versioned; routers ignore assignments older than the one
-// they hold.
+// Assignments carry the routing epoch of the push that installed them; the
+// data-plane conn that applies pushes drops stale ones before a balancer
+// sees them (core.DataPlaneConn.UpdateRouting).
 type Assignment struct {
 	Version uint64  `tag:"1"`
 	Slices  []Slice `tag:"2"`
@@ -195,18 +196,12 @@ func (a *Affinity) Owners(shard uint64) []string {
 }
 
 // Update implements Balancer. A nil assignment retains the previous one
-// unless the replica set became empty. Assignments are epoch-fenced: an
-// assignment older than the one currently installed is ignored, so routing
-// pushes that arrive out of order (e.g. during a live re-placement, when a
-// component's ownership flips between groups) can never roll a router back
-// to a superseded epoch.
+// unless the replica set became empty. Update applies whatever it is
+// given: pushes reach it in epoch order, fenced by the conn that applies
+// them.
 func (a *Affinity) Update(replicas []string, assignment *Assignment) {
 	a.mu.Lock()
 	if assignment != nil {
-		if a.assignment != nil && assignment.Version < a.assignment.Version {
-			a.mu.Unlock()
-			return // stale epoch
-		}
 		a.assignment = assignment
 	}
 	if len(replicas) == 0 {
@@ -259,74 +254,4 @@ func (h *HealthAware) Pick(shard uint64, hasShard bool) (string, error) {
 // Update implements Balancer by delegating to the inner balancer.
 func (h *HealthAware) Update(replicas []string, assignment *Assignment) {
 	h.inner.Update(replicas, assignment)
-}
-
-// LeastLoaded tracks in-flight calls per replica and picks the replica with
-// the fewest, breaking ties pseudo-randomly by rotation. Callers must
-// bracket calls with Start/Done.
-type LeastLoaded struct {
-	mu       sync.Mutex
-	inflight map[string]int
-	replicas []string
-	rot      int
-}
-
-// NewLeastLoaded returns a least-loaded balancer over the given replicas.
-func NewLeastLoaded(replicas ...string) *LeastLoaded {
-	l := &LeastLoaded{inflight: map[string]int{}}
-	l.Update(replicas, nil)
-	return l
-}
-
-// Pick implements Balancer.
-func (l *LeastLoaded) Pick(shard uint64, hasShard bool) (string, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.replicas) == 0 {
-		return "", ErrNoReplicas
-	}
-	l.rot++
-	best := ""
-	bestLoad := int(^uint(0) >> 1)
-	for i := range l.replicas {
-		r := l.replicas[(i+l.rot)%len(l.replicas)]
-		if load := l.inflight[r]; load < bestLoad {
-			best, bestLoad = r, load
-		}
-	}
-	return best, nil
-}
-
-// Start records the beginning of a call to addr.
-func (l *LeastLoaded) Start(addr string) {
-	l.mu.Lock()
-	l.inflight[addr]++
-	l.mu.Unlock()
-}
-
-// Done records the completion of a call to addr.
-func (l *LeastLoaded) Done(addr string) {
-	l.mu.Lock()
-	if l.inflight[addr] > 0 {
-		l.inflight[addr]--
-	}
-	l.mu.Unlock()
-}
-
-// Update implements Balancer.
-func (l *LeastLoaded) Update(replicas []string, _ *Assignment) {
-	cp := append([]string(nil), replicas...)
-	sort.Strings(cp)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.replicas = cp
-	live := map[string]bool{}
-	for _, r := range cp {
-		live[r] = true
-	}
-	for r := range l.inflight {
-		if !live[r] {
-			delete(l.inflight, r)
-		}
-	}
 }

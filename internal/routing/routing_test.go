@@ -144,34 +144,6 @@ func TestAffinityClearedOnEmptyReplicas(t *testing.T) {
 	}
 }
 
-func TestLeastLoaded(t *testing.T) {
-	ll := NewLeastLoaded("a", "b")
-	ll.Start("a")
-	ll.Start("a")
-	// With a loaded, picks must prefer b.
-	for i := 0; i < 5; i++ {
-		addr, err := ll.Pick(0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if addr != "b" {
-			t.Errorf("pick = %s, want b", addr)
-		}
-	}
-	ll.Done("a")
-	ll.Done("a")
-}
-
-func TestLeastLoadedForgetsRemovedReplicas(t *testing.T) {
-	ll := NewLeastLoaded("a", "b")
-	ll.Start("b")
-	ll.Update([]string{"a"}, nil)
-	addr, err := ll.Pick(0, false)
-	if err != nil || addr != "a" {
-		t.Errorf("pick = %s, %v", addr, err)
-	}
-}
-
 func TestKeyHashNeverZero(t *testing.T) {
 	f := func(s string) bool { return KeyHash(s) != 0 }
 	if err := quick.Check(f, nil); err != nil {

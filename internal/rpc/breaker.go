@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/metrics"
 )
 
 // This file implements the client side of overload protection: a
@@ -196,89 +195,11 @@ func (b *Breaker) Allow() bool {
 	return true
 }
 
-// A BreakerGroup maintains one Breaker per replica address. When a breaker
-// opens and its cooldown elapses, the group launches a half-open liveness
-// probe (the data plane's Ping) in the background; the replica stays
-// quarantined until a probe succeeds. Real requests are never the trial.
-type BreakerGroup struct {
-	clk   clock.Clock
-	probe func(ctx context.Context, addr string) error
-
-	mu sync.Mutex
-	m  map[string]*Breaker
-
-	opened *metrics.Counter
-	closed *metrics.Counter
-	probes *metrics.Counter
-}
-
-// NewBreakerGroup returns an empty group whose breakers read time from clk
-// and whose half-open trials call probe. Breakers are created lazily on the
-// first Report for an address.
-func NewBreakerGroup(clk clock.Clock, probe func(ctx context.Context, addr string) error) *BreakerGroup {
-	return &BreakerGroup{
-		clk:    clk,
-		probe:  probe,
-		m:      map[string]*Breaker{},
-		opened: metrics.Default.Counter("rpc.breaker.opened"),
-		closed: metrics.Default.Counter("rpc.breaker.closed"),
-		probes: metrics.Default.Counter("rpc.breaker.probes"),
-	}
-}
-
-// get returns the breaker for addr, or nil if none exists yet.
-func (g *BreakerGroup) get(addr string) *Breaker {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.m[addr]
-}
-
-// State returns the breaker state for addr (closed if never reported).
-func (g *BreakerGroup) State(addr string) BreakerState {
-	if b := g.get(addr); b != nil {
-		return b.State()
-	}
-	return BreakerClosed
-}
-
-// Report records one call outcome against addr's breaker and counts trips
-// and recoveries.
-func (g *BreakerGroup) Report(addr string, failure bool) {
-	g.mu.Lock()
-	b := g.m[addr]
-	if b == nil {
-		b = NewBreaker(g.clk)
-		g.m[addr] = b
-	}
-	g.mu.Unlock()
-
-	from, to := b.Report(failure)
-	if from != to {
-		switch to {
-		case BreakerOpen:
-			g.opened.Inc()
-		case BreakerClosed:
-			g.closed.Inc()
-		}
-	}
-}
-
-// Healthy reports whether routing should consider addr. A closed (or
-// unknown) breaker is healthy. An open breaker is not; the first Healthy
-// after its cooldown elapses wins the half-open slot and launches the probe
-// off the request path.
-func (g *BreakerGroup) Healthy(addr string) bool {
-	b := g.get(addr)
-	if b == nil || b.State() == BreakerClosed {
-		return true
-	}
-	if b.Allow() {
-		g.probes.Inc()
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), breakerCooldown)
-			defer cancel()
-			g.Report(addr, g.probe(ctx, addr) != nil)
-		}()
-	}
-	return false
+// Probe runs ping as the half-open trial that Allow admitted, bounded by
+// the cooldown, and reports its verdict. The replica stays quarantined
+// until a probe succeeds; a real request is never the trial.
+func (b *Breaker) Probe(ping func(context.Context) error) (from, to BreakerState) {
+	ctx, cancel := context.WithTimeout(context.Background(), breakerCooldown)
+	defer cancel()
+	return b.Report(ping(ctx) != nil)
 }

@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,96 +154,33 @@ func TestBreakerStragglersIgnoredWhileOpen(t *testing.T) {
 	}
 }
 
-func TestBreakerGroupProbeRecovery(t *testing.T) {
+func TestBreakerProbeReportsVerdict(t *testing.T) {
+	// Probe runs the half-open trial Allow admitted: a failing ping
+	// reopens the breaker, a succeeding one closes it, and the ping's
+	// context is bounded by the 1 s cooldown.
 	clk := clock.NewFake()
-	var probeFail atomic.Bool
-	probeFail.Store(true)
-	var probeCalls atomic.Int64
-	g := NewBreakerGroup(clk, func(ctx context.Context, addr string) error {
-		probeCalls.Add(1)
-		if probeFail.Load() {
-			return errors.New("still sick")
-		}
-		return nil
-	})
-
-	if !g.Healthy("a") {
-		t.Fatal("unknown address reported unhealthy")
-	}
-	for i := 0; i < breakerMinSamples; i++ {
-		g.Report("a", true)
-	}
-	if got := g.State("a"); got != BreakerOpen {
-		t.Fatalf("state after %d/%d failures = %v, want open", breakerMinSamples, breakerMinSamples, got)
-	}
-	if g.Healthy("a") {
-		t.Fatal("open breaker reported healthy")
-	}
-	if !g.Healthy("b") {
-		t.Fatal("unrelated address reported unhealthy")
-	}
-
-	// While the probe keeps failing the replica must stay quarantined:
-	// each cooldown expiry admits exactly one probe, the probe fails, and
-	// the breaker reopens without ever reporting healthy.
-	for round := int64(1); round <= 3; round++ {
+	b := NewBreaker(clk)
+	reportN(b, breakerMinSamples, true)
+	sick := errors.New("still sick")
+	for _, tc := range []struct {
+		err  error
+		want BreakerState
+	}{{sick, BreakerOpen}, {nil, BreakerClosed}} {
 		clk.Advance(breakerCooldown)
-		if g.Healthy("a") {
-			t.Fatal("replica reported healthy while probe fails")
+		if !b.Allow() {
+			t.Fatal("cooldown elapsed but no trial admitted")
 		}
-		if g.Healthy("a") {
-			t.Fatal("replica reported healthy while its probe is in flight")
-		}
-		// The probe runs off the request path; wait for its verdict to
-		// land (half-open trial resolved, breaker open again).
-		waitFor(t, func() bool { return probeCalls.Load() == round && g.State("a") == BreakerOpen })
-	}
-
-	// Probe starts succeeding: the breaker must close.
-	probeFail.Store(false)
-	clk.Advance(breakerCooldown)
-	if g.Healthy("a") {
-		t.Fatal("replica reported healthy before the probe's verdict")
-	}
-	waitFor(t, func() bool { return g.State("a") == BreakerClosed })
-	if !g.Healthy("a") {
-		t.Fatal("closed breaker reported unhealthy")
-	}
-	if got := probeCalls.Load(); got != 4 {
-		t.Errorf("%d probes over 4 cooldowns, want one each", got)
-	}
-}
-
-func TestBreakerGroupCountsTransitions(t *testing.T) {
-	// The opened and closed counters move once per trip and once per
-	// recovery, never for an outcome that leaves the state where it was.
-	clk := clock.NewFake()
-	g := NewBreakerGroup(clk, func(context.Context, string) error { return nil })
-	opened, closed := g.opened.Value(), g.closed.Value()
-	check := func(when string, wantOpened, wantClosed uint64) {
-		t.Helper()
-		if got := g.opened.Value() - opened; got != wantOpened {
-			t.Errorf("%s: opened counted %d, want %d", when, got, wantOpened)
-		}
-		if got := g.closed.Value() - closed; got != wantClosed {
-			t.Errorf("%s: closed counted %d, want %d", when, got, wantClosed)
+		from, to := b.Probe(func(ctx context.Context) error {
+			dl, ok := ctx.Deadline()
+			if !ok || time.Until(dl) > time.Second {
+				t.Errorf("probe deadline %v (set %v), want within the 1s cooldown", time.Until(dl), ok)
+			}
+			return tc.err
+		})
+		if from != BreakerHalfOpen || to != tc.want {
+			t.Fatalf("probe returning %v moved %v → %v, want half-open → %v", tc.err, from, to, tc.want)
 		}
 	}
-
-	g.Report("a", false)
-	check("a success while closed", 0, 0)
-	for i := 0; i < breakerMinSamples; i++ {
-		g.Report("a", true)
-	}
-	check("the trip", 1, 0)
-	g.Report("a", true)
-	g.Report("a", false)
-	check("stragglers while open", 1, 0)
-
-	clk.Advance(breakerCooldown)
-	g.Healthy("a") // launches the probe, which succeeds
-	waitFor(t, func() bool { return g.closed.Value() != closed })
-	check("the recovery", 1, 1)
 }
 
 func TestBreakerStateString(t *testing.T) {

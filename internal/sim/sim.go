@@ -20,7 +20,9 @@
 //     invariants after every op (hosting bijection, epoch bounds, replica
 //     bookkeeping — cplane.CheckInvariants; applied epochs in the status
 //     table — cplane.CheckApplied), and no live proclet hosts a
-//     component the control plane assigns to another group.
+//     component the control plane assigns to another group;
+//   - every proclet's data-plane conn holds replica entries only for the
+//     addresses of the routing push it applied.
 //
 // Faults — replica crashes, explicit resharding, live re-placement,
 // manager restarts, and data-plane degradation — are drawn from the same
@@ -39,6 +41,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -566,6 +569,39 @@ func (w *world) checkControlState(i int, op Op) string {
 			if s.CompGroup[c] != gname {
 				return fmt.Sprintf("op %d (%s): orphaned hosting: proclet %s (group %s) hosts %s, control plane assigns it to %s",
 					i, op, id, gname, c, s.CompGroup[c])
+			}
+		}
+	}
+	return w.checkReplicaTables(i, op, s.CompGroup)
+}
+
+// checkReplicaTables asserts that every proclet's data-plane conn holds
+// replica entries — clients and breakers — only for the addresses of the
+// routing push it applied, so a replaced or removed replica leaves none
+// behind. A conn that has not applied the manager's latest push for its
+// component has one on the way and is checked after a later op.
+func (w *world) checkReplicaTables(i int, op Op, compGroup map[string]string) string {
+	comps := make([]string, 0, len(compGroup))
+	for c := range compGroup {
+		comps = append(comps, c)
+	}
+	sort.Strings(comps)
+	for _, comp := range comps {
+		v, pushed := w.d.Manager.LastRouting(comp)
+		for id, p := range w.d.Proclets() {
+			conn, ok := p.Route(comp)
+			if !ok {
+				continue
+			}
+			epoch, table := conn.Applied()
+			if epoch != v {
+				continue
+			}
+			for _, addr := range table {
+				if !slices.Contains(pushed, addr) {
+					return fmt.Sprintf("op %d (%s): proclet %s holds a %s replica entry for %s outside its applied push %v (epoch %d)",
+						i, op, id, comp, addr, pushed, epoch)
+				}
 			}
 		}
 	}

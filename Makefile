@@ -117,15 +117,15 @@ sim-soak:
 bench:
 	go test -run xxx -bench . -benchtime 1x .
 
-# bench-json runs the data-plane microbenchmarks and the local-call
-# benchmark (at one and two CPUs) and records them as machine-readable JSON
-# in BENCH_rpc.json (EXPERIMENTS.md A9, A16), the placement
-# planner benchmark in BENCH_placement.json (EXPERIMENTS.md A6/A10), and the
-# generated vs reflective codec round trip plus the interned string decode
-# in BENCH_codec.json (EXPERIMENTS.md A1, A1b).
+# bench-json runs the data-plane microbenchmarks, and the local-call and
+# remote-Invoke benchmarks (at one and two CPUs), and records them as
+# machine-readable JSON in BENCH_rpc.json (EXPERIMENTS.md A9, A16, A19),
+# the placement planner benchmark in BENCH_placement.json (EXPERIMENTS.md
+# A6/A10), and the generated vs reflective codec round trip plus the
+# interned string decode in BENCH_codec.json (EXPERIMENTS.md A1, A1b).
 bench-json:
 	{ go test -run xxx -bench 'BenchmarkTransport|BenchmarkCall|BenchmarkPriority|BenchmarkReadBatch' -benchmem ./internal/rpc . && \
-	  go test -run xxx -bench 'BenchmarkLocalCall' -benchmem -cpu 1,2 ./internal/core; } | go run ./cmd/benchjson -out BENCH_rpc.json
+	  go test -run xxx -bench 'BenchmarkLocalCall|BenchmarkRemoteInvoke' -benchmem -cpu 1,2 ./internal/core; } | go run ./cmd/benchjson -out BENCH_rpc.json
 	go test -run xxx -bench 'BenchmarkPlacement' -benchmem . | go run ./cmd/benchjson -out BENCH_placement.json
 	{ go test -run xxx -bench 'BenchmarkOrderCodec' -benchmem -count 5 ./internal/boutique && \
 	  go test -run xxx -bench 'BenchmarkDecodeStrings' -benchmem -count 5 ./internal/codec; } | go run ./cmd/benchjson -out BENCH_codec.json

@@ -2,7 +2,8 @@
 // tests can inject a controlled clock instead of sleeping. The data plane
 // (rpc server delay injection), the resilience layer (the replica wait's
 // grace, the circuit breakers' windows and cooldowns, the hedge-alarm
-// wheel), and the chaos/sim harnesses all draw their time from a Clock;
+// wheel, which a conn arms only while it has a second replica to hedge
+// to), and the chaos/sim harnesses all draw their time from a Clock;
 // production code uses Real, deterministic tests use Fake.
 //
 // Only time that decides what happens next goes through a Clock.

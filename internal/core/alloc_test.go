@@ -11,22 +11,24 @@ import (
 
 // TestAllocsHedgedInvoke gates hedging's standing cost: an idempotent
 // Invoke with a hedge armed — HedgeAfter an hour, so it never fires — must
-// allocate no more than the same call with hedging disabled. The race
-// runs on the caller's goroutine with a pooled wheel alarm, so arming a
-// hedge adds no goroutine, context, channel or timer per call. Both
-// measurements include the local echo server's allocations, which are the
-// same for either conn. Wired into `make allocs`.
+// allocate no more than the same call with hedging disabled. The conns
+// route to two replicas, since a one-replica conn arms no hedge at all.
+// The race runs on the caller's goroutine with a pooled wheel alarm, so
+// arming a hedge adds no goroutine, context, channel or timer per call.
+// Both measurements include the local echo servers' allocations, which
+// are the same for either conn. Wired into `make allocs`.
 func TestAllocsHedgedInvoke(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race")
 	}
 	const component = "alloc_hedge/C"
-	_, addr, _ := startCounting(t, component, rpc.ServerOptions{})
+	_, addrA, _ := startCounting(t, component, rpc.ServerOptions{})
+	_, addrB, _ := startCounting(t, component, rpc.ServerOptions{})
 	spec := emptySpec(false)
 	measure := func(opts ConnOptions) float64 {
 		conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(), opts)
 		defer conn.Close()
-		conn.UpdateRouting(1, []string{addr}, nil)
+		conn.UpdateRouting(1, []string{addrA, addrB}, nil)
 		ctx := context.Background()
 		call := func() {
 			var args, res emptyMsg

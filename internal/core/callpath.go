@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -132,15 +133,11 @@ func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, 
 		if err != nil {
 			return nil, err
 		}
-		// Prefer an untried replica on retries, but accept a repeat if the
-		// balancer has only one choice.
+		// Prefer an untried replica on retries, but accept a repeat if
+		// every candidate was tried.
 		if (m.Attempt > 0 || m.Sheds > 0) && m.wasTried(addr) {
-			for i := 0; i < 4 && m.wasTried(addr); i++ {
-				if a2, err2 := c.pick.Pick(m.Shard, m.HasShard); err2 == nil {
-					addr = a2
-				} else {
-					break
-				}
+			if fresh, ok := c.pickUntried(m); ok {
+				addr = fresh
 			}
 		}
 		m.markTried(addr)
@@ -176,7 +173,9 @@ func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, 
 // configured). First response wins; the loser is abandoned with an
 // explicit cancel frame — and servers may drop a queued hedge whose caller
 // has thus gone away. Only the first attempt of an idempotent method is
-// hedged.
+// hedged, and only while the replica table holds a second replica to
+// hedge to: a call on a one-replica conn goes straight to transport and
+// arms nothing, so it never wakes the wheel's runner.
 //
 // The race runs on the calling goroutine: each leg is an rpc.Pending, and
 // one select waits on both legs' verdicts, the hedge alarm and ctx. Start
@@ -185,7 +184,7 @@ func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, 
 // frame was written. The alarm is an entry on the conn's timing wheel, so
 // a hedge fires within one wheel tick after it is due.
 func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, error) {
-	if m.Method.NoRetry || m.Attempt > 0 || m.Sheds > 0 {
+	if m.Method.NoRetry || m.Attempt > 0 || m.Sheds > 0 || c.size.Load() < 2 {
 		return c.transport(ctx, m)
 	}
 	delay := c.hedgeDelay()
@@ -224,8 +223,8 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 			i = 1
 		case <-alarm:
 			alarm, al.fired = nil, true
-			addr, err := c.pick.Pick(m.Shard, m.HasShard)
-			if err != nil || addr == m.Addr {
+			addr, ok := c.pickUntried(m)
+			if !ok {
 				continue // no distinct replica to hedge to
 			}
 			r := c.acquire(addr)
@@ -278,6 +277,51 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 		}
 		// The other leg is still running; let it decide the call.
 	}
+}
+
+// pickUntried returns a replica the call has not tried, preferring one
+// whose breaker is closed, or false when every candidate was tried. The
+// candidates are the balancer's: a sharded call's slice owners when the
+// assignment maps its key, else the whole replica table. It scans them
+// instead of re-picking from the balancer, whose round-robin counter
+// concurrent calls share and can steer back to a tried replica every
+// time. The hedge leg and retry's preference for a fresh replica both
+// pick here.
+func (c *DataPlaneConn) pickUntried(m *callMeta) (addr string, ok bool) {
+	var owners []string
+	if m.HasShard {
+		owners = c.Owners(m.Shard)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// consider takes a as the answer if it is untried, and reports whether
+	// the scan can stop: a is healthy as well.
+	consider := func(a string) bool {
+		r := c.replicas[a]
+		if r == nil || m.wasTried(a) {
+			return false
+		}
+		healthy := r.breaker.State() == rpc.BreakerClosed
+		if healthy || !ok {
+			addr, ok = a, true
+		}
+		return healthy
+	}
+	if n := len(owners); n > 0 {
+		off := rand.IntN(n)
+		for i := range owners {
+			if consider(owners[(off+i)%n]) {
+				break
+			}
+		}
+		return addr, ok
+	}
+	for a := range c.replicas { // map order spreads the choice
+		if consider(a) {
+			break
+		}
+	}
+	return addr, ok
 }
 
 // A raceLeg is one outstanding leg of a hedge race.

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
+	"repro/internal/routing"
 	"repro/internal/rpc"
 )
 
@@ -201,5 +203,186 @@ func TestHedgeLoserLateResponseReleased(t *testing.T) {
 	resp.Release()
 	if n := settledGoroutines(baseline); n > baseline {
 		t.Errorf("%d goroutines after the race, baseline %d", n, baseline)
+	}
+}
+
+// TestHedgeLegAvoidsPrimary races 8 callers through one conn to two
+// replicas, one of which stalls every request for 100 ms, with hedges
+// firing after 2 ms. A call whose primary is the stalled replica must
+// hedge to the other one, however the callers interleave on the
+// balancer's shared round-robin counter, so no call waits out the stall.
+func TestHedgeLegAvoidsPrimary(t *testing.T) {
+	const (
+		component = "hedge_pick/C"
+		stall     = 100 * time.Millisecond
+		callers   = 8
+		calls     = 25
+	)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv := rpc.NewServer()
+		srv.RegisterFramed(component+".M", func(ctx context.Context, _ []byte) ([]byte, rpc.BufOwner, error) {
+			if i == 0 {
+				select {
+				case <-time.After(stall):
+				case <-ctx.Done(): // a hedge loser's cancel frame
+				}
+			}
+			return make([]byte, rpc.ResponseHeadroom), nil, nil
+		})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, addr)
+	}
+	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(), ConnOptions{HedgeAfter: 2 * time.Millisecond})
+	t.Cleanup(conn.Close)
+	conn.UpdateRouting(1, addrs, nil)
+
+	spec := emptySpec(false)
+	var slow atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				var args, res emptyMsg
+				start := time.Now()
+				if err := conn.Invoke(context.Background(), component, spec, &args, &res, 0, false); err != nil {
+					t.Error(err)
+					return
+				}
+				if time.Since(start) >= stall {
+					slow.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	launched, won := conn.HedgeStats()
+	t.Logf("hedges launched %d, won %d", launched, won)
+	if n := slow.Load(); n != 0 {
+		t.Errorf("%d of %d calls waited out the stalled replica instead of hedging", n, callers*calls)
+	}
+}
+
+// A pinnedBalancer picks addr, which the test sets between calls on the
+// calling goroutine.
+type pinnedBalancer struct{ addr string }
+
+func (b *pinnedBalancer) Pick(uint64, bool) (string, error)    { return b.addr, nil }
+func (b *pinnedBalancer) Update([]string, *routing.Assignment) {}
+
+// TestSoleReplicaArmsNoHedge drives an adaptively hedging conn on a fake
+// clock through pushes of one, two and again one replica. With one
+// replica there is nothing to hedge to, so a call arms no alarm and the
+// wheel's runner never starts; the latency ring still fills, so the
+// call after a push adds a (stalled) second replica hedges at once; and
+// a push back to one replica stops the arming again. Each handler
+// records how many alarms the conn's wheel holds while it serves.
+func TestSoleReplicaArmsNoHedge(t *testing.T) {
+	const component = "sole_replica/C"
+	var conn atomic.Pointer[DataPlaneConn]
+	var armed atomic.Int64 // most wheel entries a handler saw
+	record := func() {
+		if n := int64(conn.Load().wheel.Len()); n > armed.Load() {
+			armed.Store(n)
+		}
+	}
+	fast := rpc.NewServer()
+	registerEmpty(fast, component+".M", record)
+	addrA, err := fast.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fast.Close() })
+	stalled := rpc.NewServer()
+	release := make(chan struct{})
+	stalled.RegisterFramed(component+".M", func(ctx context.Context, _ []byte) ([]byte, rpc.BufOwner, error) {
+		record()
+		select {
+		case <-ctx.Done(): // the hedge won and abandoned this leg
+		case <-release:
+		}
+		return make([]byte, rpc.ResponseHeadroom), nil, nil
+	})
+	addrB, err := stalled.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(func() { releaseOnce(); stalled.Close() })
+
+	clk := clock.NewFake()
+	bal := &pinnedBalancer{addr: addrA}
+	c := NewDataPlaneConnWith(component, bal, ConnOptions{Clock: clk})
+	conn.Store(c)
+	t.Cleanup(c.Close)
+	spec := emptySpec(false)
+	invoke := func() error {
+		var args, res emptyMsg
+		return c.Invoke(context.Background(), component, spec, &args, &res, 0, false)
+	}
+
+	c.UpdateRouting(1, []string{addrA}, nil)
+	for i := 0; i < 2*hedgeMinSamples; i++ {
+		if err := invoke(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.hedgeDelay() <= 0 {
+		t.Fatal("adaptive hedge delay still cold after the warm-up calls")
+	}
+	if n := armed.Load(); n != 0 {
+		t.Errorf("one-replica calls armed %d hedge alarms", n)
+	}
+	if n := clk.Waiting(); n != 0 {
+		t.Errorf("%d sleepers on the conn's clock after one-replica calls; the wheel's runner started", n)
+	}
+
+	// A second replica, stalled, takes the next call's primary: the hedge
+	// must fire on the delay the one-replica calls warmed.
+	c.UpdateRouting(2, []string{addrA, addrB}, nil)
+	bal.addr = addrB
+	errc := make(chan error, 1)
+	go func() { errc <- invoke() }()
+	deadline := time.Now().Add(5 * time.Second)
+	for decided := false; !decided; {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatal(err)
+			}
+			decided = true
+		default:
+			if time.Now().After(deadline) {
+				releaseOnce()
+				t.Fatalf("call on the stalled replica did not hedge: %v", <-errc)
+			}
+			clk.Advance(time.Millisecond)
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if launched, won := c.HedgeStats(); launched != 1 || won != 1 {
+		t.Errorf("after the push to two replicas: %d hedges launched, %d won; want 1, 1", launched, won)
+	}
+
+	// Back to one replica: calls arm nothing again.
+	c.UpdateRouting(3, []string{addrA}, nil)
+	bal.addr = addrA
+	armed.Store(0)
+	for i := 0; i < 20; i++ {
+		if err := invoke(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := armed.Load(); n != 0 {
+		t.Errorf("after the push back to one replica, calls armed %d hedge alarms", n)
+	}
+	if launched, _ := c.HedgeStats(); launched != 1 {
+		t.Errorf("hedges launched = %d after the push back to one replica, want 1", launched)
 	}
 }

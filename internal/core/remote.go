@@ -55,7 +55,8 @@ type DataPlaneConn struct {
 	opts      ConnOptions
 	lat       *latencyTracker
 	// wheel arms hedge alarms at the server's 1 ms deadline resolution;
-	// its runner goroutine exists only while a hedged call is in flight.
+	// its runner ticks only while a hedged call is in flight, and a
+	// one-replica conn never arms one.
 	wheel *clock.Wheel
 
 	// mu guards the route: a push changes the epoch, the balancer, the
@@ -65,6 +66,9 @@ type DataPlaneConn struct {
 	// replicas is the replica table, keyed by address: exactly the
 	// addresses of the applied push. It is nil once the conn is closed.
 	replicas map[string]*replica
+	// size is len(replicas), published under mu so a call can tell
+	// without the lock whether it has a second replica to hedge to.
+	size atomic.Int32
 	// wake is closed by UpdateRouting to wake calls waiting for a replica;
 	// nil until a call finds the replica set empty.
 	wake chan struct{}
@@ -124,9 +128,11 @@ type ConnOptions struct {
 	DisableHedging bool
 
 	// Clock supplies the conn's time: the replica wait's grace, the
-	// breakers' windows and cooldowns, and the hedge-alarm wheel. Nil
-	// means the wall clock. Tests inject a Fake and advance it rather than
-	// wait out the grace or a cooldown.
+	// breakers' windows and cooldowns, and the hedge-alarm wheel, which
+	// holds alarms only while the replica table has a second replica, so
+	// a one-replica conn never starts its runner. Nil means the wall
+	// clock. Tests inject a Fake and advance it rather than wait out the
+	// grace or a cooldown.
 	Clock clock.Clock
 
 	// Tracer, when set, records spans for hedge-race legs that lose after
@@ -245,6 +251,7 @@ func (c *DataPlaneConn) Close() {
 		r.release()
 	}
 	c.replicas = nil
+	c.size.Store(0)
 	c.mu.Unlock()
 	c.wheel.Close()
 }
@@ -311,10 +318,10 @@ func (c *DataPlaneConn) counted(from, to rpc.BreakerState) {
 // conn's lock it drops a push older than the applied epoch (an equal epoch
 // applies), installs the push in the balancer, makes the replica table
 // hold exactly the pushed addresses, wakes every call waiting in
-// pickWithGrace for a replica, and publishes the epoch. It is the one way
-// a push reaches the balancer. A pruned entry takes no new leg; its legs
-// in flight, hedge legs included, run to completion, and its client
-// closes when the last one ends.
+// pickWithGrace for a replica, and publishes the epoch and the table's
+// size. It is the one way a push reaches the balancer. A pruned entry
+// takes no new leg; its legs in flight, hedge legs included, run to
+// completion, and its client closes when the last one ends.
 func (c *DataPlaneConn) UpdateRouting(epoch uint64, replicas []string, assignment *routing.Assignment) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -338,6 +345,7 @@ func (c *DataPlaneConn) UpdateRouting(epoch uint64, replicas []string, assignmen
 		}
 	}
 	c.replicas = table
+	c.size.Store(int32(len(table)))
 	// The balancer has applied the push, so a woken caller's re-pick sees
 	// it.
 	if c.wake != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,7 +47,7 @@ func registerEmpty(srv *rpc.Server, name string, do func()) {
 
 // startCounting starts a server for component hosting method M that counts
 // invocations, with the given admission options.
-func startCounting(t *testing.T, component string, opts rpc.ServerOptions) (*rpc.Server, string, *atomic.Int64) {
+func startCounting(t testing.TB, component string, opts rpc.ServerOptions) (*rpc.Server, string, *atomic.Int64) {
 	t.Helper()
 	srv := rpc.NewServerWithOptions(opts)
 	var calls atomic.Int64
@@ -57,6 +58,45 @@ func startCounting(t *testing.T, component string, opts rpc.ServerOptions) (*rpc
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv, addr, &calls
+}
+
+// BenchmarkRemoteInvoke measures an empty idempotent Invoke over loopback
+// with adaptive hedging on, to one replica, where a call arms no hedge
+// alarm, and to two, where every call arms one once the delay is warm.
+// `make bench-json` records both at -cpu 1,2 in BENCH_rpc.json.
+func BenchmarkRemoteInvoke(b *testing.B) {
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
+			const component = "bench_remote/C"
+			addrs := make([]string, n)
+			for i := range addrs {
+				_, addrs[i], _ = startCounting(b, component, rpc.ServerOptions{})
+			}
+			conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(), ConnOptions{})
+			defer conn.Close()
+			conn.UpdateRouting(1, addrs, nil)
+			spec := emptySpec(false)
+			ctx := context.Background()
+			var args, res emptyMsg
+			for i := 0; i < 2*hedgeMinSamples; i++ {
+				// Dial every stripe and warm the adaptive hedge delay.
+				if err := conn.Invoke(ctx, component, spec, &args, &res, 0, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			before, _ := conn.HedgeStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := conn.Invoke(ctx, component, spec, &args, &res, 0, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			launched, _ := conn.HedgeStats()
+			b.ReportMetric(float64(launched-before)/float64(b.N), "hedges/op")
+		})
+	}
 }
 
 func TestOverloadShedRetriesElsewhereForNoRetry(t *testing.T) {
@@ -107,9 +147,10 @@ func TestRetriesPreferUntriedReplicas(t *testing.T) {
 	_, live, calls := startCounting(t, component, rpc.ServerOptions{})
 	dead := "127.0.0.1:1" // nothing listens here
 
-	// The balancer proposes the dead replica twice in a row; the retry loop
-	// must re-pick past the already-tried address and reach the live one.
-	bal := &scriptedBalancer{seq: []string{dead, dead, live}}
+	// The balancer proposes the dead replica on every pick, as a shared
+	// round-robin counter can under concurrent callers; the retry loop
+	// must still get past the already-tried address to the live one.
+	bal := &scriptedBalancer{seq: []string{dead}}
 	conn := NewDataPlaneConnWith(component, bal,
 		ConnOptions{DisableHedging: true})
 	defer conn.Close()
@@ -121,9 +162,6 @@ func TestRetriesPreferUntriedReplicas(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("live replica executed %d calls, want 1", got)
-	}
-	if picks := bal.i.Load(); picks < 3 {
-		t.Errorf("balancer consulted %d times; retry did not re-pick past the tried replica", picks)
 	}
 }
 

@@ -199,6 +199,9 @@ const (
 // context, which carries the CallInfo and span context as fields, is the
 // only allocation the path may make, and it must fit reqCtxBytes. A
 // request carrying a deadline adds its wheel entry, which finish unlinks.
+// A handler that makes one nested call under its context stays in the
+// same budget: the call waits on its reply alone, so the context's done
+// channel is never made.
 func TestAllocsServerDispatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under the race detector (sync.Pool drops Puts)")
@@ -213,6 +216,34 @@ func TestAllocsServerDispatch(t *testing.T) {
 		return enc.Framed(), enc, nil
 	})
 
+	// The nested call's downstream is a zero-allocation echo peer, so the
+	// measurement sees only the served request and the call it makes.
+	cliSide, srvSide := net.Pipe()
+	defer cliSide.Close()
+	defer srvSide.Close()
+	go zeroAllocEchoPeer(srvSide)
+	c := NewClient("pipe", ClientOptions{
+		NumConns: 1,
+		Dialer:   func(ctx context.Context, addr string) (net.Conn, error) { return cliSide, nil },
+	})
+	defer c.Close()
+	s.RegisterFramed("alloc.ServerNested", func(ctx context.Context, args []byte) ([]byte, BufOwner, error) {
+		enc := codec.GetEncoder()
+		enc.Reserve(PayloadHeadroom)
+		enc.Raw(args)
+		resp, err := c.CallFramed(ctx, MethodKey("alloc.Echo"), enc.Framed(), CallOptions{})
+		codec.PutEncoder(enc)
+		if err != nil {
+			t.Errorf("nested call: %v", err)
+			return nil, nil, err
+		}
+		out := codec.GetEncoder()
+		out.Reserve(ResponseHeadroom)
+		out.Raw(resp.Data())
+		resp.Release()
+		return out.Framed(), out, nil
+	})
+
 	fl := newConnFlusher(io.Discard, s.txBytes, s.flushHist, nil, nil)
 	args := []byte("ping-pong payload")
 
@@ -221,17 +252,22 @@ func TestAllocsServerDispatch(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name          string
+		method        string
 		deadline      int64
 		allocs, bytes uint64
 	}{
-		{"NoDeadline", 0, 1, reqCtxBytes},
-		{"Deadline", time.Now().Add(time.Hour).UnixNano(), 2, reqCtxBytes + wheelEntryBytes},
+		{"NoDeadline", "alloc.ServerEcho", 0, 1, reqCtxBytes},
+		{"Deadline", "alloc.ServerEcho", time.Now().Add(time.Hour).UnixNano(), 2, reqCtxBytes + wheelEntryBytes},
+		{"NestedCall", "alloc.ServerNested", 0, 1, reqCtxBytes},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			hdr := header{id: 7, method: MethodKey("alloc.ServerEcho"), trace: 11, span: 12, parent: 13, deadline: tc.deadline}
+			hdr := header{id: 7, method: MethodKey(tc.method), trace: 11, span: 12, parent: 13, deadline: tc.deadline}
 			serve := func() {
 				rc := newReqCtx(s, hdr)
 				s.handleRequest(rc, fl, hdr, args)
+				if rc.done != nil {
+					t.Error("serving the request made its context's done channel")
+				}
 				rc.finish()
 			}
 			serve() // warm up pools

@@ -165,10 +165,27 @@ func (c *Client) Addr() string { return c.addr }
 // after decoding; the payload from Response.Data is invalid afterwards.
 //
 // CallFramed is Start followed by a wait for the verdict or for ctx.
+// Under a served request's own context (a nested call in a handler) the
+// call waits on its verdict alone: the end of the request delivers a
+// cancel verdict into the same waiter (reqCtx.await), so ctx's done
+// channel is never made. Either way, a call whose ctx ends first sends a
+// cancel frame and returns ctx's error.
 func (c *Client) CallFramed(ctx context.Context, id MethodID, framed []byte, opts CallOptions) (*Response, error) {
 	p, err := c.Start(ctx, id, framed, opts)
 	if err != nil {
 		return nil, err
+	}
+	if rc, ok := ctx.(*reqCtx); ok {
+		if resp, ok := rc.await(p); ok {
+			if resp != canceledVerdict {
+				return p.Result(resp)
+			}
+			// end took the registration with its verdict, so the waiter
+			// is empty and only the cancel frame is left of Abandon.
+			waiterPool.Put(p.w)
+			_ = p.cc.fl.writeControl(frameCancel, p.id)
+			return nil, ctx.Err()
+		}
 	}
 	select {
 	case resp := <-p.Done():
@@ -318,12 +335,26 @@ const pendingShards = 8
 
 // A waiter is one pooled completion slot: a reusable buffered channel that
 // carries exactly one verdict per registration — a *Response on success,
-// nil for conn death. Verdict senders run under the owning shard's lock
-// and delete the registration before sending, so when a canceling caller
-// finds its registration gone the verdict is already buffered (forget
-// drains it); the channel is provably empty whenever the waiter returns to
-// the pool, which is what makes reuse hedge-safe.
-type waiter struct{ ch chan *Response }
+// nil for conn death, canceledVerdict when the served request a nested
+// call awaits under ends. Verdict senders run under the owning shard's
+// lock and delete the registration before sending, so when a canceling
+// caller finds its registration gone the verdict is already buffered
+// (forget drains it); the channel is provably empty whenever the waiter
+// returns to the pool, which is what makes reuse hedge-safe.
+//
+// cc and id name the registration while a reqCtx holds the waiter (see
+// reqCtx.await), so the request's end can complete it; they are stale
+// otherwise.
+type waiter struct {
+	ch chan *Response
+	cc *clientConn
+	id uint64
+}
+
+// canceledVerdict is the verdict a served request's end delivers to the
+// nested call awaiting under it. It is never a real response: it is
+// marked released, so releasing it panics.
+var canceledVerdict = &Response{released: true}
 
 var waiterPool = sync.Pool{New: func() any {
 	return &waiter{ch: make(chan *Response, 1)}

@@ -145,12 +145,7 @@ func TestReqCtxCancelFrameClosesDone(t *testing.T) {
 	// the cancel frame can close Done.
 	rawRequestDeadline(t, cliSide, 5, MethodKey("reqctx.Wait"), f.Now().Add(time.Hour).UnixNano())
 	<-started
-	var cancelFrame [9]byte
-	cancelFrame[0] = frameCancel
-	putUint64(cancelFrame[1:], 5)
-	if _, err := cliSide.Write(mkFrame(cancelFrame[:])); err != nil {
-		t.Fatal(err)
-	}
+	writeCancelFrame(t, cliSide, 5)
 	select {
 	case err := <-errs:
 		if err != context.Canceled {
@@ -163,6 +158,17 @@ func TestReqCtxCancelFrameClosesDone(t *testing.T) {
 	s.Close()
 	if n := s.wheel.Len(); n != 0 {
 		t.Errorf("wheel holds %d entries after the request finished", n)
+	}
+}
+
+// writeCancelFrame writes the cancel frame for request id.
+func writeCancelFrame(t *testing.T, conn net.Conn, id uint64) {
+	t.Helper()
+	var cancelFrame [9]byte
+	cancelFrame[0] = frameCancel
+	putUint64(cancelFrame[1:], id)
+	if _, err := conn.Write(mkFrame(cancelFrame[:])); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -241,4 +247,212 @@ func TestReqCtxDoneRacesFinish(t *testing.T) {
 			t.Fatalf("round %d: wheel holds %d entries after finish", i, n)
 		}
 	}
+}
+
+// A nestedEnd is one way a served request ends while its handler waits
+// on a nested call: it gets the upstream server's clock, the raw client
+// side of the request's connection and the request's context.
+type nestedEnd struct {
+	name     string
+	deadline time.Duration // the request's wire deadline, 0 for none
+	end      func(t *testing.T, f *clock.Fake, s *Server, cli net.Conn, rc *reqCtx)
+	want     error
+}
+
+var nestedEnds = []nestedEnd{
+	{"CancelFrame", 0, func(t *testing.T, _ *clock.Fake, _ *Server, cli net.Conn, _ *reqCtx) {
+		writeCancelFrame(t, cli, 5)
+	}, context.Canceled},
+	{"ConnDeath", 0, func(_ *testing.T, _ *clock.Fake, _ *Server, cli net.Conn, _ *reqCtx) {
+		cli.Close()
+	}, context.Canceled},
+	{"WheelExpiry", reqDeadline, func(t *testing.T, f *clock.Fake, s *Server, _ net.Conn, _ *reqCtx) {
+		waitFor(t, func() bool { return f.Waiting() == 1 })
+		f.Advance(reqDeadline)
+		waitFor(t, func() bool { return f.Waiting() == 1 })
+		f.Advance(s.wheel.Tick())
+	}, context.DeadlineExceeded},
+	// Err reads the clock and ends the context before the wheel's tick.
+	{"ErrAtDeadline", reqDeadline, func(_ *testing.T, f *clock.Fake, _ *Server, _ net.Conn, rc *reqCtx) {
+		f.Advance(reqDeadline)
+		_ = rc.Err()
+	}, context.DeadlineExceeded},
+}
+
+// TestNestedCallEndsWithRequest makes a handler's one nested call wait
+// on a downstream handler that never answers on its own, then ends the
+// served request each way a request can end. The nested call, waiting on
+// its reply alone, must return the request context's error without
+// anyone having made the context's done channel, and its cancel frame
+// must end the downstream request.
+func TestNestedCallEndsWithRequest(t *testing.T) {
+	for _, tc := range nestedEnds {
+		t.Run(tc.name, func(t *testing.T) {
+			// The downstream server's clock never moves, so its copy of
+			// the wire deadline cannot end its request: only the cancel
+			// frame can.
+			down := NewServerWithOptions(ServerOptions{Clock: clock.NewFake()})
+			downStarted := make(chan struct{})
+			downEnded := make(chan error, 1)
+			registerBytes(down, "nested.Wait", func(ctx context.Context, _ []byte) ([]byte, error) {
+				close(downStarted)
+				<-ctx.Done()
+				downEnded <- ctx.Err()
+				return nil, nil
+			})
+			c := dialedClient(t, down)
+
+			s, f := fakeServer()
+			served := make(chan *reqCtx, 1)
+			type outcome struct {
+				err  error
+				done bool // the context's done channel was made
+			}
+			outcomes := make(chan outcome, 1)
+			registerBytes(s, "nested.Call", func(ctx context.Context, _ []byte) ([]byte, error) {
+				rc := ctx.(*reqCtx)
+				served <- rc
+				_, err := callBytes(ctx, c, MethodKey("nested.Wait"), nil, CallOptions{})
+				rc.mu.Lock()
+				made := rc.done != nil
+				rc.mu.Unlock()
+				outcomes <- outcome{err, made}
+				return nil, err
+			})
+			cli := serveRaw(t, s)
+			var deadline int64
+			if tc.deadline != 0 {
+				deadline = f.Now().Add(tc.deadline).UnixNano()
+			}
+			rawRequestDeadline(t, cli, 5, MethodKey("nested.Call"), deadline)
+			rc := <-served
+			<-downStarted
+			waitFor(t, func() bool {
+				rc.mu.Lock()
+				defer rc.mu.Unlock()
+				return rc.nested != nil
+			})
+			tc.end(t, f, s, cli, rc)
+
+			select {
+			case o := <-outcomes:
+				if o.err != tc.want {
+					t.Errorf("nested call returned %v, want %v", o.err, tc.want)
+				}
+				if o.done {
+					t.Error("the nested call made the request context's done channel")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the nested call outlived its request")
+			}
+			select {
+			case err := <-downEnded:
+				if err != context.Canceled {
+					t.Errorf("downstream request ended with %v, want Canceled by the cancel frame", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("no cancel frame reached the downstream server")
+			}
+			if n := c.PendingCalls(); n != 0 {
+				t.Errorf("%d calls still registered on the nested call's client", n)
+			}
+			cli.Close()
+			s.Close()
+		})
+	}
+}
+
+// Two nested calls waiting under one request at once: the first waits on
+// its reply alone, the second selects on Done, and the request's end
+// releases both, each with a cancel frame to the downstream server.
+func TestConcurrentNestedCallsEndWithRequest(t *testing.T) {
+	down := NewServer()
+	started := make(chan struct{}, 2)
+	downEnded := make(chan error, 2)
+	registerBytes(down, "nested.Wait", func(ctx context.Context, _ []byte) ([]byte, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		downEnded <- ctx.Err()
+		return nil, nil
+	})
+	c := dialedClient(t, down)
+
+	s, _ := fakeServer()
+	errs := make(chan error, 2)
+	registerBytes(s, "nested.Call", func(ctx context.Context, _ []byte) ([]byte, error) {
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, err := callBytes(ctx, c, MethodKey("nested.Wait"), nil, CallOptions{})
+				errs <- err
+			}()
+		}
+		wg.Wait()
+		return nil, nil
+	})
+	cli := serveRaw(t, s)
+	rawRequestDeadline(t, cli, 5, MethodKey("nested.Call"), 0)
+	for i := 0; i < 2; i++ {
+		<-started
+	}
+	writeCancelFrame(t, cli, 5)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != context.Canceled {
+				t.Errorf("nested call %d returned %v, want Canceled", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("nested call %d outlived its request", i)
+		}
+		select {
+		case <-downEnded:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cancel frame %d never reached the downstream server", i)
+		}
+	}
+	cli.Close()
+	s.Close()
+}
+
+// serveRaw serves one net.Pipe connection on s and returns its client
+// side, whose responses are read and dropped so the server's writes
+// never block.
+func serveRaw(t *testing.T, s *Server) net.Conn {
+	t.Helper()
+	cliSide, srvSide := net.Pipe()
+	t.Cleanup(func() { cliSide.Close() })
+	s.wg.Add(1)
+	go s.serveConn(srvSide)
+	go func() {
+		var buf []byte
+		for {
+			if _, err := readFrameInto(cliSide, &buf); err != nil {
+				return
+			}
+		}
+	}()
+	return cliSide
+}
+
+// dialedClient serves down on loopback and returns a one-stripe client to
+// it that has already dialed, so the nested calls under test never dial
+// under the served request's context (a dial asks that context for Done,
+// and fails at once on a deadline from a fake clock).
+func dialedClient(t *testing.T, down *Server) *Client {
+	t.Helper()
+	registerBytes(down, "nested.Ping", func(context.Context, []byte) ([]byte, error) { return nil, nil })
+	addr, err := down.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { down.Close() })
+	c := NewClient(addr, ClientOptions{NumConns: 1})
+	t.Cleanup(func() { c.Close() })
+	if _, err := callBytes(context.Background(), c, MethodKey("nested.Ping"), nil, CallOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -551,12 +551,10 @@ func (s *Server) dispatch(rc *reqCtx, hdr header, args []byte) (result []byte, o
 	}()
 
 	rc.h = h
-	rc.trace = tracing.SpanContext{
-		Trace:   tracing.TraceID(hdr.trace),
-		Span:    tracing.SpanID(hdr.span),
-		Parent:  tracing.SpanID(hdr.parent),
-		Sampled: hdr.flags&flagSampled != 0,
-	}
+	rc.trace = tracing.TraceID(hdr.trace)
+	rc.span = tracing.SpanID(hdr.span)
+	rc.parent = tracing.SpanID(hdr.parent)
+	rc.sampled = hdr.flags&flagSampled != 0
 	rc.shard = hdr.shard
 	rc.meta = hdr.meta
 	if err := rc.Err(); err != nil {

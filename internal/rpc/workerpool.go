@@ -15,7 +15,10 @@ import (
 // implements clock.Expirer), and cancellation — by cancel frame, conn
 // death, or expiry — flips one mutex-guarded state. The done channel is
 // created only if someone asks for it, so requests whose handlers never
-// select on ctx.Done() pay no channel allocation.
+// select on ctx.Done() pay no channel allocation. A nested call the
+// handler makes on this context does not ask for it: Client.CallFramed
+// registers its reply waiter with the context instead (await), and the
+// end of the request delivers a cancel verdict into that waiter.
 //
 // The layout holds only what a context reads, 96 bytes in all:
 //
@@ -25,11 +28,14 @@ import (
 //   - entry is the wheel entry, allocated and scheduled by newReqCtx only
 //     for a request that carries a deadline, so the common deadline-free
 //     request does not pay for it.
-//   - h, trace, shard and meta are the call's CallInfo, stored as fields
-//     by dispatch before the handler runs and never written afterwards.
-//     InfoFromContext and tracing.FromContext read them directly (reqCtx
-//     is a tracing.Carrier), and Value assembles the CallInfo for
-//     contexts a handler derives from this one.
+//   - h, the span context (trace, span, parent and sampled, flattened so
+//     the Sampled bit packs beside state), shard and meta are the call's
+//     CallInfo, stored as fields by dispatch before the handler runs and
+//     never written afterwards. InfoFromContext and tracing.FromContext
+//     read them directly (reqCtx is a tracing.Carrier), and Value
+//     assembles the CallInfo for contexts a handler derives from this one.
+//   - nested is the waiter of the one nested call awaiting its reply
+//     under this context, nil when there is none.
 //   - state records why the context ended. Err can only ever answer
 //     context.Canceled or context.DeadlineExceeded, so one byte stands
 //     in for an error interface's sixteen and keeps the struct in the
@@ -47,14 +53,19 @@ type reqCtx struct {
 	deadline int64             // Unix ns; 0 when the request carries none
 	entry    *clock.WheelEntry // non-nil iff deadline != 0
 
-	h     *registeredHandler // nil until dispatch resolves the method
-	trace tracing.SpanContext
-	shard uint64
-	meta  CallMeta
+	h      *registeredHandler // nil until dispatch resolves the method
+	trace  tracing.TraceID
+	span   tracing.SpanID
+	parent tracing.SpanID
+	shard  uint64
 
-	state ctxState
-	mu    sync.Mutex
-	done  chan struct{} // lazily created
+	nested *waiter // guarded by mu
+
+	meta    CallMeta
+	state   ctxState
+	sampled bool
+	mu      sync.Mutex
+	done    chan struct{} // lazily created
 }
 
 // A ctxState is why a reqCtx ended, or ctxLive while it runs.
@@ -118,10 +129,7 @@ func (rc *reqCtx) Done() <-chan struct{} {
 func (rc *reqCtx) Err() error {
 	rc.mu.Lock()
 	if rc.state == ctxLive && rc.deadline != 0 && rc.s.opts.Clock.Now().UnixNano() >= rc.deadline {
-		rc.state = ctxExpired
-		if rc.done != nil {
-			close(rc.done)
-		}
+		rc.endLocked(ctxExpired)
 	}
 	st := rc.state
 	rc.mu.Unlock()
@@ -130,7 +138,12 @@ func (rc *reqCtx) Err() error {
 
 // info assembles the CallInfo dispatch stored as fields.
 func (rc *reqCtx) info() CallInfo {
-	return CallInfo{Method: rc.h.name, Trace: rc.trace, Shard: rc.shard, Meta: rc.meta}
+	return CallInfo{Method: rc.h.name, Trace: rc.spanContext(), Shard: rc.shard, Meta: rc.meta}
+}
+
+// spanContext assembles the inbound span context from its fields.
+func (rc *reqCtx) spanContext() tracing.SpanContext {
+	return tracing.SpanContext{Trace: rc.trace, Span: rc.span, Parent: rc.parent, Sampled: rc.sampled}
 }
 
 // Value answers the CallInfo and span-context keys from rc's fields. It
@@ -143,28 +156,65 @@ func (rc *reqCtx) Value(key any) any {
 	if _, ok := key.(callInfoKey); ok {
 		return rc.info()
 	}
-	if tracing.IsKey(key) && rc.trace.Valid() {
-		return rc.trace
+	if tracing.IsKey(key) && rc.trace != 0 {
+		return rc.spanContext()
 	}
 	return nil
 }
 
 // SpanContext implements tracing.Carrier.
 func (rc *reqCtx) SpanContext() (tracing.SpanContext, bool) {
-	return rc.trace, rc.trace.Valid()
+	return rc.spanContext(), rc.trace != 0
 }
 
-// end ends a live context with st and releases Done waiters: a cancel
+// end ends a live context with st and releases its waiters: a cancel
 // frame or conn death (ctxCanceled), expiry, or the request finishing.
 func (rc *reqCtx) end(st ctxState) {
 	rc.mu.Lock()
 	if rc.state == ctxLive {
-		rc.state = st
-		if rc.done != nil {
-			close(rc.done)
-		}
+		rc.endLocked(st)
 	}
 	rc.mu.Unlock()
+}
+
+// endLocked ends the live context with st, rc.mu held: it closes Done if
+// anyone made it, and delivers the cancel verdict to a nested call
+// awaiting under rc. The verdict goes through the pending table's
+// complete, so it is delete-then-send under the shard lock like any
+// other: it lands only while the call is still registered, and a reply
+// that won the shard lock first reaches the call instead.
+func (rc *reqCtx) endLocked(st ctxState) {
+	rc.state = st
+	if rc.done != nil {
+		close(rc.done)
+	}
+	if w := rc.nested; w != nil {
+		w.cc.complete(w.id, canceledVerdict)
+	}
+}
+
+// await waits for the verdict of p, a call made under rc, without making
+// rc's done channel: it registers p's waiter with rc and receives from it
+// alone, while end delivers canceledVerdict should the request end
+// first. It reports false, having waited for nothing, when rc has already
+// ended or another nested call is registered; the caller then selects on
+// Done as for any other context.
+func (rc *reqCtx) await(p Pending) (*Response, bool) {
+	rc.mu.Lock()
+	if rc.state != ctxLive || rc.nested != nil {
+		rc.mu.Unlock()
+		return nil, false
+	}
+	p.w.cc, p.w.id = p.cc, p.id
+	rc.nested = p.w
+	rc.mu.Unlock()
+	resp := <-p.w.ch
+	// Deregister before the waiter can return to the pool: end reads it
+	// under rc.mu, so it never completes an id of the slot's next call.
+	rc.mu.Lock()
+	rc.nested = nil
+	rc.mu.Unlock()
+	return resp, true
 }
 
 // Expire is the wheel's deadline callback.

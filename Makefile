@@ -22,9 +22,9 @@ check: vet lint build race allocs perfbench sim
 # spelled from go/types, never from source text; and a conn's single replica
 # table (DESIGN.md §10): in non-test internal/core files, rpc.NewClient is
 # called only in DataPlaneConn.newReplica, the table's entry constructor, so
-# every client belongs to an entry that a routing push prunes (a conn has no
-# balancer accessor, so the compiler already routes every push through
-# UpdateRouting); and the circuit breaker's single time source
+# every client belongs to an entry that a routing push prunes (the table
+# and the assignment are unexported, so the compiler already routes every
+# push through UpdateRouting); and the circuit breaker's single time source
 # (DESIGN.md §8): internal/rpc/breaker.go never calls time.Now, so windows
 # and cooldowns read the conn's injected clock.
 lint:
@@ -120,12 +120,12 @@ bench:
 # bench-json runs the data-plane microbenchmarks, and the local-call and
 # remote-Invoke benchmarks (at one and two CPUs), and records them as
 # machine-readable JSON in BENCH_rpc.json (EXPERIMENTS.md A9, A16, A19),
-# the placement planner benchmark in BENCH_placement.json (EXPERIMENTS.md
-# A6/A10), and the generated vs reflective codec round trip plus the
+# the placement planner benchmark and the slice-affinity cache benchmark in
+# BENCH_placement.json (EXPERIMENTS.md A6/A10, A4), and the generated vs reflective codec round trip plus the
 # interned string decode in BENCH_codec.json (EXPERIMENTS.md A1, A1b).
 bench-json:
 	{ go test -run xxx -bench 'BenchmarkTransport|BenchmarkCall|BenchmarkPriority|BenchmarkReadBatch' -benchmem ./internal/rpc . && \
 	  go test -run xxx -bench 'BenchmarkLocalCall|BenchmarkRemoteInvoke' -benchmem -cpu 1,2 ./internal/core; } | go run ./cmd/benchjson -out BENCH_rpc.json
-	go test -run xxx -bench 'BenchmarkPlacement' -benchmem . | go run ./cmd/benchjson -out BENCH_placement.json
+	go test -run xxx -bench 'BenchmarkPlacement|BenchmarkAffinityRouting' -benchmem . | go run ./cmd/benchjson -out BENCH_placement.json
 	{ go test -run xxx -bench 'BenchmarkOrderCodec' -benchmem -count 5 ./internal/boutique && \
 	  go test -run xxx -bench 'BenchmarkDecodeStrings' -benchmem -count 5 ./internal/codec; } | go run ./cmd/benchjson -out BENCH_codec.json

@@ -453,7 +453,9 @@ func BenchmarkAffinityRouting(b *testing.B) {
 		set   map[uint64]bool
 		order []uint64
 	}
-	run := func(b *testing.B, bal routing.Balancer, routed bool) {
+	// pick stands in for the data-plane conn's replica choice: the slice
+	// owner for a routed call, else the next replica in rotation.
+	run := func(b *testing.B, pick func(key uint64) string) {
 		caches := map[string]*fifoCache{}
 		for _, r := range replicas {
 			caches[r] = &fifoCache{set: map[uint64]bool{}}
@@ -465,12 +467,8 @@ func BenchmarkAffinityRouting(b *testing.B) {
 			f := rng.Float64()
 			key := uint64(f*f*3000) + 1
 			h := routing.KeyHash(fmt.Sprint(key))
-			addr, err := bal.Pick(h, routed)
-			if err != nil {
-				b.Fatal(err)
-			}
 			lookups++
-			c := caches[addr]
+			c := caches[pick(h)]
 			if c.set[key] {
 				hits++
 				continue
@@ -489,12 +487,14 @@ func BenchmarkAffinityRouting(b *testing.B) {
 	}
 
 	b.Run("Affinity", func(b *testing.B) {
-		bal := routing.NewAffinity(replicas...)
-		bal.Update(replicas, &assignment)
-		run(b, bal, true)
+		run(b, func(key uint64) string { return assignment.Find(key)[0] })
 	})
 	b.Run("RoundRobin", func(b *testing.B) {
-		run(b, routing.NewRoundRobin(replicas...), false)
+		next := 0
+		run(b, func(uint64) string {
+			next++
+			return replicas[next%len(replicas)]
+		})
 	})
 }
 
@@ -577,8 +577,7 @@ func BenchmarkHedgedTailLatency(b *testing.B) {
 			defer fast.Close()
 			slow.SetDelay(3 * time.Millisecond)
 
-			conn := core.NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-				core.ConnOptions{HedgeAfter: time.Millisecond, DisableHedging: mode.disable})
+			conn := core.NewDataPlaneConn(component, core.ConnOptions{HedgeAfter: time.Millisecond, DisableHedging: mode.disable})
 			defer conn.Close()
 			conn.UpdateRouting(1, []string{slowAddr, fastAddr}, nil)
 			spec := &codegen.MethodSpec{

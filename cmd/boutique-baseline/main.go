@@ -31,7 +31,6 @@ import (
 	"repro/internal/httprpc"
 	"repro/internal/logging"
 	"repro/internal/metrics"
-	"repro/internal/routing"
 	"repro/weaver"
 
 	_ "repro/internal/boutique" // registers the components
@@ -87,7 +86,7 @@ func main() {
 			// The baseline has one replica per service; affinity routing
 			// degenerates to that single endpoint, as in the original demo
 			// before autoscaling kicks in.
-			return httprpc.NewConn(dep.Name, routing.NewRoundRobin(addr)), nil
+			return httprpc.NewConn(dep.Name, addr), nil
 		},
 		Fill: func(impl any, name string, resolve func(reflect.Type) (any, error)) error {
 			return weaver.FillComponent(impl, name, logger.With(core.ShortName(name)), resolve, func(string) (net.Listener, error) {

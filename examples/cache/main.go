@@ -164,7 +164,8 @@ func main() {
 	ctx := context.Background()
 
 	// Deploy with three cache replicas. Disabling -affinity deploys the
-	// cache as an unrouted component, so the balancer sprays keys across
+	// cache as an unrouted component, so its pushes carry no slice
+	// assignment and the caller's conn rotates keys across
 	// replicas — exactly the contrast §5.2 draws.
 	components := deploy.Inventory()
 	if !*affinity {
@@ -226,7 +227,7 @@ func main() {
 }
 
 // totalStats sums hit/miss counters across every cache replica by sampling
-// Stats repeatedly: Stats is unrouted, so the balancer round-robins it
+// Stats repeatedly: Stats is unrouted, so the caller's conn rotates it
 // across replicas and sampling visits them all. Replicas are deduplicated
 // by id, keeping the freshest counters.
 func totalStats(ctx context.Context, d *deploy.InProcess) (hits, misses int64, err error) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/routing"
 	"repro/internal/rpc"
 )
 
@@ -26,7 +25,7 @@ func TestAllocsHedgedInvoke(t *testing.T) {
 	_, addrB, _ := startCounting(t, component, rpc.ServerOptions{})
 	spec := emptySpec(false)
 	measure := func(opts ConnOptions) float64 {
-		conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(), opts)
+		conn := NewDataPlaneConn(component, opts)
 		defer conn.Close()
 		conn.UpdateRouting(1, []string{addrA, addrB}, nil)
 		ctx := context.Background()

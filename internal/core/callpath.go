@@ -1,17 +1,16 @@
 // Client call path: the mechanics the paper assigns to the runtime (§5)
 // as a fixed sequence of method calls. Invoke calls retry, which runs the
 // attempt loop and calls hedge per attempt, which races one or two
-// transport legs. Replicas are always picked through the breakers'
-// health-filtered view, and each leg holds its replica's table entry from
-// send to outcome. A per-call *callMeta carries the state the steps
-// share; its wire-visible fields ride the request header.
+// transport legs. Every leg's replica comes from one picker, pick, which
+// prefers closed breakers, and each leg holds its replica's table entry
+// from the pick to its outcome. A per-call *callMeta carries the state
+// the steps share; its wire-visible fields ride the request header.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -51,15 +50,13 @@ type callMeta struct {
 	Attempt int
 	Sheds   int
 
-	// Addr is the replica chosen for the current attempt.
-	Addr string
-
-	// tried records replicas already attempted, so retries prefer fresh
-	// ones; nTried counts its filled prefix. Only the calling goroutine
-	// touches it. Each pass of the retry loop adds one address and a hedge
-	// one more, so maxTried holds every address a call can try; an
-	// overflow would only weaken a preference, never break a call.
-	tried  [maxTried]string
+	// tried records the table entries already attempted, so retries and
+	// the hedge leg prefer fresh ones; nTried counts its filled prefix.
+	// Only the calling goroutine touches it. Each pass of the retry loop
+	// adds one entry and a hedge one more, so maxTried holds every entry a
+	// call can try; an overflow would only weaken a preference, never
+	// break a call.
+	tried  [maxTried]*replica
 	nTried int
 
 	// framed is the pooled request buffer (args behind PayloadHeadroom).
@@ -68,23 +65,23 @@ type callMeta struct {
 	framed []byte
 }
 
-// maxTried bounds the addresses a call records as tried: the attempt and
+// maxTried bounds the entries a call records as tried: the attempt and
 // shed budgets allow at most 2*transportAttempts-1 passes of the retry
 // loop, and the first pass may add one hedge replica.
 const maxTried = 2 * transportAttempts
 
-func (m *callMeta) wasTried(addr string) bool {
-	for _, a := range m.tried[:m.nTried] {
-		if a == addr {
+func (m *callMeta) wasTried(r *replica) bool {
+	for _, t := range m.tried[:m.nTried] {
+		if t == r {
 			return true
 		}
 	}
 	return false
 }
 
-func (m *callMeta) markTried(addr string) {
+func (m *callMeta) markTried(r *replica) {
 	if m.nTried < len(m.tried) {
-		m.tried[m.nTried] = addr
+		m.tried[m.nTried] = r
 		m.nTried++
 	}
 }
@@ -129,21 +126,13 @@ func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, 
 		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
 			return nil, context.DeadlineExceeded
 		}
-		addr, err := c.pickWithGrace(ctx, m.Shard, m.HasShard)
+		r, err := c.pickWithGrace(ctx, m)
 		if err != nil {
 			return nil, err
 		}
-		// Prefer an untried replica on retries, but accept a repeat if
-		// every candidate was tried.
-		if (m.Attempt > 0 || m.Sheds > 0) && m.wasTried(addr) {
-			if fresh, ok := c.pickUntried(m); ok {
-				addr = fresh
-			}
-		}
-		m.markTried(addr)
-		m.Addr = addr
+		m.markTried(r)
 
-		resp, err := c.hedge(ctx, m)
+		resp, err := c.hedge(ctx, m, r)
 		if err == nil {
 			return resp, nil
 		}
@@ -168,11 +157,12 @@ func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, 
 		ShortName(m.Component), m.Method.Name, m.Attempt+m.Sheds, lastErr)
 }
 
-// hedge races a second attempt against a different replica when the
-// first has not answered within the hedge delay (adaptive p99 unless
-// configured). First response wins; the loser is abandoned with an
-// explicit cancel frame — and servers may drop a queued hedge whose caller
-// has thus gone away. Only the first attempt of an idempotent method is
+// hedge runs one attempt whose primary leg goes to r, which pick returned
+// with the leg's reference held. It races a second attempt against a
+// different replica when the first has not answered within the hedge
+// delay (adaptive p99 unless configured). First response wins; the loser
+// is abandoned with an explicit cancel frame — and servers may drop a
+// queued hedge whose caller has thus gone away. Only the first attempt of an idempotent method is
 // hedged, and only while the replica table holds a second replica to
 // hedge to: a call on a one-replica conn goes straight to transport and
 // arms nothing, so it never wakes the wheel's runner.
@@ -183,13 +173,13 @@ func (c *DataPlaneConn) retry(ctx context.Context, m *callMeta) (*rpc.Response, 
 // primary's request buffer, and the delay counts from when the primary's
 // frame was written. The alarm is an entry on the conn's timing wheel, so
 // a hedge fires within one wheel tick after it is due.
-func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, error) {
+func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta, r *replica) (*rpc.Response, error) {
 	if m.Method.NoRetry || m.Attempt > 0 || m.Sheds > 0 || c.size.Load() < 2 {
-		return c.transport(ctx, m)
+		return c.transport(ctx, m, r)
 	}
 	delay := c.hedgeDelay()
 	if delay <= 0 {
-		return c.transport(ctx, m)
+		return c.transport(ctx, m, r)
 	}
 
 	var (
@@ -197,10 +187,6 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 		done     [2]<-chan *rpc.Response
 		firstErr error
 	)
-	r := c.acquire(m.Addr)
-	if r == nil {
-		return nil, errGone(m.Addr)
-	}
 	legs[0] = raceLeg{r: r, start: time.Now()}
 	p, err := r.client.Start(ctx, m.MethodID, m.framed, m.callOptions(false))
 	if err != nil {
@@ -223,15 +209,11 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 			i = 1
 		case <-alarm:
 			alarm, al.fired = nil, true
-			addr, ok := c.pickUntried(m)
-			if !ok {
-				continue // no distinct replica to hedge to
-			}
-			r := c.acquire(addr)
+			r := c.pick(m, true)
 			if r == nil {
-				continue // pruned since the pick
+				continue // no untried replica to hedge to
 			}
-			m.markTried(addr)
+			m.markTried(r)
 			c.hedges.Add(1)
 			c.mHedges.Inc()
 			legs[1] = raceLeg{r: r, start: time.Now()}
@@ -277,51 +259,6 @@ func (c *DataPlaneConn) hedge(ctx context.Context, m *callMeta) (*rpc.Response, 
 		}
 		// The other leg is still running; let it decide the call.
 	}
-}
-
-// pickUntried returns a replica the call has not tried, preferring one
-// whose breaker is closed, or false when every candidate was tried. The
-// candidates are the balancer's: a sharded call's slice owners when the
-// assignment maps its key, else the whole replica table. It scans them
-// instead of re-picking from the balancer, whose round-robin counter
-// concurrent calls share and can steer back to a tried replica every
-// time. The hedge leg and retry's preference for a fresh replica both
-// pick here.
-func (c *DataPlaneConn) pickUntried(m *callMeta) (addr string, ok bool) {
-	var owners []string
-	if m.HasShard {
-		owners = c.Owners(m.Shard)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// consider takes a as the answer if it is untried, and reports whether
-	// the scan can stop: a is healthy as well.
-	consider := func(a string) bool {
-		r := c.replicas[a]
-		if r == nil || m.wasTried(a) {
-			return false
-		}
-		healthy := r.breaker.State() == rpc.BreakerClosed
-		if healthy || !ok {
-			addr, ok = a, true
-		}
-		return healthy
-	}
-	if n := len(owners); n > 0 {
-		off := rand.IntN(n)
-		for i := range owners {
-			if consider(owners[(off+i)%n]) {
-				break
-			}
-		}
-		return addr, ok
-	}
-	for a := range c.replicas { // map order spreads the choice
-		if consider(a) {
-			break
-		}
-	}
-	return addr, ok
 }
 
 // A raceLeg is one outstanding leg of a hedge race.
@@ -381,11 +318,7 @@ func (c *DataPlaneConn) recordHedgeLoser(m *callMeta, start time.Time) {
 }
 
 // transport performs one unhedged attempt against the chosen replica.
-func (c *DataPlaneConn) transport(ctx context.Context, m *callMeta) (*rpc.Response, error) {
-	r := c.acquire(m.Addr)
-	if r == nil {
-		return nil, errGone(m.Addr)
-	}
+func (c *DataPlaneConn) transport(ctx context.Context, m *callMeta, r *replica) (*rpc.Response, error) {
 	start := time.Now()
 	out, err := r.client.CallFramed(ctx, m.MethodID, m.framed, m.callOptions(false))
 	return c.outcome(r, start, out, err)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/callgraph"
 	"repro/internal/codegen"
 	"repro/internal/metrics"
-	"repro/internal/routing"
 	"repro/internal/rpc"
 	"repro/internal/tracing"
 )
@@ -261,7 +260,7 @@ func runHops(t *testing.T, frontFraction, backFraction float64) (seen map[string
 	frontRT := NewRuntime(Options{
 		Hosted: func(name string) bool { return name != "core_test/HopB" },
 		RemoteConn: func(reg *codegen.Registration) (codegen.Conn, error) {
-			c := NewDataPlaneConnWith(reg.Name, routing.NewRoundRobin(), ConnOptions{DisableHedging: true})
+			c := NewDataPlaneConn(reg.Name, ConnOptions{DisableHedging: true})
 			c.UpdateRouting(1, []string{addr}, nil)
 			conns = append(conns, c)
 			return c, nil

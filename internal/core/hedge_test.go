@@ -11,14 +11,14 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/metrics"
-	"repro/internal/routing"
 	"repro/internal/rpc"
 )
 
 // hedgePair starts two replicas of component whose M handlers run serve,
-// and a conn that hedges every call from the first replica to the second
-// after 5ms. Each client keeps one stripe, so the goroutine count after a
-// warm-up call to each replica is the steady baseline.
+// and a conn that hedges every call after 5ms. The push names replica 0
+// first, so after conn.startAt(0) a call's primary goes to replica 0 and
+// its hedge to replica 1. Each client keeps one stripe, so the goroutine
+// count after a warm-up call to each replica is the steady baseline.
 func hedgePair(t *testing.T, component string, serve func(ctx context.Context, replica int) error) (*DataPlaneConn, [2]string) {
 	t.Helper()
 	var addrs [2]string
@@ -37,10 +37,7 @@ func hedgePair(t *testing.T, component string, serve func(ctx context.Context, r
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = addr
 	}
-	// Warm-up picks: one per replica. Then every call's primary goes to
-	// replica 0 and its hedge to replica 1.
-	bal := &scriptedBalancer{seq: []string{addrs[0], addrs[1], addrs[0], addrs[1]}}
-	conn := NewDataPlaneConnWith(component, bal, ConnOptions{
+	conn := NewDataPlaneConn(component, ConnOptions{
 		HedgeAfter: 5 * time.Millisecond,
 		Client:     rpc.ClientOptions{NumConns: 1},
 	})
@@ -109,6 +106,7 @@ func TestHedgeCancelAbandonsBothLegs(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
+	conn.startAt(0)
 	go func() { errc <- conn.Invoke(ctx, component, spec, &args, &res, 0, false) }()
 	for i := 0; i < 2; i++ {
 		select {
@@ -178,6 +176,7 @@ func TestHedgeLoserLateResponseReleased(t *testing.T) {
 
 	late := metrics.Default.Counter("rpc.client.late_responses")
 	before := late.Value()
+	conn.startAt(0)
 	if err := conn.Invoke(context.Background(), component, spec, &args, &res, 0, false); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestHedgeLoserLateResponseReleased(t *testing.T) {
 	if n := primary.PendingCalls(); n != 0 {
 		t.Errorf("primary client has %d pending calls after its late answer", n)
 	}
-	// The balancer now repeats replica 1, so reach replica 0 directly: the
+	// Reach replica 0 directly, whatever the rotation would pick: the
 	// connection that carried the late answer must serve a fresh call.
 	framed := make([]byte, rpc.PayloadHeadroom)
 	resp, err := primary.CallFramed(context.Background(), rpc.MethodKey(component+".M"), framed, rpc.CallOptions{})
@@ -209,8 +208,8 @@ func TestHedgeLoserLateResponseReleased(t *testing.T) {
 // TestHedgeLegAvoidsPrimary races 8 callers through one conn to two
 // replicas, one of which stalls every request for 100 ms, with hedges
 // firing after 2 ms. A call whose primary is the stalled replica must
-// hedge to the other one, however the callers interleave on the
-// balancer's shared round-robin counter, so no call waits out the stall.
+// hedge to the other one, however the callers interleave on the conn's
+// shared rotation, so no call waits out the stall.
 func TestHedgeLegAvoidsPrimary(t *testing.T) {
 	const (
 		component = "hedge_pick/C"
@@ -237,7 +236,7 @@ func TestHedgeLegAvoidsPrimary(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		addrs = append(addrs, addr)
 	}
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(), ConnOptions{HedgeAfter: 2 * time.Millisecond})
+	conn := NewDataPlaneConn(component, ConnOptions{HedgeAfter: 2 * time.Millisecond})
 	t.Cleanup(conn.Close)
 	conn.UpdateRouting(1, addrs, nil)
 
@@ -268,13 +267,6 @@ func TestHedgeLegAvoidsPrimary(t *testing.T) {
 		t.Errorf("%d of %d calls waited out the stalled replica instead of hedging", n, callers*calls)
 	}
 }
-
-// A pinnedBalancer picks addr, which the test sets between calls on the
-// calling goroutine.
-type pinnedBalancer struct{ addr string }
-
-func (b *pinnedBalancer) Pick(uint64, bool) (string, error)    { return b.addr, nil }
-func (b *pinnedBalancer) Update([]string, *routing.Assignment) {}
 
 // TestSoleReplicaArmsNoHedge drives an adaptively hedging conn on a fake
 // clock through pushes of one, two and again one replica. With one
@@ -317,8 +309,7 @@ func TestSoleReplicaArmsNoHedge(t *testing.T) {
 	t.Cleanup(func() { releaseOnce(); stalled.Close() })
 
 	clk := clock.NewFake()
-	bal := &pinnedBalancer{addr: addrA}
-	c := NewDataPlaneConnWith(component, bal, ConnOptions{Clock: clk})
+	c := NewDataPlaneConn(component, ConnOptions{Clock: clk})
 	conn.Store(c)
 	t.Cleanup(c.Close)
 	spec := emptySpec(false)
@@ -346,7 +337,7 @@ func TestSoleReplicaArmsNoHedge(t *testing.T) {
 	// A second replica, stalled, takes the next call's primary: the hedge
 	// must fire on the delay the one-replica calls warmed.
 	c.UpdateRouting(2, []string{addrA, addrB}, nil)
-	bal.addr = addrB
+	c.startAt(1)
 	errc := make(chan error, 1)
 	go func() { errc <- invoke() }()
 	deadline := time.Now().Add(5 * time.Second)
@@ -372,7 +363,6 @@ func TestSoleReplicaArmsNoHedge(t *testing.T) {
 
 	// Back to one replica: calls arm nothing again.
 	c.UpdateRouting(3, []string{addrA}, nil)
-	bal.addr = addrA
 	armed.Store(0)
 	for i := 0; i < 20; i++ {
 		if err := invoke(); err != nil {

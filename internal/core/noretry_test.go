@@ -6,26 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/codegen"
-	"repro/internal/routing"
 	"repro/internal/rpc"
 )
-
-// scriptedBalancer returns addresses in a fixed sequence, then repeats the
-// last one.
-type scriptedBalancer struct {
-	seq []string
-	i   atomic.Int64
-}
-
-func (b *scriptedBalancer) Pick(uint64, bool) (string, error) {
-	i := int(b.i.Add(1)) - 1
-	if i >= len(b.seq) {
-		i = len(b.seq) - 1
-	}
-	return b.seq[i], nil
-}
-
-func (b *scriptedBalancer) Update([]string, *routing.Assignment) {}
 
 func TestTransportRetryPolicy(t *testing.T) {
 	// A live server and a dead address.
@@ -46,9 +28,10 @@ func TestTransportRetryPolicy(t *testing.T) {
 	dead := "127.0.0.1:1" // nothing listens here
 
 	t.Run("RetriableMethodFailsOver", func(t *testing.T) {
-		conn := NewDataPlaneConnWith("retry_test/C", &scriptedBalancer{seq: []string{dead, live}}, ConnOptions{})
+		conn := NewDataPlaneConn("retry_test/C", ConnOptions{})
 		defer conn.Close()
 		conn.UpdateRouting(1, []string{dead, live}, nil)
+		conn.startAt(0) // the first attempt goes to the dead replica
 		var args, res emptyMsg
 		if err := conn.Invoke(context.Background(), "retry_test/C", spec, &args, &res, 0, false); err != nil {
 			t.Fatalf("retriable method failed despite a live replica: %v", err)
@@ -67,9 +50,10 @@ func TestTransportRetryPolicy(t *testing.T) {
 			Do:      spec.Do,
 			NoRetry: true,
 		}
-		conn := NewDataPlaneConnWith("retry_test/C", &scriptedBalancer{seq: []string{dead, live}}, ConnOptions{})
+		conn := NewDataPlaneConn("retry_test/C", ConnOptions{})
 		defer conn.Close()
 		conn.UpdateRouting(1, []string{dead, live}, nil)
+		conn.startAt(0) // the first attempt goes to the dead replica
 		var args, res emptyMsg
 		err := conn.Invoke(context.Background(), "retry_test/C", noRetrySpec, &args, &res, 0, false)
 		if err == nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -20,16 +19,17 @@ import (
 
 // DataPlaneConn invokes component methods over the custom TCP data plane
 // (internal/rpc) using the unversioned codec. One DataPlaneConn serves one
-// component; the balancer chooses among the component's replicas per call.
+// component and chooses among the component's replicas per call.
 //
 // The conn owns the caller's whole route to the component: the applied
-// routing epoch, the balancer, and a replica table with one entry — an
-// rpc.Client and its circuit breaker — per replica of the applied push.
-// UpdateRouting changes all of them under one lock.
+// routing epoch, the applied slice assignment, and a replica table with
+// one entry — an rpc.Client and its circuit breaker — per replica of the
+// applied push. UpdateRouting changes all of them under one lock, and
+// pick, the one replica picker, reads them under it.
 //
 // The conn owns the resilience mechanics the paper assigns to the runtime
-// (§5): transport failures are retried (against a different replica when
-// the balancer offers one) up to transportAttempts times; a per-replica
+// (§5): transport failures are retried (against a replica not yet tried
+// when there is one) up to transportAttempts times; a per-replica
 // circuit breaker remembers recent outcomes and routes traffic around
 // replicas that keep failing, probing them with Ping until they recover;
 // requests shed by server admission control (rpc.ErrOverloaded) are
@@ -50,8 +50,6 @@ type DataPlaneConn struct {
 	// method name. Both are nil for an unregistered component name.
 	methods   []*codegen.MethodSpec
 	methodIDs []rpc.MethodID
-	balancer  routing.Balancer
-	pick      routing.Balancer // balancer filtered through breaker health
 	opts      ConnOptions
 	lat       *latencyTracker
 	// wheel arms hedge alarms at the server's 1 ms deadline resolution;
@@ -59,13 +57,22 @@ type DataPlaneConn struct {
 	// one-replica conn never arms one.
 	wheel *clock.Wheel
 
-	// mu guards the route: a push changes the epoch, the balancer, the
-	// table and the wake channel together.
+	// mu guards the route: a push changes the epoch, the table, the
+	// assignment and the wake channel together.
 	mu    sync.Mutex
 	epoch uint64 // newest routing epoch applied
 	// replicas is the replica table, keyed by address: exactly the
 	// addresses of the applied push. It is nil once the conn is closed.
 	replicas map[string]*replica
+	// addrs holds the applied push's addresses in push order, which the
+	// manager sorts; pick rotates over them.
+	addrs []string
+	// assignment is the applied push's slice assignment, nil when the push
+	// carried none: an unrouted component, or no replicas. It is stored
+	// under mu; Owners reads it without the lock.
+	assignment atomic.Pointer[routing.Assignment]
+	// next is where pick's next scan starts.
+	next uint64
 	// size is len(replicas), published under mu so a call can tell
 	// without the lock whether it has a second replica to hedge to.
 	size atomic.Int32
@@ -171,14 +178,13 @@ const hedgeMinDelay = 500 * time.Microsecond
 // before hedging activates.
 const hedgeMinSamples = 64
 
-// NewDataPlaneConnWith returns a data-plane connection for the named
-// component, picking replicas with balancer, with the breaker, hedging and
-// transport behavior set by opts.
-func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts ConnOptions) *DataPlaneConn {
+// NewDataPlaneConn returns a data-plane connection for the named component,
+// with the hedging and transport behavior set by opts. It routes a sharded
+// call by key whenever the applied push carries a slice assignment.
+func NewDataPlaneConn(component string, opts ConnOptions) *DataPlaneConn {
 	opts.fill()
 	c := &DataPlaneConn{
 		component:  component,
-		balancer:   balancer,
 		opts:       opts,
 		lat:        newLatencyTracker(),
 		wheel:      clock.NewWheel(opts.Clock, time.Millisecond, 64),
@@ -198,15 +204,16 @@ func NewDataPlaneConnWith(component string, balancer routing.Balancer, opts Conn
 			c.methodIDs[i] = rpc.ComponentMethodKey(component, m.Name)
 		}
 	}
-	c.pick = routing.NewHealthAware(balancer, c.healthy)
 	return c
 }
 
 // Owners returns the replicas the applied slice assignment maps shard to,
 // or nil when there is none (an unrouted component, or no assignment yet).
+// Colocated callers use it to decide whether a routed call's key maps to
+// themselves (local fast path) or to a sibling replica (data plane).
 func (c *DataPlaneConn) Owners(shard uint64) []string {
-	if a, ok := c.balancer.(*routing.Affinity); ok {
-		return a.Owners(shard)
+	if a := c.assignment.Load(); a != nil {
+		return a.Find(shard)
 	}
 	return nil
 }
@@ -214,7 +221,7 @@ func (c *DataPlaneConn) Owners(shard uint64) []string {
 // Applied reports the newest routing epoch the conn has applied (0 before
 // any push) and the sorted addresses its replica table holds: those of
 // that push. Both are read under the lock the push is applied under, so
-// they never run ahead of what Pick sees. A pruned entry whose last legs
+// they never run ahead of what pick sees. A pruned entry whose last legs
 // are still running is no longer in the table.
 func (c *DataPlaneConn) Applied() (epoch uint64, addrs []string) {
 	c.mu.Lock()
@@ -250,7 +257,8 @@ func (c *DataPlaneConn) Close() {
 	for _, r := range c.replicas {
 		r.release()
 	}
-	c.replicas = nil
+	c.replicas, c.addrs = nil, nil
+	c.assignment.Store(nil)
 	c.size.Store(0)
 	c.mu.Unlock()
 	c.wheel.Close()
@@ -263,34 +271,62 @@ func (c *DataPlaneConn) lookup(addr string) *replica {
 	return c.replicas[addr]
 }
 
-// acquire returns addr's table entry holding a reference for one leg, or
-// nil when addr is not in the table: a push removed it after the call
-// picked it, or the conn closed. The leg's outcome drops the reference.
-func (c *DataPlaneConn) acquire(addr string) *replica {
+// pick is the conn's one replica picker. It returns the table entry for a
+// call's next leg with the leg's reference already taken (the leg's
+// outcome drops it), or nil when there is no candidate. Under one
+// acquisition of the route lock it takes the candidates — a sharded
+// call's slice owners when the applied push carried an assignment, else
+// the whole table — and scans them from a start that rotates per pick. It
+// prefers, in order: an untried replica with a closed breaker, any untried
+// one, a tried one with a closed breaker. With untried set it takes only
+// replicas the call has not tried (the hedge leg). The scan visits every
+// candidate until it finds the best kind, so it fails open to a sick
+// replica only when every candidate is sick: a wrong health signal
+// degrades to plain rotation, never to a self-inflicted outage.
+func (c *DataPlaneConn) pick(m *callMeta, untried bool) *replica {
 	c.mu.Lock()
-	r := c.replicas[addr]
-	if r != nil {
-		r.refs.Add(1)
+	defer c.mu.Unlock()
+	cands := c.addrs
+	if a := c.assignment.Load(); a != nil && m.HasShard {
+		if owners := a.Find(m.Shard); len(owners) > 0 {
+			cands = owners
+		}
 	}
-	c.mu.Unlock()
-	return r
+	var best *replica
+	bestRank := -1
+	start, n := c.next, uint64(len(cands))
+	c.next++
+	for i := uint64(0); i < n && bestRank < 3; i++ {
+		r := c.replicas[cands[(start+i)%n]]
+		if r == nil {
+			continue // an owner the table lacks
+		}
+		rank := 2
+		if m.wasTried(r) {
+			if untried {
+				continue
+			}
+			rank = 0
+		}
+		if c.healthy(r) {
+			rank++
+		}
+		if rank > bestRank {
+			best, bestRank = r, rank
+		}
+	}
+	if best != nil {
+		best.refs.Add(1)
+	}
+	return best
 }
 
-// errGone is the error of a leg whose replica left the table between the
-// pick and the send. The request never left, so the retry stage treats it
-// like a drain's reply: retried elsewhere, no executing attempt spent.
-func errGone(addr string) error {
-	return &rpc.TransportError{Addr: addr, Err: rpc.ErrUnavailable}
-}
-
-// healthy filters the conn's picks: a replica is healthy unless its
-// entry's breaker is open or half-open. The first check after an open
-// breaker's cooldown wins the half-open slot and pings the replica through
-// that entry's client, off the request path. The probe takes no leg, so
-// it never keeps a pruned client open or makes a new one.
-func (c *DataPlaneConn) healthy(addr string) bool {
-	r := c.lookup(addr)
-	if r == nil || r.breaker.State() == rpc.BreakerClosed {
+// healthy reports whether r's breaker is closed. The first check after an
+// open breaker's cooldown wins the half-open slot and pings the replica
+// through the entry's client, off the request path. The probe takes no
+// leg, so it never keeps a pruned client open or makes a new one.
+func (c *DataPlaneConn) healthy(r *replica) bool {
+	if r.breaker.State() == rpc.BreakerClosed {
 		return true
 	}
 	if r.breaker.Allow() {
@@ -314,14 +350,16 @@ func (c *DataPlaneConn) counted(from, to rpc.BreakerState) {
 }
 
 // UpdateRouting applies a routing push made at epoch: the component's
-// replica set and, for routed components, its slice assignment. Under the
-// conn's lock it drops a push older than the applied epoch (an equal epoch
-// applies), installs the push in the balancer, makes the replica table
-// hold exactly the pushed addresses, wakes every call waiting in
+// replica set, in push order, and for a routed component its slice
+// assignment (nil otherwise; the manager attaches one exactly for a routed
+// component with replicas, so an empty push clears it). Under the conn's
+// lock it drops a push older than the applied epoch (an equal epoch
+// applies), stores the addresses and the assignment, makes the replica
+// table hold exactly the pushed addresses, wakes every call waiting in
 // pickWithGrace for a replica, and publishes the epoch and the table's
-// size. It is the one way a push reaches the balancer. A pruned entry
-// takes no new leg; its legs in flight, hedge legs included, run to
-// completion, and its client closes when the last one ends.
+// size. It is the one way a push reaches pick. A pruned entry takes no
+// new leg; its legs in flight, hedge legs included, run to completion,
+// and its client closes when the last one ends.
 func (c *DataPlaneConn) UpdateRouting(epoch uint64, replicas []string, assignment *routing.Assignment) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -329,7 +367,8 @@ func (c *DataPlaneConn) UpdateRouting(epoch uint64, replicas []string, assignmen
 		return // closed, or a stale push
 	}
 	c.epoch = epoch
-	c.balancer.Update(replicas, assignment)
+	c.addrs = slices.Clone(replicas)
+	c.assignment.Store(assignment)
 	table := make(map[string]*replica, len(replicas))
 	for _, addr := range replicas {
 		r := c.replicas[addr]
@@ -346,8 +385,7 @@ func (c *DataPlaneConn) UpdateRouting(epoch uint64, replicas []string, assignmen
 	}
 	c.replicas = table
 	c.size.Store(int32(len(table)))
-	// The balancer has applied the push, so a woken caller's re-pick sees
-	// it.
+	// The push is applied, so a woken caller's re-pick sees it.
 	if c.wake != nil {
 		close(c.wake)
 		c.wake = nil
@@ -365,15 +403,15 @@ func (c *DataPlaneConn) routingPushed() <-chan struct{} {
 	return c.wake
 }
 
-// pickWithGrace chooses a healthy replica, waiting out noReplicaGrace when
-// the replica set is empty — on demand start before the first routing push
+// pickWithGrace picks the replica for a call's next attempt, preferring
+// one the call has not tried, and waits out noReplicaGrace when the
+// replica set is empty — on demand start before the first routing push
 // lands, or mid-restart after a crash (paper §3.1: replicas "may fail and
 // get restarted") — rather than failing the caller immediately. The wait
 // re-picks on every routing push and respects context cancellation.
-func (c *DataPlaneConn) pickWithGrace(ctx context.Context, shard uint64, hasShard bool) (string, error) {
-	addr, err := c.pick.Pick(shard, hasShard)
-	if !errors.Is(err, routing.ErrNoReplicas) {
-		return addr, err
+func (c *DataPlaneConn) pickWithGrace(ctx context.Context, m *callMeta) (*replica, error) {
+	if r := c.pick(m, false); r != nil {
+		return r, nil
 	}
 	grace := c.opts.Clock.NewTimer(noReplicaGrace)
 	defer grace.Stop()
@@ -381,15 +419,14 @@ func (c *DataPlaneConn) pickWithGrace(ctx context.Context, shard uint64, hasShar
 		// Take the wake channel before re-picking: a push that lands after
 		// the pick closes this channel, so no push goes unnoticed.
 		pushed := c.routingPushed()
-		addr, err = c.pick.Pick(shard, hasShard)
-		if !errors.Is(err, routing.ErrNoReplicas) {
-			return addr, err
+		if r := c.pick(m, false); r != nil {
+			return r, nil
 		}
 		select {
 		case <-ctx.Done():
-			return "", ctx.Err()
+			return nil, ctx.Err()
 		case <-grace.C():
-			return "", err
+			return nil, routing.ErrNoReplicas
 		case <-pushed:
 		}
 	}

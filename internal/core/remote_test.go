@@ -72,7 +72,7 @@ func BenchmarkRemoteInvoke(b *testing.B) {
 			for i := range addrs {
 				_, addrs[i], _ = startCounting(b, component, rpc.ServerOptions{})
 			}
-			conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(), ConnOptions{})
+			conn := NewDataPlaneConn(component, ConnOptions{})
 			defer conn.Close()
 			conn.UpdateRouting(1, addrs, nil)
 			spec := emptySpec(false)
@@ -125,10 +125,10 @@ func TestOverloadShedRetriesElsewhereForNoRetry(t *testing.T) {
 	}()
 	<-started
 
-	conn := NewDataPlaneConnWith(component, &scriptedBalancer{seq: []string{addrA, addrB}},
-		ConnOptions{DisableHedging: true})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true})
 	defer conn.Close()
 	conn.UpdateRouting(1, []string{addrA, addrB}, nil)
+	conn.startAt(0) // the first attempt goes to the overloaded replica
 
 	var args, res emptyMsg
 	if err := conn.Invoke(context.Background(), component, emptySpec(true), &args, &res, 0, false); err != nil {
@@ -147,14 +147,14 @@ func TestRetriesPreferUntriedReplicas(t *testing.T) {
 	_, live, calls := startCounting(t, component, rpc.ServerOptions{})
 	dead := "127.0.0.1:1" // nothing listens here
 
-	// The balancer proposes the dead replica on every pick, as a shared
-	// round-robin counter can under concurrent callers; the retry loop
-	// must still get past the already-tried address to the live one.
-	bal := &scriptedBalancer{seq: []string{dead}}
-	conn := NewDataPlaneConnWith(component, bal,
-		ConnOptions{DisableHedging: true})
+	// The push names the dead replica three times ahead of the live one,
+	// so the rotation lands on it for every attempt in the budget, as a
+	// rotation that concurrent callers advance can; each retry must still
+	// get past the already-tried address to the live one.
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true})
 	defer conn.Close()
-	conn.UpdateRouting(1, []string{dead, live}, nil)
+	conn.UpdateRouting(1, []string{dead, dead, dead, live}, nil)
+	conn.startAt(0)
 
 	var args, res emptyMsg
 	if err := conn.Invoke(context.Background(), component, emptySpec(false), &args, &res, 0, false); err != nil {
@@ -171,8 +171,7 @@ func TestNoReplicaGraceIsFifteenSeconds(t *testing.T) {
 	// test advances it.
 	const component = "grace_test/C"
 	clk := clock.NewFake()
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true, Clock: clk})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
 	done := invokeAsync(conn, component)
@@ -201,8 +200,7 @@ func TestNoReplicaGraceRespectsCancellation(t *testing.T) {
 	// The fake clock never moves, so only the cancellation can end the wait.
 	const component = "grace_cancel/C"
 	clk := clock.NewFake()
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true, Clock: clk})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -239,8 +237,7 @@ func TestNoAttemptStartsPastDeadline(t *testing.T) {
 	const component = "late_test/C"
 	const lateCalls = 16
 	_, addr, calls := startCounting(t, component, rpc.ServerOptions{})
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true})
 	defer conn.Close()
 	conn.UpdateRouting(1, []string{addr}, nil)
 
@@ -269,8 +266,7 @@ func TestBreakerRoutesAroundSlowReplica(t *testing.T) {
 	// The breakers read the fake clock, so the cooldown ends only when the
 	// test advances it.
 	clk := clock.NewFake()
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true, Clock: clk})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 	conn.UpdateRouting(1, []string{slowAddr, fastAddr}, nil)
 
@@ -344,8 +340,7 @@ func TestHedgingReducesTailLatency(t *testing.T) {
 	_, fastAddr, _ := startCounting(t, component, rpc.ServerOptions{})
 	slowSrv.SetDelay(200 * time.Millisecond)
 
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{HedgeAfter: 10 * time.Millisecond})
+	conn := NewDataPlaneConn(component, ConnOptions{HedgeAfter: 10 * time.Millisecond})
 	defer conn.Close()
 	conn.UpdateRouting(1, []string{slowAddr, fastAddr}, nil)
 
@@ -387,11 +382,10 @@ func TestHedgedCallsSurviveReplicaDeathOnStripedConns(t *testing.T) {
 	_, safeAddr, safeCalls := startCounting(t, component, rpc.ServerOptions{})
 	doomedSrv.SetDelay(3 * time.Millisecond)
 
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{
-			HedgeAfter: time.Millisecond,
-			Client:     rpc.ClientOptions{NumConns: 4},
-		})
+	conn := NewDataPlaneConn(component, ConnOptions{
+		HedgeAfter: time.Millisecond,
+		Client:     rpc.ClientOptions{NumConns: 4},
+	})
 	defer conn.Close()
 	conn.UpdateRouting(1, []string{doomedAddr, safeAddr}, nil)
 
@@ -435,8 +429,7 @@ func TestHedgingDisabledForNoRetry(t *testing.T) {
 	_, fastAddr, fastCalls := startCounting(t, component, rpc.ServerOptions{})
 	slowSrv.SetDelay(60 * time.Millisecond)
 
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{HedgeAfter: 5 * time.Millisecond})
+	conn := NewDataPlaneConn(component, ConnOptions{HedgeAfter: 5 * time.Millisecond})
 	defer conn.Close()
 	conn.UpdateRouting(1, []string{slowAddr, fastAddr}, nil)
 
@@ -467,8 +460,7 @@ func TestHedgeLoserSpanRecorded(t *testing.T) {
 	// Fraction 0: nothing is recorded unless the span context's sampled
 	// bit — the root's decision — forces it through RecordSampled.
 	rec := tracing.NewRecorder(0, 0)
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{HedgeAfter: 5 * time.Millisecond, Tracer: rec})
+	conn := NewDataPlaneConn(component, ConnOptions{HedgeAfter: 5 * time.Millisecond, Tracer: rec})
 	defer conn.Close()
 	conn.UpdateRouting(1, []string{slowAddr, fastAddr}, nil)
 

@@ -113,7 +113,30 @@ func report(c *DataPlaneConn, addr string, failure bool) {
 	if failure {
 		err = &rpc.TransportError{Addr: addr, Err: errors.New("injected failure")}
 	}
-	c.outcome(c.acquire(addr), time.Now(), nil, err)
+	r := c.lookup(addr)
+	r.refs.Add(1) // the leg's reference, which outcome drops
+	c.outcome(r, time.Now(), nil, err)
+}
+
+// healthy runs the conn's health check on addr's table entry.
+func healthy(c *DataPlaneConn, addr string) bool { return c.healthy(c.lookup(addr)) }
+
+// picked returns the address of the entry pick chooses for m, or "" when
+// it finds none, and drops the leg reference pick takes.
+func picked(c *DataPlaneConn, m *callMeta, untried bool) string {
+	r := c.pick(m, untried)
+	if r == nil {
+		return ""
+	}
+	defer r.release()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for addr, e := range c.replicas {
+		if e == r {
+			return addr
+		}
+	}
+	return ""
 }
 
 // tableOf returns the addresses conn's replica table holds.
@@ -131,13 +154,13 @@ func invoke(conn *DataPlaneConn, component string) error {
 func TestUpdateRoutingFencesStalePushes(t *testing.T) {
 	// A push older than the applied one must not roll the route back; an
 	// equal epoch applies.
-	conn := NewDataPlaneConnWith("fence_test/C", routing.NewAffinity(), ConnOptions{})
+	conn := NewDataPlaneConn("fence_test/C", ConnOptions{})
 	defer conn.Close()
-	key := routing.KeyHash("k")
+	sharded := &callMeta{Shard: routing.KeyHash("k"), HasShard: true}
 	check := func(when, want string, epoch uint64) {
 		t.Helper()
-		if addr, err := conn.pick.Pick(key, true); err != nil || addr != want {
-			t.Fatalf("%s: Pick = %q, %v, want %q", when, addr, err, want)
+		if addr := picked(conn, sharded, false); addr != want {
+			t.Fatalf("%s: pick = %q, want %q", when, addr, want)
 		}
 		if v, addrs := conn.Applied(); v != epoch || !slices.Equal(addrs, []string{want}) {
 			t.Fatalf("%s: applied epoch %d with table %v, want %d with [%s]", when, v, addrs, epoch, want)
@@ -161,8 +184,7 @@ func TestReplacedReplicaLeavesOneEntry(t *testing.T) {
 	// breaker — and no read loop of the replaced replicas' clients is left.
 	const component = "replace_test/C"
 	d := newDialLog()
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true, Client: rpc.ClientOptions{Dialer: d.dial}})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Client: rpc.ClientOptions{Dialer: d.dial}})
 	defer conn.Close()
 	var addrs []string
 	for epoch := uint64(1); epoch <= 6; epoch++ {
@@ -209,8 +231,7 @@ func TestPrunedReplicaFinishesInFlightLeg(t *testing.T) {
 
 	clk := clock.NewFake()
 	d := newDialLog()
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true, Clock: clk, Client: rpc.ClientOptions{Dialer: d.dial}})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Clock: clk, Client: rpc.ClientOptions{Dialer: d.dial}})
 	defer conn.Close()
 	conn.UpdateRouting(1, []string{addrA}, nil)
 
@@ -231,8 +252,13 @@ func TestPrunedReplicaFinishesInFlightLeg(t *testing.T) {
 	// The client stays open under its leg in flight.
 	eventually(t, "the pruned replica's read loop", func() bool { return d.reading(addrA) == 1 })
 	clk.Advance(time.Second) // A's cooldown elapses
-	if !conn.healthy(addrA) {
-		t.Error("a pruned address reported unhealthy; a stale pick must not probe it")
+	probes := metrics.Default.Counter("rpc.breaker.probes")
+	before := probes.Value()
+	if err := invoke(conn, component); err != nil {
+		t.Fatalf("call after the push: %v", err)
+	}
+	if got := probes.Value() - before; got != 0 {
+		t.Errorf("a call after the push launched %d probes; nothing may probe the pruned replica", got)
 	}
 
 	releaseOnce()
@@ -246,8 +272,8 @@ func TestPrunedReplicaFinishesInFlightLeg(t *testing.T) {
 			t.Fatalf("call after the push: %v", err)
 		}
 	}
-	if got := callsB.Load(); got != 10 {
-		t.Errorf("replica B executed %d calls, want 10", got)
+	if got := callsB.Load(); got != 11 {
+		t.Errorf("replica B executed %d calls, want 11", got)
 	}
 	if got := callsA.Load(); got != 1 {
 		t.Errorf("pruned replica A executed %d calls, want only the one in flight", got)
@@ -263,8 +289,7 @@ func TestClosedConnLeavesNoReadLoop(t *testing.T) {
 	const component = "close_test/C"
 	_, addr, calls := startCounting(t, component, rpc.ServerOptions{})
 	d := newDialLog()
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true, Client: rpc.ClientOptions{Dialer: d.dial, NumConns: 2}})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Client: rpc.ClientOptions{Dialer: d.dial, NumConns: 2}})
 	conn.UpdateRouting(1, []string{addr}, nil)
 	for i := 0; i < 4; i++ {
 		if err := invoke(conn, component); err != nil {
@@ -302,12 +327,11 @@ func TestConnBreakerProbeRecovery(t *testing.T) {
 	clk := clock.NewFake()
 	d := newDialLog()
 	d.refuse.Store(true) // every probe's dial fails until cleared
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true, Clock: clk, Client: rpc.ClientOptions{Dialer: d.dial}})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Clock: clk, Client: rpc.ClientOptions{Dialer: d.dial}})
 	defer conn.Close()
 	conn.UpdateRouting(1, []string{addr}, nil)
 
-	if !conn.healthy(addr) {
+	if !healthy(conn, addr) {
 		t.Fatal("fresh replica reported unhealthy")
 	}
 	for i := 0; i < 8; i++ {
@@ -316,21 +340,18 @@ func TestConnBreakerProbeRecovery(t *testing.T) {
 	if got := conn.BreakerState(addr); got != rpc.BreakerOpen {
 		t.Fatalf("state after 8/8 failures = %v, want open", got)
 	}
-	if conn.healthy(addr) {
+	if healthy(conn, addr) {
 		t.Fatal("open breaker reported healthy")
-	}
-	if !conn.healthy("elsewhere:1") {
-		t.Fatal("an address outside the table reported unhealthy")
 	}
 
 	// While the probe keeps failing the replica stays quarantined: each
 	// cooldown admits exactly one probe, and the breaker reopens.
 	for round := int64(1); round <= 3; round++ {
 		clk.Advance(time.Second)
-		if conn.healthy(addr) {
+		if healthy(conn, addr) {
 			t.Fatal("replica reported healthy while its probe fails")
 		}
-		if conn.healthy(addr) {
+		if healthy(conn, addr) {
 			t.Fatal("replica reported healthy while its probe is in flight")
 		}
 		eventually(t, "the probe's verdict", func() bool {
@@ -340,11 +361,11 @@ func TestConnBreakerProbeRecovery(t *testing.T) {
 
 	d.refuse.Store(false)
 	clk.Advance(time.Second)
-	if conn.healthy(addr) {
+	if healthy(conn, addr) {
 		t.Fatal("replica reported healthy before the probe's verdict")
 	}
 	eventually(t, "the breaker to close", func() bool { return conn.BreakerState(addr) == rpc.BreakerClosed })
-	if !conn.healthy(addr) {
+	if !healthy(conn, addr) {
 		t.Fatal("closed breaker reported unhealthy")
 	}
 	if got := d.attempts.Load(); got != 4 {
@@ -362,8 +383,7 @@ func TestConnBreakerCountsTransitions(t *testing.T) {
 	const component = "transitions_test/C"
 	_, addr, _ := startCounting(t, component, rpc.ServerOptions{})
 	clk := clock.NewFake()
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true, Clock: clk})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 	conn.UpdateRouting(1, []string{addr}, nil)
 	openedC := metrics.Default.Counter("rpc.breaker.opened")
@@ -390,7 +410,7 @@ func TestConnBreakerCountsTransitions(t *testing.T) {
 	check("stragglers while open", 1, 0)
 
 	clk.Advance(time.Second)
-	conn.healthy(addr) // launches the probe, which succeeds
+	healthy(conn, addr) // launches the probe, which succeeds
 	eventually(t, "the recovery", func() bool { return closedC.Value() != closed })
 	check("the recovery", 1, 1)
 }
@@ -405,8 +425,7 @@ func TestPushesRaceLegs(t *testing.T) {
 	_, addrA, _ := startCounting(t, component, rpc.ServerOptions{})
 	_, addrB, _ := startCounting(t, component, rpc.ServerOptions{})
 	d := newDialLog()
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{HedgeAfter: time.Millisecond, Client: rpc.ClientOptions{Dialer: d.dial}})
+	conn := NewDataPlaneConn(component, ConnOptions{HedgeAfter: time.Millisecond, Client: rpc.ClientOptions{Dialer: d.dial}})
 	defer conn.Close()
 	sets := [][]string{{addrA, addrB}, {addrA}, {addrB}}
 	conn.UpdateRouting(1, sets[0], nil)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,18 +12,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/rpc"
 )
-
-// countingBalancer counts the picks it serves, so a test can tell when a
-// waiting call has re-picked.
-type countingBalancer struct {
-	routing.Balancer
-	picks atomic.Int64
-}
-
-func (b *countingBalancer) Pick(shard uint64, hasShard bool) (string, error) {
-	b.picks.Add(1)
-	return b.Balancer.Pick(shard, hasShard)
-}
 
 // wallBound is how long a test waits in real time for something a routing
 // push should cause at once. It bounds a hang, not a latency.
@@ -57,8 +44,7 @@ func TestRoutingPushWakesWaitingCall(t *testing.T) {
 	const component = "wake_test/C"
 	_, addr, calls := startCounting(t, component, rpc.ServerOptions{})
 	clk := clock.NewFake()
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true, Clock: clk})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
 	done := invokeAsync(conn, component)
@@ -85,18 +71,15 @@ func TestEmptyRoutingPushRewaits(t *testing.T) {
 	// finds nothing and waits again on the same grace deadline.
 	const component = "wake_empty/C"
 	clk := clock.NewFake()
-	bal := &countingBalancer{Balancer: routing.NewRoundRobin()}
-	conn := NewDataPlaneConnWith(component, bal,
-		ConnOptions{DisableHedging: true, Clock: clk})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
 	done := invokeAsync(conn, component)
-	// The first pick finds the set empty; the second runs once the wake
-	// channel is taken.
-	eventually(t, "the call to wait for a push", func() bool { return bal.picks.Load() >= 2 })
-	before := bal.picks.Load()
+	// The call takes the wake channel before its re-pick; the push closes
+	// and clears it, and the woken call takes a fresh one to re-pick.
+	eventually(t, "the call to wait for a push", conn.waiting)
 	conn.UpdateRouting(1, nil, nil)
-	eventually(t, "the empty push to wake the call", func() bool { return bal.picks.Load() > before })
+	eventually(t, "the empty push to wake the call", conn.waiting)
 	select {
 	case err := <-done:
 		t.Fatalf("call returned %v after an empty push; it must wait out the grace", err)
@@ -123,8 +106,7 @@ func TestConcurrentWaitersRacePushes(t *testing.T) {
 	const waiters = 32
 	_, addr, calls := startCounting(t, component, rpc.ServerOptions{})
 	clk := clock.NewFake() // never advanced: a lost wake-up hangs the test
-	conn := NewDataPlaneConnWith(component, routing.NewRoundRobin(),
-		ConnOptions{DisableHedging: true, Clock: clk})
+	conn := NewDataPlaneConn(component, ConnOptions{DisableHedging: true, Clock: clk})
 	defer conn.Close()
 
 	start := make(chan struct{})

@@ -62,7 +62,7 @@ type State struct {
 
 	// RouteEpoch is the global routing epoch: every routing broadcast and
 	// every re-placement step draws a fresh, strictly increasing value.
-	// Proclets and balancers discard anything older than what they have
+	// Proclets and their data-plane conns discard anything older than what they have
 	// applied, so delayed or reordered pushes can never resurrect a
 	// superseded placement.
 	RouteEpoch uint64

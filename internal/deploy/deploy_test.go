@@ -130,7 +130,7 @@ func TestRoutedComponentAffinity(t *testing.T) {
 	}
 
 	// Wait for all three replicas to be live AND for the resulting routing
-	// assignment to reach the driver's balancer, so it is stable before the
+	// assignment to reach the driver's conn, so it is stable before the
 	// first call. Waiting only on the manager's count races with the async
 	// routing push: an early call could still route on a 1-replica view.
 	waitFor(t, 10*time.Second, func() bool {

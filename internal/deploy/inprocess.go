@@ -230,8 +230,8 @@ func Get[T any](ctx context.Context, d *InProcess) (T, error) {
 	return v.(T), nil
 }
 
-// RoutingReplicas reports how many replicas the main driver's client-side
-// balancer currently knows for the named component. Tests that depend on a
+// RoutingReplicas reports how many replicas the main driver's data-plane
+// conn currently holds for the named component. Tests that depend on a
 // stable routing assignment should wait on this rather than (only) the
 // manager's replica count: the manager learns of a replica before the
 // routing push reaches the driver.

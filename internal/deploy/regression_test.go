@@ -46,7 +46,7 @@ func TestColocatedRoutedDispatchHonorsAssignment(t *testing.T) {
 	}
 
 	// Both replicas live, and the 2-replica assignment applied by the
-	// driver AND by each colocated proxy replica's own balancer.
+	// driver AND by each colocated proxy replica's own conn.
 	waitFor(t, 10*time.Second, func() bool {
 		if d.Manager.ReplicaCount("kv") != 2 || d.RoutingReplicas(storeName) != 2 {
 			return false

@@ -26,7 +26,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/codegen"
 	"repro/internal/metrics"
-	"repro/internal/routing"
 )
 
 // pathPrefix is the URL prefix for component method endpoints:
@@ -118,19 +117,20 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Conn invokes component methods over HTTP+JSON, picking replicas with a
-// balancer. It implements codegen.Conn.
+// Conn invokes component methods over HTTP+JSON on one replica address.
+// It implements codegen.Conn.
 type Conn struct {
 	component string
-	balancer  routing.Balancer
+	addr      string
 	client    *http.Client
 }
 
-// NewConn returns a baseline connection for one component.
-func NewConn(component string, balancer routing.Balancer) *Conn {
+// NewConn returns a baseline connection to the component's replica at
+// addr.
+func NewConn(component, addr string) *Conn {
 	return &Conn{
 		component: component,
-		balancer:  balancer,
+		addr:      addr,
 		client: &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConns:        256,
@@ -141,9 +141,6 @@ func NewConn(component string, balancer routing.Balancer) *Conn {
 	}
 }
 
-// Balancer returns the conn's balancer for replica updates.
-func (c *Conn) Balancer() routing.Balancer { return c.balancer }
-
 // Close releases idle connections.
 func (c *Conn) Close() {
 	c.client.CloseIdleConnections()
@@ -151,15 +148,11 @@ func (c *Conn) Close() {
 
 // Invoke implements codegen.Conn.
 func (c *Conn) Invoke(ctx context.Context, component string, m *codegen.MethodSpec, args codec.Marshaler, res codec.Unmarshaler, shard uint64, hasShard bool) error {
-	addr, err := c.balancer.Pick(shard, hasShard)
-	if err != nil {
-		return err
-	}
 	body, err := json.Marshal(args)
 	if err != nil {
 		return fmt.Errorf("httprpc: encoding %s.%s args: %w", c.component, m.Name, err)
 	}
-	url := "http://" + addr + pathPrefix + c.component + "/" + m.Name
+	url := "http://" + c.addr + pathPrefix + c.component + "/" + m.Name
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return err

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/codegen"
-	"repro/internal/routing"
 )
 
 // A minimal hand-registered component for transport testing.
@@ -79,7 +78,7 @@ func startServer(t *testing.T) string {
 
 func TestInvokeRoundTrip(t *testing.T) {
 	addr := startServer(t)
-	conn := NewConn(adderReg.Name, routing.NewRoundRobin(addr))
+	conn := NewConn(adderReg.Name, addr)
 	defer conn.Close()
 
 	args := addArgs{P0: 2, P1: 3}
@@ -94,7 +93,7 @@ func TestInvokeRoundTrip(t *testing.T) {
 
 func TestApplicationErrorCrossesJSON(t *testing.T) {
 	addr := startServer(t)
-	conn := NewConn(adderReg.Name, routing.NewRoundRobin(addr))
+	conn := NewConn(adderReg.Name, addr)
 	defer conn.Close()
 	args := addArgs{P0: 13}
 	var res addRes
@@ -108,7 +107,7 @@ func TestApplicationErrorCrossesJSON(t *testing.T) {
 
 func TestUnknownEndpoint404(t *testing.T) {
 	addr := startServer(t)
-	conn := NewConn("nope/Missing", routing.NewRoundRobin(addr))
+	conn := NewConn("nope/Missing", addr)
 	defer conn.Close()
 	var res addRes
 	err := conn.Invoke(context.Background(), "nope/Missing", addSpec, &addArgs{}, &res, 0, false)
@@ -117,18 +116,9 @@ func TestUnknownEndpoint404(t *testing.T) {
 	}
 }
 
-func TestNoReplicas(t *testing.T) {
-	conn := NewConn(adderReg.Name, routing.NewRoundRobin())
-	defer conn.Close()
-	var res addRes
-	if err := conn.Invoke(context.Background(), adderReg.Name, addSpec, &addArgs{}, &res, 0, false); err == nil {
-		t.Error("invoke with no replicas succeeded")
-	}
-}
-
 func TestContextCancellation(t *testing.T) {
 	addr := startServer(t)
-	conn := NewConn(adderReg.Name, routing.NewRoundRobin(addr))
+	conn := NewConn(adderReg.Name, addr)
 	defer conn.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -146,7 +136,7 @@ func TestServerCloseStopsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	conn := NewConn(adderReg.Name, routing.NewRoundRobin(addr))
+	conn := NewConn(adderReg.Name, addr)
 	defer conn.Close()
 	var res addRes
 	if err := conn.Invoke(context.Background(), adderReg.Name, addSpec, &addArgs{}, &res, 0, false); err == nil {

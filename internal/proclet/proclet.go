@@ -24,7 +24,6 @@ import (
 	"repro/internal/logging"
 	"repro/internal/metrics"
 	"repro/internal/pipe"
-	"repro/internal/routing"
 	"repro/internal/rpc"
 	"repro/internal/tracing"
 )
@@ -457,18 +456,18 @@ func (p *Proclet) unhostComponent(component string, version uint64) error {
 // the loopback interface.
 const listenAddr = "127.0.0.1:0"
 
-// newConn builds the data-plane conn to one remote component. The
-// proclet's span recorder is handed to the conn so hedge-loser spans land
-// in the same export stream as served-call spans.
-func newConn(component string, routed bool, tracer *tracing.Recorder) *core.DataPlaneConn {
-	var bal routing.Balancer
-	if routed {
-		bal = routing.NewAffinity()
-	} else {
-		bal = routing.NewRoundRobin()
+// connLocked returns the data-plane conn to component, making it on first
+// use, and reports whether it made it. The proclet's span recorder is
+// handed to the conn so hedge-loser spans land in the same export stream
+// as served-call spans. p.mu must be held.
+func (p *Proclet) connLocked(component string) (conn *core.DataPlaneConn, made bool) {
+	if conn, ok := p.routes[component]; ok {
+		return conn, false
 	}
 	// NumConns zero: stripe each peer min(4, GOMAXPROCS) wide.
-	return core.NewDataPlaneConnWith(component, bal, core.ConnOptions{Tracer: tracer})
+	conn = core.NewDataPlaneConn(component, core.ConnOptions{Tracer: p.tracer})
+	p.routes[component] = conn
+	return conn, true
 }
 
 // remoteConn builds (once per component) the data-plane connection used to
@@ -484,14 +483,10 @@ func newConn(component string, routed bool, tracer *tracing.Recorder) *core.Data
 // (DataPlaneConn.UpdateRouting).
 func (p *Proclet) remoteConn(reg *codegen.Registration) (codegen.Conn, error) {
 	p.mu.Lock()
-	conn, ok := p.routes[reg.Name]
-	if !ok {
-		conn = newConn(reg.Name, reg.Routed, p.tracer)
-		p.routes[reg.Name] = conn
-	}
+	conn, made := p.connLocked(reg.Name)
 	p.mu.Unlock()
 
-	if !ok {
+	if made {
 		if err := p.send(&pipe.Message{
 			Kind:           pipe.KindStartComponent,
 			StartComponent: &pipe.StartComponent{Component: reg.Name, Routed: reg.Routed},
@@ -530,14 +525,9 @@ func (p *Proclet) routedShardLocal(component string, shard uint64) (owns, known 
 // stale pushes itself.
 func (p *Proclet) updateRouting(ri *pipe.RoutingInfo) {
 	p.mu.Lock()
-	conn, ok := p.routes[ri.Component]
-	if !ok {
-		// Routing info for a component we have not asked about yet: create
-		// the conn so a later remoteConn finds it ready.
-		reg, found := codegen.Find(ri.Component)
-		conn = newConn(ri.Component, found && reg.Routed, p.tracer)
-		p.routes[ri.Component] = conn
-	}
+	// Routing info for a component not asked about yet makes the conn, so
+	// a later remoteConn finds it ready.
+	conn, _ := p.connLocked(ri.Component)
 	p.noteEpochLocked(ri.Version)
 	p.mu.Unlock()
 	conn.UpdateRouting(ri.Version, ri.Replicas, ri.Assignment)
@@ -546,7 +536,7 @@ func (p *Proclet) updateRouting(ri *pipe.RoutingInfo) {
 // RoutingVersion reports the routing epoch this proclet has applied for a
 // component's data-plane route (0 before any routing info arrived). The
 // conn publishes the epoch under the lock it applies the push under, so
-// observing version v implies Pick sees assignment v (or newer).
+// observing version v implies the conn picks by assignment v (or newer).
 func (p *Proclet) RoutingVersion(component string) uint64 {
 	if conn, ok := p.Route(component); ok {
 		v, _ := conn.Applied()
@@ -555,8 +545,8 @@ func (p *Proclet) RoutingVersion(component string) uint64 {
 	return 0
 }
 
-// RoutingReplicas reports how many replicas this proclet's client-side
-// balancer currently knows for a component (by full registration name).
+// RoutingReplicas reports how many replicas this proclet's data-plane conn
+// currently holds for a component (by full registration name).
 // Routing info propagates asynchronously from the manager, so code that
 // needs a stable replica set — e.g. a test asserting routing affinity —
 // must wait for the client-visible count, not just the manager's.

@@ -64,86 +64,6 @@ func TestQuickAssignmentInvariant(t *testing.T) {
 	}
 }
 
-func TestRoundRobinCycles(t *testing.T) {
-	rr := NewRoundRobin("a", "b", "c")
-	seen := map[string]int{}
-	for i := 0; i < 30; i++ {
-		addr, err := rr.Pick(0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[addr]++
-	}
-	for _, r := range []string{"a", "b", "c"} {
-		if seen[r] != 10 {
-			t.Errorf("replica %s picked %d times, want 10", r, seen[r])
-		}
-	}
-}
-
-func TestRoundRobinEmpty(t *testing.T) {
-	rr := NewRoundRobin()
-	if _, err := rr.Pick(0, false); err != ErrNoReplicas {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestAffinityStickiness(t *testing.T) {
-	af := NewAffinity("a", "b", "c")
-	a := EqualSlices(1, []string{"a", "b", "c"}, 4)
-	af.Update([]string{"a", "b", "c"}, &a)
-	for _, key := range []string{"user-1", "user-2", "user-3"} {
-		h := KeyHash(key)
-		first, err := af.Pick(h, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 20; i++ {
-			got, err := af.Pick(h, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != first {
-				t.Fatalf("key %s flapped: %s vs %s", key, got, first)
-			}
-		}
-	}
-}
-
-func TestAffinityFallsBackWithoutAssignment(t *testing.T) {
-	af := NewAffinity("a", "b")
-	if _, err := af.Pick(KeyHash("k"), true); err != nil {
-		t.Errorf("no fallback: %v", err)
-	}
-}
-
-func TestAffinityUnshardedUsesRoundRobin(t *testing.T) {
-	af := NewAffinity("a", "b")
-	a := EqualSlices(1, []string{"a"}, 4) // assignment says everything -> a
-	af.Update([]string{"a", "b"}, &a)
-	seen := map[string]bool{}
-	for i := 0; i < 10; i++ {
-		addr, err := af.Pick(0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[addr] = true
-	}
-	if !seen["b"] {
-		t.Error("unsharded calls never reached replica b")
-	}
-}
-
-func TestAffinityClearedOnEmptyReplicas(t *testing.T) {
-	af := NewAffinity("a")
-	a := EqualSlices(1, []string{"a"}, 2)
-	af.Update([]string{"a"}, &a)
-	af.Update(nil, nil)
-	if _, err := af.Pick(KeyHash("k"), true); err != ErrNoReplicas {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestKeyHashNeverZero(t *testing.T) {
 	f := func(s string) bool { return KeyHash(s) != 0 }
 	if err := quick.Check(f, nil); err != nil {

@@ -613,7 +613,7 @@ func (w *world) checkReplicaTables(i int, op Op, compGroup map[string]string) st
 // push for each component has been applied by the driver and — for the kv
 // group, whose replicas are themselves callers of the routed store — by
 // every replica of the group. Observing an applied version v implies the
-// replica's balancer picks with assignment v, so workload ops that resume
+// replica's conn picks with assignment v, so workload ops that resume
 // after settle see one consistent topology; that fencing is what makes
 // schedules deterministic on top of real goroutines and sockets.
 func (w *world) settle(ctx context.Context) error {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/routing"
@@ -38,34 +40,82 @@ func trippedConn(t *testing.T, addrs []string, asgn *routing.Assignment, sick ..
 	return conn
 }
 
+// rotationAddrs is the table the rotation tests push.
+var rotationAddrs = []string{"a:1", "b:1", "c:1"}
+
+// evenOver fails t unless 30 picks for m spread 10 to each address.
+func evenOver(t *testing.T, conn *DataPlaneConn, m *callMeta, addrs []string) {
+	t.Helper()
+	seen := pickCounts(conn, m, 30)
+	for _, addr := range addrs {
+		if seen[addr] != 10 {
+			t.Errorf("%s picked %d of 30 times, want 10", addr, seen[addr])
+		}
+	}
+}
+
 func TestUnshardedCallRotatesOverEveryEntry(t *testing.T) {
-	// An unsharded call rotates evenly over the whole table, whether or not
-	// the push carries an assignment; a sharded call does too while there
-	// is none.
-	addrs := []string{"a:1", "b:1", "c:1"}
 	conn := NewDataPlaneConn("rotate_test/C", ConnOptions{})
 	defer conn.Close()
-	unsharded := &callMeta{}
+	conn.UpdateRouting(1, rotationAddrs, nil)
+	evenOver(t, conn, &callMeta{}, rotationAddrs)
+}
+
+func TestUnshardedCallIgnoresAssignment(t *testing.T) {
+	// An unsharded call rotates over the whole table even when the push's
+	// assignment maps every key to one replica; a sharded call follows it.
+	conn := NewDataPlaneConn("unsharded_test/C", ConnOptions{})
+	defer conn.Close()
+	toA := routing.EqualSlices(1, rotationAddrs[:1], 4) // every key -> a:1
+	conn.UpdateRouting(1, rotationAddrs, &toA)
+	evenOver(t, conn, &callMeta{}, rotationAddrs)
 	sharded := &callMeta{Shard: routing.KeyHash("k"), HasShard: true}
-	even := func(when string, m *callMeta) {
-		t.Helper()
-		seen := pickCounts(conn, m, 30)
-		for _, addr := range addrs {
-			if seen[addr] != 10 {
-				t.Errorf("%s: %s picked %d of 30 times, want 10", when, addr, seen[addr])
+	if seen := pickCounts(conn, sharded, 30); seen["a:1"] != 30 {
+		t.Errorf("sharded calls under that assignment went to %v, want a:1 only", seen)
+	}
+}
+
+func TestShardedCallWithoutAssignmentRotates(t *testing.T) {
+	// A sharded call on a push without an assignment falls back to the
+	// rotation over the whole table.
+	conn := NewDataPlaneConn("fallback_test/C", ConnOptions{})
+	defer conn.Close()
+	conn.UpdateRouting(1, rotationAddrs, nil)
+	evenOver(t, conn, &callMeta{Shard: routing.KeyHash("k"), HasShard: true}, rotationAddrs)
+}
+
+func TestPickOnEmptyTableFindsNone(t *testing.T) {
+	// Before any push a pick finds no replica, sharded or not, whether or
+	// not it asks for an untried one.
+	conn := NewDataPlaneConn("empty_test/C", ConnOptions{})
+	defer conn.Close()
+	for _, m := range []*callMeta{{}, {Shard: routing.KeyHash("k"), HasShard: true}} {
+		for _, untried := range []bool{false, true} {
+			if got := picked(conn, m, untried); got != "" {
+				t.Errorf("pick (sharded %v, untried %v) on an empty table = %q, want none", m.HasShard, untried, got)
 			}
 		}
 	}
+}
 
-	conn.UpdateRouting(1, addrs, nil)
-	even("unsharded, no assignment", unsharded)
-	even("sharded, no assignment", sharded)
-
-	toA := routing.EqualSlices(2, addrs[:1], 4) // every key -> a:1
-	conn.UpdateRouting(2, addrs, &toA)
-	even("unsharded, assignment mapping every key to a:1", unsharded)
-	if seen := pickCounts(conn, sharded, 30); seen["a:1"] != 30 {
-		t.Errorf("sharded calls under that assignment went to %v, want a:1 only", seen)
+func TestEmptiedSickTableFailsWithErrNoReplicas(t *testing.T) {
+	// A push that empties a table whose breakers are open leaves nothing to
+	// fail open onto: the call waits out its grace and fails with
+	// ErrNoReplicas.
+	const component = "emptied_test/C"
+	conn := trippedConn(t, []string{"a:1"}, nil, "a:1")
+	conn.UpdateRouting(2, nil, nil)
+	clk := conn.opts.Clock.(*clock.Fake)
+	done := invokeAsync(conn, component)
+	eventually(t, "the call to arm its grace timer", func() bool { return clk.Waiting() == 1 })
+	clk.Advance(noReplicaGrace)
+	select {
+	case err := <-done:
+		if !errors.Is(err, routing.ErrNoReplicas) {
+			t.Fatalf("err = %v, want ErrNoReplicas", err)
+		}
+	case <-time.After(wallBound):
+		t.Fatal("call still waiting after its grace elapsed")
 	}
 }
 

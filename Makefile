@@ -26,7 +26,11 @@ check: vet lint build race allocs perfbench sim
 # and the assignment are unexported, so the compiler already routes every
 # push through UpdateRouting); and the circuit breaker's single time source
 # (DESIGN.md §8): internal/rpc/breaker.go never calls time.Now, so windows
-# and cooldowns read the conn's injected clock.
+# and cooldowns read the conn's injected clock; and a replica's single
+# configuration source (DESIGN.md §8): no non-test Go file outside weaver/
+# reads a WEAVER_ environment variable, so every replica setting beyond the
+# id, group and role that weaver/ reads comes from the manager over the
+# pipe (the ComponentsToHost reply), never from the environment.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
@@ -66,6 +70,11 @@ lint:
 	@out=$$(grep -n 'time\.Now' internal/rpc/breaker.go || true); \
 	if [ -n "$$out" ]; then \
 		echo "internal/rpc/breaker.go reads the wall clock (use its clock.Clock):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -n -E '(Getenv|LookupEnv)\([^)]*WEAVER_' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './weaver/*' ! -path './.*') || true); \
+	if [ -n "$$out" ]; then \
+		echo "WEAVER_ environment variable read outside weaver/ (replica settings ride the pipe):"; \
 		echo "$$out"; exit 1; fi
 
 build:

@@ -296,28 +296,18 @@ func measureWeaverMulti(boutiqueBin string, rate float64, duration time.Duration
 		return localResult{}, err
 	}
 	logger := logging.New(logging.Options{Component: "evaluate", Min: logging.LevelError})
-	cfg := manager.Config{
-		App: "boutique", Version: "v1", Components: inventory,
+	mgr, _, err := deploy.StartSubprocess(manager.Config{
+		Components:       inventory,
 		DefaultAutoscale: autoscale.Config{MinReplicas: 1, MaxReplicas: 1},
 		Logger:           logger,
-	}
-	env := []string{"WEAVER_LISTEN_BOUTIQUE=" + httpAddr}
-	starter := func(ctx context.Context, group, id string, mgr envelope.Manager) (*envelope.Envelope, error) {
-		return envelope.Spawn(ctx, envelope.SpawnOptions{
-			Binary: boutiqueBin, ID: id, Group: group, Version: "v1", Env: env,
-		}, mgr)
-	}
-	mgr, err := manager.New(cfg, starter)
+	}, envelope.SpawnOptions{
+		Binary: boutiqueBin,
+		Env:    []string{"WEAVER_LISTEN_BOUTIQUE=" + httpAddr},
+	})
 	if err != nil {
 		return localResult{}, err
 	}
 	defer mgr.Stop()
-	ctx := context.Background()
-	if _, err := envelope.Spawn(ctx, envelope.SpawnOptions{
-		Binary: boutiqueBin, ID: "main/0", Group: "main", Version: "v1", Env: env,
-	}, mgr); err != nil {
-		return localResult{}, err
-	}
 
 	pids := func() []int {
 		var out []int

@@ -6,14 +6,14 @@
 //
 // Usage:
 //
-//	weaver multi run <binary> [arg...]   deploy multiprocess
+//	weaver multi run [flags] <binary> [arg...]   deploy multiprocess
 //	  -colocate "A,B;C,D"   colocation groups (component short names)
 //	  -main "A,B"           components hosted in the driver process
-//	  -version v1           rollout version label
 //	  -target N             autoscaler target calls/sec per replica
 //	  -max N                autoscaler max replicas per group
 //	  -max-inflight N       per-replica admission limit (0 = unlimited)
 //	  -max-queue N          admission wait-queue depth beyond -max-inflight
+//	  -replace d            live re-placement planning interval (0 = off)
 //	  -status N             print a status report every N seconds
 //	  -graph                print the component call graph (dot) at exit
 //	  -dashboard addr       serve the web dashboard (status/graph/metrics/
@@ -25,12 +25,13 @@
 //	weaver generate <dir> [dir...]       run the code generator
 //
 // The application binary is unmodified: the same executable runs as every
-// replica of every group, discovering its role from the environment the
-// envelope sets up.
+// replica of every group. It learns its replica id and group from the
+// environment the envelope sets up, and everything else, such as the
+// components to host and the -max-inflight/-max-queue admission limits,
+// from the manager's reply to its first request over the envelope's pipe.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -95,6 +96,7 @@ func usage() {
   weaver rollout run [flags] <old-binary> <new-binary>
   weaver describe <binary>
   weaver generate <dir> [dir...]
+Flags go before the binary; "weaver multi run -h" lists them.
 `)
 	os.Exit(2)
 }
@@ -133,7 +135,6 @@ func multiRun(args []string) {
 	fs := flag.NewFlagSet("multi run", flag.ExitOnError)
 	colocate := fs.String("colocate", "", `colocation groups, e.g. "Cart,Catalog;Checkout"`)
 	mainComps := fs.String("main", "", "components hosted in the driver process")
-	version := fs.String("version", "v1", "rollout version label")
 	target := fs.Float64("target", 200, "autoscaler target calls/sec per replica")
 	maxReplicas := fs.Int("max", 8, "autoscaler max replicas per group")
 	statusEvery := fs.Int("status", 0, "print status every N seconds (0 = off)")
@@ -191,24 +192,9 @@ func multiRun(args []string) {
 		Logger:                logger,
 	}
 
-	// Admission limits reach subprocess proclets through the environment
-	// (the in-process deployer passes them through proclet.Options).
-	var limitEnv []string
-	if cfg.MaxInflightPerReplica > 0 {
-		limitEnv = append(limitEnv, fmt.Sprintf("WEAVER_MAX_INFLIGHT=%d", cfg.MaxInflightPerReplica))
-	}
-	if cfg.MaxOverloadQueue > 0 {
-		limitEnv = append(limitEnv, fmt.Sprintf("WEAVER_MAX_QUEUE=%d", cfg.MaxOverloadQueue))
-	}
-
 	// The driver replica is the subprocess in which the application's main
 	// function actually runs.
-	mgr, mainEnv, err := startDeployment(cfg, envelope.SpawnOptions{
-		Binary:  binary,
-		Args:    binArgs,
-		Version: *version,
-		Env:     limitEnv,
-	})
+	mgr, mainEnv, err := deploy.StartSubprocess(cfg, envelope.SpawnOptions{Binary: binary, Args: binArgs})
 	if err != nil {
 		fatal(err)
 	}
@@ -220,7 +206,7 @@ func multiRun(args []string) {
 		}
 		logger.Info("dashboard serving", "addr", "http://"+addr)
 	}
-	logger.Info("deployment started", "binary", binary, "version", *version)
+	logger.Info("deployment started", "binary", binary)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -250,30 +236,6 @@ loop:
 		fmt.Println(mgr.Graph().Analyze().Dot())
 	}
 	mgr.Stop()
-}
-
-// startDeployment starts a subprocess deployment of spawn.Binary: a
-// manager built from cfg whose starter spawns each replica as an
-// envelope-supervised subprocess with spawn's arguments, version and
-// environment, then the driver replica main/0. It sets cfg's App and
-// Version from spawn.
-func startDeployment(cfg manager.Config, spawn envelope.SpawnOptions) (*manager.Manager, *envelope.Envelope, error) {
-	cfg.App, cfg.Version = spawn.Binary, spawn.Version
-	mgr, err := manager.New(cfg, func(ctx context.Context, group, id string, mgr envelope.Manager) (*envelope.Envelope, error) {
-		replica := spawn
-		replica.ID, replica.Group = id, group
-		return envelope.Spawn(ctx, replica, mgr)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	spawn.ID, spawn.Group = "main/0", "main"
-	driver, err := envelope.Spawn(context.Background(), spawn, mgr)
-	if err != nil {
-		mgr.Stop()
-		return nil, nil, err
-	}
-	return mgr, driver, nil
 }
 
 func printStatus(mgr *manager.Manager) {

@@ -100,13 +100,14 @@ func rolloutRun(args []string) {
 	logger.Info("shutting down")
 }
 
-// deployVersion stands up one complete deployment of a binary.
+// deployVersion stands up one complete deployment of a binary; version
+// only labels the deployment's manager log.
 func deployVersion(binary, version, listenerName, httpAddr string, maxReplicas int, logger *logging.Logger) (*manager.Manager, error) {
 	inventory, err := deploy.DescribeBinary(binary)
 	if err != nil {
 		return nil, err
 	}
-	mgr, _, err := startDeployment(manager.Config{
+	mgr, _, err := deploy.StartSubprocess(manager.Config{
 		Components: inventory,
 		DefaultAutoscale: autoscale.Config{
 			MinReplicas: 1, MaxReplicas: maxReplicas,
@@ -114,9 +115,8 @@ func deployVersion(binary, version, listenerName, httpAddr string, maxReplicas i
 		},
 		Logger: logger.With("manager-" + version),
 	}, envelope.SpawnOptions{
-		Binary:  binary,
-		Version: version,
-		Env:     []string{"WEAVER_LISTEN_" + strings.ToUpper(listenerName) + "=" + httpAddr},
+		Binary: binary,
+		Env:    []string{"WEAVER_LISTEN_" + strings.ToUpper(listenerName) + "=" + httpAddr},
 	})
 	return mgr, err
 }

@@ -30,6 +30,7 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/logging"
 	"repro/internal/manager"
+	"repro/internal/rpc"
 	"repro/internal/store"
 	"repro/weaver"
 )
@@ -127,15 +128,22 @@ func (c *kvCache) Init(context.Context) error {
 	return nil
 }
 
-// Get serves from memory or reads through to the store.
+// Get serves from memory or reads through to the store. A hedged
+// duplicate of a lookup that another replica is still serving fills the
+// cache but is not counted, so hits+misses equals the lookups made.
 func (c *kvCache) Get(ctx context.Context, key string) (string, error) {
+	info, _ := rpc.InfoFromContext(ctx)
+	count := int64(1)
+	if info.Meta.Hedge {
+		count = 0
+	}
 	c.mu.Lock()
 	if v, ok := c.data[key]; ok {
-		c.hits++
+		c.hits += count
 		c.mu.Unlock()
 		return v, nil
 	}
-	c.misses++
+	c.misses += count
 	c.mu.Unlock()
 
 	v, err := c.store.Get().Load(ctx, key)

@@ -71,9 +71,6 @@ func (e *Encoder) Reserve(n int) {
 	e.head = n
 }
 
-// Headroom reports the number of bytes reserved by Reserve.
-func (e *Encoder) Headroom() int { return e.head }
-
 // Data returns the encoded bytes, excluding any reserved headroom. The
 // returned slice aliases the encoder's internal buffer and is invalidated
 // by the next call to Reset or any encoding method.

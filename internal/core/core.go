@@ -147,12 +147,6 @@ func (r *Runtime) Get(ctx context.Context, iface reflect.Type) (any, error) {
 	return r.getClient(ctx, reg.Name, "")
 }
 
-// GetByName returns a client for the named component on behalf of caller
-// (empty for external callers).
-func (r *Runtime) GetByName(ctx context.Context, name, caller string) (any, error) {
-	return r.getClient(ctx, name, caller)
-}
-
 // LocalImpl returns the initialized implementation of a hosted component.
 // Deployers use it to wire hosted components into an RPC server.
 func (r *Runtime) LocalImpl(ctx context.Context, name string) (any, error) {

@@ -59,6 +59,42 @@ func TestCrossProcessCall(t *testing.T) {
 	}
 }
 
+// TestConfigLimitsReachReplicas checks that manager.Config's admission
+// limits reach an in-process replica: with one execution slot and no wait
+// queue, a replica whose dispatch is stalled sheds the calls that arrive
+// while its slot is taken. No limit travels in proclet.Options, so the
+// manager's ComponentsToHost reply is the only way they can get there.
+func TestConfigLimitsReachReplicas(t *testing.T) {
+	d := startDeployment(t, manager.Config{App: "test", MaxInflightPerReplica: 1, MaxOverloadQueue: 0})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	echo, err := Get[testpkg.Echo](ctx, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := echo.Echo(ctx, "warm"); err != nil {
+		t.Fatal(err)
+	}
+	ids := d.GroupReplicas("Echo")
+	if len(ids) != 1 || !d.DegradeReplica(ids[0], 200*time.Millisecond) {
+		t.Fatalf("Echo replicas = %v, want one to degrade", ids)
+	}
+	shed := metrics.Default.Counter("rpc.server.shed")
+	before := shed.Value()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = echo.Echo(ctx, "x") // shed calls may fail; only the count matters
+		}()
+	}
+	wg.Wait()
+	if after := shed.Value(); after == before {
+		t.Errorf("rpc.server.shed stayed at %d: 4 concurrent calls to a 1-slot replica shed none", before)
+	}
+}
+
 func TestColocatedGroupSharesProcessState(t *testing.T) {
 	// Chain and Echo colocated: calls between them stay local, so Echo
 	// never gets its own group replicas.

@@ -7,8 +7,8 @@
 // between groups cross real TCP sockets through the data plane. It exists
 // for integration tests, chaos tests, and benchmarks, where spawning many
 // OS processes would be slow and hard to instrument; the subprocess
-// deployer in cmd/weaver shares every line of manager/envelope/proclet
-// code with it.
+// deployer (StartSubprocess, used by cmd/weaver and cmd/evaluate) shares
+// every line of manager/envelope/proclet code with it.
 package deploy
 
 import (
@@ -45,7 +45,7 @@ func (r *managerRef) get() *manager.Manager { return r.p.Load() }
 func (r *managerRef) RegisterReplica(e *envelope.Envelope, reg pipe.RegisterReplica) error {
 	return r.get().RegisterReplica(e, reg)
 }
-func (r *managerRef) ComponentsToHost(e *envelope.Envelope) ([]string, error) {
+func (r *managerRef) ComponentsToHost(e *envelope.Envelope) (pipe.HostComponents, error) {
 	return r.get().ComponentsToHost(e)
 }
 func (r *managerRef) StartComponent(e *envelope.Envelope, component string, routed bool) error {
@@ -98,6 +98,28 @@ func DescribeBinary(binary string) ([]manager.ComponentInfo, error) {
 	return inventory, nil
 }
 
+// StartSubprocess starts a subprocess deployment of spawn.Binary: a
+// manager built from cfg whose starter spawns each replica as an
+// envelope-supervised subprocess with spawn's arguments and environment,
+// then the driver replica main/0, whose envelope it returns.
+func StartSubprocess(cfg manager.Config, spawn envelope.SpawnOptions) (*manager.Manager, *envelope.Envelope, error) {
+	mgr, err := manager.New(cfg, func(ctx context.Context, group, id string, mgr envelope.Manager) (*envelope.Envelope, error) {
+		replica := spawn
+		replica.ID, replica.Group = id, group
+		return envelope.Spawn(ctx, replica, mgr)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	spawn.ID, spawn.Group = "main/0", "main"
+	driver, err := envelope.Spawn(context.Background(), spawn, mgr)
+	if err != nil {
+		mgr.Stop()
+		return nil, nil, err
+	}
+	return mgr, driver, nil
+}
+
 // InProcess is a running in-process deployment.
 type InProcess struct {
 	Manager *manager.Manager
@@ -143,9 +165,6 @@ func StartInProcess(ctx context.Context, opts Options) (*InProcess, error) {
 	if len(opts.Config.Components) == 0 {
 		opts.Config.Components = Inventory()
 	}
-	if opts.Config.Version == "" {
-		opts.Config.Version = "v1"
-	}
 
 	d := &InProcess{proclets: map[string]*proclet.Proclet{}, starting: map[string]bool{}, ref: &managerRef{}}
 	d.started = sync.NewCond(&d.mu)
@@ -165,12 +184,9 @@ func StartInProcess(ctx context.Context, opts Options) (*InProcess, error) {
 			Conn:           procConn,
 			ProcletID:      id,
 			Group:          group,
-			Version:        opts.Config.Version,
 			Fill:           opts.Fill,
 			ReportInterval: reportInterval,
 			TraceFraction:  opts.TraceFraction,
-			MaxInflight:    opts.Config.MaxInflightPerReplica,
-			MaxQueue:       opts.Config.MaxOverloadQueue,
 			Logger:         logging.New(logging.Options{Component: "proclet", Replica: id, Min: logging.LevelWarn}),
 
 			BypassAssignmentDispatch: opts.BypassAssignmentDispatch,

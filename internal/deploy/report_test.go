@@ -27,7 +27,9 @@ type reportCounter struct {
 func (m *reportCounter) RegisterReplica(*envelope.Envelope, pipe.RegisterReplica) error {
 	return nil
 }
-func (m *reportCounter) ComponentsToHost(*envelope.Envelope) ([]string, error) { return nil, nil }
+func (m *reportCounter) ComponentsToHost(*envelope.Envelope) (pipe.HostComponents, error) {
+	return pipe.HostComponents{}, nil
+}
 func (m *reportCounter) StartComponent(*envelope.Envelope, string, bool) error { return nil }
 func (m *reportCounter) LoadReport(e *envelope.Envelope, lr pipe.LoadReport) {
 	m.mu.Lock()

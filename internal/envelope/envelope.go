@@ -27,8 +27,9 @@ import (
 type Manager interface {
 	// RegisterReplica records a proclet as alive and ready.
 	RegisterReplica(e *Envelope, r pipe.RegisterReplica) error
-	// ComponentsToHost returns the components e's proclet should host.
-	ComponentsToHost(e *Envelope) ([]string, error)
+	// ComponentsToHost returns the reply to e's proclet's first request:
+	// the components it should host and its admission limits.
+	ComponentsToHost(e *Envelope) (pipe.HostComponents, error)
 	// StartComponent ensures a component is started somewhere and that
 	// routing info will be pushed to e.
 	StartComponent(e *Envelope, component string, routed bool) error
@@ -70,8 +71,6 @@ type SpawnOptions struct {
 	Env []string
 	// ID and Group identify the replica.
 	ID, Group string
-	// Version is the application version of this rollout.
-	Version string
 }
 
 // Spawn launches the application binary as a proclet subprocess wired to a
@@ -96,7 +95,6 @@ func Spawn(ctx context.Context, opts SpawnOptions, mgr Manager) (*Envelope, erro
 		"WEAVER_PROCLET=1",
 		"WEAVER_REPLICA="+opts.ID,
 		"WEAVER_GROUP="+opts.Group,
-		"WEAVER_VERSION="+opts.Version,
 	)
 	cmd.Env = append(cmd.Env, opts.Env...)
 	cmd.Stdout = os.Stdout
@@ -202,9 +200,9 @@ func (e *Envelope) handle(m *pipe.Message) {
 		err = e.mgr.RegisterReplica(e, *m.RegisterReplica)
 
 	case pipe.KindComponentsToHost:
-		var components []string
-		components, err = e.mgr.ComponentsToHost(e)
-		reply = &pipe.Message{HostComponents: &pipe.HostComponents{Components: components}}
+		var hc pipe.HostComponents
+		hc, err = e.mgr.ComponentsToHost(e)
+		reply = &pipe.Message{HostComponents: &hc}
 
 	case pipe.KindStartComponent:
 		if m.StartComponent == nil {

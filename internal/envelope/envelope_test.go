@@ -23,7 +23,7 @@ type fakeManager struct {
 	loads      []pipe.LoadReport
 	logs       []logging.Entry
 	exits      []error
-	components []string
+	reply      pipe.HostComponents
 }
 
 func (f *fakeManager) RegisterReplica(e *Envelope, r pipe.RegisterReplica) error {
@@ -33,10 +33,10 @@ func (f *fakeManager) RegisterReplica(e *Envelope, r pipe.RegisterReplica) error
 	return nil
 }
 
-func (f *fakeManager) ComponentsToHost(e *Envelope) ([]string, error) {
+func (f *fakeManager) ComponentsToHost(e *Envelope) (pipe.HostComponents, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.components, nil
+	return f.reply, nil
 }
 
 func (f *fakeManager) StartComponent(e *Envelope, c string, routed bool) error {
@@ -76,7 +76,7 @@ func setup(t *testing.T) (*fakeManager, *Envelope, *pipe.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := &fakeManager{components: []string{"app/X"}}
+	mgr := &fakeManager{reply: pipe.HostComponents{Components: []string{"app/X"}, MaxInflight: 3, MaxQueue: 5}}
 	e := Attach("test/0", "test", envConn, mgr)
 	t.Cleanup(func() {
 		procConn.Close()
@@ -110,7 +110,7 @@ func TestRegisterRelayedAndInfoStored(t *testing.T) {
 	req := &pipe.Message{
 		Kind: pipe.KindRegisterReplica,
 		RegisterReplica: &pipe.RegisterReplica{
-			ProcletID: "test/0", Group: "test", Addr: "127.0.0.1:1234", Pid: 99,
+			Addr: "127.0.0.1:1234", Pid: 99,
 		},
 	}
 	ack, err := call(t, proc, req)
@@ -142,8 +142,12 @@ func TestComponentsToHostAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.HostComponents == nil || len(ack.HostComponents.Components) != 1 || ack.HostComponents.Components[0] != "app/X" {
-		t.Errorf("ack = %+v", ack)
+	hc := ack.HostComponents
+	if hc == nil || len(hc.Components) != 1 || hc.Components[0] != "app/X" {
+		t.Fatalf("ack = %+v", ack)
+	}
+	if hc.MaxInflight != 3 || hc.MaxQueue != 5 {
+		t.Errorf("ack limits = %d/%d, want the manager's 3/5", hc.MaxInflight, hc.MaxQueue)
 	}
 }
 

@@ -48,9 +48,9 @@ type ComponentInfo struct {
 
 // Config parameterizes a deployment.
 type Config struct {
-	// App names the application; Version identifies this rollout.
-	App     string
-	Version string
+	// App names the application. The manager does not read it; it labels
+	// the deployment for whoever built the Config.
+	App string
 
 	// Components is the application's component inventory.
 	Components []ComponentInfo
@@ -80,7 +80,8 @@ type Config struct {
 	// queue beyond that. Requests past both bounds are shed with a fast
 	// overloaded status instead of queueing unboundedly (paper §5: the
 	// runtime owns graceful handling of overload). Zero means unlimited.
-	// Deployers read these when starting replicas.
+	// Every replica learns them from the manager's reply to its
+	// ComponentsToHost request, whichever deployer started it.
 	MaxInflightPerReplica int
 	MaxOverloadQueue      int
 
@@ -90,9 +91,6 @@ type Config struct {
 	// least placementMinGain, moves components between groups at runtime.
 	// Zero disables the loop; MoveComponent remains available either way.
 	PlacementInterval time.Duration
-	// PlacementMinCalls is how many calls the merged graph must have seen
-	// before the loop trusts it enough to plan (default 100).
-	PlacementMinCalls uint64
 
 	// Clock injects time for the crash-restart backoff; nil means the real
 	// clock. Tests drive restarts with a fake clock.
@@ -119,6 +117,10 @@ const slicesPerReplica = 4
 // in [0,1]) worth moving components for. The loop plans with placement's
 // defaults (the zero placement.Config).
 const placementMinGain = 0.05
+
+// placementMinCalls is how many calls the merged graph must have seen
+// before the re-placement loop trusts it enough to plan.
+const placementMinCalls = 100
 
 // Manager is the global manager.
 type Manager struct {
@@ -192,9 +194,6 @@ func New(cfg Config, starter Starter) (*Manager, error) {
 	}
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = 8
-	}
-	if cfg.PlacementMinCalls == 0 {
-		cfg.PlacementMinCalls = 100
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -505,15 +504,21 @@ func (m *Manager) adoptEnvelope(e *envelope.Envelope) {
 	m.mu.Unlock()
 }
 
-// ComponentsToHost implements envelope.Manager.
-func (m *Manager) ComponentsToHost(e *envelope.Envelope) ([]string, error) {
+// ComponentsToHost implements envelope.Manager: the reply carries the
+// group's components and the configured admission limits, the only way a
+// replica learns them.
+func (m *Manager) ComponentsToHost(e *envelope.Envelope) (pipe.HostComponents, error) {
 	m.adoptEnvelope(e)
 	s := m.store.Snapshot()
 	g := s.Groups[e.Group]
 	if g == nil {
-		return nil, fmt.Errorf("manager: unknown group %q", e.Group)
+		return pipe.HostComponents{}, fmt.Errorf("manager: unknown group %q", e.Group)
 	}
-	return append([]string(nil), g.Components...), nil
+	return pipe.HostComponents{
+		Components:  append([]string(nil), g.Components...),
+		MaxInflight: m.cfg.MaxInflightPerReplica,
+		MaxQueue:    m.cfg.MaxOverloadQueue,
+	}, nil
 }
 
 // StartComponent implements envelope.Manager.

@@ -100,7 +100,7 @@ func (m *Manager) placementLoop() {
 // moves it returns (if any) are applied one by one.
 func (m *Manager) placementOnce(ctx context.Context) error {
 	moves := cplane.ReconcilePlacement(m.store.Snapshot(), m.graph.Analyze(),
-		placement.Config{}, placementMinGain, m.cfg.PlacementMinCalls)
+		placement.Config{}, placementMinGain, placementMinCalls)
 	for _, mv := range moves {
 		if err := m.MoveComponent(ctx, mv.Component, mv.To); err != nil {
 			return fmt.Errorf("moving %s from %s to %s: %w", mv.Component, mv.From, mv.To, err)

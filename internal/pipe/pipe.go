@@ -13,6 +13,11 @@
 //	envelope → proclet: HostComponents, RoutingInfo, StopComponent,
 //	                    Reregister, Shutdown
 //
+// ComponentsToHost is the proclet's first request, and its ack is the
+// replica's whole configuration from the manager: the components to host
+// and the data-plane admission limits (HostComponents). A replica learns
+// no setting from its environment beyond its id and group.
+//
 // Acks flow in both directions: either side may send a request with
 // Message.ID set, and the peer answers with a KindAck carrying the same ID.
 // The Conn matches acks to requests for both ends: Request and Call number
@@ -54,7 +59,7 @@ import (
 // Message kinds.
 const (
 	KindRegisterReplica  = 1  // proclet -> envelope
-	KindComponentsToHost = 2  // proclet -> envelope (request; Ack carries HostComponents)
+	KindComponentsToHost = 2  // proclet -> envelope (request; Ack carries HostComponents and the admission limits)
 	KindStartComponent   = 3  // proclet -> envelope
 	KindLoadReport       = 4  // proclet -> envelope
 	KindLogBatch         = 5  // proclet -> envelope
@@ -88,15 +93,15 @@ type Message struct {
 	StopComponent   *StopComponent   `tag:"12"`
 }
 
-// RegisterReplica announces a proclet as alive and ready (Table 1).
+// RegisterReplica announces a proclet as alive and ready (Table 1). The
+// envelope that relays it knows the replica's id and group, so the message
+// does not repeat them; tags 1, 2 and 5 (id, group, version label) are
+// retired and are skipped when an older proclet still sends them.
 type RegisterReplica struct {
-	ProcletID string `tag:"1"` // unique replica id, e.g. "cart/2"
-	Group     string `tag:"2"` // colocation group this replica belongs to
-	Pid       int64  `tag:"3"`
+	Pid int64 `tag:"3"`
 	// Addr is the data-plane address on which the proclet serves hosted
 	// components.
-	Addr    string `tag:"4"`
-	Version string `tag:"5"` // application version, for atomic rollouts
+	Addr string `tag:"4"`
 
 	// The remaining fields let a rebuilt manager recover observed state
 	// from re-registration alone (the envelope sends KindReregister after
@@ -128,6 +133,12 @@ type HostComponents struct {
 	// only if it is newer than what it has already applied, so a delayed
 	// push can never resurrect hosting that a later move revoked.
 	Version uint64 `tag:"2"`
+	// MaxInflight and MaxQueue are the replica's data-plane admission
+	// limits (rpc.ServerOptions; zero means unlimited). Only the reply to
+	// ComponentsToHost carries them: the proclet builds its server from
+	// that reply, before it listens, so the limits cannot change later.
+	MaxInflight int `tag:"3"`
+	MaxQueue    int `tag:"4"`
 }
 
 // StopComponent tells a proclet to stop hosting one component: flip local

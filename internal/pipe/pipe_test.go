@@ -1,15 +1,19 @@
 package pipe
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/codec/tagged"
 	"repro/internal/logging"
 	"repro/internal/metrics"
 	"repro/internal/routing"
@@ -37,11 +41,8 @@ func TestRegisterReplicaRoundTrip(t *testing.T) {
 		Kind: KindRegisterReplica,
 		ID:   7,
 		RegisterReplica: &RegisterReplica{
-			ProcletID: "cart/2",
-			Group:     "cart",
-			Pid:       1234,
-			Addr:      "127.0.0.1:9999",
-			Version:   "v3",
+			Pid:  1234,
+			Addr: "127.0.0.1:9999",
 		},
 	}
 	go func() { _ = proc.Send(want) }()
@@ -53,8 +54,7 @@ func TestRegisterReplicaRoundTrip(t *testing.T) {
 		t.Errorf("got %+v", got)
 	}
 	gr, wr := got.RegisterReplica, want.RegisterReplica
-	if gr.ProcletID != wr.ProcletID || gr.Group != wr.Group || gr.Pid != wr.Pid ||
-		gr.Addr != wr.Addr || gr.Version != wr.Version {
+	if gr.Pid != wr.Pid || gr.Addr != wr.Addr {
 		t.Errorf("payload = %+v", got.RegisterReplica)
 	}
 }
@@ -65,11 +65,9 @@ func TestRegisterReplicaRecoveryFields(t *testing.T) {
 		_ = proc.Send(&Message{
 			Kind: KindRegisterReplica,
 			RegisterReplica: &RegisterReplica{
-				ProcletID: "cart/2",
-				Group:     "cart",
-				Hosted:    []string{"app/Cart", "app/Checkout"},
-				Routing:   map[string]uint64{"app/Cart": 7, "app/Pay": 12},
-				Epoch:     12,
+				Hosted:  []string{"app/Cart", "app/Checkout"},
+				Routing: map[string]uint64{"app/Cart": 7, "app/Pay": 12},
+				Epoch:   12,
 			},
 		})
 	}()
@@ -193,22 +191,79 @@ func TestRecvAfterClose(t *testing.T) {
 	env.Close()
 }
 
+// The parent protocol's shapes of the two messages whose fields changed:
+// RegisterReplica still carried the replica's id (tag 1), group (tag 2)
+// and version label (tag 5), and HostComponents had no admission limits.
+type (
+	parentRegisterReplica struct {
+		ProcletID string            `tag:"1"`
+		Group     string            `tag:"2"`
+		Pid       int64             `tag:"3"`
+		Addr      string            `tag:"4"`
+		Version   string            `tag:"5"`
+		Hosted    []string          `tag:"6"`
+		Routing   map[string]uint64 `tag:"7"`
+		Epoch     uint64            `tag:"8"`
+	}
+	parentHostComponents struct {
+		Components []string `tag:"1"`
+		Version    uint64   `tag:"2"`
+	}
+	parentMessage struct {
+		Kind            uint32                 `tag:"1"`
+		ID              uint64                 `tag:"2"`
+		Err             string                 `tag:"3"`
+		RegisterReplica *parentRegisterReplica `tag:"4"`
+		HostComponents  *parentHostComponents  `tag:"10"`
+	}
+)
+
+// TestVersionSkewTolerance checks both directions of the skew between an
+// application binary and the deployer that runs it. An app built against
+// the parent protocol registers with the id, group and version fields the
+// current RegisterReplica dropped: the current envelope must skip them
+// and keep every other field. A current manager answers ComponentsToHost
+// with admission limits the parent's HostComponents does not know: the
+// parent proclet must still read its components and epoch, and then runs
+// without admission limits, because it cannot see them.
 func TestVersionSkewTolerance(t *testing.T) {
-	// The control plane must tolerate messages from a newer version with
-	// unknown fields: encode a message, append an unknown tagged field,
-	// and decode. (Simulated by hand-appending a valid tagged field with
-	// an unused number.)
-	env, proc := pair(t)
-	go func() {
-		_ = proc.Send(&Message{Kind: KindShutdown})
-	}()
-	m, err := env.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Kind != KindShutdown {
-		t.Errorf("kind = %d", m.Kind)
-	}
+	t.Run("ParentRegisterReplica", func(t *testing.T) {
+		old := &parentMessage{Kind: KindRegisterReplica, ID: 9, RegisterReplica: &parentRegisterReplica{
+			ProcletID: "cart/2", Group: "cart", Pid: 4242, Addr: "127.0.0.1:9999", Version: "v3",
+			Hosted: []string{"app/Cart"}, Routing: map[string]uint64{"app/Cart": 7}, Epoch: 12,
+		}}
+		body, err := tagged.MarshalAppend(nil, old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+		m, err := NewConn(bytes.NewReader(frame), nil).Recv()
+		if err != nil {
+			t.Fatalf("a parent registration does not decode: %v", err)
+		}
+		want := &RegisterReplica{Pid: 4242, Addr: "127.0.0.1:9999", Hosted: []string{"app/Cart"},
+			Routing: map[string]uint64{"app/Cart": 7}, Epoch: 12}
+		if m.Kind != KindRegisterReplica || m.ID != 9 || !reflect.DeepEqual(m.RegisterReplica, want) {
+			t.Errorf("decoded %+v with %+v, want kind %d, ID 9 and %+v", m, m.RegisterReplica, KindRegisterReplica, want)
+		}
+	})
+	t.Run("LimitsToParentProclet", func(t *testing.T) {
+		var out bytes.Buffer
+		reply := &Message{Kind: KindAck, ID: 1, HostComponents: &HostComponents{
+			Components: []string{"app/Cart", "app/Pay"}, Version: 4, MaxInflight: 8, MaxQueue: 16,
+		}}
+		if err := NewConn(nil, &out).Send(reply); err != nil {
+			t.Fatal(err)
+		}
+		var old parentMessage
+		if err := tagged.Unmarshal(out.Bytes()[4:], &old); err != nil {
+			t.Fatalf("a reply with limits does not decode under the parent protocol: %v", err)
+		}
+		want := &parentHostComponents{Components: []string{"app/Cart", "app/Pay"}, Version: 4}
+		if old.Kind != KindAck || old.ID != 1 || !reflect.DeepEqual(old.HostComponents, want) {
+			t.Errorf("decoded %+v with %+v, want an ack with ID 1 and %+v", old, old.HostComponents, want)
+		}
+	})
 }
 
 // TestAllocsSendRecv gates the pipe's buffers: once they have grown to the

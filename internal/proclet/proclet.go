@@ -36,16 +36,9 @@ type Options struct {
 	ProcletID string
 	// Group is this replica's colocation group.
 	Group string
-	// Version is the application version, used for atomic rollouts.
-	Version string
 	// Fill injects weaver state into component implementations (see
 	// core.Options.Fill). The logger passed through is the proclet's.
 	Fill func(impl any, name string, logger *logging.Logger, resolve func(reflect.Type) (any, error)) error
-	// MaxInflight bounds concurrently executing data-plane requests in
-	// this replica; MaxQueue bounds the admission wait queue beyond that.
-	// Zero means unlimited (see rpc.ServerOptions).
-	MaxInflight int
-	MaxQueue    int
 	// ReportInterval is how often load reports and telemetry batches are
 	// shipped (default 500ms).
 	ReportInterval time.Duration
@@ -67,8 +60,12 @@ type Options struct {
 type Proclet struct {
 	opts    Options
 	runtime *core.Runtime
-	srv     *rpc.Server
-	addr    string
+	// srv and addr are set once, under mu, after the manager's reply to
+	// ComponentsToHost gives the server's admission limits. Shutdown, which
+	// the pipe can trigger before that, reads srv under mu; every other
+	// reader runs after they are set.
+	srv  *rpc.Server
+	addr string
 
 	metrics *metrics.Registry
 	logBuf  *logging.Buffer
@@ -82,6 +79,7 @@ type Proclet struct {
 	// push named it. Each conn owns its route's epoch and replica table.
 	routes   map[string]*core.DataPlaneConn
 	maxEpoch uint64 // highest routing/placement epoch seen anywhere
+	stopped  bool   // Shutdown has begun: Start must not install a server
 
 	// Report-loop state. Only the report loop touches it; each report is
 	// built in report and sent before the next one reuses it (Send encodes
@@ -123,16 +121,6 @@ func Start(ctx context.Context, opts Options) (*Proclet, error) {
 		shutdownCh: make(chan struct{}),
 	}
 
-	p.srv = rpc.NewServerWithOptions(rpc.ServerOptions{
-		MaxInflight: opts.MaxInflight,
-		MaxQueue:    opts.MaxQueue,
-	})
-	addr, err := p.srv.Listen(listenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("proclet: data plane listen: %w", err)
-	}
-	p.addr = addr
-
 	componentLogger := logging.New(logging.Options{
 		Component: "app",
 		Replica:   opts.ProcletID,
@@ -163,23 +151,41 @@ func Start(ctx context.Context, opts Options) (*Proclet, error) {
 
 	go p.recvLoop(ctx)
 
-	// Fetch and host the initial component assignment BEFORE registering:
-	// registration publishes our data-plane address to other proclets, so
-	// every assigned component's handlers must be serving by then.
+	// Fetch the initial component assignment and the admission limits,
+	// then build the data-plane server from them and host the components,
+	// all BEFORE registering: registration publishes our data-plane address
+	// to other proclets, so every assigned component's handlers must be
+	// serving by then.
 	reply, err := opts.Conn.Call(ctx, &pipe.Message{Kind: pipe.KindComponentsToHost})
 	if err != nil {
-		p.srv.Close()
 		return nil, fmt.Errorf("proclet: fetching components to host: %w", err)
 	}
-	if reply.HostComponents != nil {
-		if err := p.hostComponents(ctx, reply.HostComponents.Components, reply.HostComponents.Version); err != nil {
-			p.srv.Close()
-			return nil, err
-		}
+	hc := reply.HostComponents
+	if hc == nil {
+		hc = &pipe.HostComponents{}
+	}
+	srv := rpc.NewServerWithOptions(rpc.ServerOptions{MaxInflight: hc.MaxInflight, MaxQueue: hc.MaxQueue})
+	addr, err := srv.Listen(listenAddr)
+	if err != nil {
+		return nil, fmt.Errorf("proclet: data plane listen: %w", err)
+	}
+	p.mu.Lock()
+	stopped := p.stopped
+	if !stopped {
+		p.srv, p.addr = srv, addr
+	}
+	p.mu.Unlock()
+	if stopped {
+		srv.Close()
+		return nil, fmt.Errorf("proclet: shut down while starting")
+	}
+	if err := p.hostComponents(ctx, hc.Components, hc.Version); err != nil {
+		srv.Close()
+		return nil, err
 	}
 
 	if err := p.send(p.registrationMsg()); err != nil {
-		p.srv.Close()
+		srv.Close()
 		return nil, fmt.Errorf("proclet: registering replica: %w", err)
 	}
 
@@ -211,14 +217,11 @@ func (p *Proclet) registrationMsg() *pipe.Message {
 	return &pipe.Message{
 		Kind: pipe.KindRegisterReplica,
 		RegisterReplica: &pipe.RegisterReplica{
-			ProcletID: p.opts.ProcletID,
-			Group:     p.opts.Group,
-			Pid:       int64(os.Getpid()),
-			Addr:      p.addr,
-			Version:   p.opts.Version,
-			Hosted:    hosted,
-			Routing:   applied,
-			Epoch:     epoch,
+			Pid:     int64(os.Getpid()),
+			Addr:    p.addr,
+			Hosted:  hosted,
+			Routing: applied,
+			Epoch:   epoch,
 		},
 	}
 }
@@ -299,17 +302,25 @@ func (p *Proclet) Wait() error {
 // so a replica leaving the fleet drops no requests.
 func (p *Proclet) Shutdown(err error) {
 	p.shutdownOnce.Do(func() {
+		// srv is nil if the pipe ended the proclet before Start installed
+		// the server; Start then closes the server it built.
+		p.mu.Lock()
+		srv := p.srv
+		p.stopped = true
+		p.mu.Unlock()
 		if err != nil {
 			p.err.Store(err)
-		} else {
+		} else if srv != nil {
 			dctx, dcancel := context.WithTimeout(context.Background(), 3*time.Second)
-			_ = p.srv.Drain(dctx)
+			_ = srv.Drain(dctx)
 			dcancel()
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = p.runtime.Shutdown(ctx)
-		p.srv.Close()
+		if srv != nil {
+			srv.Close()
+		}
 		p.mu.Lock()
 		for _, conn := range p.routes {
 			conn.Close()

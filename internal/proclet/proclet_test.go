@@ -2,6 +2,8 @@ package proclet
 
 import (
 	"context"
+	"errors"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,12 +14,13 @@ import (
 	"repro/internal/envelope"
 	"repro/internal/logging"
 	"repro/internal/pipe"
+	"repro/internal/rpc"
 	"repro/internal/tracing"
 )
 
 // scriptedManager serves the minimal control plane a proclet needs.
 type scriptedManager struct {
-	host    []string
+	reply   pipe.HostComponents // the ComponentsToHost reply
 	lastReg chan pipe.RegisterReplica
 	loads   chan pipe.LoadReport
 	logs    chan logging.Entry
@@ -25,7 +28,7 @@ type scriptedManager struct {
 
 func newScriptedManager(host ...string) *scriptedManager {
 	return &scriptedManager{
-		host:    host,
+		reply:   pipe.HostComponents{Components: host},
 		lastReg: make(chan pipe.RegisterReplica, 8),
 		loads:   make(chan pipe.LoadReport, 1024),
 		logs:    make(chan logging.Entry, 1024),
@@ -36,8 +39,8 @@ func (m *scriptedManager) RegisterReplica(e *envelope.Envelope, r pipe.RegisterR
 	m.lastReg <- r
 	return nil
 }
-func (m *scriptedManager) ComponentsToHost(*envelope.Envelope) ([]string, error) {
-	return m.host, nil
+func (m *scriptedManager) ComponentsToHost(*envelope.Envelope) (pipe.HostComponents, error) {
+	return m.reply, nil
 }
 func (m *scriptedManager) StartComponent(*envelope.Envelope, string, bool) error { return nil }
 func (m *scriptedManager) LoadReport(e *envelope.Envelope, lr pipe.LoadReport) {
@@ -105,7 +108,7 @@ func TestStartRegistersWithAddr(t *testing.T) {
 
 	select {
 	case reg := <-mgr.lastReg:
-		if reg.ProcletID != "p/0" || reg.Group != "p" || reg.Addr != p.Addr() || reg.Addr == "" {
+		if reg.Addr != p.Addr() || reg.Addr == "" {
 			t.Errorf("registration = %+v (proclet addr %s)", reg, p.Addr())
 		}
 		if reg.Pid == 0 {
@@ -113,6 +116,95 @@ func TestStartRegistersWithAddr(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("proclet never registered")
+	}
+}
+
+// TestReplyLimitsAdmission checks that the proclet's data-plane server
+// takes its admission limits from the manager's ComponentsToHost reply:
+// with one execution slot and no wait queue, a second call that arrives
+// while the first is running is shed.
+func TestReplyLimitsAdmission(t *testing.T) {
+	envConn, procConn, err := pipe.Pair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := newScriptedManager()
+	mgr.reply.MaxInflight, mgr.reply.MaxQueue = 1, 0
+	envelope.Attach("p/0", "p", envConn, mgr)
+	p, err := Start(context.Background(), Options{
+		Conn: procConn, ProcletID: "p/0", Group: "p",
+		Fill:   noFill,
+		Logger: logging.New(logging.Options{Sink: logging.Discard}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Shutdown(nil)
+
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	defer close(release)
+	respond := func(ctx context.Context, args []byte) ([]byte, rpc.BufOwner, error) {
+		return make([]byte, rpc.ResponseHeadroom), nil, nil
+	}
+	p.srv.RegisterFramed("limits.Block", func(ctx context.Context, args []byte) ([]byte, rpc.BufOwner, error) {
+		started <- struct{}{}
+		<-release
+		return respond(ctx, args)
+	})
+	p.srv.RegisterFramed("limits.Fast", respond)
+
+	c := rpc.NewClient(p.Addr(), rpc.ClientOptions{})
+	defer c.Close()
+	call := func(method string) error {
+		resp, err := c.CallFramed(context.Background(), rpc.MethodKey(method), make([]byte, rpc.PayloadHeadroom), rpc.CallOptions{})
+		if err == nil {
+			resp.Release()
+		}
+		return err
+	}
+	go func() { _ = call("limits.Block") }()
+	<-started // the one slot is taken
+	if err := call("limits.Fast"); !errors.Is(err, rpc.ErrOverloaded) {
+		t.Errorf("second concurrent call: err = %v, want rpc.ErrOverloaded", err)
+	}
+}
+
+// TestShutdownDuringStartLeavesNoServer races a Shutdown push against
+// Start: the envelope answers ComponentsToHost and asks the proclet to shut
+// down at once, so Shutdown can run before or after Start builds the
+// data-plane server from the reply. Either Start fails, or it returns a
+// proclet whose server the shutdown closed; no server is left listening.
+func TestShutdownDuringStartLeavesNoServer(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		envConn, procConn, err := pipe.Pair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for {
+				m, err := envConn.Recv()
+				if err != nil {
+					return
+				}
+				if m.Kind == pipe.KindComponentsToHost {
+					_ = envConn.Ack(m, &pipe.Message{HostComponents: &pipe.HostComponents{MaxInflight: 1}}, nil)
+					_ = envConn.Send(&pipe.Message{Kind: pipe.KindShutdown})
+				}
+			}
+		}()
+		p, err := Start(context.Background(), Options{
+			Conn: procConn, ProcletID: "p/0", Group: "p",
+			Fill:   noFill,
+			Logger: logging.New(logging.Options{Sink: logging.Discard}),
+		})
+		if err == nil {
+			_ = p.Wait()
+			if c, err := net.Dial("tcp", p.Addr()); err == nil {
+				c.Close()
+				t.Errorf("run %d: the data-plane server still listens after shutdown", i)
+			}
+		}
+		envConn.Close()
 	}
 }
 

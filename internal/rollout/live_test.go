@@ -28,7 +28,7 @@ func TestLiveBlueGreenRollout(t *testing.T) {
 
 	start := func(version string) (*deploy.InProcess, testpkg.Echo) {
 		d, err := deploy.StartInProcess(ctx, deploy.Options{
-			Config: manager.Config{App: "live", Version: version},
+			Config: manager.Config{App: "live-" + version},
 			Fill:   fill,
 		})
 		if err != nil {

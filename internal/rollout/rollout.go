@@ -109,13 +109,6 @@ func (d *Director) Pick(keyHash uint64) Version {
 	return d.old
 }
 
-// Versions returns the current (old, new, weight) state.
-func (d *Director) Versions() (Version, Version, float64) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.old, d.new, d.weight
-}
-
 // --- The cross-version interaction experiment ---
 
 // orderV1 is the request payload in application version 1.

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -212,5 +213,26 @@ func TestDrainTimesOut(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Drain did not return after its context was canceled")
+	}
+}
+
+// TestServeAfterCloseClosesListener covers a Close that runs before the
+// goroutine Listen starts reaches Serve: Serve must close the listener it
+// is handed, or the address keeps accepting connections nobody serves.
+func TestServeAfterCloseClosesListener(t *testing.T) {
+	s := NewServer()
+	s.Close()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	if err := s.Serve(lis); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve on a closed server = %v, want net.ErrClosed", err)
+	}
+	// An open listener would block in Accept; the deadline bounds that.
+	_ = lis.(*net.TCPListener).SetDeadline(time.Now().Add(time.Second))
+	if _, err := lis.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("listener after Serve on a closed server: Accept = %v, want net.ErrClosed", err)
 	}
 }

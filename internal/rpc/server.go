@@ -300,11 +300,14 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Serve accepts connections from lis until the server is closed. It always
-// returns a non-nil error; after Close the error is net.ErrClosed.
+// returns a non-nil error; after Close the error is net.ErrClosed. On a
+// server already closed it closes lis itself: Listen starts Serve on its own
+// goroutine, so a Close that runs first never sees lis.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		lis.Close()
 		return net.ErrClosed
 	}
 	s.lis = lis

@@ -257,9 +257,6 @@ func (c *Cluster) AddService(name string, coresPerPod, minPods, maxPods int) *Se
 	return s
 }
 
-// Service returns a registered service.
-func (c *Cluster) Service(name string) *Service { return c.services[name] }
-
 // Exec queues cpu seconds of work on a service and calls done when it
 // completes (after queueing and execution).
 func (c *Cluster) Exec(service string, cpu float64, done func()) {

@@ -24,11 +24,11 @@ import (
 func TestLivePlacementConvergence(t *testing.T) {
 	ctx := context.Background()
 	const minGain = 0.05 // the manager's fixed re-placement threshold
+	const minCalls = 100 // calls the manager's graph needs before it plans
 	cfg := manager.Config{
 		App:               "converge",
 		DefaultAutoscale:  autoscale.Config{MinReplicas: 1, MaxReplicas: 1},
 		PlacementInterval: 200 * time.Millisecond,
-		PlacementMinCalls: 200,
 		Logger:            logging.New(logging.Options{Component: "manager", Min: logging.LevelError}),
 	}
 	d, err := deploy.StartInProcess(ctx, deploy.Options{Config: cfg, Fill: benchFill})
@@ -94,7 +94,7 @@ func TestLivePlacementConvergence(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 		st = d.Manager.PlacementStatus()
-		if len(st.Moves) > 0 && st.TotalCalls >= cfg.PlacementMinCalls &&
+		if len(st.Moves) > 0 && st.TotalCalls >= minCalls &&
 			st.RecommendedScore-st.CurrentScore < minGain {
 			quiet++
 		} else {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/logging"
@@ -98,20 +97,6 @@ func traceFraction() float64 {
 		}
 	}
 	return 0.01
-}
-
-// envInt reads a non-negative integer from the environment, returning 0
-// (meaning "unset / unlimited") for missing or malformed values.
-func envInt(name string) int {
-	v := os.Getenv(name)
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
 }
 
 // Shutdown stops the application's components, invoking their Shutdown

@@ -28,13 +28,12 @@ func initProclet(ctx context.Context) (*App, error) {
 		return nil, fmt.Errorf("weaver: WEAVER_PROCLET set but WEAVER_GROUP/WEAVER_REPLICA missing")
 	}
 
+	// Everything else the replica needs from the deployer (its components
+	// and admission limits) arrives over the pipe.
 	p, err := proclet.Start(ctx, proclet.Options{
-		Conn:        conn,
-		ProcletID:   replica,
-		Group:       group,
-		Version:     os.Getenv("WEAVER_VERSION"),
-		MaxInflight: envInt("WEAVER_MAX_INFLIGHT"),
-		MaxQueue:    envInt("WEAVER_MAX_QUEUE"),
+		Conn:      conn,
+		ProcletID: replica,
+		Group:     group,
 		Fill: func(impl any, name string, logger *logging.Logger, resolve func(reflect.Type) (any, error)) error {
 			return FillComponent(impl, name, logger, resolve, defaultListen)
 		},

@@ -15,8 +15,9 @@ check: vet lint build race allocs perfbench sim
 # (getFrame) and the frame-size limit appear only in frame.go, flusher.go
 # and readbatch.go, plus compress.go, whose decompress bounds an inflated
 # payload by the same limit; and a served request's single context
-# constructor (DESIGN.md §15): a reqCtx literal appears only in newReqCtx,
-# so the server dispatch allocation gate measures what the read loop builds;
+# constructor (DESIGN.md §15): a reqCtx literal, the 16-byte handle over a
+# worker's request slot, appears only in newReqCtx, so the server dispatch
+# allocation gate measures the one object the read loop builds per request;
 # and the code generator's single front end (DESIGN.md §6): no non-test file
 # in internal/generate imports go/printer, so every type in generated code is
 # spelled from go/types, never from source text; and a conn's single replica
@@ -55,7 +56,7 @@ lint:
 		/(^|[^*A-Za-z0-9_])reqCtx\{/ && !(FILENAME == "internal/rpc/workerpool.go" && fn ~ /^func newReqCtx\(/) \
 		{ print FILENAME ":" FNR ":" $$0 }' internal/rpc/*.go); \
 	if [ -n "$$out" ]; then \
-		echo "reqCtx literal outside newReqCtx in internal/rpc/workerpool.go:"; \
+		echo "request handle (reqCtx literal) built outside newReqCtx in internal/rpc/workerpool.go:"; \
 		echo "$$out"; exit 1; fi
 	@out=$$(grep -l '"go/printer"' $$(ls internal/generate/*.go | grep -v '_test\.go$$') || true); \
 	if [ -n "$$out" ]; then \
@@ -92,15 +93,16 @@ race:
 # Allocation-budget gates for the zero-copy data plane (DESIGN.md §9), for
 # hedging's standing cost on the client call path (DESIGN.md §8), for a
 # co-located call's bookkeeping (DESIGN.md §13), for the generated
-# codecs and for the decoder's string intern table (DESIGN.md §6), and for
+# codecs and for the decoder's string intern table (DESIGN.md §6), for
 # the control plane's load reports: the pipe's reused buffers and a report
-# applied to the status table (DESIGN.md §14).
+# applied to the status table (DESIGN.md §14), and for a store write, which
+# allocates only its value copy.
 # They must run without -race: the detector makes sync.Pool drop Puts at
 # random, so alloc counts are only meaningful in a plain build. Two CPU
 # counts give two client stripe widths (min(4, GOMAXPROCS) conns), so a
 # stripe-width-dependent defect cannot pass on a 1-CPU host.
 allocs:
-	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc ./internal/core ./internal/boutique ./internal/codec ./internal/pipe ./internal/manager
+	go test -run TestAllocs -cpu 1,2 -count=1 ./internal/rpc ./internal/core ./internal/boutique ./internal/codec ./internal/pipe ./internal/manager ./internal/store
 
 # The end-to-end benchmark is its own module (perfbench/go.mod), so the
 # root vet and build never compile it; vet and test it here so a change to

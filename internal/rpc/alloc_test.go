@@ -185,23 +185,21 @@ func allocsPerRun(runs int, f func()) (allocs, bytes uint64) {
 }
 
 // reqCtxBytes is the byte budget of a served request's context: one
-// reqCtx in Go's 96-byte size class. wheelEntryBytes is the size class
-// of the wheel entry a deadline-carrying request adds.
-const (
-	reqCtxBytes     = 96
-	wheelEntryBytes = 64
-)
+// handle in Go's 16-byte size class. The request state the handle points
+// at, the wheel entry of a deadline-carrying request included, lives in a
+// pool worker's slot and is reused across requests.
+const reqCtxBytes = 16
 
 // TestAllocsServerDispatch gates the server fast path: admission, dispatch
 // through a framed handler that answers from a pooled encoder, and the
-// in-place response write. Each request runs on a fresh context from
-// newReqCtx, as the read loop creates one per request frame; that
-// context, which carries the CallInfo and span context as fields, is the
-// only allocation the path may make, and it must fit reqCtxBytes. A
-// request carrying a deadline adds its wheel entry, which finish unlinks.
-// A handler that makes one nested call under its context stays in the
-// same budget: the call waits on its reply alone, so the context's done
-// channel is never made.
+// in-place response write. Each request runs on a fresh handle from
+// newReqCtx in one reused slot, as a pool worker runs its requests; that
+// handle is the only allocation the path may make, and it must fit
+// reqCtxBytes. A request carrying a deadline schedules the slot's own
+// wheel entry, which finish unlinks, so it stays in the same budget. A
+// handler that makes one nested call under its context stays in it too:
+// the call waits on its reply alone, so the context's done channel is
+// never made.
 func TestAllocsServerDispatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under the race detector (sync.Pool drops Puts)")
@@ -247,9 +245,12 @@ func TestAllocsServerDispatch(t *testing.T) {
 	fl := newConnFlusher(io.Discard, s.txBytes, s.flushHist, nil, nil)
 	args := []byte("ping-pong payload")
 
-	if size := unsafe.Sizeof(*newReqCtx(s, header{})); size > reqCtxBytes {
+	sl := s.takeSlot()
+	rc := newReqCtx(sl, header{})
+	if size := unsafe.Sizeof(*rc); size > reqCtxBytes {
 		t.Errorf("reqCtx is %d bytes, budget is %d", size, reqCtxBytes)
 	}
+	rc.finish()
 	for _, tc := range []struct {
 		name          string
 		method        string
@@ -257,13 +258,13 @@ func TestAllocsServerDispatch(t *testing.T) {
 		allocs, bytes uint64
 	}{
 		{"NoDeadline", "alloc.ServerEcho", 0, 1, reqCtxBytes},
-		{"Deadline", "alloc.ServerEcho", time.Now().Add(time.Hour).UnixNano(), 2, reqCtxBytes + wheelEntryBytes},
+		{"Deadline", "alloc.ServerEcho", time.Now().Add(time.Hour).UnixNano(), 1, reqCtxBytes},
 		{"NestedCall", "alloc.ServerNested", 0, 1, reqCtxBytes},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hdr := header{id: 7, method: MethodKey(tc.method), trace: 11, span: 12, parent: 13, deadline: tc.deadline}
 			serve := func() {
-				rc := newReqCtx(s, hdr)
+				rc := newReqCtx(sl, hdr)
 				s.handleRequest(rc, fl, hdr, args)
 				if rc.done != nil {
 					t.Error("serving the request made its context's done channel")

@@ -3,18 +3,22 @@ package rpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/tracing"
 )
 
 // These tests pin the served request context's deadline semantics on a
 // fake clock: Err is exact without anyone waiting, Done closes within one
 // wheel tick of the deadline, and every way a request ends — expiry,
 // cancel frame, finish — releases Done waiters and leaves the wheel empty.
+// A context read after its request ended answers as that request, whatever
+// its slot serves since.
 
 // reqDeadline is a deadline inside a wheel tick, so the tests also cover
 // a deadline that does not fall on a tick boundary.
@@ -175,19 +179,14 @@ func writeCancelFrame(t *testing.T, conn net.Conn, id uint64) {
 // rawRequestDeadline writes one request frame carrying a wire deadline.
 func rawRequestDeadline(t *testing.T, conn net.Conn, id uint64, method MethodID, deadline int64) {
 	t.Helper()
-	hdr := header{id: id, method: method, deadline: deadline}
-	var buf [1 + headerSize]byte
-	buf[0] = frameRequest
-	hdr.encode(buf[1:])
-	if _, err := conn.Write(mkFrame(buf[:])); err != nil {
-		t.Fatal(err)
-	}
+	rawHeader(t, conn, header{id: id, method: method, deadline: deadline})
 }
 
 // A child of context.WithCancel(rc) is cancelled when rc expires. reqCtx
 // is not a stdlib cancelCtx, so the context package watches rc.Done from
-// its own goroutine and then reads rc.Err — the stale-holder read that
-// rules out pooling reqCtxs.
+// its own goroutine and then reads rc.Err — a stale-holder read once the
+// request finishes, which the handle answers with its own end error
+// however the slot has moved on (TestReqCtxStaleHolder).
 func TestReqCtxChildCancelledOnExpiry(t *testing.T) {
 	s, f := fakeServer()
 	rc := newReqCtx(s, header{deadline: f.Now().Add(reqDeadline).UnixNano()})
@@ -455,4 +454,191 @@ func dialedClient(t *testing.T, down *Server) *Client {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// staleRequests is how many requests a leaked context's slot serves after
+// its own request ended, while the leaked context is read.
+const staleRequests = 100
+
+// TestReqCtxStaleHolder leaks a served request's context to a goroutine,
+// ends the request by a cancel frame or by wheel expiry, and then has the
+// request's worker serve staleRequests more requests in the same slot,
+// half of them on the slot's wheel entry, while the goroutine keeps
+// reading the leaked context. Throughout, the leaked context must answer
+// as its own ended request: Done closed, Err its end error, no deadline,
+// no CallInfo and no span context. Each request that reuses the slot must
+// stay live and see its own call. Last, a cancel frame carrying the
+// leaked request's id and a late wheel Expire on the leaked context must
+// leave the slot's current request running.
+func TestReqCtxStaleHolder(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration // the leaked request's wire deadline, 0 for none
+		end      func(t *testing.T, f *clock.Fake, s *Server, cli net.Conn)
+		want     error
+	}{
+		{"Canceled", 0, func(t *testing.T, _ *clock.Fake, _ *Server, cli net.Conn) {
+			writeCancelFrame(t, cli, 5)
+		}, context.Canceled},
+		{"Expired", reqDeadline, func(t *testing.T, f *clock.Fake, s *Server, _ net.Conn) {
+			waitFor(t, func() bool { return f.Waiting() == 1 })
+			f.Advance(reqDeadline)
+			waitFor(t, func() bool { return f.Waiting() == 1 })
+			f.Advance(s.wheel.Tick())
+		}, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, f := fakeServer()
+			leaked := make(chan context.Context, 1)
+			registerBytes(s, "stale.Leak", func(ctx context.Context, _ []byte) ([]byte, error) {
+				if _, ok := InfoFromContext(ctx); !ok {
+					t.Error("no CallInfo while the request runs")
+				}
+				if _, ok := tracing.FromContext(ctx); !ok {
+					t.Error("no span context while the request runs")
+				}
+				leaked <- ctx
+				<-ctx.Done()
+				return nil, nil
+			})
+			type served struct {
+				slot *reqSlot
+				err  error
+				own  bool // InfoFromContext named this request's method and trace
+			}
+			servedCh := make(chan served, 1)
+			registerBytes(s, "stale.Serve", func(ctx context.Context, _ []byte) ([]byte, error) {
+				ci, ok := InfoFromContext(ctx)
+				servedCh <- served{ctx.(*reqCtx).reqSlot, ctx.Err(), ok && ci.Method == "stale.Serve" && ci.Trace.Trace >= 100}
+				return nil, nil
+			})
+			held := make(chan context.Context, 1)
+			release := make(chan struct{})
+			registerBytes(s, "stale.Hold", func(ctx context.Context, _ []byte) ([]byte, error) {
+				held <- ctx
+				<-release
+				return nil, nil
+			})
+			cli := serveRaw(t, s)
+
+			var deadline int64
+			if tc.deadline != 0 {
+				deadline = f.Now().Add(tc.deadline).UnixNano()
+			}
+			rawHeader(t, cli, header{id: 5, method: MethodKey("stale.Leak"), deadline: deadline, trace: 11, span: 12})
+			ctx := <-leaked
+			slot := ctx.(*reqCtx).reqSlot
+			tc.end(t, f, s, cli)
+			// The leaked request has finished once its worker is idle.
+			waitFor(t, func() bool { return idleWorkers(s) == 1 })
+			if err := staleErr(ctx, tc.want); err != nil {
+				t.Fatalf("leaked context after its request: %v", err)
+			}
+
+			stop := make(chan struct{})
+			holder := make(chan error, 1)
+			go func() {
+				for {
+					if err := staleErr(ctx, tc.want); err != nil {
+						holder <- err
+						return
+					}
+					select {
+					case <-stop:
+						holder <- nil
+						return
+					default:
+					}
+				}
+			}()
+			for i := 0; i < staleRequests; i++ {
+				// One idle worker: the pool hands the next request to it.
+				waitFor(t, func() bool { return idleWorkers(s) == 1 })
+				var d int64
+				if i%2 == 1 {
+					d = f.Now().Add(time.Hour).UnixNano()
+				}
+				rawHeader(t, cli, header{id: uint64(6 + i), method: MethodKey("stale.Serve"), deadline: d, trace: uint64(100 + i), span: 1})
+				got := <-servedCh
+				if got.slot != slot {
+					t.Fatalf("request %d ran in another slot than the leaked context's", i)
+				}
+				if got.err != nil {
+					t.Fatalf("request %d in the leaked context's slot: Err() = %v", i, got.err)
+				}
+				if !got.own {
+					t.Fatalf("request %d in the leaked context's slot does not see its own call", i)
+				}
+			}
+			close(stop)
+			if err := <-holder; err != nil {
+				t.Errorf("leaked context while its slot served %d requests: %v", staleRequests, err)
+			}
+
+			waitFor(t, func() bool { return idleWorkers(s) == 1 })
+			rawHeader(t, cli, header{id: 200, method: MethodKey("stale.Hold"), deadline: f.Now().Add(time.Hour).UnixNano()})
+			cur := <-held
+			if cur.(*reqCtx).reqSlot != slot {
+				t.Fatal("the held request ran in another slot than the leaked context's")
+			}
+			writeCancelFrame(t, cli, 5)
+			ctx.(*reqCtx).Expire()
+			// Frames are read in order: once a request sent after the
+			// cancel frame runs, the cancel frame has been handled.
+			rawHeader(t, cli, header{id: 201, method: MethodKey("stale.Serve")})
+			<-servedCh
+			if err := cur.Err(); err != nil {
+				t.Errorf("the slot's current request ended by the leaked request's cancel frame or expiry: Err() = %v", err)
+			}
+			if closed(cur.Done()) {
+				t.Error("the slot's current request's Done closed by the leaked request's cancel frame or expiry")
+			}
+			close(release)
+			if err := staleErr(ctx, tc.want); err != nil {
+				t.Errorf("leaked context at the end: %v", err)
+			}
+			cli.Close()
+			s.Close()
+		})
+	}
+}
+
+// staleErr reports how ctx, whose request ended with want, answers other
+// than a stale holder must, or nil.
+func staleErr(ctx context.Context, want error) error {
+	if !closed(ctx.Done()) {
+		return errors.New("Done is open")
+	}
+	if err := ctx.Err(); err != want {
+		return fmt.Errorf("Err() = %v, want %v", err, want)
+	}
+	if d, ok := ctx.Deadline(); ok {
+		return fmt.Errorf("Deadline() = %v, want none", d)
+	}
+	if ci, ok := InfoFromContext(ctx); ok {
+		return fmt.Errorf("InfoFromContext answers %+v", ci)
+	}
+	if sc, ok := tracing.FromContext(ctx); ok {
+		return fmt.Errorf("tracing.FromContext answers %+v", sc)
+	}
+	return nil
+}
+
+// rawHeader writes one request frame with hdr, whose meta must be the
+// default.
+func rawHeader(t *testing.T, conn net.Conn, hdr header) {
+	t.Helper()
+	var buf [1 + headerSize]byte
+	buf[0] = frameRequest
+	hdr.encode(buf[1:])
+	if _, err := conn.Write(mkFrame(buf[:])); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// idleWorkers reports how many of s's pool workers are parked.
+func idleWorkers(s *Server) int {
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	return len(s.pool.idle)
 }

@@ -58,10 +58,7 @@ type callInfoKey struct{}
 // InfoFromContext returns the CallInfo for an in-flight handler invocation.
 func InfoFromContext(ctx context.Context) (CallInfo, bool) {
 	if rc, ok := ctx.(*reqCtx); ok {
-		if rc.h == nil {
-			return CallInfo{}, false
-		}
-		return rc.info(), true
+		return rc.callInfo()
 	}
 	ci, ok := ctx.Value(callInfoKey{}).(CallInfo)
 	return ci, ok
@@ -426,10 +423,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			s.requests.Inc()
 
-			rc := newReqCtx(s, hdr)
-			st.add(hdr.id, rc)
 			st.wg.Add(1)
-			s.pool.submit(reqWork{s: s, fl: fl, st: st, rc: rc, rb: rb, hdr: hdr, args: payload[n:]})
+			s.pool.submit(reqWork{s: s, fl: fl, st: st, rb: rb, hdr: hdr, args: payload[n:]})
 
 		case frameCancel:
 			if len(payload) >= 8 {
@@ -454,8 +449,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // handleRequest runs one request to completion: admission, dispatch, and
-// response write. It runs on a per-request goroutine; args aliases the
-// pooled request frame, which the caller returns to the pool afterwards.
+// response write. It runs on a pool worker, or on a goroutine of its own
+// past the pool's cap; args aliases the pooled request frame, which the
+// caller returns to the pool afterwards.
 func (s *Server) handleRequest(rc *reqCtx, fl *connFlusher, hdr header, args []byte) {
 	// Count in-flight before checking the drain gate: Drain stores the flag
 	// and then polls the counter, so a request that saw draining==false is

@@ -45,8 +45,9 @@ type Store struct {
 	mu    sync.RWMutex
 	index map[string][]byte
 	log   *os.File
-	dead  int // superseded records in the log
-	live  int // records in index
+	dead  int    // superseded records in the log
+	live  int    // records in index
+	rec   []byte // encodeRecord scratch, reused under mu
 }
 
 // Open opens (creating if necessary) the store in dir.
@@ -119,27 +120,27 @@ type record struct {
 	del bool
 }
 
-// encodeRecord appends a record: crc32(payload) + payload, where payload is
-// [klen uvarint][vlen uvarint or tombstone][key][val].
+// encodeRecord appends a record: len(payload) + crc32(payload) + payload,
+// where payload is [klen uvarint][vlen uvarint or tombstone][key][val]. The
+// payload is encoded in place behind its 8-byte prefix, so a buf with room
+// to spare takes the record without allocating.
 func encodeRecord(buf []byte, key string, val []byte, del bool) []byte {
-	var payload []byte
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	if del {
-		payload = binary.AppendUvarint(payload, tombstone)
+		buf = binary.AppendUvarint(buf, tombstone)
 	} else {
-		payload = binary.AppendUvarint(payload, uint64(len(val)))
+		buf = binary.AppendUvarint(buf, uint64(len(val)))
 	}
-	payload = append(payload, key...)
+	buf = append(buf, key...)
 	if !del {
-		payload = append(payload, val...)
+		buf = append(buf, val...)
 	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(payload))
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(payload)))
-	buf = append(buf, lenBuf[:]...)
-	buf = append(buf, crcBuf[:]...)
-	return append(buf, payload...)
+	payload := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
 // decodeRecord parses one record, reporting its total size and validity.
@@ -233,8 +234,8 @@ func (s *Store) Delete(key string) error {
 }
 
 func (s *Store) appendLocked(key string, val []byte, del bool) error {
-	rec := encodeRecord(nil, key, val, del)
-	if _, err := s.log.Write(rec); err != nil {
+	s.rec = encodeRecord(s.rec[:0], key, val, del)
+	if _, err := s.log.Write(s.rec); err != nil {
 		return fmt.Errorf("store: appending record: %w", err)
 	}
 	if s.opts.Sync {
@@ -307,10 +308,9 @@ func (s *Store) compactLocked() error {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var buf []byte
 	for _, k := range keys {
-		buf = encodeRecord(buf[:0], k, s.index[k], false)
-		if _, err := f.Write(buf); err != nil {
+		s.rec = encodeRecord(s.rec[:0], k, s.index[k], false)
+		if _, err := f.Write(s.rec); err != nil {
 			f.Close()
 			os.Remove(tmp)
 			return err

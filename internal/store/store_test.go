@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -252,5 +254,62 @@ func TestQuickRoundTripThroughReopen(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecordFormat pins the log's record bytes: a 4-byte payload length
+// and the payload's 4-byte CRC-32 (IEEE), both little-endian, then the
+// payload [klen uvarint][vlen uvarint, or all ones for a delete][key][val].
+func TestRecordFormat(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		key     string
+		val     []byte
+		del     bool
+		payload []byte
+	}{
+		{"Put", "k", []byte("val"), false, []byte{1, 3, 'k', 'v', 'a', 'l'}},
+		{"Delete", "key", nil, true, append([]byte{3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "key"...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := binary.LittleEndian.AppendUint32(nil, uint32(len(tc.payload)))
+			want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(tc.payload))
+			want = append(want, tc.payload...)
+			prefix := []byte("earlier records")
+			got := encodeRecord(append([]byte(nil), prefix...), tc.key, tc.val, tc.del)
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("encodeRecord = %x, want %x after the prefix", got, want)
+			}
+			rec, n, ok := decodeRecord(got[len(prefix):])
+			if !ok || n != len(want) || rec.key != tc.key || rec.del != tc.del || !bytes.Equal(rec.val, tc.val) {
+				t.Fatalf("decodeRecord = %+v, %d, %v", rec, n, ok)
+			}
+		})
+	}
+}
+
+// TestAllocsPut pins a write's allocations: Put copies the value for its
+// index and encodes the log record into the store's reused scratch, so
+// overwriting a key allocates the value copy and nothing else. Delete
+// allocates nothing.
+func TestAllocsPut(t *testing.T) {
+	s := open(t, t.TempDir())
+	val := bytes.Repeat([]byte("v"), 200)
+	put := func() {
+		if err := s.Put("cart/alice", val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put()
+	if n := testing.AllocsPerRun(100, put); n != 1 {
+		t.Errorf("Put allocates %v times, want 1 (the value copy)", n)
+	}
+	del := func() {
+		if err := s.Delete("cart/alice"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { put(); del() }); n != 1 {
+		t.Errorf("Put and Delete allocate %v times, want 1 (the value copy)", n)
 	}
 }

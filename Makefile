@@ -128,14 +128,16 @@ sim-soak:
 bench:
 	go test -run xxx -bench . -benchtime 1x .
 
-# bench-json runs the data-plane microbenchmarks, and the local-call and
-# remote-Invoke benchmarks (at one and two CPUs), and records them as
-# machine-readable JSON in BENCH_rpc.json (EXPERIMENTS.md A9, A16, A19),
+# bench-json runs the data-plane microbenchmarks, the read-batch benchmark
+# and the local-call and remote-Invoke benchmarks (these three at one and
+# two CPUs), and records them as machine-readable JSON in BENCH_rpc.json
+# (EXPERIMENTS.md A9, A16, A19, A21),
 # the placement planner benchmark and the slice-affinity cache benchmark in
 # BENCH_placement.json (EXPERIMENTS.md A6/A10, A4), and the generated vs reflective codec round trip plus the
 # interned string decode in BENCH_codec.json (EXPERIMENTS.md A1, A1b).
 bench-json:
-	{ go test -run xxx -bench 'BenchmarkTransport|BenchmarkCall|BenchmarkPriority|BenchmarkReadBatch' -benchmem ./internal/rpc . && \
+	{ go test -run xxx -bench 'BenchmarkTransport|BenchmarkCall|BenchmarkPriority' -benchmem ./internal/rpc . && \
+	  go test -run xxx -bench 'BenchmarkReadBatch' -benchmem -cpu 1,2 ./internal/rpc && \
 	  go test -run xxx -bench 'BenchmarkLocalCall|BenchmarkRemoteInvoke' -benchmem -cpu 1,2 ./internal/core; } | go run ./cmd/benchjson -out BENCH_rpc.json
 	go test -run xxx -bench 'BenchmarkPlacement|BenchmarkAffinityRouting' -benchmem . | go run ./cmd/benchjson -out BENCH_placement.json
 	{ go test -run xxx -bench 'BenchmarkOrderCodec' -benchmem -count 5 ./internal/boutique && \

@@ -36,7 +36,7 @@ func TestAllocsHedgedInvoke(t *testing.T) {
 			}
 		}
 		for i := 0; i < 200; i++ {
-			call() // dial every stripe and fill the pools
+			call() // dial and fill the pools
 		}
 		return testing.AllocsPerRun(500, call)
 	}

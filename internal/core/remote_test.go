@@ -79,7 +79,7 @@ func BenchmarkRemoteInvoke(b *testing.B) {
 			ctx := context.Background()
 			var args, res emptyMsg
 			for i := 0; i < 2*hedgeMinSamples; i++ {
-				// Dial every stripe and warm the adaptive hedge delay.
+				// Dial and warm the adaptive hedge delay.
 				if err := conn.Invoke(ctx, component, spec, &args, &res, 0, false); err != nil {
 					b.Fatal(err)
 				}

@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"repro/internal/codec"
+	"repro/internal/metrics"
 )
 
 // These tests gate the zero-copy data plane's allocation budget: a
@@ -323,10 +324,10 @@ func TestAllocsBatchedClientCalls(t *testing.T) {
 		resp.Release()
 		codec.PutEncoder(enc)
 	}
-	// Eight concurrent callers per stripe: a flush batch only forms when
-	// frames queue behind an in-progress write, which two callers sharing
-	// a stripe can never do.
-	width := 8 * c.numConns
+	// Eight concurrent callers per stripe of width: a flush batch only
+	// forms when frames queue behind an in-progress write, and once every
+	// stripe holds a call the rest share stripe 0.
+	width := 8 * len(c.conns)
 	var wg sync.WaitGroup
 	batch := func() {
 		wg.Add(width)
@@ -352,6 +353,78 @@ func TestAllocsBatchedClientCalls(t *testing.T) {
 	frames := uint64((runs + 1) * width)
 	if flushes := c.flushHist.Count() - flushesBefore; flushes >= frames {
 		t.Errorf("no coalescing observed: %d flushes for %d frames", flushes, frames)
+	}
+}
+
+// TestAllocsFlushBatch gates the flusher's vectored write: a flush of
+// several queued frames over a TCP conn allocates nothing. A writev header
+// local to runFlush escapes through net.Buffers.WriteTo, 24 B per
+// multi-frame flush, which TestAllocsBatchedClientCalls's per-call budget
+// cannot see once it is spread over a batch.
+func TestAllocsFlushBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are nondeterministic under the race detector (sync.Pool drops Puts)")
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	peer, err := lis.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := peer.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		conn.Close()
+		<-drained
+	}()
+
+	reg := metrics.NewRegistry()
+	hist := reg.Histogram("flush", flushBatchBuckets)
+	f := newConnFlusher(conn, reg.Counter("tx"), hist, nil, nil)
+	frames := make([][]byte, 8)
+	for i := range frames {
+		frames[i] = mkFrame([]byte("one frame of a batch"))
+	}
+	flush := func() {
+		f.mu.Lock()
+		for _, fr := range frames {
+			f.enqSeq++
+			f.queue = append(f.queue, flushEntry{frame: fr})
+			f.pending += len(fr)
+		}
+		f.flushing = true
+		f.runFlush()
+		err := f.err
+		f.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush() // grow the queue and writev scratch
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, flush); allocs != 0 {
+		t.Errorf("a %d-frame flush allocates %.2f times, want 0", len(frames), allocs)
+	}
+	// AllocsPerRun adds a warm-up run: every flush wrote one 8-deep batch.
+	if n, sum := hist.Count(), hist.Sum(); n != runs+2 || sum != float64(len(frames)*(runs+2)) {
+		t.Errorf("%d flushes carried %v frames, want %d batches of %d", n, sum, runs+2, len(frames))
 	}
 }
 
@@ -398,7 +471,7 @@ func TestAllocsCompressedCall(t *testing.T) {
 		resp.Release()
 		codec.PutEncoder(enc)
 	}
-	for i := 0; i < c.numConns+1; i++ {
+	for i := 0; i < len(c.conns)+1; i++ {
 		call()
 	}
 
@@ -449,9 +522,9 @@ func TestAllocsEndToEnd(t *testing.T) {
 		resp.Release()
 		codec.PutEncoder(enc)
 	}
-	// Warm up every stripe: round-robin assignment means the first
-	// numConns calls each dial a fresh connection.
-	for i := 0; i < c.numConns+1; i++ {
+	// Warm up: the first call dials stripe 0, the only one a sequential
+	// caller uses.
+	for i := 0; i < len(c.conns)+1; i++ {
 		call()
 	}
 

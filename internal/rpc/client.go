@@ -55,17 +55,19 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// A Client issues calls to one server address over a small pool of
+// A Client issues calls to one server address over a small stripe set of
 // multiplexed TCP connections. Clients are safe for concurrent use and
 // transparently reconnect after connection failures.
 type Client struct {
-	addr     string
-	numConns int
-	dialer   func(ctx context.Context, addr string) (net.Conn, error)
-	opts     ClientOptions
+	addr   string
+	dialer func(ctx context.Context, addr string) (net.Conn, error)
+	opts   ClientOptions
 
 	nextID atomic.Uint64
-	rr     atomic.Uint64 // round-robin over conns
+	// inflight counts, per stripe, the calls started and not yet retired
+	// (by a failed Start, Result, Abandon or a nested call's cancel); it
+	// picks each call's stripe.
+	inflight []atomic.Int32
 
 	mu     sync.Mutex
 	conns  []*clientConn
@@ -82,8 +84,10 @@ type Client struct {
 // ClientOptions configures a Client.
 type ClientOptions struct {
 	// NumConns is the number of TCP connections to stripe calls over.
-	// Striping removes the single-conn serialization of the read loop and
-	// the write flusher, so independent callers scale instead of queueing.
+	// While fewer calls are in flight than there are stripes, each call
+	// takes a stripe of its own, so a few independent callers write and
+	// read in parallel instead of queueing behind one another; once as
+	// many are in flight, calls share the first, so its batches deepen.
 	// Zero means min(4, GOMAXPROCS). The stripe set is one logical replica:
 	// health probes, breakers, and hedging all see a single address.
 	NumConns int
@@ -105,8 +109,9 @@ type ClientOptions struct {
 const pingTimeout = 5 * time.Second
 
 // defaultNumConns picks the stripe width when ClientOptions.NumConns is
-// unset: one conn per available CPU up to 4, past which the readLoop and
-// flusher stop being the bottleneck.
+// unset: one conn per available CPU up to 4. That is how many callers can
+// write at once without sharing a flusher or a read loop; past it, sharing
+// one conn batches their frames instead.
 func defaultNumConns() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 4 {
@@ -133,10 +138,10 @@ func NewClient(addr string, opts ClientOptions) *Client {
 	opts.Clock = clock.Or(opts.Clock)
 	return &Client{
 		addr:     addr,
-		numConns: opts.NumConns,
 		dialer:   opts.Dialer,
 		opts:     opts,
 		conns:    make([]*clientConn, opts.NumConns),
+		inflight: make([]atomic.Int32, opts.NumConns),
 		txBytes:  metrics.Default.Counter("rpc.client.tx_bytes"),
 		rxBytes:  metrics.Default.Counter("rpc.client.rx_bytes"),
 		calls:    metrics.Default.Counter("rpc.client.calls"),
@@ -182,6 +187,7 @@ func (c *Client) CallFramed(ctx context.Context, id MethodID, framed []byte, opt
 			}
 			// end took the registration with its verdict, so the waiter
 			// is empty and only the cancel frame is left of Abandon.
+			p.cc.retire()
 			waiterPool.Put(p.w)
 			_ = p.cc.fl.writeControl(frameCancel, p.id)
 			return nil, ctx.Err()
@@ -211,15 +217,38 @@ func (c *Client) Start(ctx context.Context, id MethodID, framed []byte, opts Cal
 		return Pending{}, &TransportError{Addr: c.addr, Err: fmt.Errorf("rpc: framed buffer of %d bytes lacks %d bytes of headroom", len(framed), PayloadHeadroom)}
 	}
 	c.calls.Inc()
-	cc, err := c.conn(ctx, opts.Shard)
+	slot := c.stripe()
+	cc, err := c.conn(ctx, slot)
 	if err != nil {
+		c.inflight[slot].Add(-1)
 		return Pending{}, &TransportError{Addr: c.addr, Err: err}
 	}
 	p, err := cc.send(ctx, id, framed, opts)
 	if err != nil {
+		cc.retire()
 		return Pending{}, c.callError(ctx, err)
 	}
 	return p, nil
+}
+
+// stripe claims a stripe for one call. While fewer calls are in flight
+// than there are stripes, the call takes the first stripe with none, so a
+// few callers write and read in parallel. Once there are as many, calls
+// share stripe 0, so one flusher sees them all and its batches deepen.
+func (c *Client) stripe() int {
+	slot, total := 0, 0
+	for i := len(c.inflight) - 1; i >= 0; i-- {
+		n := int(c.inflight[i].Load())
+		if n == 0 {
+			slot = i
+		}
+		total += n
+	}
+	if total >= len(c.inflight) {
+		slot = 0
+	}
+	c.inflight[slot].Add(1)
+	return slot
 }
 
 // callError maps a failed call to what the caller sees: the context's own
@@ -232,9 +261,8 @@ func (c *Client) callError(ctx context.Context, err error) error {
 	return &TransportError{Addr: c.addr, Err: err}
 }
 
-// Ping verifies liveness of the server with a ping round trip. The probe
-// rotates over the stripes, so repeated pings exercise each conn of the
-// logical replica in turn.
+// Ping verifies liveness of the server with a ping round trip on the
+// first stripe, the one every call uses when the client is idle or busy.
 func (c *Client) Ping(ctx context.Context) error {
 	cc, err := c.conn(ctx, 0)
 	if err != nil {
@@ -275,21 +303,8 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// conn returns a healthy connection, dialing if necessary. Sharded calls
-// (shard != 0) stick to an affinity-hashed stripe so one shard's frames
-// batch together and stay ordered on one conn; unsharded calls round-robin
-// across the stripes.
-func (c *Client) conn(ctx context.Context, shard uint64) (*clientConn, error) {
-	var slot int
-	switch {
-	case c.numConns == 1:
-		slot = 0
-	case shard != 0:
-		slot = int(shard % uint64(c.numConns))
-	default:
-		slot = int(c.rr.Add(1) % uint64(c.numConns))
-	}
-
+// conn returns a healthy connection for stripe slot, dialing if necessary.
+func (c *Client) conn(ctx context.Context, slot int) (*clientConn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -311,7 +326,7 @@ func (c *Client) conn(ctx context.Context, shard uint64) (*clientConn, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	ncc := newClientConn(conn, c)
+	ncc := newClientConn(conn, c, slot)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -376,6 +391,7 @@ type pendingShard struct {
 type clientConn struct {
 	conn   net.Conn
 	client *Client
+	slot   int // stripe index in client.conns and client.inflight
 	fl     *connFlusher
 
 	shards [pendingShards]pendingShard
@@ -490,10 +506,11 @@ func (r *Response) Release() {
 	responsePool.Put(r)
 }
 
-func newClientConn(conn net.Conn, c *Client) *clientConn {
+func newClientConn(conn net.Conn, c *Client, slot int) *clientConn {
 	cc := &clientConn{
 		conn:   conn,
 		client: c,
+		slot:   slot,
 		fl:     newConnFlusher(conn, c.txBytes, c.flushHist, nil, nil),
 	}
 	// A failed write kills the conn, so its pending calls fail now and
@@ -505,6 +522,10 @@ func newClientConn(conn net.Conn, c *Client) *clientConn {
 	go cc.readLoop()
 	return cc
 }
+
+// retire releases one call's claim on the conn's stripe; every path that
+// retires a Pending calls it once.
+func (cc *clientConn) retire() { cc.client.inflight[cc.slot].Add(-1) }
 
 func (cc *clientConn) dead() bool {
 	cc.mu.Lock()
@@ -555,6 +576,7 @@ func (cc *clientConn) readLoop() {
 	// its reference to the waiting caller, who releases after decoding;
 	// unclaimed frames (caller canceled, malformed) release here.
 	fr := newFrameReader(cc.conn, cc.client.readHist, nil, cc.client.opts.Clock)
+	fr.batch = &cc.fl.readBatch
 	defer fr.close()
 	for {
 		frame, rb, err := fr.next()
@@ -678,6 +700,7 @@ func (p Pending) Done() <-chan *Response { return p.w.ch }
 // context's error when the request's ctx is already done.
 func (p Pending) Result(resp *Response) (*Response, error) {
 	cc := p.cc
+	cc.retire()
 	// The channel is empty again: the slot can serve the next call.
 	waiterPool.Put(p.w)
 	var err error
@@ -721,6 +744,7 @@ func (p Pending) Result(resp *Response) (*Response, error) {
 // routinely).
 func (p Pending) Abandon() {
 	cc := p.cc
+	cc.retire()
 	cc.forget(p.id, p.w)
 	_ = cc.fl.writeControl(frameCancel, p.id)
 }

@@ -65,16 +65,24 @@ type connFlusher struct {
 	// connection dropped; clients use it to mark the conn dead.
 	onFail func(error)
 
-	mu        sync.Mutex
-	flushed   sync.Cond // doneSeq advanced or err set
-	space     sync.Cond // pendingBytes dropped below the backlog cap
-	queue     []flushEntry
-	spare     []flushEntry // recycled backing array for queue
-	bufs      [][]byte     // reusable writev scratch
-	enqSeq    uint64       // sequence of the last enqueued frame
-	doneSeq   uint64       // sequence of the last frame on the wire
-	pending   int          // bytes queued but not yet written
-	lastDepth int          // frames in the most recently committed batch
+	// readBatch is set while the conn's frameReader has sliced more than
+	// one frame from its last Read (frameReader.batch points here).
+	readBatch atomic.Bool
+
+	mu      sync.Mutex
+	flushed sync.Cond // doneSeq advanced or err set
+	space   sync.Cond // pendingBytes dropped below the backlog cap
+	queue   []flushEntry
+	spare   []flushEntry // recycled backing array for queue
+	bufs    [][]byte     // reusable writev scratch
+	// nb is the writev header over bufs. It lives in the flusher because
+	// net.Buffers.WriteTo takes a pointer that escapes: a local header
+	// would cost an allocation per multi-frame flush.
+	nb        net.Buffers
+	enqSeq    uint64 // sequence of the last enqueued frame
+	doneSeq   uint64 // sequence of the last frame on the wire
+	pending   int    // bytes queued but not yet written
+	lastDepth int    // frames in the most recently committed batch
 	flushing  bool
 	err       error // terminal; set on first write failure
 }
@@ -144,16 +152,13 @@ func (f *connFlusher) write(frame []byte, fb *frameBuf) error {
 
 	if !f.flushing {
 		f.flushing = true
-		// Adaptive group commit: when the connection has shown concurrency
-		// (the previous batch carried more than one frame), yield once before
-		// committing so writers that are runnable but not yet enqueued can
-		// pile in — a quick socket write never releases the P, so without the
-		// yield a few-core scheduler would commit every flush one frame deep.
-		// A lone caller pays nothing: its batches are one deep, so it skips
-		// the yield and flushes immediately. The periodic probe (every 64th
-		// frame) is what lets batching bootstrap: one yielded flush reveals
-		// whether concurrent writers exist.
-		if f.lastDepth > 1 || seq&0x3f == 0 {
+		// Adaptive group commit: when the connection has shown concurrency,
+		// yield once before committing so writers that are runnable but not
+		// yet enqueued can pile in — a quick socket write never releases the
+		// P, so without the yield a few-core scheduler would commit every
+		// flush one frame deep. A lone caller pays nothing: it skips the
+		// yield and flushes immediately.
+		if f.expectBatch() {
 			f.mu.Unlock()
 			runtime.Gosched()
 			f.mu.Lock()
@@ -176,6 +181,14 @@ func (f *connFlusher) write(frame []byte, fb *frameBuf) error {
 		f.onFail(err)
 	}
 	return err
+}
+
+// expectBatch predicts that writers other than the leader are about to
+// enqueue: the previous flush carried more than one frame, or the conn's
+// reader just readied several callers or workers at once, each of which
+// answers with a write. Called with f.mu held.
+func (f *connFlusher) expectBatch() bool {
+	return f.lastDepth > 1 || f.readBatch.Load()
 }
 
 // runFlush drains the queue in batches. Called with f.mu held and
@@ -210,10 +223,11 @@ func (f *connFlusher) runFlush() {
 				wire += len(e.frame)
 			}
 			f.bufs = bufs // keep the grown scratch
-			// WriteTo consumes a private header so f.bufs keeps its base;
-			// writev handles partial writes internally.
-			nb := net.Buffers(bufs)
-			_, err = nb.WriteTo(f.w)
+			// WriteTo consumes f.nb, not f.bufs, so the scratch keeps its
+			// base; writev handles partial writes internally.
+			f.nb = bufs
+			_, err = f.nb.WriteTo(f.w)
+			f.nb = nil
 			for i := range bufs {
 				bufs[i] = nil
 			}

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"sync"
@@ -215,6 +216,73 @@ func TestFlusherBackpressureBindsPendingBytes(t *testing.T) {
 	}
 	close(w.gate)
 	wg.Wait()
+}
+
+// TestFlusherExpectsBatchAfterDeepRead pins the pre-flush yield rule: the
+// leader yields once the conn's reader sliced more than one frame from its
+// last Read, or once a flush carried more than one frame. A conn whose
+// reads and flushes are one frame deep never yields, however many frames
+// it carries.
+func TestFlusherExpectsBatchAfterDeepRead(t *testing.T) {
+	f := newConnFlusher(&gateWriter{}, metrics.Default.Counter("test.flusher.tx"), nil, nil, nil)
+	expect := func() bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.expectBatch()
+	}
+	const lone = 130 // past two turns of a 1-in-64 probe
+	frame := mkFrame([]byte("request"))
+	chunks := make([][]byte, 0, lone+2)
+	for i := 0; i < lone; i++ {
+		chunks = append(chunks, frame)
+	}
+	chunks = append(chunks, bytes.Repeat(frame, 3), frame)
+	fr := newFrameReader(&chunkReader{chunks: chunks}, nil, nil, nil)
+	fr.batch = &f.readBatch
+	next := func() {
+		t.Helper()
+		_, rb, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb.release()
+	}
+
+	for i := 0; i < lone; i++ {
+		next()
+		if expect() {
+			t.Fatalf("after one-frame read %d the next write would yield", i)
+		}
+		head, fb := testFrame("response")
+		if err := f.write(head, fb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		next()
+	}
+	if !expect() {
+		t.Error("after a Read sliced 3 frames the next write would not yield")
+	}
+	next()
+	if expect() {
+		t.Error("after a one-frame Read the next write would still yield")
+	}
+
+	// A flush that carried two frames predicts more company, too.
+	f.mu.Lock()
+	for i := 0; i < 2; i++ {
+		head, fb := testFrame("queued")
+		f.enqSeq++
+		f.queue = append(f.queue, flushEntry{frame: head, fb: fb})
+		f.pending += len(head)
+	}
+	f.flushing = true
+	f.runFlush()
+	f.mu.Unlock()
+	if !expect() {
+		t.Error("after a two-frame flush the next write would not yield")
+	}
 }
 
 // waitFor polls cond until it holds or the test deadline approaches.

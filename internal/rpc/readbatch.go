@@ -71,6 +71,10 @@ type frameReader struct {
 	// stall, when non-nil and positive, injects a pause before each Read —
 	// the chaos stall-read fault (a slow-draining peer).
 	stall *atomic.Int64
+	// batch, when non-nil, is the conn flusher's readBatch: set while more
+	// than one frame has been sliced from the last Read, so the writes of
+	// the callers or workers those frames ready expect company.
+	batch *atomic.Bool
 
 	cur     *readBuf
 	pos     int // parse offset into cur.b
@@ -102,6 +106,9 @@ func (fr *frameReader) next() ([]byte, *readBuf, error) {
 				payload := fr.cur.b[fr.pos+4 : fr.pos+4+n : fr.pos+4+n]
 				fr.pos += 4 + n
 				fr.frames++
+				if fr.batch != nil && fr.frames <= 2 {
+					fr.batch.Store(fr.frames > 1)
+				}
 				fr.cur.retain()
 				return payload, fr.cur, nil
 			}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -455,11 +457,14 @@ func TestDrainRacesWorkerPool(t *testing.T) {
 	}
 }
 
-// BenchmarkReadBatch measures the receive path under concurrent callers and
-// reports how many frames each Read syscall delivers (the read-side
-// analogue of the flusher's frames-per-write). At 1 caller every read
-// carries one frame; at 64 the server's group commit coalesces responses
-// into segments the client drains in one Read.
+// BenchmarkReadBatch measures a loopback call under concurrent callers and
+// reports how deep each end batches: frames per flush on the client and on
+// the server, frames per client Read syscall, and the read and write
+// syscalls per call of the whole process (both ends), from /proc/self/io
+// where the file exists. At 1 caller every flush and read carries one
+// frame; at 64 group commit coalesces frames into segments the peer drains
+// in one Read. Run it at -cpu 1,2: batching that works at one P can
+// collapse at two.
 func BenchmarkReadBatch(b *testing.B) {
 	for _, callers := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("Callers%d", callers), func(b *testing.B) {
@@ -485,7 +490,16 @@ func BenchmarkReadBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 
-			count0, sum0 := c.readHist.Count(), c.readHist.Sum()
+			type depth struct {
+				h     *metrics.Histogram
+				count uint64
+				sum   float64
+			}
+			depths := []*depth{{h: c.flushHist}, {h: s.flushHist}, {h: c.readHist}}
+			for _, d := range depths {
+				d.count, d.sum = d.h.Count(), d.h.Sum()
+			}
+			reads0, writes0, procIO := syscallCounts()
 			var next atomic.Int64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -511,9 +525,36 @@ func BenchmarkReadBatch(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			if reads := c.readHist.Count() - count0; reads > 0 {
-				b.ReportMetric((c.readHist.Sum()-sum0)/float64(reads), "frames/read")
+			reads1, writes1, _ := syscallCounts()
+			for i, unit := range []string{"client-frames/flush", "server-frames/flush", "frames/read"} {
+				d := depths[i]
+				if n := d.h.Count() - d.count; n > 0 {
+					b.ReportMetric((d.h.Sum()-d.sum)/float64(n), unit)
+				}
+			}
+			if procIO {
+				b.ReportMetric(float64(writes1-writes0)/float64(b.N), "write-syscalls/call")
+				b.ReportMetric(float64(reads1-reads0)/float64(b.N), "read-syscalls/call")
 			}
 		})
 	}
+}
+
+// syscallCounts returns the process's read and write syscall counts from
+// /proc/self/io (syscr and syscw); ok is false where the file is absent.
+func syscallCounts() (reads, writes uint64, ok bool) {
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, 0, false
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		name, v, _ := strings.Cut(line, ": ")
+		switch name {
+		case "syscr":
+			reads, _ = strconv.ParseUint(v, 10, 64)
+		case "syscw":
+			writes, _ = strconv.ParseUint(v, 10, 64)
+		}
+	}
+	return reads, writes, true
 }

@@ -355,6 +355,9 @@ func TestNestedCallEndsWithRequest(t *testing.T) {
 			if n := c.PendingCalls(); n != 0 {
 				t.Errorf("%d calls still registered on the nested call's client", n)
 			}
+			if n := c.inflightCalls(); n != 0 {
+				t.Errorf("%d calls still counted against a stripe of the nested call's client", n)
+			}
 			cli.Close()
 			s.Close()
 		})

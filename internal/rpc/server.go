@@ -393,6 +393,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	fl := newConnFlusher(conn, s.txBytes, s.flushHist, &s.flushStallNanos, s.opts.Clock)
 	fr := newFrameReader(conn, s.readHist, &s.readStallNanos, s.opts.Clock)
+	fr.batch = &fl.readBatch
 	defer fr.close()
 
 	for {
